@@ -7,8 +7,7 @@ resulting ideal filtration on a line, certified singular points, finite-field
 line enumeration, and intersection numbers on ruled surfaces.
 """
 
-from .linalg import (Field, Fp, QQ, Subspace, FieldMismatch, kernel, member,
-                     subspace_meet_join, parse_field)
+from .linalg import Field, Fp, QQ, Subspace, FieldMismatch, kernel, parse_field
 from .forms import (MultiForm, BinaryForm, NotDivisible, CharacteristicTooSmall,
                     contract, restrict_to_plane, multilinear_eval, binary_divide,
                     binary_gcd, binary_roots, parse_form, format_form,
@@ -27,9 +26,9 @@ from .singular import (SingularPoint, SingularCertificate, EveryP1Report,
                        LineAnalysis, ExceptionRecord, ConjectureReport,
                        BudgetExceeded, CharacteristicRefused, is_singular_at,
                        singular_on_line, certify_entire_line, check_everyp1,
-                       analyze_line, projective_points, on_hypersurface,
-                       lines_through, all_lines, grassmannian_size,
-                       singular_points, conjecture_check)
+                       analyze_line, projective_points, lines_through,
+                       all_lines, grassmannian_size, singular_points,
+                       conjecture_check)
 from .corpus import fermat, cone, random_with_line
 from .ruled import (RuledSurface, DivisorClass, FIBER, ItconeReport,
                     CurveCaseReport, intersect, itcone_check, c1_twist,

@@ -43,10 +43,6 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _field_name(field: Field) -> str:
-    return "Q" if field.p == 0 else "Fp:%d" % field.p
-
-
 def _scal(c):
     if isinstance(c, Fp):
         return c.v
@@ -96,7 +92,7 @@ def _load_surface(path: str, field_opt: str | None):
             P = P.reduce_mod(want.p)
         else:
             raise CliError("form is over %s; cannot read it over %s"
-                           % (_field_name(P.field), _field_name(want)))
+                           % (P.field, want))
     return Hypersurface(P), text
 
 
@@ -151,8 +147,8 @@ def cmd_analyze(args) -> int:
     payload = {
         "command": "analyze",
         "input": {"form": text, "line": args.line,
-                  "field": _field_name(X.field)},
-        "surface": {"n": X.n, "d": X.d, "field": _field_name(X.field)},
+                  "field": str(X.field)},
+        "surface": {"n": X.n, "d": X.d, "field": str(X.field)},
     }
     try:
         la = analyze_line(X, frame)
@@ -160,7 +156,7 @@ def cmd_analyze(args) -> int:
         payload["error"] = str(e)
         return _emit(args, ["error: %s" % e], payload, EXIT_OFF_SURFACE)
     payload["tangent"] = _tangent_payload(la.tangent)
-    out = ["field: %s   n: %d   d: %d" % (_field_name(X.field), X.n, X.d),
+    out = ["field: %s   n: %d   d: %d" % (X.field, X.n, X.d),
            "tangent dim: %d   pi dim: %d   m: %d"
            % (la.tangent.tangent_dim, la.tangent.pi.dim, la.tangent.m)]
     if la.degenerate is not None:
@@ -231,7 +227,7 @@ def _rows_to_spec(rows) -> str:
 def cmd_lines(args) -> int:
     X, text = _load_surface(args.form, args.field)
     payload = {"command": "lines",
-               "input": {"form": text, "field": _field_name(X.field),
+               "input": {"form": text, "field": str(X.field),
                          "through": args.through, "budget": args.budget}}
     try:
         if args.through:
@@ -260,7 +256,7 @@ def cmd_lines(args) -> int:
 def cmd_conjecture(args) -> int:
     X, text = _load_surface(args.form, args.field)
     payload = {"command": "conjecture",
-               "input": {"form": text, "field": _field_name(X.field),
+               "input": {"form": text, "field": str(X.field),
                          "budget": args.budget, "force": args.force}}
     try:
         rep = conjecture_check(X, budget=args.budget, force=args.force)
@@ -299,11 +295,13 @@ def _parse_pencil_file(text: str):
     field = None
     m = None
     vecs = []
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line:
             continue
         toks = line.split(None, 1)
+        if len(toks) == 1 and toks[0] in ("field", "m", "element"):
+            raise CliError("line %d: '%s' needs a value" % (lineno, toks[0]))
         if toks[0] == "field":
             field = parse_field(toks[1])
             continue
@@ -331,7 +329,7 @@ def cmd_pencil_nf(args) -> int:
         text = fh.read()
     L, field, m = _parse_pencil_file(text)
     payload = {"command": "pencil-nf",
-               "input": {"pencil": text, "field": _field_name(field), "m": m}}
+               "input": {"pencil": text, "field": str(field), "m": m}}
     try:
         nf = normal_form(L)
     except NotConstantRankTwo as e:

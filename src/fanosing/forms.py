@@ -2,7 +2,8 @@
 
 MultiForm is a sparse homogeneous polynomial in n+1 ambient variables;
 BinaryForm is a dense homogeneous form on a line, written in the dual
-coordinates (s, t) of a chosen basis of the line.
+coordinates (s, t) of a chosen basis of the line.  Binary-form product,
+division, gcd and root peeling share one dense univariate kernel.
 
 Contraction convention: contract(v, P) is the directional derivative D_v P,
 *not* divided by the degree.  All identities downstream (restricted
@@ -202,13 +203,6 @@ class BinaryForm:
         return cls(field, (0,) * (degree + 1))
 
     @classmethod
-    def monomial(cls, field: Field, degree: int, i: int, coeff=1):
-        """coeff * s^(degree-i) t^i."""
-        c = [0] * (degree + 1)
-        c[i] = coeff
-        return cls(field, c)
-
-    @classmethod
     def linear(cls, field: Field, a, b):
         """a*s + b*t."""
         return cls(field, (a, b))
@@ -244,16 +238,8 @@ class BinaryForm:
         if not isinstance(other, BinaryForm):
             return self.scale(other)
         self._check(other, same_degree=False)
-        d = self.degree + other.degree
-        zero = self.field.zero()
-        out = [zero] * (d + 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[i + j] = out[i + j] + a * b
-        return BinaryForm(self.field, out)
+        return BinaryForm(self.field,
+                          _umul(self.coeffs, other.coeffs, self.field.zero()))
 
     __rmul__ = __mul__
 
@@ -282,12 +268,6 @@ class BinaryForm:
             if c:
                 total = total + c * a**(d - i) * b**i
         return total
-
-    def derivative_s(self):
-        d = self.degree
-        if d == 0:
-            raise ValueError("cannot differentiate a degree-0 form")
-        return BinaryForm(self.field, tuple(self.coeffs[i] * (d - i) for i in range(d)))
 
     def monic(self):
         """Scale so the earliest nonzero coefficient is 1."""
@@ -422,6 +402,67 @@ def multilinear_eval(P: MultiForm, args):
 
 
 # ---------------------------------------------------------------------------
+# dense univariate kernel: coefficient lists, index = power of t
+
+
+def _trim(a):
+    """Copy of a without its trailing zero coefficients."""
+    a = list(a)
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _umul(a, b, zero):
+    """Product of two coefficient lists."""
+    out = [zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] = out[i + j] + x * y
+    return out
+
+
+def _udivmod(a, b, zero):
+    """(q, r) with a = q*b + r and deg r < deg b; b[-1] must be nonzero.
+
+    q has len(a) - len(b) + 1 entries (none when a is shorter than b); r
+    keeps the length of a, with zeros from position len(b) - 1 on.
+    """
+    n = len(b)
+    q = [zero] * max(len(a) - n + 1, 0)
+    r = list(a)
+    lead = b[-1]
+    for i in range(len(a) - n, -1, -1):
+        c = r[i + n - 1] / lead
+        if c:
+            q[i] = c
+            for j in range(n):
+                r[i + j] = r[i + j] - c * b[j]
+    return q, r
+
+
+def _ugcd(a, b, zero):
+    """A gcd of two coefficient lists by Euclid, unnormalized and trimmed."""
+    a, b = _trim(a), _trim(b)
+    while b:
+        a, b = b, _trim(_udivmod(a, b, zero)[1])
+    return a
+
+
+def _int_poly(coeffs):
+    """Primitive integer multiple of rational coefficients whose earliest
+    nonzero entry is positive."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in coeffs]
+    g = math.gcd(*ints) or 1
+    if next((i for i in ints if i), 0) < 0:
+        g = -g
+    return [i // g for i in ints]
+
+
+# ---------------------------------------------------------------------------
 # binary form division, gcd, roots
 
 
@@ -431,34 +472,24 @@ def _binary_divmod(f: BinaryForm, g: BinaryForm):
     f._check(g, same_degree=False)
     if g.is_zero():
         raise ZeroDivisionError("division by the zero form")
-    field = f.field
     df, dg = f.degree, g.degree
-    if f.is_zero():
-        if df < dg:
-            return None, f
-        return BinaryForm.zero(field, df - dg), BinaryForm.zero(field, df)
     if df < dg:
         return None, f
-    # univariate copies in t (index = power of t)
-    uf = list(f.coeffs)
-    ug = list(g.coeffs)
-    while ug and not ug[-1]:
-        ug.pop()
-    uq = [field.zero()] * (len(uf) - len(ug) + 1)
-    lead = ug[-1]
-    rem = list(uf)
-    for i in range(len(rem) - len(ug), -1, -1):
-        c = rem[i + len(ug) - 1] / lead
-        if c:
-            uq[i] = c
-            for j, gc in enumerate(ug):
-                rem[i + j] = rem[i + j] - c * gc
+    uq, r = _udivmod(f.coeffs, _trim(g.coeffs), f.field.zero())
     # t-degree of the quotient may not exceed df - dg (s-power obstruction)
     if any(uq[df - dg + 1:]):
         return None, f
-    q = BinaryForm(field, uq[:df - dg + 1])
-    r = BinaryForm(field, rem[:df + 1] + [field.zero()] * (df + 1 - len(rem)))
-    return q, r
+    return BinaryForm(f.field, uq[:df - dg + 1]), BinaryForm(f.field, r)
+
+
+def _peel(f: BinaryForm, g: BinaryForm):
+    """(f / g^k, k) for the largest k with g^k dividing f."""
+    k = 0
+    while True:
+        q, r = _binary_divmod(f, g)
+        if q is None or not r.is_zero():
+            return f, k
+        f, k = q, k + 1
 
 
 def binary_divide(f: BinaryForm, g: BinaryForm) -> BinaryForm:
@@ -480,39 +511,14 @@ def binary_gcd(forms) -> BinaryForm:
     if not forms:
         raise ValueError("gcd needs at least one nonzero form")
     field = forms[0].field
+    zero = field.zero()
     for f in forms[1:]:
         f._check(forms[0], same_degree=False)
-
-    def pair_gcd(a: BinaryForm, b: BinaryForm) -> BinaryForm:
-        sm = min(a.s_multiplicity(), b.s_multiplicity())
-        ua = list(a.coeffs)
-        ub = list(b.coeffs)
-        while ua and not ua[-1]:
-            ua.pop()
-        while ub and not ub[-1]:
-            ub.pop()
-        while ub:
-            if len(ua) < len(ub):
-                ua, ub = ub, ua
-                continue
-            lead = ub[-1]
-            shift = len(ua) - len(ub)
-            c = ua[-1] / lead
-            for j in range(len(ub)):
-                ua[shift + j] = ua[shift + j] - c * ub[j]
-            ua.pop()
-            while ua and not ua[-1]:
-                ua.pop()
-            if len(ua) < len(ub):
-                ua, ub = ub, ua
-        # ua now generates; homogenize to degree sm + deg(ua)
-        d = sm + len(ua) - 1
-        out = list(ua) + [field.zero()] * (d + 1 - len(ua))
-        return BinaryForm(field, out).monic()
-
     g = forms[0]
     for f in forms[1:]:
-        g = pair_gcd(g, f)
+        # the chart gcd misses the common power of s; put it back
+        sm = min(g.s_multiplicity(), f.s_multiplicity())
+        g = BinaryForm(field, _ugcd(g.coeffs, f.coeffs, zero) + [zero] * sm)
         if g.degree == 0:
             break
     return g.monic()
@@ -541,14 +547,7 @@ def projective_normalize(vec, field: Field):
         lead = next(x for x in vec if x)
         inv = field.one() / lead
         return tuple(inv * x for x in vec)
-    den = math.lcm(*(x.denominator for x in vec))
-    ints = [x.numerator * (den // x.denominator) for x in vec]
-    g = math.gcd(*(abs(i) for i in ints))
-    ints = [i // g for i in ints]
-    lead = next(i for i in ints if i)
-    if lead < 0:
-        ints = [-i for i in ints]
-    return tuple(Fraction(i) for i in ints)
+    return tuple(Fraction(i) for i in _int_poly(vec))
 
 
 def _divisors_signed(n: int):
@@ -565,55 +564,17 @@ def _divisors_signed(n: int):
     return [d for v in out for d in (v, -v)]
 
 
-def _int_poly(coeffs):
-    """Clear denominators and content from Fraction coefficients."""
-    den = math.lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * den) for c in coeffs]
-    g = math.gcd(*(abs(i) for i in ints)) or 1
-    ints = [i // g for i in ints]
-    if ints[-1] < 0:
-        ints = [-i for i in ints]
-    return ints
-
-
-def _poly_eval_int(coeffs, x: Fraction):
-    total = Fraction(0)
-    for c in reversed(coeffs):
-        total = total * x + c
-    return total
-
-
-def _poly_divmod_q(a, b):
-    """Univariate division over Q on coefficient lists (index = power)."""
-    a = [Fraction(c) for c in a]
-    b = [Fraction(c) for c in b]
-    while b and not b[-1]:
-        b.pop()
-    if not b:
-        raise ZeroDivisionError
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    while len(a) >= len(b) and any(a):
-        while a and not a[-1]:
-            a.pop()
-        if len(a) < len(b):
-            break
-        c = a[-1] / b[-1]
-        shift = len(a) - len(b)
-        q[shift] = c
-        for j in range(len(b)):
-            a[shift + j] -= c * b[j]
-        a.pop()
-    return q, a
-
-
 def _kronecker_irreducible_factors(w):
     """Irreducible factors (each of degree >= 2) of a primitive squarefree
     integer polynomial with no rational roots, by divisor interpolation on
     small integer nodes.  Desk-scale only; guarded by a combinatorial budget.
+    w comes normalized by _int_poly, and so does every factor returned.
     """
     n = len(w) - 1
     if n <= 3:
         return [list(w)]  # no rational roots and degree <= 3: irreducible
+    zero = Fraction(0)
+    wf = BinaryForm(QQ, w)
     for e in range(2, n // 2 + 1):
         nodes = [0]
         k = 1
@@ -621,7 +582,7 @@ def _kronecker_irreducible_factors(w):
             nodes += [k, -k]
             k += 1
         nodes = nodes[:e + 1]
-        vals = [int(_poly_eval_int(w, Fraction(x))) for x in nodes]
+        vals = [int(wf.evaluate(1, x)) for x in nodes]
         div_lists = [_divisors_signed(v) for v in vals]
         total = 1
         for dl in div_lists:
@@ -630,44 +591,26 @@ def _kronecker_irreducible_factors(w):
                 raise ValueError("factorization budget exceeded")
         for choice in itertools.product(*div_lists):
             # Lagrange interpolation of a factor candidate through the nodes
-            cand = [Fraction(0)] * (e + 1)
+            cand = [zero] * (e + 1)
             for xi, yi in zip(nodes, choice):
                 li = [Fraction(1)]
                 denom = Fraction(1)
                 for xj in nodes:
                     if xj == xi:
                         continue
-                    li = _poly_mul_q(li, [Fraction(-xj), Fraction(1)])
+                    li = _umul(li, [Fraction(-xj), Fraction(1)], zero)
                     denom *= Fraction(xi - xj)
                 scale = Fraction(yi) / denom
                 for k2 in range(len(li)):
                     cand[k2] += scale * li[k2]
             if not cand[e] or any(c.denominator != 1 for c in cand):
                 continue
-            q, r = _poly_divmod_q(w, cand)
+            q, r = _udivmod(w, cand, zero)
             if any(r):
                 continue
-            part = _int_poly(cand)
-            rest = _int_poly(q)
-            return (_kronecker_irreducible_factors(part)
-                    + _kronecker_irreducible_factors(rest))
+            return (_kronecker_irreducible_factors(_int_poly(cand))
+                    + _kronecker_irreducible_factors(_int_poly(q)))
     return [list(w)]
-
-
-def _poly_mul_q(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def _binary_from_tpoly(field, coeffs, degree):
-    """Homogenize a chart-s=1 polynomial (index = power of t) to a degree."""
-    out = [field.zero()] * (degree + 1)
-    for i, c in enumerate(coeffs):
-        out[i] = field.scalar(c)
-    return BinaryForm(field, out)
 
 
 def binary_roots(f: BinaryForm) -> RootReport:
@@ -687,14 +630,7 @@ def binary_roots(f: BinaryForm) -> RootReport:
     def peel(point):
         nonlocal cofactor
         x, y = point
-        ell = BinaryForm.linear(field, y, -x)
-        mult = 0
-        while cofactor.degree >= 1:
-            q, r = _binary_divmod(cofactor, ell)
-            if q is None or not r.is_zero():
-                break
-            cofactor = q
-            mult += 1
+        cofactor, mult = _peel(cofactor, BinaryForm.linear(field, y, -x))
         return mult
 
     if not field.is_rational:
@@ -721,61 +657,29 @@ def binary_roots(f: BinaryForm) -> RootReport:
         roots.append((projective_normalize((0, 1), field), m))
     if cofactor.degree >= 1:
         # chart s=1: polynomial in t with nonzero constant and leading coeff
-        ints = _int_poly(list(cofactor.coeffs))
+        ints = _int_poly(cofactor.coeffs)
         for num in _divisors_signed(ints[0]):
             for den in _divisors_signed(ints[-1]):
                 if den <= 0:
                     continue
-                a = Fraction(num, den)
-                if _poly_eval_int(ints, a) == 0:
-                    pt = (field.one(), field.scalar(a))
-                    if not cofactor.evaluate(*pt):
-                        m = peel(pt)
-                        if m:
-                            roots.append((projective_normalize(pt, field), m))
+                pt = (field.one(), Fraction(num, den))
+                if not cofactor.evaluate(*pt):
+                    roots.append((projective_normalize(pt, field), peel(pt)))
     unsolved = []
     if cofactor.degree >= 2:
-        ints = _int_poly(list(cofactor.coeffs))
-        der = [c * i for i, c in enumerate(ints)][1:]
-        gq, _ = _poly_divmod_q(ints, _poly_gcd_q(ints, der)) if any(der) else (ints, [])
-        sqfree = _int_poly([Fraction(c) for c in gq])
-        for fac in _kronecker_irreducible_factors(sqfree):
-            bf = _binary_from_tpoly(field, fac, len(fac) - 1)
-            mult = 0
-            while True:
-                q, r = _binary_divmod(cofactor, bf)
-                if q is None or not r.is_zero():
-                    break
-                cofactor = q
-                mult += 1
-            if mult:
-                unsolved.append((_primitive_binary(bf), mult))
+        w = list(cofactor.coeffs)
+        der = [c * i for i, c in enumerate(w)][1:]
+        sqfree, _ = _udivmod(w, _ugcd(w, der, field.zero()), field.zero())
+        for fac in _kronecker_irreducible_factors(_int_poly(sqfree)):
+            bf = BinaryForm(field, fac)
+            cofactor, mult = _peel(cofactor, bf)
+            unsolved.append((bf, mult))
     roots.sort(key=lambda rm: tuple(_sort_key(c) for c in rm[0]))
     return RootReport(tuple(roots), tuple(unsolved))
 
 
 def _sort_key(c):
     return (c.v if isinstance(c, Fp) else (c.numerator, c.denominator))
-
-
-def _poly_gcd_q(a, b):
-    a = [Fraction(c) for c in a]
-    b = [Fraction(c) for c in b]
-    while any(b):
-        _, r = _poly_divmod_q(a, b)
-        a, b = b, r
-        while b and not b[-1]:
-            b.pop()
-    return a
-
-
-def _primitive_binary(f: BinaryForm) -> BinaryForm:
-    """Integer-primitive normalization with positive earliest coefficient."""
-    ints = _int_poly([Fraction(c) for c in f.coeffs])
-    lead = next(i for i in ints if i)
-    if lead < 0:
-        ints = [-i for i in ints]
-    return BinaryForm(f.field, ints)
 
 
 def _factor_nonsplit_fp(f: BinaryForm):
@@ -786,19 +690,13 @@ def _factor_nonsplit_fp(f: BinaryForm):
     out = []
     if p > 64 or f.degree < 4:
         return [(f.monic(), 1)]
-    rest = f.monic()
+    rest = f
     for e in range(2, f.degree // 2 + 1):
         for tail in itertools.product(range(p), repeat=e):
-            cand = _binary_from_tpoly(field, list(tail) + [1], e)
-            if cand.t_multiplicity() != 0:
-                continue
-            mult = 0
-            while rest.degree >= e:
-                q, r = _binary_divmod(rest, cand)
-                if q is None or not r.is_zero():
-                    break
-                rest = q.monic() if not q.is_zero() else q
-                mult += 1
+            if not tail[0]:
+                continue  # divisible by t, but the cofactor has no roots
+            cand = BinaryForm(field, tail + (1,))
+            rest, mult = _peel(rest, cand)
             if mult:
                 out.append((cand.monic(), mult))
         if rest.degree < 4:
@@ -826,11 +724,13 @@ def parse_form(text: str) -> MultiForm:
     field = None
     nvars = None
     terms = []
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line:
             continue
         toks = line.split()
+        if len(toks) == 1 and toks[0] in ("field", "vars"):
+            raise ValueError("line %d: '%s' needs a value" % (lineno, toks[0]))
         if toks[0] == "field":
             field = parse_field(" ".join(toks[1:]))
             continue

@@ -427,16 +427,6 @@ def kernel(rows, field: Field, ncols: int | None = None) -> Subspace:
     return Subspace.from_vectors(vecs, field, ncols)
 
 
-def member(v, space: Subspace) -> bool:
-    """Exact membership test for a vector in a subspace."""
-    return space.contains_vector(v)
-
-
-def subspace_meet_join(a: Subspace, b: Subspace):
-    """(intersection, sum) of two subspaces of the same ambient space."""
-    return a.meet(b), a.join(b)
-
-
 def echelon_complement(inner: Subspace, outer: Subspace):
     """Vectors of outer's canonical basis extending inner to a basis of outer.
 

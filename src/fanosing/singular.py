@@ -236,10 +236,6 @@ def projective_points(field: Field, ncoords: int):
     return out
 
 
-def on_hypersurface(X: Hypersurface, point) -> bool:
-    return not X.P.evaluate(point)
-
-
 def _line_on(X: Hypersurface, e1, e2) -> bool:
     """Exact containment test for the line span(e1, e2)."""
     p, d = X.field.p, X.d

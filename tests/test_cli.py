@@ -143,3 +143,22 @@ def test_gen_random_with_line_json(tmp_path, capsys):
 def test_usage_error_is_exit_one(capsys):
     assert main(["analyze"]) == 1
     assert main(["lines", "/nonexistent/path.form"]) == 1
+
+
+@pytest.mark.parametrize("command, text, lineno", [
+    ("lines", "field Fp:7\nvars\n1 3 0 0 0\n", 2),
+    ("lines", "field\nvars 4\n1 3 0 0 0\n", 1),
+    ("pencil-nf", "field Q\nm\nelement 1,0;0,1\n", 2),
+    ("pencil-nf", "field\nm 2\nelement 1,0;0,1\n", 1),
+    ("pencil-nf", "field Q\nm 2\nelement\n", 3),
+])
+def test_malformed_header_is_one_line_error(tmp_path, capsys, command, text,
+                                            lineno):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    assert main([command, str(path)]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "line %d" % lineno in err[0]
+    assert "Traceback" not in captured.err + captured.out

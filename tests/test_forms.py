@@ -199,6 +199,29 @@ def test_binary_roots_fp_multiplicity():
     assert dict(rep.roots) == {(s2(1), s2(5)): 2, (s2(1), s2(0)): 1}
 
 
+@pytest.mark.parametrize("field, factors, roots, unsolved", [
+    # one rational root, two rootless quadratics split off a quartic
+    (QQ, [(1, 0, 1), (1, 0, 2), (1, -1)], [((1, 1), 1)],
+     [((1, 0, 1), 1), ((1, 0, 2), 1)]),
+    # a squared quadratic and an irreducible quartic in degree 8
+    (QQ, [(1, 0, 1), (1, 0, 1), (1, 0, 0, 0, 3)], [],
+     [((1, 0, 1), 2), ((1, 0, 0, 0, 3), 1)]),
+    # trial division of a rootless quartic over a small prime
+    (F7, [(1, 0, 1), (1, 1, 3)], [], [((1, 0, 1), 1), ((1, 1, 3), 1)]),
+    (parse_field("Fp:101"), [(1, 0, 1), (1, 0, 3)],
+     [((1, 10), 1), ((1, 91), 1)], [((1, 0, 3), 1)]),
+], ids=["q-root-and-quadratics", "q-square-and-quartic", "f7-quartic",
+        "f101-roots-and-quadratic"])
+def test_binary_roots_frozen(field, factors, roots, unsolved):
+    f = binform(field, 1)
+    for c in factors:
+        f = f * binform(field, *c)
+    rep = binary_roots(f)
+    assert rep.roots == tuple((tuple(field.scalar(x) for x in pt), m)
+                              for pt, m in roots)
+    assert rep.unsolved == tuple((binform(field, *c), m) for c, m in unsolved)
+
+
 def test_projective_normalize():
     assert projective_normalize((-2, 4), QQ) == (Fr(1), Fr(-2))
     assert projective_normalize((0, Fr(1, 3), Fr(2, 3)), QQ) == (Fr(0), Fr(1), Fr(2))
