@@ -18,7 +18,8 @@ import sys
 from fractions import Fraction
 
 from .corpus import cone, fermat, random_with_line
-from .forms import BinaryForm, Fp, format_form, format_scalar, parse_form
+from .forms import (BinaryForm, Fp, _header_int, format_form, format_scalar,
+                    parse_form)
 from .linalg import Field, Subspace, parse_field
 from .pencil import NotConstantRankTwo, normal_form
 from .ruled import DivisorClass, RuledSurface, c1_twist, intersect, itcone_check
@@ -233,7 +234,7 @@ def cmd_lines(args) -> int:
         if args.through:
             pt = _parse_vector(X.field, args.through)
             try:
-                frames = lines_through(X, pt)
+                frames = lines_through(X, pt, budget=args.budget)
             except ValueError as e:
                 if "not on the hypersurface" in str(e):
                     payload["error"] = str(e)
@@ -306,7 +307,7 @@ def _parse_pencil_file(text: str):
             field = parse_field(toks[1])
             continue
         if toks[0] == "m":
-            m = int(toks[1])
+            m = _header_int(lineno, "m", toks[1])
             continue
         if toks[0] == "element":
             if field is None or m is None:

@@ -3,7 +3,11 @@
 MultiForm is a sparse homogeneous polynomial in n+1 ambient variables;
 BinaryForm is a dense homogeneous form on a line, written in the dual
 coordinates (s, t) of a chosen basis of the line.  Binary-form product,
-division, gcd and root peeling share one dense univariate kernel.
+division, gcd and root peeling share one dense univariate kernel.  Over
+Fp the roots of a binary form are not found by scanning the p+1 points of
+the line: the kernel computes gcd(f, t^p - t) by modular powering and splits
+it by equal-degree factoring with fixed shifts, at a cost polynomial in
+log p.
 
 Contraction convention: contract(v, P) is the directional derivative D_v P,
 *not* divided by the degree.  All identities downstream (restricted
@@ -616,10 +620,12 @@ def _kronecker_irreducible_factors(w):
 def binary_roots(f: BinaryForm) -> RootReport:
     """Roots of a nonzero binary form over its field of definition.
 
-    Over Fp: exhaustive scan of the p+1 points of the projective line,
-    multiplicities by repeated exact division.  Over Q: rational roots by
-    the integer root test, remaining factors split into irreducibles (desk
-    scale) and reported unsolved.
+    Over Fp: the finite roots [1:a] are the distinct roots of the chart
+    polynomial f(1, t), found by _fp_chart_roots in time polynomial in
+    log p; [0:1] is a root when the last coefficient vanishes.  Roots come
+    as [1:a] by ascending a, then [0:1]; multiplicities by repeated exact
+    division.  Over Q: rational roots by the integer root test, remaining
+    factors split into irreducibles (desk scale) and reported unsolved.
     """
     if f.is_zero():
         raise ValueError("roots of the zero form are everything")
@@ -634,12 +640,11 @@ def binary_roots(f: BinaryForm) -> RootReport:
         return mult
 
     if not field.is_rational:
-        p = field.p
-        pts = [(field.one(), field.scalar(a)) for a in range(p)] + [(field.zero(), field.one())]
+        pts = [(field.one(), a) for a in _fp_chart_roots(_trim(f.coeffs), field)]
+        if not f.coeffs[-1]:
+            pts.append((field.zero(), field.one()))
         for pt in pts:
-            if not f.evaluate(*pt):
-                m = peel(pt)
-                roots.append((projective_normalize(pt, field), m))
+            roots.append((pt, peel(pt)))
         unsolved = ()
         if cofactor.degree >= 2:
             unsolved = tuple(_factor_nonsplit_fp(cofactor))
@@ -678,6 +683,50 @@ def binary_roots(f: BinaryForm) -> RootReport:
     return RootReport(tuple(roots), tuple(unsolved))
 
 
+def _fp_chart_roots(g, field):
+    """Distinct roots in Fp of a trimmed coefficient list g, ascending.
+
+    r = gcd(g, t^p - t) is the product of the distinct linear factors of g,
+    with t^p reduced mod g by square-and-multiply.  r is split by
+    gcd(r, (t+a)^((p-1)/2) - 1) for the fixed shifts a = 0, 1, 2, ...
+    (Cantor-Zassenhaus equal-degree splitting).  The gcd keeps the roots x
+    with x + a a nonzero square; for odd p some shift keeps exactly one of
+    any two roots, so the search ends.  A shift that fails to split r fails
+    on its factors too, so they go on from the next one.  Over F_2 a
+    squarefree r of degree 2 is t(t+1).
+    """
+    p = field.p
+    zero, one = field.zero(), field.one()
+
+    def powmod(base, e, mod):
+        out = [one]
+        for bit in bin(e)[2:]:
+            out = _trim(_udivmod(_umul(out, out, zero), mod, zero)[1])
+            if bit == "1":
+                out = _trim(_udivmod(_umul(out, base, zero), mod, zero)[1])
+        return out
+
+    def split(r, a):
+        if len(r) == 2:
+            return [-r[0] / r[1]]
+        if p == 2:
+            return [zero, one]
+        while True:
+            w = powmod([field.scalar(a), one], (p - 1) // 2, r) or [zero]
+            w[0] = w[0] - one
+            d = _ugcd(r, w, zero)
+            if 1 < len(d) < len(r):
+                return split(d, a + 1) + split(_udivmod(r, d, zero)[0], a + 1)
+            a += 1
+
+    if len(g) < 2:
+        return []
+    h = powmod([zero, one], p, g) + [zero, zero]
+    h[1] = h[1] - one
+    r = _ugcd(g, h, zero)
+    return sorted(split(r, 0), key=_sort_key) if len(r) > 1 else []
+
+
 def _sort_key(c):
     return (c.v if isinstance(c, Fp) else (c.numerator, c.denominator))
 
@@ -710,6 +759,14 @@ def _factor_nonsplit_fp(f: BinaryForm):
 # text format
 
 
+def _header_int(lineno: int, key: str, value: str) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError("line %d: '%s' needs an integer, got %r"
+                         % (lineno, key, value)) from None
+
+
 def parse_form(text: str) -> MultiForm:
     """Parse the exchange format:
 
@@ -735,7 +792,7 @@ def parse_form(text: str) -> MultiForm:
             field = parse_field(" ".join(toks[1:]))
             continue
         if toks[0] == "vars":
-            nvars = int(toks[1])
+            nvars = _header_int(lineno, "vars", toks[1])
             continue
         if field is None or nvars is None:
             raise ValueError("term line before 'field'/'vars' headers")

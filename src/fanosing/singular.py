@@ -249,13 +249,27 @@ def _line_on(X: Hypersurface, e1, e2) -> bool:
     return restrict_to_plane(X.P, [e1, e2]).is_zero()
 
 
-def lines_through(X: Hypersurface, point) -> list:
+def _check_budget(what: str, total: int, budget: int):
+    if total > budget:
+        raise BudgetExceeded(
+            "%s needs %d candidates (budget %d)" % (what, total, budget),
+            estimate=total)
+
+
+def _projective_size(p: int, ncoords: int) -> int:
+    """Number of points of P^(ncoords-1) over F_p."""
+    return (p ** ncoords - 1) // (p - 1)
+
+
+def lines_through(X: Hypersurface, point, budget: int = 10 ** 8) -> list:
     """All lines on X through a point of X, as frames with e1 = the point."""
     _require_prime_field(X.field)
     field = X.field
     x = field.vector(point)
     if X.P.evaluate(x):
         raise ValueError("point is not on the hypersurface")
+    _check_budget("lines through a point", _projective_size(field.p, X.n),
+                  budget)
     red, pivots = rref([x], field)
     one, zero = field.one(), field.zero()
     comp = [tuple(one if j == c else zero for j in range(X.n + 1))
@@ -281,11 +295,7 @@ def all_lines(X: Hypersurface, budget: int = 10 ** 8) -> list:
     _require_prime_field(X.field)
     field = X.field
     n1 = X.n + 1
-    total = grassmannian_size(field.p, X.n)
-    if total > budget:
-        raise BudgetExceeded(
-            "line enumeration needs %d candidates (budget %d)" % (total, budget),
-            estimate=total)
+    _check_budget("line enumeration", grassmannian_size(field.p, X.n), budget)
     elems = _field_elements(field)
     one, zero = field.one(), field.zero()
     frames = []
@@ -318,6 +328,8 @@ def all_lines(X: Hypersurface, budget: int = 10 ** 8) -> list:
 def singular_points(X: Hypersurface) -> tuple:
     """Exhaustive scan of P^n(F_p) for singular points of X."""
     _require_prime_field(X.field)
+    _check_budget("singular point scan", _projective_size(X.field.p, X.n + 1),
+                  10 ** 8)
     return tuple(pt for pt in projective_points(X.field, X.n + 1)
                  if is_singular_at(X, pt))
 

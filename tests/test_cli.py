@@ -71,6 +71,14 @@ def test_lines_budget_exceeded(fermat7_file, capsys):
     assert "2850" in capsys.readouterr().out
 
 
+def test_lines_through_budget_exceeded(fermat7_file, tmp_path, capsys):
+    j = tmp_path / "t.json"
+    assert main(["lines", fermat7_file, "--through", "1,6,0,0",
+                 "--budget", "1", "--json", str(j)]) == 4
+    data = json.loads(j.read_text())
+    assert data["exit"] == 4 and data["estimate"] == 57
+
+
 def test_lines_through_off_point(fermat7_file, capsys):
     code = main(["lines", fermat7_file, "--through", "[1:0:0:0]"])
     assert code == 2
@@ -151,6 +159,8 @@ def test_usage_error_is_exit_one(capsys):
     ("pencil-nf", "field Q\nm\nelement 1,0;0,1\n", 2),
     ("pencil-nf", "field\nm 2\nelement 1,0;0,1\n", 1),
     ("pencil-nf", "field Q\nm 2\nelement\n", 3),
+    ("lines", "field Fp:7\nvars x\n1 3 0 0 0\n", 2),
+    ("pencil-nf", "field Q\nm two\nelement 1,0;0,1\n", 2),
 ])
 def test_malformed_header_is_one_line_error(tmp_path, capsys, command, text,
                                             lineno):
@@ -160,5 +170,5 @@ def test_malformed_header_is_one_line_error(tmp_path, capsys, command, text,
     captured = capsys.readouterr()
     err = captured.err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
-    assert "line %d" % lineno in err[0]
+    assert "line %d" % lineno in err[0] and "needs" in err[0]
     assert "Traceback" not in captured.err + captured.out

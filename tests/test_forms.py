@@ -1,6 +1,7 @@
 """Polynomial layer: sparse forms, contraction, restriction, binary-form
 division, gcd, and projective root finding."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -172,22 +173,59 @@ def test_binary_roots_multiplicity():
     assert rep.unsolved == ()
 
 
+def _scan_roots(f):
+    """Roots of f over F_p by scanning P^1, in the order [1:0], ..., [1:p-1],
+    [0:1]; the order at [1:a] is the first nonzero Taylor coefficient of
+    f(1, t) at a."""
+    field, p = f.field, f.field.p
+    c = [x.v for x in f.coeffs]
+    out = []
+    for a in range(p):
+        order = next(k for k in range(len(c))
+                     if sum(ci * math.comb(i, k) * pow(a, i - k, p)
+                            for i, ci in enumerate(c) if i >= k) % p)
+        if order:
+            out.append(((field.scalar(1), field.scalar(a)), order))
+    trailing = next(k for k in range(len(c)) if c[len(c) - 1 - k])
+    if trailing:
+        out.append(((field.scalar(0), field.scalar(1)), trailing))
+    return tuple(out)
+
+
 def test_binary_roots_fp_vs_bruteforce():
     rng = random.Random(23)
-    pts = [(F7.scalar(1), F7.scalar(a)) for a in range(7)] \
-        + [(F7.scalar(0), F7.scalar(1))]
-    for _ in range(60):
-        d = rng.randint(1, 5)
-        f = BinaryForm(F7, tuple(F7.scalar(rng.randint(0, 6))
-                                 for _ in range(d + 1)))
-        if f.is_zero():
-            continue
+    for p in [2, 3, 5, 7, 101] * 60:
+        field = parse_field("Fp:%d" % p)
+        # repeated linear factors, t (root [1:0]) and s (root [0:1]) among them
+        f = binform(field, rng.randint(1, p - 1))
+        for _ in range(rng.randint(0, 4)):
+            lin = rng.choice([(0, 1), (1, 0), (rng.randrange(p), 1),
+                              (1, rng.randrange(p))])
+            f = f * binform(field, *lin) ** rng.randint(1, 3)
+        # times a dense form of degree <= 5, whose rootless quartic and
+        # quintic parts go through trial division for small p
+        extra = binform(field, *(rng.randrange(p)
+                                 for _ in range(rng.randint(1, 6))))
+        if not extra.is_zero():
+            f = f * extra
         rep = binary_roots(f)
-        want = {pt for pt in pts if f.evaluate(*pt) == F7.zero()}
-        got = {pt for pt, _ in rep.roots}
-        assert got == want
+        assert rep.roots == _scan_roots(f)
         assert sum(m for _, m in rep.roots) \
-            + sum(g.degree * m for g, m in rep.unsolved) == d
+            + sum(g.degree * m for g, m in rep.unsolved) == f.degree
+
+
+@pytest.mark.parametrize("p", [1000003, 2 ** 61 - 1])
+def test_binary_roots_large_prime(p):
+    # (s - 3t)^2 (2s + 5t) (s^2 + t^2) t; p = 3 mod 4 keeps s^2 + t^2 irreducible
+    field = parse_field("Fp:%d" % p)
+    f = binform(field, 1, -3) ** 2 * binform(field, 2, 5) \
+        * binform(field, 1, 0, 1) * binform(field, 0, 1)
+    rep = binary_roots(f)
+    s = field.scalar
+    want = sorted([(s(0), 1), (s(1) / s(3), 2), (s(-2) / s(5), 1)],
+                  key=lambda am: am[0].v)
+    assert rep.roots == tuple(((s(1), a), m) for a, m in want)
+    assert rep.unsolved == ((binform(field, 1, 0, 1), 1),)
 
 
 def test_binary_roots_fp_multiplicity():

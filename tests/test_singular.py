@@ -104,6 +104,18 @@ def test_budget_guard():
     assert exc.value.estimate == 2850
 
 
+def test_point_scan_budget_guards():
+    X = fermat(3, 3, F7)
+    s = F7.scalar
+    with pytest.raises(BudgetExceeded) as exc:
+        lines_through(X, (s(1), s(6), s(0), s(0)), budget=56)
+    assert exc.value.estimate == 57             # points of P^2(F_7)
+    assert len(lines_through(X, (s(1), s(6), s(0), s(0)), budget=57)) == 3
+    with pytest.raises(BudgetExceeded) as exc:
+        singular_points(fermat(3, 3, parse_field("Fp:467")))
+    assert exc.value.estimate == 102066120      # points of P^3(F_467)
+
+
 def test_characteristic_refusal():
     X = Hypersurface(mono(F5, 4, (0, 0, 0, 5)))
     with pytest.raises(CharacteristicRefused):
