@@ -15,12 +15,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .corpus import cone, fermat, random_with_line
-from .forms import (BinaryForm, Fp, _header_int, format_form, format_scalar,
-                    parse_form)
-from .linalg import Field, Subspace, parse_field
+from .forms import BinaryForm, _header_int, format_form, format_scalar, parse_form
+from .linalg import Field, Subspace, parse_field, plain
 from .pencil import NotConstantRankTwo, normal_form
 from .ruled import DivisorClass, RuledSurface, c1_twist, intersect, itcone_check
 from .singular import (BudgetExceeded, CharacteristicRefused, all_lines,
@@ -45,10 +43,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _scal(c):
-    if isinstance(c, Fp):
-        return c.v
-    c = Fraction(c)
-    return int(c) if c.denominator == 1 else "%d/%d" % (c.numerator, c.denominator)
+    """A JSON scalar: an int, or an 'a/b' string for a non-integral rational."""
+    c = plain(c)
+    return c.numerator if c.denominator == 1 else str(c)
 
 
 def _vec(v):
@@ -308,6 +305,9 @@ def _parse_pencil_file(text: str):
             continue
         if toks[0] == "m":
             m = _header_int(lineno, "m", toks[1])
+            if m < 0:
+                raise CliError("line %d: 'm' needs a non-negative integer, got %d"
+                               % (lineno, m))
             continue
         if toks[0] == "element":
             if field is None or m is None:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 from .forms import MultiForm
-from .linalg import Field
+from .linalg import Field, _is_prime, unit_vectors
 from .tangent import Hypersurface, LineFrame
 
 
@@ -47,6 +47,8 @@ def random_with_line(n: int, d: int, p: int, seed: int):
     """
     if n < 2:
         raise ValueError("need n >= 2 for a complement direction")
+    if not _is_prime(p):
+        raise ValueError("random-with-line needs a prime p, got p = %d" % p)
     field = Field(p)
     rng = random.Random(seed)
     while True:
@@ -62,6 +64,5 @@ def random_with_line(n: int, d: int, p: int, seed: int):
         P = MultiForm(field, n + 1, d, terms)
         if not P.is_zero():
             break
-    e1 = tuple(field.scalar(1 if i == 0 else 0) for i in range(n + 1))
-    e2 = tuple(field.scalar(1 if i == 1 else 0) for i in range(n + 1))
+    e1, e2 = unit_vectors(field, n + 1, (0, 1))
     return Hypersurface(P), LineFrame(field, e1, e2)

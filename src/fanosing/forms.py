@@ -4,7 +4,7 @@ MultiForm is a sparse homogeneous polynomial in n+1 ambient variables;
 BinaryForm is a dense homogeneous form on a line, written in the dual
 coordinates (s, t) of a chosen basis of the line.  Binary-form product,
 division, gcd and root peeling share one dense univariate kernel.  Over
-Fp the roots of a binary form are not found by scanning the p+1 points of
+F_p the roots of a binary form are not found by scanning the p+1 points of
 the line: the kernel computes gcd(f, t^p - t) by modular powering and splits
 it by equal-degree factoring with fixed shifts, at a cost polynomial in
 log p.
@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Field, FieldMismatch, Fp, QQ, parse_field, rank
+from .linalg import Field, FieldMismatch, QQ, parse_field, plain, rank
 
 
 class NotDivisible(ValueError):
@@ -136,10 +136,6 @@ class MultiForm:
             return NotImplemented
         return (self.field == other.field and self.nvars == other.nvars
                 and self.degree == other.degree and self.terms == other.terms)
-
-    def __ne__(self, other):
-        r = self.__eq__(other)
-        return r if r is NotImplemented else not r
 
     def partial(self, i: int) -> "MultiForm":
         """Partial derivative with respect to variable i (degree drops by 1)."""
@@ -259,10 +255,6 @@ class BinaryForm:
         if not isinstance(other, BinaryForm):
             return NotImplemented
         return (self.field == other.field and self.coeffs == other.coeffs)
-
-    def __ne__(self, other):
-        r = self.__eq__(other)
-        return r if r is NotImplemented else not r
 
     def evaluate(self, a, b):
         a, b = self.field.scalar(a), self.field.scalar(b)
@@ -533,7 +525,7 @@ class RootReport:
     """Projective roots of a binary form over the ground field.
 
     roots: ((x, y), multiplicity) pairs, (x, y) in canonical coordinates
-    (first nonzero coordinate 1 over Fp; primitive integers with positive
+    (first nonzero coordinate 1 over F_p; primitive integers with positive
     leading coordinate over Q).  unsolved: factors of degree >= 2 without
     rational roots, with multiplicities; their roots live in an extension.
     """
@@ -620,7 +612,7 @@ def _kronecker_irreducible_factors(w):
 def binary_roots(f: BinaryForm) -> RootReport:
     """Roots of a nonzero binary form over its field of definition.
 
-    Over Fp: the finite roots [1:a] are the distinct roots of the chart
+    Over F_p: the finite roots [1:a] are the distinct roots of the chart
     polynomial f(1, t), found by _fp_chart_roots in time polynomial in
     log p; [0:1] is a root when the last coefficient vanishes.  Roots come
     as [1:a] by ascending a, then [0:1]; multiplicities by repeated exact
@@ -679,12 +671,12 @@ def binary_roots(f: BinaryForm) -> RootReport:
             bf = BinaryForm(field, fac)
             cofactor, mult = _peel(cofactor, bf)
             unsolved.append((bf, mult))
-    roots.sort(key=lambda rm: tuple(_sort_key(c) for c in rm[0]))
+    roots.sort(key=lambda rm: rm[0])
     return RootReport(tuple(roots), tuple(unsolved))
 
 
 def _fp_chart_roots(g, field):
-    """Distinct roots in Fp of a trimmed coefficient list g, ascending.
+    """Distinct roots in F_p of a trimmed coefficient list g, ascending.
 
     r = gcd(g, t^p - t) is the product of the distinct linear factors of g,
     with t^p reduced mod g by square-and-multiply.  r is split by
@@ -724,11 +716,7 @@ def _fp_chart_roots(g, field):
     h = powmod([zero, one], p, g) + [zero, zero]
     h[1] = h[1] - one
     r = _ugcd(g, h, zero)
-    return sorted(split(r, 0), key=_sort_key) if len(r) > 1 else []
-
-
-def _sort_key(c):
-    return (c.v if isinstance(c, Fp) else (c.numerator, c.denominator))
+    return sorted(split(r, 0), key=plain) if len(r) > 1 else []
 
 
 def _factor_nonsplit_fp(f: BinaryForm):
@@ -815,10 +803,7 @@ def parse_form(text: str) -> MultiForm:
 
 
 def format_scalar(c) -> str:
-    if isinstance(c, Fp):
-        return str(c.v)
-    c = Fraction(c)
-    return str(c.numerator) if c.denominator == 1 else "%d/%d" % (c.numerator, c.denominator)
+    return str(plain(c))
 
 
 def format_form(P: MultiForm) -> str:

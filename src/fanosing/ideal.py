@@ -70,12 +70,6 @@ class GeneratorSet:
         return tuple(b.p for b in self.blocks)
 
 
-def _beta_forms(field: Field, alpha):
-    (a11, a12), (a21, a22) = alpha
-    return (BinaryForm.linear(field, a11, a12),
-            BinaryForm.linear(field, a21, a22))
-
-
 def extract_generators(X: Hypersurface, frame: LineFrame, nf: NormalForm,
                        pi: Subspace) -> GeneratorSet:
     """Generator p of each chain block, with exact identity verification."""
@@ -85,7 +79,7 @@ def extract_generators(X: Hypersurface, frame: LineFrame, nf: NormalForm,
     if nf.m != (X.n - 1) - pi.dim:
         raise ValueError("normal form does not match the quotient dimension")
     d = X.d
-    beta1, beta2 = _beta_forms(field, nf.alpha)
+    beta1, beta2 = (BinaryForm.linear(field, *row) for row in nf.alpha)
     blocks = []
     for j in range(nf.r):
         s = nf.s[j]

@@ -98,7 +98,7 @@ class Fp:
             return NotImplemented
         if o.v == 0:
             raise ZeroDivisionError("division by zero in Fp:%d" % self.p)
-        return Fp(self.v * pow(o.v, self.p - 2, self.p), self.p)
+        return Fp(self.v * pow(o.v, -1, self.p), self.p)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -107,10 +107,8 @@ class Fp:
         return o / self
 
     def __pow__(self, e: int):
-        if e < 0:
-            if self.v == 0:
-                raise ZeroDivisionError("inverse of zero in Fp:%d" % self.p)
-            return Fp(pow(pow(self.v, self.p - 2, self.p), -e, self.p), self.p)
+        if e < 0 and self.v == 0:
+            raise ZeroDivisionError("inverse of zero in Fp:%d" % self.p)
         return Fp(pow(self.v, e, self.p), self.p)
 
     def __neg__(self):
@@ -169,22 +167,24 @@ class Field:
                 raise FieldMismatch("field mismatch: Q vs Fp:%d" % x.p)
             if isinstance(x, (int, Fraction)):
                 return Fraction(x)
-            if isinstance(x, str):
-                return Fraction(x)
-            raise FieldMismatch("cannot coerce %r into Q" % (x,))
-        if isinstance(x, Fp):
-            if x.p != self.p:
-                raise FieldMismatch("field mismatch: Fp:%d vs Fp:%d" % (self.p, x.p))
-            return x
-        if isinstance(x, int):
-            return Fp(x, self.p)
+        else:
+            if isinstance(x, Fp):
+                if x.p != self.p:
+                    raise FieldMismatch("field mismatch: Fp:%d vs Fp:%d" % (self.p, x.p))
+                return x
+            if isinstance(x, int):
+                return Fp(x, self.p)
+            if isinstance(x, Fraction):
+                if x.denominator % self.p == 0:
+                    raise FieldMismatch("denominator of %s is divisible by %d" % (x, self.p))
+                return Fp(x.numerator, self.p) / Fp(x.denominator, self.p)
         if isinstance(x, str):
-            x = Fraction(x)
-        if isinstance(x, Fraction):
-            if x.denominator % self.p == 0:
-                raise FieldMismatch("denominator of %s is divisible by %d" % (x, self.p))
-            return Fp(x.numerator, self.p) / Fp(x.denominator, self.p)
-        raise FieldMismatch("cannot coerce %r into Fp:%d" % (x, self.p))
+            try:
+                value = Fraction(x)
+            except ZeroDivisionError:
+                raise ValueError("zero denominator in %r" % x) from None
+            return self.scalar(value)
+        raise FieldMismatch("cannot coerce %r into %s" % (x, self))
 
     def strict(self, x):
         """Like scalar(), but rejects cross-field values instead of converting.
@@ -219,6 +219,11 @@ class Field:
 QQ = Field(0)
 
 
+def plain(c):
+    """The int behind an Fp residue; any other scalar as a Fraction."""
+    return c.v if isinstance(c, Fp) else Fraction(c)
+
+
 def parse_field(text: str) -> Field:
     """Parse 'Q' or 'Fp:<p>' (also 'Fp <p>')."""
     t = text.strip()
@@ -226,12 +231,31 @@ def parse_field(text: str) -> Field:
         return QQ
     for sep in (":", " "):
         if t.startswith("Fp" + sep):
-            return Field(int(t[3:]))
+            p = int(t[3:])
+            if p < 2:
+                raise ValueError("field Fp needs a prime characteristic, got %d" % p)
+            return Field(p)
     raise ValueError("unknown field spec %r (expected Q or Fp:<p>)" % text)
 
 
 # ---------------------------------------------------------------------------
 # dense exact matrix routines (row-major lists of field scalars)
+
+
+def unit_vectors(field: Field, n: int, cols) -> list:
+    """The standard basis vectors of K^n at the given columns, in order."""
+    one, zero = field.one(), field.zero()
+    return [tuple(one if j == c else zero for j in range(n)) for c in cols]
+
+
+def combine(field: Field, n: int, coeffs, vectors) -> tuple:
+    """sum_i coeffs[i] * vectors[i] in K^n, from the first n entries of each
+    vector; zero coefficients are skipped."""
+    out = [field.zero()] * n
+    for c, v in zip(coeffs, vectors):
+        if c:
+            out = [a + c * b for a, b in zip(out, v)]
+    return tuple(out)
 
 
 def rref(rows, field: Field):
@@ -305,8 +329,7 @@ def invert(rows, field: Field):
     """Inverse of a square matrix; raises ValueError if singular."""
     rows = field.matrix(rows)
     n = len(rows)
-    aug = [list(rows[i]) + [field.one() if j == i else field.zero() for j in range(n)]
-           for i in range(n)]
+    aug = [list(r) + list(u) for r, u in zip(rows, unit_vectors(field, n, range(n)))]
     red, pivots = rref(aug, field)
     if pivots[:n] != list(range(n)) or len(red) != n:
         raise ValueError("matrix is singular")
@@ -344,10 +367,8 @@ class Subspace:
 
     @classmethod
     def full(cls, field: Field, ambient_dim: int):
-        one, zero = field.one(), field.zero()
-        rows = tuple(tuple(one if j == i else zero for j in range(ambient_dim))
-                     for i in range(ambient_dim))
-        return cls(field, ambient_dim, rows)
+        return cls(field, ambient_dim,
+                   tuple(unit_vectors(field, ambient_dim, range(ambient_dim))))
 
     @property
     def dim(self) -> int:

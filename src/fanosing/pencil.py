@@ -26,7 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import Field, Subspace, echelon_complement, rank, solve_combination
+from .linalg import (Field, Subspace, combine, echelon_complement, rank,
+                     solve_combination, unit_vectors)
 
 
 class NotConstantRankTwo(ValueError):
@@ -106,10 +107,8 @@ def _relation_space(pencil: Subspace, m: int) -> Subspace:
 
 def _product_with_full(left: Subspace, m: int) -> Subspace:
     field = left.field
-    one, zero = field.one(), field.zero()
-    vecs = [v + (zero,) * m for v in left.basis]
-    vecs += [(zero,) * m + tuple(one if j == i else zero for j in range(m))
-             for i in range(m)]
+    vecs = [v + (field.zero(),) * m for v in left.basis]
+    vecs += unit_vectors(field, 2 * m, range(m, 2 * m))
     return Subspace.from_vectors(vecs, field, 2 * m)
 
 
@@ -165,11 +164,8 @@ def normal_form(pencil: Subspace, alpha=None) -> NormalForm:
             coeffs = solve_combination(second, v, field)
             if coeffs is None:
                 raise NotConstantRankTwo("chain predecessor missing")
-            u = [field.zero()] * m
-            for c, w in zip(coeffs, M.basis):
-                if c:
-                    u = [x + c * y for x, y in zip(u, w[:m])]
-            preds.append(tuple(u))
+            # combine reads the first m entries of each (u | v) basis vector
+            preds.append(combine(field, m, coeffs, M.basis))
         inner = below.join(Subspace.from_vectors(preds, field, m)) \
             if preds else below
         if inner.dim != below.dim + len(preds):

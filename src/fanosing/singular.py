@@ -11,15 +11,15 @@ and packages a replay-friendly survey of a whole hypersurface.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .forms import (BinaryForm, binary_gcd, binary_roots, projective_normalize,
                     restrict_to_plane)
 from .ideal import (GeneratorSet, IdealFiltration, build_filtration,
                     contains_image_sigma, extract_generators)
-from .linalg import Field, Fp, Subspace, rref
+from .linalg import Field, combine, plain, rref, unit_vectors
 from .pencil import NormalForm, NotConstantRankTwo, normal_form
-from .tangent import (Hypersurface, LineFrame, TangentReport, analyze_tangent,
-                      sigma)
+from .tangent import Hypersurface, LineFrame, TangentReport, analyze_tangent
 
 
 class BudgetExceeded(RuntimeError):
@@ -131,24 +131,19 @@ class EveryP1Report:
     note: str
 
 
-def check_everyp1(X: Hypersurface, frame: LineFrame,
-                  report: TangentReport | None = None,
-                  nf: NormalForm | None = None,
-                  certificate: SingularCertificate | None = None) -> EveryP1Report:
-    if report is None:
-        report = analyze_tangent(X, frame)
+def check_everyp1(X: Hypersurface, report: TangentReport, nf: NormalForm | None,
+                  certificate: SingularCertificate) -> EveryP1Report:
+    """Apply the single-chain criterion to a line's computed pipeline stages.
+
+    nf is None exactly when the pencil is trivial (report.m == 0).
+    """
     if report.m == 0:
-        cert = certificate or certify_entire_line(X, frame)
         return EveryP1Report(applies=False, s1=0,
-                             dim_cx_tangent=report.pi.dim, points=cert.points,
+                             dim_cx_tangent=report.pi.dim,
+                             points=certificate.points,
                              note="pencil is trivial; the whole line is singular")
-    if nf is None:
-        nf = normal_form(report.pencil)
     s1 = nf.s[0]
     applies = (s1 == report.m) and (X.d >= s1 + 1)
-    if certificate is None:
-        gens = extract_generators(X, frame, nf, report.pi)
-        certificate = singular_on_line(X, frame, build_filtration(gens))
     if applies:
         if certificate.points:
             note = "single full chain and spare degree force the listed points"
@@ -184,7 +179,7 @@ def analyze_line(X: Hypersurface, frame: LineFrame) -> LineAnalysis:
     rep = analyze_tangent(X, frame)
     if rep.m == 0:
         cert = certify_entire_line(X, frame)
-        ep1 = check_everyp1(X, frame, rep, certificate=cert)
+        ep1 = check_everyp1(X, rep, None, cert)
         return LineAnalysis(frame=frame, tangent=rep, nf=None, degenerate=None,
                             gens=None, filt=None, certificate=cert,
                             everyp1=ep1, image_contained=None)
@@ -198,7 +193,7 @@ def analyze_line(X: Hypersurface, frame: LineFrame) -> LineAnalysis:
     gens = extract_generators(X, frame, nf, rep.pi)
     filt = build_filtration(gens)
     cert = singular_on_line(X, frame, filt)
-    ep1 = check_everyp1(X, frame, rep, nf, cert)
+    ep1 = check_everyp1(X, rep, nf, cert)
     image_ok = contains_image_sigma(filt, rep.sigma_matrix)
     return LineAnalysis(frame=frame, tangent=rep, nf=nf, degenerate=None,
                         gens=gens, filt=filt, certificate=cert, everyp1=ep1,
@@ -223,17 +218,8 @@ def projective_points(field: Field, ncoords: int):
     _require_prime_field(field)
     elems = _field_elements(field)
     zero, one = field.zero(), field.one()
-    out = []
-
-    def rest(k):
-        if k == 0:
-            return [()]
-        return [(e,) + t for e in elems for t in rest(k - 1)]
-
-    for lead in range(ncoords):
-        head = (zero,) * lead + (one,)
-        out.extend(head + tail for tail in rest(ncoords - 1 - lead))
-    return out
+    return [(zero,) * lead + (one,) + tail for lead in range(ncoords)
+            for tail in product(elems, repeat=ncoords - 1 - lead)]
 
 
 def _line_on(X: Hypersurface, e1, e2) -> bool:
@@ -271,17 +257,13 @@ def lines_through(X: Hypersurface, point, budget: int = 10 ** 8) -> list:
     _check_budget("lines through a point", _projective_size(field.p, X.n),
                   budget)
     red, pivots = rref([x], field)
-    one, zero = field.one(), field.zero()
-    comp = [tuple(one if j == c else zero for j in range(X.n + 1))
-            for c in range(X.n + 1) if c not in pivots]
+    comp = unit_vectors(field, X.n + 1,
+                        [c for c in range(X.n + 1) if c not in pivots])
     frames = []
     for coords in projective_points(field, X.n):
-        w = [zero] * (X.n + 1)
-        for c, v in zip(coords, comp):
-            if c:
-                w = [a + c * b for a, b in zip(w, v)]
-        if _line_on(X, x, tuple(w)):
-            frames.append(LineFrame(field, x, tuple(w)))
+        w = combine(field, X.n + 1, coords, comp)
+        if _line_on(X, x, w):
+            frames.append(LineFrame(field, x, w))
     return frames
 
 
@@ -297,29 +279,19 @@ def all_lines(X: Hypersurface, budget: int = 10 ** 8) -> list:
     n1 = X.n + 1
     _check_budget("line enumeration", grassmannian_size(field.p, X.n), budget)
     elems = _field_elements(field)
-    one, zero = field.one(), field.zero()
+    one, zero = (field.one(),), (field.zero(),)
     frames = []
-
-    def fill(row, free_cols):
-        if not free_cols:
-            yield tuple(row)
-            return
-        c, rest = free_cols[0], free_cols[1:]
-        for e in elems:
-            row[c] = e
-            yield from fill(row, rest)
-        row[c] = zero
-
+    # echelon pairs with pivots j1 < j2: row 2 is 1 at j2, then free entries;
+    # row 1 is 1 at j1, then free entries with a 0 at column j2.  Free
+    # entries run lexicographically, the first free column slowest.
     for j2 in range(1, n1):
+        rows2 = [zero * j2 + one + t
+                 for t in product(elems, repeat=n1 - 1 - j2)]
         for j1 in range(j2):
-            free1 = [c for c in range(j1 + 1, n1) if c != j2]
-            free2 = [c for c in range(j2 + 1, n1)]
-            base1 = [zero] * n1
-            base1[j1] = one
-            for r1 in fill(base1, free1):
-                base2 = [zero] * n1
-                base2[j2] = one
-                for r2 in fill(base2, free2):
+            cut = j2 - j1 - 1
+            for t in product(elems, repeat=n1 - 2 - j1):
+                r1 = zero * j1 + one + t[:cut] + zero + t[cut:]
+                for r2 in rows2:
                     if _line_on(X, r1, r2):
                         frames.append(LineFrame(field, r1, r2))
     return frames
@@ -332,10 +304,6 @@ def singular_points(X: Hypersurface) -> tuple:
                   10 ** 8)
     return tuple(pt for pt in projective_points(X.field, X.n + 1)
                  if is_singular_at(X, pt))
-
-
-def _point_key(vec):
-    return tuple(int(c.v) if isinstance(c, Fp) else c for c in vec)
 
 
 # ---------------------------------------------------------------------------
@@ -386,12 +354,11 @@ def conjecture_check(X: Hypersurface, budget: int = 10 ** 8,
     certified = []
     exceptions = []
     max_dim = 0
-    elems = _field_elements(field)
+    line_points = projective_points(field, 2)
     for fr in frames:
         la = analyze_line(X, fr)
         max_dim = max(max_dim, la.tangent.tangent_dim)
-        pts = [fr.point(field.one(), e) for e in elems]
-        pts.append(fr.point(field.zero(), field.one()))
+        pts = [fr.point(a, b) for a, b in line_points]
         for pt in pts:
             covered.add(projective_normalize(pt, field))
         if la.degenerate is not None:
@@ -410,7 +377,8 @@ def conjecture_check(X: Hypersurface, budget: int = 10 ** 8,
                 line=fr.canonical_rows(), kind="no-rational-point",
                 detail="gcd %r has no rational zero; singular points exist "
                        "over an extension" % (gcd,)))
-    certified = tuple(sorted(set(certified), key=_point_key))
+    certified = tuple(sorted(set(certified),
+                             key=lambda pt: tuple(map(plain, pt))))
     trigger = (max_dim >= X.n - 2) and (X.d >= X.n)
     if trigger:
         note = ("overloaded regime: a line deforms in dimension >= %d "

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 from .forms import BinaryForm, MultiForm, contract, restrict_to_plane
-from .linalg import Field, Subspace, invert, kernel, rank, rref
+from .linalg import (Field, Subspace, combine, invert, kernel, rank, rref,
+                     unit_vectors)
 
 
 class PlaneNotContained(ValueError):
@@ -78,9 +79,8 @@ class LineFrame:
         if len(red) != 2:
             raise ValueError("line frame needs two independent spanning vectors")
         if complement is None:
-            one, zero = field.one(), field.zero()
-            complement = [tuple(one if j == c else zero for j in range(n1))
-                          for c in range(n1) if c not in pivots]
+            complement = unit_vectors(field, n1, [c for c in range(n1)
+                                                  if c not in pivots])
         self.complement = tuple(field.vector(w) for w in complement)
         if len(self.complement) != n1 - 2:
             raise ValueError("complement must have %d vectors" % (n1 - 2))
@@ -109,10 +109,6 @@ class LineFrame:
                          self.field.zero())
                      for row in self._inv_cols)
 
-    def quotient_coords(self, v):
-        """Image of v in W/E, in the complement coordinates."""
-        return self.coords(v)[2:]
-
     def line_coords(self, x):
         """(a, b) with x = a e1 + b e2, or None if x is off the line."""
         c = self.coords(x)
@@ -126,11 +122,7 @@ class LineFrame:
 
     def lift_from_complement(self, coeffs):
         """The W-vector with given complement coordinates."""
-        out = [self.field.zero()] * self.ambient_dim
-        for c, w in zip(coeffs, self.complement):
-            if c:
-                out = [o + c * wi for o, wi in zip(out, w)]
-        return tuple(out)
+        return combine(self.field, self.ambient_dim, coeffs, self.complement)
 
     def canonical_rows(self):
         """Echelon representative of the line in the Grassmannian."""
@@ -178,14 +170,6 @@ def restricted_contractions(X: Hypersurface, frame: LineFrame):
             for w in frame.complement]
 
 
-def _mul_s(f: BinaryForm) -> tuple:
-    return f.coeffs + (f.field.zero(),)
-
-
-def _mul_t(f: BinaryForm) -> tuple:
-    return (f.field.zero(),) + f.coeffs
-
-
 def sigma(X: Hypersurface, frame: LineFrame):
     """Matrix of the first-order deformation map of the line.
 
@@ -193,7 +177,8 @@ def sigma(X: Hypersurface, frame: LineFrame):
     Columns: coefficients of s^d, s^{d-1} t, ..., t^d.
     """
     fs = restricted_contractions(X, frame)
-    return tuple([*(_mul_s(f) for f in fs), *(_mul_t(f) for f in fs)])
+    zero = (X.field.zero(),)
+    return tuple([*(f.coeffs + zero for f in fs), *(zero + f.coeffs for f in fs)])
 
 
 def tangent_space(X: Hypersurface, frame: LineFrame) -> Subspace:
@@ -231,19 +216,13 @@ def quotient_section(c, pi: Subspace):
     return tuple(out)
 
 
-def pencil_quotient(X: Hypersurface, frame: LineFrame,
-                    tangent: Subspace | None = None,
-                    pi: Subspace | None = None) -> Subspace:
+def pencil_quotient(X: Hypersurface, tangent: Subspace, pi: Subspace) -> Subspace:
     """Image of ker sigma in K^2 (x) (W/E)/Pi, flattened to length 2m vectors.
 
     Coordinates: the alpha^1 block of quotient coordinates, then the alpha^2
     block.  E^* (x) Pi maps to zero, so the result has dimension
     dim ker sigma - 2 dim Pi whenever the kernel contains E^* (x) Pi.
     """
-    if tangent is None:
-        tangent = tangent_space(X, frame)
-    if pi is None:
-        pi = compute_pi(X, frame)
     nm1 = X.n - 1
     m = nm1 - pi.dim
     vecs = []
@@ -259,14 +238,13 @@ def analyze_tangent(X: Hypersurface, frame: LineFrame) -> TangentReport:
     mat = sigma(X, frame)
     tang = tangent_space(X, frame)
     pi = compute_pi(X, frame)
-    pencil = pencil_quotient(X, frame, tang, pi)
+    pencil = pencil_quotient(X, tang, pi)
     return TangentReport(sigma_matrix=mat, kernel=tang, pi=pi,
                          m=(X.n - 1) - pi.dim, pencil=pencil,
                          tangent_dim=tang.dim)
 
 
-def tangent_cone_lines(X: Hypersurface, frame: LineFrame, x,
-                       pi: Subspace | None = None) -> Subspace:
+def tangent_cone_lines(X: Hypersurface, frame: LineFrame, x) -> Subspace:
     """Deformations fixing the point x on the line: hat(x)-annihilator (x) Pi.
 
     x is an ambient point on the line.  The result lives in the same
@@ -278,8 +256,7 @@ def tangent_cone_lines(X: Hypersurface, frame: LineFrame, x,
     a, b = ab
     if not a and not b:
         raise ValueError("zero vector does not define a projective point")
-    if pi is None:
-        pi = compute_pi(X, frame)
+    pi = compute_pi(X, frame)
     nm1 = X.n - 1
     vecs = []
     for p in pi.basis:
@@ -323,9 +300,8 @@ def sigma_plane(X: Hypersurface, basis):
         raise PlaneNotContained("plane not contained in hypersurface")
     n1 = X.n + 1
     red, pivots = rref(basis, field)
-    one, zero = field.one(), field.zero()
-    complement = [tuple(one if j == c else zero for j in range(n1))
-                  for c in range(n1) if c not in pivots]
+    zero = field.zero()
+    complement = unit_vectors(field, n1, [c for c in range(n1) if c not in pivots])
     monos = _monomials(k + 1, X.d)
     index = {e: i for i, e in enumerate(monos)}
     rows = []

@@ -161,6 +161,7 @@ def test_usage_error_is_exit_one(capsys):
     ("pencil-nf", "field Q\nm 2\nelement\n", 3),
     ("lines", "field Fp:7\nvars x\n1 3 0 0 0\n", 2),
     ("pencil-nf", "field Q\nm two\nelement 1,0;0,1\n", 2),
+    ("pencil-nf", "field Q\nm -1\n", 2),
 ])
 def test_malformed_header_is_one_line_error(tmp_path, capsys, command, text,
                                             lineno):
@@ -171,4 +172,33 @@ def test_malformed_header_is_one_line_error(tmp_path, capsys, command, text,
     err = captured.err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert "line %d" % lineno in err[0] and "needs" in err[0]
+    assert "Traceback" not in captured.err + captured.out
+
+
+_CUBIC = "field Q\nvars 4\n1 3 0 0 0\n1 0 3 0 0\n"
+
+
+@pytest.mark.parametrize("form, argv, message", [
+    (_CUBIC, ["analyze", "{f}", "--line", "1/0,0,0,0;0,1,0,0"],
+     "zero denominator in '1/0'"),
+    ("field Q\nvars 4\n1/0 3 0 0 0\n", ["lines", "{f}", "--field", "Fp:7"],
+     "zero denominator in '1/0'"),
+    (_CUBIC, ["lines", "{f}", "--field", "Fp:7", "--through", "1/0,1,0,0"],
+     "zero denominator in '1/0'"),
+    (_CUBIC, ["analyze", "{f}", "--line", "0,0,1,0;0,0,0,1", "--field", "Fp:0"],
+     "needs a prime characteristic, got 0"),
+    ("field Fp 0\nvars 4\n1 3 0 0 0\n",
+     ["analyze", "{f}", "--line", "0,0,1,0;0,0,0,1"],
+     "needs a prime characteristic, got 0"),
+    ("", ["gen", "random-with-line", "--p", "0"], "prime p, got p = 0"),
+], ids=["line-spec", "form-coefficient", "through-point", "field-option-fp0",
+        "form-header-fp0", "gen-p0"])
+def test_bad_scalar_or_characteristic_is_one_line_error(tmp_path, capsys, form,
+                                                        argv, message):
+    path = tmp_path / "in.form"
+    path.write_text(form)
+    assert main([a.format(f=path) for a in argv]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
     assert "Traceback" not in captured.err + captured.out

@@ -49,6 +49,10 @@ def test_parse_field():
     assert parse_field("Fp 11").p == 11
     with pytest.raises(ValueError):
         parse_field("Fp:10")
+    # Fp:0 must not fall through to Q, nor a negative p to anything
+    for spec in ("Fp:0", "Fp 0", "Fp:1", "Fp:-7"):
+        with pytest.raises(ValueError, match="needs a prime characteristic"):
+            parse_field(spec)
 
 
 def test_rref_canonical():

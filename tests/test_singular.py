@@ -7,14 +7,16 @@ import pytest
 
 from fanosing.corpus import cone, fermat, random_with_line
 from fanosing.forms import MultiForm
-from fanosing.linalg import QQ, parse_field
+from fanosing.linalg import QQ, parse_field, plain
 from fanosing.singular import (BudgetExceeded, CharacteristicRefused,
                                SingularPoint, all_lines, analyze_line,
                                certify_entire_line, conjecture_check,
                                grassmannian_size, is_singular_at,
-                               lines_through, singular_points)
+                               lines_through, projective_points,
+                               singular_points)
 from fanosing.tangent import Hypersurface, LineFrame
 
+F3 = parse_field("Fp:3")
 F5 = parse_field("Fp:5")
 F7 = parse_field("Fp:7")
 
@@ -90,6 +92,41 @@ def test_quadric_f5_lines_through_point():
     assert sum(1 for fr in lines if fr.line_coords(pt) is not None) == 2
 
 
+def _quadric_f5():
+    return Hypersurface(mono(F5, 4, (1, 0, 0, 1)) - mono(F5, 4, (0, 1, 1, 0)))
+
+
+@pytest.mark.parametrize("make", [lambda: fermat(3, 3, F7), _quadric_f5],
+                         ids=["fermat-cubic-f7", "quadric-f5"])
+def test_incidence_lines_through_vs_all_lines(make):
+    # each line holds p+1 points, so sum_x |lines through x| = (p+1) |lines|
+    X = make()
+    on_x = [pt for pt in projective_points(X.field, X.n + 1)
+            if not X.P.evaluate(pt)]
+    incidences = sum(len(lines_through(X, pt)) for pt in on_x)
+    assert incidences == (X.field.p + 1) * len(all_lines(X))
+
+
+def _ints(vec):
+    return tuple(map(plain, vec))
+
+
+def test_enumeration_order_frozen():
+    assert [_ints(pt) for pt in projective_points(F3, 3)] == [
+        (1, 0, 0), (1, 0, 1), (1, 0, 2), (1, 1, 0), (1, 1, 1), (1, 1, 2),
+        (1, 2, 0), (1, 2, 1), (1, 2, 2), (0, 1, 0), (0, 1, 1), (0, 1, 2),
+        (0, 0, 1)]
+    # x0 x2 - x1 x3 + x2 x3: a line with pivots 0, 2 has a free entry
+    # of its first row on each side of column 2
+    X = Hypersurface(mono(F3, 4, (1, 0, 1, 0)) - mono(F3, 4, (0, 1, 0, 1))
+                     + mono(F3, 4, (0, 0, 1, 1)))
+    assert [(_ints(fr.e1), _ints(fr.e2)) for fr in all_lines(X)] == [
+        ((1, 0, 0, 0), (0, 1, 0, 0)), ((1, 0, 0, 1), (0, 1, 2, 0)),
+        ((1, 0, 1, 2), (0, 1, 1, 2)), ((1, 0, 2, 2), (0, 1, 1, 1)),
+        ((1, 0, 0, 2), (0, 0, 1, 0)), ((0, 1, 0, 0), (0, 0, 1, 0)),
+        ((1, 0, 0, 0), (0, 0, 0, 1)), ((0, 1, 1, 0), (0, 0, 0, 1))]
+
+
 def test_lines_through_rejects_off_point():
     X = Hypersurface(mono(F5, 4, (1, 0, 0, 1)) - mono(F5, 4, (0, 1, 1, 0)))
     s = F5.scalar
@@ -144,6 +181,12 @@ def test_random_with_line_is_deterministic():
     assert (fra.e1, fra.e2) == (frb.e1, frb.e2)
     la = analyze_line(Xa, fra)
     assert la.tangent.m >= 0  # full pipeline runs without error
+
+
+@pytest.mark.parametrize("p", [0, 1, 4])
+def test_random_with_line_rejects_non_prime(p):
+    with pytest.raises(ValueError, match="prime p, got p = %d" % p):
+        random_with_line(3, 3, p, seed=0)
 
 
 def test_fermat_rejects_bad_characteristic():
