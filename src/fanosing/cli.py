@@ -17,7 +17,8 @@ import json
 import sys
 
 from .corpus import cone, fermat, random_with_line
-from .forms import BinaryForm, _header_int, format_form, format_scalar, parse_form
+from .forms import (BinaryForm, _int_at, _scalar_at, format_form, format_scalar,
+                    parse_form)
 from .linalg import Field, Subspace, parse_field, plain
 from .pencil import NotConstantRankTwo, normal_form
 from .ruled import DivisorClass, RuledSurface, c1_twist, intersect, itcone_check
@@ -68,7 +69,8 @@ def _parse_vector(field: Field, text: str):
         toks = text.split(":")
     else:
         toks = text.split(",")
-    return tuple(field.scalar(t.strip()) for t in toks)
+    return tuple(_scalar_at(field, "entry %d of %r" % (i, text), t.strip())
+                 for i, t in enumerate(toks, 1))
 
 
 def _parse_line_spec(field: Field, text: str):
@@ -304,7 +306,7 @@ def _parse_pencil_file(text: str):
             field = parse_field(toks[1])
             continue
         if toks[0] == "m":
-            m = _header_int(lineno, "m", toks[1])
+            m = _int_at(lineno, "'m'", toks[1])
             if m < 0:
                 raise CliError("line %d: 'm' needs a non-negative integer, got %d"
                                % (lineno, m))

@@ -747,12 +747,20 @@ def _factor_nonsplit_fp(f: BinaryForm):
 # text format
 
 
-def _header_int(lineno: int, key: str, value: str) -> int:
+def _int_at(lineno: int, what: str, value: str) -> int:
     try:
         return int(value)
     except ValueError:
-        raise ValueError("line %d: '%s' needs an integer, got %r"
-                         % (lineno, key, value)) from None
+        raise ValueError("line %d: %s needs an integer, got %r"
+                         % (lineno, what, value)) from None
+
+
+def _scalar_at(field: Field, where: str, value: str):
+    """field.scalar(value); a bad literal is reported with where it stands."""
+    try:
+        return field.scalar(value)
+    except ValueError as e:
+        raise ValueError("%s: %s" % (where, e)) from None
 
 
 def parse_form(text: str) -> MultiForm:
@@ -780,14 +788,15 @@ def parse_form(text: str) -> MultiForm:
             field = parse_field(" ".join(toks[1:]))
             continue
         if toks[0] == "vars":
-            nvars = _header_int(lineno, "vars", toks[1])
+            nvars = _int_at(lineno, "'vars'", toks[1])
             continue
         if field is None or nvars is None:
             raise ValueError("term line before 'field'/'vars' headers")
         if len(toks) != nvars + 1:
             raise ValueError("term line %r: expected coefficient + %d exponents"
                              % (line, nvars))
-        terms.append((toks[0], tuple(int(t) for t in toks[1:])))
+        c = _scalar_at(field, "line %d: coefficient" % lineno, toks[0])
+        terms.append((c, tuple(_int_at(lineno, "exponent", t) for t in toks[1:])))
     if field is None or nvars is None:
         raise ValueError("missing 'field' or 'vars' header")
     if not terms:
@@ -798,7 +807,7 @@ def parse_form(text: str) -> MultiForm:
     degree = degs.pop()
     out = MultiForm.zero(field, nvars, degree)
     for c, e in terms:
-        out = out + MultiForm(field, nvars, degree, {e: field.scalar(c)})
+        out = out + MultiForm(field, nvars, degree, {e: c})
     return out
 
 

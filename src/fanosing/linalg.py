@@ -183,6 +183,9 @@ class Field:
                 value = Fraction(x)
             except ZeroDivisionError:
                 raise ValueError("zero denominator in %r" % x) from None
+            except ValueError:
+                raise ValueError("expected an integer or a fraction a/b, "
+                                 "got %r" % x) from None
             return self.scalar(value)
         raise FieldMismatch("cannot coerce %r into %s" % (x, self))
 

@@ -5,13 +5,15 @@ point of X: every directional derivative of P is a combination of shifted
 generators on E, so the whole gradient vanishes there.  This module turns
 that into certificates (each claimed point is re-checked against the
 gradient), enumerates lines over small finite fields by echelon position,
-and packages a replay-friendly survey of a whole hypersurface.
+and packages a replay-friendly survey of a whole hypersurface.  Candidate
+lines start at a point of X and run over the kernel of its first polar.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import mul
 
 from .forms import (BinaryForm, binary_gcd, binary_roots, projective_normalize,
                     restrict_to_plane)
@@ -235,6 +237,31 @@ def _line_on(X: Hypersurface, e1, e2) -> bool:
     return restrict_to_plane(X.P, [e1, e2]).is_zero()
 
 
+def _polar(partials, x) -> list:
+    """The gradient g of P at x: sum g_i w_i is the s^(d-1) t coefficient of
+    P(s x + t w), so it vanishes in every characteristic when span(x, w) is
+    on X."""
+    return [D.evaluate(x) for D in partials]
+
+
+def _polar_rows(g, j, elems):
+    """The rows e_j + sum_{c > j} t_c e_c with sum g_i r_i = 0, the t_c
+    running lexicographically over elems = (0, 1, ..., p-1).  The last c with
+    g_c != 0 is solved for; it depends only on earlier entries, so the
+    surviving rows stay in that order."""
+    head = (elems[0],) * j + (elems[1],)
+    live = [c for c in range(j + 1, len(g)) if g[c]]
+    if not live:
+        if not g[j]:
+            yield from (head + t for t in product(elems, repeat=len(g) - 1 - j))
+        return
+    c = live[-1]
+    k = c - j - 1
+    for t in product(elems, repeat=len(g) - 2 - j):
+        rest = sum(map(mul, g[j + 1:c], t), g[j])
+        yield head + t[:k] + (-rest / g[c],) + t[k:]
+
+
 def _check_budget(what: str, total: int, budget: int):
     if total > budget:
         raise BudgetExceeded(
@@ -259,10 +286,11 @@ def lines_through(X: Hypersurface, point, budget: int = 10 ** 8) -> list:
     red, pivots = rref([x], field)
     comp = unit_vectors(field, X.n + 1,
                         [c for c in range(X.n + 1) if c not in pivots])
+    g = _polar([X.P.partial(i) for i in range(X.n + 1)], x)
     frames = []
     for coords in projective_points(field, X.n):
         w = combine(field, X.n + 1, coords, comp)
-        if _line_on(X, x, w):
+        if not sum(map(mul, g, w), field.zero()) and _line_on(X, x, w):
             frames.append(LineFrame(field, x, w))
     return frames
 
@@ -273,25 +301,27 @@ def grassmannian_size(p: int, n: int) -> int:
 
 
 def all_lines(X: Hypersurface, budget: int = 10 ** 8) -> list:
-    """Every line on X over F_p, one frame per line, echelon representatives."""
+    """Every line on X over F_p, one frame per line, echelon representatives.
+    Row 1 must be a point of X, row 2 in the kernel of its first polar."""
     _require_prime_field(X.field)
     field = X.field
     n1 = X.n + 1
     _check_budget("line enumeration", grassmannian_size(field.p, X.n), budget)
     elems = _field_elements(field)
     one, zero = (field.one(),), (field.zero(),)
+    partials = [X.P.partial(i) for i in range(n1)]
     frames = []
     # echelon pairs with pivots j1 < j2: row 2 is 1 at j2, then free entries;
     # row 1 is 1 at j1, then free entries with a 0 at column j2.  Free
     # entries run lexicographically, the first free column slowest.
     for j2 in range(1, n1):
-        rows2 = [zero * j2 + one + t
-                 for t in product(elems, repeat=n1 - 1 - j2)]
         for j1 in range(j2):
             cut = j2 - j1 - 1
             for t in product(elems, repeat=n1 - 2 - j1):
                 r1 = zero * j1 + one + t[:cut] + zero + t[cut:]
-                for r2 in rows2:
+                if X.P.evaluate(r1):
+                    continue
+                for r2 in _polar_rows(_polar(partials, r1), j2, elems):
                     if _line_on(X, r1, r2):
                         frames.append(LineFrame(field, r1, r2))
     return frames

@@ -162,6 +162,7 @@ def test_usage_error_is_exit_one(capsys):
     ("lines", "field Fp:7\nvars x\n1 3 0 0 0\n", 2),
     ("pencil-nf", "field Q\nm two\nelement 1,0;0,1\n", 2),
     ("pencil-nf", "field Q\nm -1\n", 2),
+    ("lines", "field Fp:7\nvars 4\n1 3 0 0 0\n1 0 x 0 0\n", 4),
 ])
 def test_malformed_header_is_one_line_error(tmp_path, capsys, command, text,
                                             lineno):
@@ -191,8 +192,18 @@ _CUBIC = "field Q\nvars 4\n1 3 0 0 0\n1 0 3 0 0\n"
      ["analyze", "{f}", "--line", "0,0,1,0;0,0,0,1"],
      "needs a prime characteristic, got 0"),
     ("", ["gen", "random-with-line", "--p", "0"], "prime p, got p = 0"),
+    ("field Q\nvars 4\n1 3 0 0 0\nabc 0 3 0 0\n",
+     ["lines", "{f}", "--field", "Fp:7"],
+     "line 4: coefficient: expected an integer or a fraction a/b, got 'abc'"),
+    (_CUBIC, ["analyze", "{f}", "--line", "1,x,0,0;0,0,1,0"],
+     "entry 2 of '1,x,0,0': expected an integer or a fraction a/b, got 'x'"),
+    (_CUBIC, ["lines", "{f}", "--field", "Fp:7", "--through", "[1:6:0:z]"],
+     "entry 4 of '[1:6:0:z]': expected an integer or a fraction a/b, got 'z'"),
+    ("field Q\nm 2\nelement 1,0;0,y\n", ["pencil-nf", "{f}"],
+     "entry 2 of '0,y': expected an integer or a fraction a/b, got 'y'"),
 ], ids=["line-spec", "form-coefficient", "through-point", "field-option-fp0",
-        "form-header-fp0", "gen-p0"])
+        "form-header-fp0", "gen-p0", "form-coefficient-literal",
+        "line-spec-literal", "through-point-literal", "pencil-element-literal"])
 def test_bad_scalar_or_characteristic_is_one_line_error(tmp_path, capsys, form,
                                                         argv, message):
     path = tmp_path / "in.form"

@@ -2,11 +2,12 @@
 whole-surface survey."""
 
 from fractions import Fraction as Fr
+from itertools import product
 
 import pytest
 
 from fanosing.corpus import cone, fermat, random_with_line
-from fanosing.forms import MultiForm
+from fanosing.forms import MultiForm, restrict_to_plane
 from fanosing.linalg import QQ, parse_field, plain
 from fanosing.singular import (BudgetExceeded, CharacteristicRefused,
                                SingularPoint, all_lines, analyze_line,
@@ -125,6 +126,75 @@ def test_enumeration_order_frozen():
         ((1, 0, 1, 2), (0, 1, 1, 2)), ((1, 0, 2, 2), (0, 1, 1, 1)),
         ((1, 0, 0, 2), (0, 0, 1, 0)), ((0, 1, 0, 0), (0, 0, 1, 0)),
         ((1, 0, 0, 0), (0, 0, 0, 1)), ((0, 1, 1, 0), (0, 0, 0, 1))]
+
+
+def _echelon_rows(field, n1, j):
+    """Every vector of F_p^n1 that is 1 at column j and 0 before it, the
+    free entries lexicographic, the first free column slowest."""
+    elems = [field.scalar(i) for i in range(field.p)]
+    head = (field.zero(),) * j + (field.one(),)
+    return [head + t for t in product(elems, repeat=n1 - 1 - j)]
+
+
+def _bruteforce_lines(X):
+    # every echelon pair (pivots j1 < j2, row 1 zero at j2), kept when P
+    # restricted to its span is the zero binary form
+    n1 = X.n + 1
+    return [(_ints(r1), _ints(r2)) for j2 in range(1, n1) for j1 in range(j2)
+            for r1 in _echelon_rows(X.field, n1, j1) if not r1[j2]
+            for r2 in _echelon_rows(X.field, n1, j2)
+            if restrict_to_plane(X.P, [r1, r2]).is_zero()]
+
+
+def _bruteforce_through(X, x):
+    # the second rows lines_through tries, in projective_points order: the
+    # points that vanish at the pivot column of x
+    piv = next(i for i, c in enumerate(x) if c)
+    return [_ints(w) for w in projective_points(X.field, X.n + 1)
+            if not w[piv] and restrict_to_plane(X.P, [x, w]).is_zero()]
+
+
+def _bruteforce_cases():
+    f3 = parse_field("Fp:3")
+    cases = [
+        pytest.param(fermat(3, 3, parse_field("Fp:2")), id="fermat-cubic-f2"),
+        # (x0 + x1 + x2 + x3)^3: the gradient vanishes identically
+        pytest.param(Hypersurface(sum(
+            (mono(f3, 4, e) for e in ((3, 0, 0, 0), (0, 3, 0, 0),
+                                      (0, 0, 3, 0), (0, 0, 0, 3))),
+            MultiForm.zero(f3, 4, 3))), id="fermat-cubic-f3"),
+        pytest.param(Hypersurface(mono(F5, 4, (1, 0, 0, 0))
+                                  + mono(F5, 4, (0, 1, 0, 0), 2)
+                                  + mono(F5, 4, (0, 0, 0, 1), 3)),
+                     id="hyperplane-f5"),
+        pytest.param(_quadric_f5(), id="quadric-f5"),
+    ]
+    # the scan tests every pair with restrict_to_plane; P^4 over F_5 and
+    # F_7 (20306 and 140050 pairs) would take minutes
+    for n in (2, 3, 4):
+        for d in (1, 2, 3, 4):
+            for p in (2, 3, 5, 7):
+                if grassmannian_size(p, n) <= 3000:
+                    cases.append(pytest.param(
+                        random_with_line(n, d, p, 97 * n + d)[0],
+                        id="random-n%d-d%d-p%d" % (n, d, p)))
+    return cases
+
+
+@pytest.mark.parametrize("X", _bruteforce_cases())
+def test_all_lines_vs_bruteforce(X):
+    lines = _bruteforce_lines(X)
+    assert [tuple(map(_ints, fr.canonical_rows()))
+            for fr in all_lines(X)] == lines
+    on_x = [pt for pt in projective_points(X.field, X.n + 1)
+            if not X.P.evaluate(pt)]
+    for x in on_x[:2] + on_x[-1:]:
+        frames = lines_through(X, x)
+        assert all(fr.e1 == x for fr in frames)
+        assert [_ints(fr.e2) for fr in frames] == _bruteforce_through(X, x)
+        assert sorted(tuple(map(_ints, fr.canonical_rows())) for fr in frames) \
+            == sorted(L for L in lines
+                      if LineFrame(X.field, *L).line_coords(x) is not None)
 
 
 def test_lines_through_rejects_off_point():
