@@ -1,15 +1,17 @@
 """Exact linear algebra over the rationals and over prime fields.
 
 Scalars are `fractions.Fraction` (field Q) or `Fp` residues (field Fp:p,
-p prime, p <= 2**61).  No floats anywhere.  Subspaces are stored in
-canonical reduced row echelon form, so two subspaces are equal iff their
-representations compare equal.
+p prime, p <= 2**61).  No floats anywhere.  Row reduction eliminates on
+plain ints; `Fp` and `Fraction` appear only at its entry and exit.
+Subspaces are stored in canonical reduced row echelon form, so two
+subspaces are equal iff their representations compare equal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 
 class FieldMismatch(ValueError):
@@ -196,9 +198,11 @@ class Field:
         Fp matrix is a bug rather than a conversion request.
         """
         if self.p == 0:
+            if isinstance(x, Fraction):
+                return x
             if isinstance(x, Fp):
                 raise FieldMismatch("field mismatch: Q vs Fp:%d" % x.p)
-            if isinstance(x, (int, Fraction)):
+            if isinstance(x, int):
                 return Fraction(x)
         else:
             if isinstance(x, Fp):
@@ -211,9 +215,6 @@ class Field:
 
     def vector(self, entries) -> tuple:
         return tuple(self.strict(e) for e in entries)
-
-    def matrix(self, rows) -> list:
-        return [self.vector(r) for r in rows]
 
     def __str__(self):
         return "Q" if self.p == 0 else "Fp:%d" % self.p
@@ -268,36 +269,61 @@ def rref(rows, field: Field):
     and cleared above and below.  The result is the canonical representative
     of the row space: pivot columns are the lexicographically earliest
     possible.
+
+    Entries are checked once, then become ints: residues over F_p, each row
+    times the lcm of its denominators over Q.  Elimination runs on ints,
+    row <- (a*row - b*pivot_row)/gcd(a, b), reduced mod p or divided by its
+    content, so Q rows stay primitive (in the spirit of Bareiss, Math. Comp.
+    1968).  On exit each row is divided by its pivot into Fp or Fraction
+    entries; the RREF of a row space is unique, so the output is unchanged.
     """
-    mat = [list(field.vector(r)) for r in rows]
+    p = field.p
+    mat = []
+    for row in rows:
+        row = field.vector(row)
+        if p:
+            mat.append([x.v for x in row])
+        else:
+            den = lcm(*(x.denominator for x in row))
+            mat.append([x.numerator * (den // x.denominator) for x in row])
     if not mat:
         return [], []
     ncols = len(mat[0])
-    for r in mat:
-        if len(r) != ncols:
-            raise ValueError("ragged matrix")
+    if any(len(row) != ncols for row in mat):
+        raise ValueError("ragged matrix")
     pivots = []
     r = 0
     for c in range(ncols):
-        pr = None
-        for i in range(r, len(mat)):
-            if mat[i][c]:
-                pr = i
-                break
+        pr = next((i for i in range(r, len(mat)) if mat[i][c]), None)
         if pr is None:
             continue
         mat[r], mat[pr] = mat[pr], mat[r]
-        inv = field.one() / mat[r][c]
-        mat[r] = [inv * x for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        prow = mat[r]
+        a = prow[c]
+        for i, row in enumerate(mat):
+            b = row[c]
+            if i != r and b:
+                g = gcd(a, b)
+                ag, bg = a // g, b // g
+                row = [ag * x - bg * y for x, y in zip(row, prow)]
+                if p:
+                    mat[i] = [x % p for x in row]
+                else:
+                    g = gcd(*row) or 1
+                    mat[i] = [x // g for x in row]
         pivots.append(c)
         r += 1
         if r == len(mat):
             break
-    return [tuple(row) for row in mat[:r]], pivots
+    zero, out = field.zero(), []
+    for row, c in zip(mat, pivots):
+        if p:
+            inv = pow(row[c], -1, p)
+            out.append(tuple(Fp(x * inv, p) if x else zero for x in row))
+        else:
+            a = row[c]
+            out.append(tuple(Fraction(x, a) if x else zero for x in row))
+    return out, pivots
 
 
 def rank(rows, field: Field) -> int:
@@ -309,8 +335,8 @@ def solve_combination(rows, target, field: Field):
 
     When the system is underdetermined the free coefficients are set to 0.
     """
-    rows = field.matrix(rows)
-    target = list(field.vector(target))
+    rows = list(rows)
+    target = field.vector(target)
     k = len(rows)
     if k == 0:
         return [] if not any(target) else None
@@ -330,7 +356,6 @@ def solve_combination(rows, target, field: Field):
 
 def invert(rows, field: Field):
     """Inverse of a square matrix; raises ValueError if singular."""
-    rows = field.matrix(rows)
     n = len(rows)
     aug = [list(r) + list(u) for r, u in zip(rows, unit_vectors(field, n, range(n)))]
     red, pivots = rref(aug, field)
@@ -353,7 +378,7 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, vectors, field: Field, ambient_dim: int | None = None):
-        vectors = [field.vector(v) for v in vectors]
+        vectors = list(vectors)
         if ambient_dim is None:
             if not vectors:
                 raise ValueError("ambient_dim required for an empty generating set")
@@ -431,7 +456,7 @@ class Subspace:
 
 def kernel(rows, field: Field, ncols: int | None = None) -> Subspace:
     """Right null space {v : M v = 0} as a canonical Subspace."""
-    rows = field.matrix(rows)
+    rows = list(rows)
     if rows:
         ncols = len(rows[0])
     elif ncols is None:

@@ -279,6 +279,8 @@ def lines_through(X: Hypersurface, point, budget: int = 10 ** 8) -> list:
     _require_prime_field(X.field)
     field = X.field
     x = field.vector(point)
+    if not any(x):
+        raise ValueError("zero vector does not define a projective point")
     if X.P.evaluate(x):
         raise ValueError("point is not on the hypersurface")
     _check_budget("lines through a point", _projective_size(field.p, X.n),

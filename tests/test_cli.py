@@ -201,9 +201,14 @@ _CUBIC = "field Q\nvars 4\n1 3 0 0 0\n1 0 3 0 0\n"
      "entry 4 of '[1:6:0:z]': expected an integer or a fraction a/b, got 'z'"),
     ("field Q\nm 2\nelement 1,0;0,y\n", ["pencil-nf", "{f}"],
      "entry 2 of '0,y': expected an integer or a fraction a/b, got 'y'"),
+    (_CUBIC, ["lines", "{f}", "--field", "Fp:7", "--through", "0,0,0,0"],
+     "zero vector does not define a projective point"),
+    (_CUBIC, ["lines", "{f}", "--field", "Fp:7", "--through", "0,0,0,7"],
+     "zero vector does not define a projective point"),
 ], ids=["line-spec", "form-coefficient", "through-point", "field-option-fp0",
         "form-header-fp0", "gen-p0", "form-coefficient-literal",
-        "line-spec-literal", "through-point-literal", "pencil-element-literal"])
+        "line-spec-literal", "through-point-literal", "pencil-element-literal",
+        "through-zero-point", "through-zero-point-mod-p"])
 def test_bad_scalar_or_characteristic_is_one_line_error(tmp_path, capsys, form,
                                                         argv, message):
     path = tmp_path / "in.form"

@@ -62,6 +62,92 @@ def test_rref_canonical():
     assert rank([F(2, 4, 6), F(1, 2, 4)], QQ) == 2
 
 
+def _gauss_jordan(rows, field):
+    """Reference RREF: textbook Gauss-Jordan on Fraction / Fp scalars."""
+    mat = [list(field.vector(r)) for r in rows]
+    pivots, r = [], 0
+    for c in range(len(mat[0])):
+        pr = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if pr is None:
+            continue
+        mat[r], mat[pr] = mat[pr], mat[r]
+        inv = field.one() / mat[r][c]
+        mat[r] = [inv * x for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c]:
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+    return [tuple(row) for row in mat[:r]], pivots
+
+
+@st.composite
+def _rref_case(draw):
+    """A field and a matrix over it with dependent, repeated and zero rows,
+    zero columns, and tall, wide and 1 x n shapes; entries are a mix of
+    ints and field scalars."""
+    field = draw(st.sampled_from([QQ, Field(2), F7, Field(2 ** 61 - 1)]))
+    small = st.integers(-2, 2)
+    if field.p:
+        big = st.integers(-field.p, 2 * field.p)
+    else:
+        big = st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6),
+                        st.integers(1, 10 ** 6))
+    entry = st.one_of(small, big)
+    nrows, ncols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    rows = [[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+    for c in draw(st.sets(st.integers(0, ncols - 1), max_size=2)):
+        for row in rows:
+            row[c] = 0
+    for _ in range(draw(st.integers(0, 3))):
+        src = draw(st.integers(0, len(rows) - 1))
+        kind = draw(st.sampled_from(["repeat", "multiple", "sum", "zero"]))
+        if kind == "repeat":
+            new = list(rows[src])
+        elif kind == "multiple":
+            k = draw(big)
+            new = [k * x for x in rows[src]]
+        elif kind == "sum":
+            new = [x + y for x, y in zip(rows[src], rows[-1])]
+        else:
+            new = [0] * ncols
+        rows.insert(draw(st.integers(0, len(rows))), new)
+    as_scalar = draw(st.lists(st.booleans(), min_size=len(rows),
+                              max_size=len(rows)))
+    return field, [tuple(field.scalar(x) for x in row) if conv else tuple(row)
+                   for row, conv in zip(rows, as_scalar)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rref_case())
+def test_rref_matches_gauss_jordan(case):
+    field, rows = case
+    got, pivots = rref(rows, field)
+    want, want_pivots = _gauss_jordan(rows, field)
+    assert pivots == want_pivots
+    assert got == want
+    for row in got:
+        for x in row:
+            if field.p:
+                assert type(x) is Fp and x.p == field.p
+            else:
+                assert type(x) is Fraction
+
+
+def test_rref_rejects_foreign_and_ragged():
+    with pytest.raises(FieldMismatch):
+        rref([(F7.one(), Fraction(1, 2))], F7)
+    with pytest.raises(FieldMismatch):
+        rref([(F7.one(),), (Fp(1, 5),)], F7)
+    with pytest.raises(FieldMismatch):
+        rref([F(1, 2), (Fraction(1), Fp(1, 7))], QQ)
+    with pytest.raises(ValueError, match="ragged matrix"):
+        rref([F(1, 2), F(1)], QQ)
+    with pytest.raises(ValueError, match="ragged matrix"):
+        rref([(F7.one(),), (F7.one(), F7.zero())], F7)
+
+
 def test_kernel_frozen():
     K = kernel([F(1, 2, 3), F(4, 5, 6)], QQ)
     assert K.basis == (F(1, -2, 1),)
