@@ -232,16 +232,12 @@ def cmd_lines(args) -> int:
     try:
         if args.through:
             pt = _parse_vector(X.field, args.through)
-            try:
-                frames = lines_through(X, pt, budget=args.budget)
-            except ValueError as e:
-                if "not on the hypersurface" in str(e):
-                    payload["error"] = str(e)
-                    return _emit(args, ["error: %s" % e], payload,
-                                 EXIT_OFF_SURFACE)
-                raise
+            frames = lines_through(X, pt, budget=args.budget)
         else:
             frames = all_lines(X, budget=args.budget)
+    except PlaneNotContained as e:
+        payload["error"] = str(e)
+        return _emit(args, ["error: %s" % e], payload, EXIT_OFF_SURFACE)
     except BudgetExceeded as e:
         payload["error"] = str(e)
         payload["estimate"] = e.estimate

@@ -22,10 +22,10 @@ from dataclasses import dataclass
 from math import comb
 
 from .forms import (BinaryForm, NotDivisible, RootReport, binary_divide,
-                    binary_gcd, binary_roots, restrict_to_plane, contract)
-from .linalg import Field, Subspace, kernel
+                    binary_gcd, binary_roots)
+from .linalg import Field, Subspace, combine, kernel
 from .pencil import NormalForm
-from .tangent import Hypersurface, LineFrame, quotient_section
+from .tangent import Hypersurface, TangentReport, quotient_section
 
 
 class ChainIdentityViolated(ValueError):
@@ -70,15 +70,23 @@ class GeneratorSet:
         return tuple(b.p for b in self.blocks)
 
 
-def extract_generators(X: Hypersurface, frame: LineFrame, nf: NormalForm,
-                       pi: Subspace) -> GeneratorSet:
-    """Generator p of each chain block, with exact identity verification."""
+def extract_generators(X: Hypersurface, nf: NormalForm,
+                       tangent: TangentReport) -> GeneratorSet:
+    """Generator p of each chain block, with exact identity verification.
+
+    A chain vector w lifts to sum_j c_j w_j in the frame's complement, so its
+    restricted contraction (w -| P)|_E is sum_j c_j (w_j -| P)|_E: the same
+    combination of the alpha^1 rows of sigma, read without their last
+    (zero) coefficient.  P is not contracted or restricted again here.
+    """
     field = X.field
-    if nf.field != field or frame.field != field:
+    pi = tangent.pi
+    if nf.field != field or pi.field != field:
         raise ValueError("field mismatch")
     if nf.m != (X.n - 1) - pi.dim:
         raise ValueError("normal form does not match the quotient dimension")
     d = X.d
+    rows = tangent.sigma_matrix[:X.n - 1]
     beta1, beta2 = (BinaryForm.linear(field, *row) for row in nf.alpha)
     blocks = []
     for j in range(nf.r):
@@ -87,10 +95,9 @@ def extract_generators(X: Hypersurface, frame: LineFrame, nf: NormalForm,
             raise DegreeTooSmall(
                 "degree %d is too small for a block of size %d" % (d, s))
         chain = nf.block(j)
-        lifts = [frame.lift_from_complement(quotient_section(w, pi))
-                 for w in chain]
-        fs = [restrict_to_plane(contract(w, X.P), [frame.e1, frame.e2])
-              for w in lifts]
+        fs = [BinaryForm(field, combine(field, d, quotient_section(w, pi),
+                                        rows))
+              for w in chain]
         if s == 1:
             p_raw = fs[0]
         else:

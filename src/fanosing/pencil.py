@@ -40,8 +40,8 @@ class NormalForm:
 
     adapted_basis holds the m vectors w_1, ..., w_m grouped block by block;
     block j occupies indices chain_offsets[j] .. chain_offsets[j] + s[j] - 1.
-    alpha records the dual line coordinates the chains refer to, as rows
-    expressing them in the standard pair.
+    alpha holds the dual pair the chains refer to, as rows in the standard
+    pair; normal_form always uses the standard pair itself, ((1, 0), (0, 1)).
     """
 
     field: Field
@@ -70,35 +70,6 @@ class NormalForm:
         return out
 
 
-def _identity_alpha(field: Field):
-    one, zero = field.one(), field.zero()
-    return ((one, zero), (zero, one))
-
-
-def _alpha_matrix(field: Field, alpha):
-    if alpha is None:
-        return _identity_alpha(field)
-    (a11, a12), (a21, a22) = ((field.scalar(x) for x in row) for row in alpha)
-    if not a11 * a22 - a12 * a21:
-        raise ValueError("alpha rows must be linearly independent")
-    return ((a11, a12), (a21, a22))
-
-
-def _to_alpha_coords(pencil: Subspace, alpha, m: int) -> Subspace:
-    """Rewrite (u | v) vectors in the dual pair given by alpha's rows."""
-    (a11, a12), (a21, a22) = alpha
-    det = a11 * a22 - a12 * a21
-    # inverse of alpha: standard duals in terms of the new pair
-    c11, c12 = a22 / det, -a12 / det
-    c21, c22 = -a21 / det, a11 / det
-    vecs = []
-    for w in pencil.basis:
-        u, v = w[:m], w[m:]
-        vecs.append(tuple(c11 * x + c21 * y for x, y in zip(u, v))
-                    + tuple(c12 * x + c22 * y for x, y in zip(u, v)))
-    return Subspace.from_vectors(vecs, pencil.field, 2 * m)
-
-
 def _relation_space(pencil: Subspace, m: int) -> Subspace:
     """R = {(u, v) : alpha^1 (x) u - alpha^2 (x) v lies in the pencil}."""
     vecs = [w[:m] + tuple(-y for y in w[m:]) for w in pencil.basis]
@@ -116,21 +87,19 @@ def _second_block_image(space: Subspace, m: int) -> Subspace:
     return Subspace.from_vectors([w[m:] for w in space.basis], space.field, m)
 
 
-def normal_form(pencil: Subspace, alpha=None) -> NormalForm:
+def normal_form(pencil: Subspace) -> NormalForm:
     """Chain normal form of a rank-two pencil; NotConstantRankTwo if none.
 
-    pencil lives in K^{2m} with the (u | v) encoding.  alpha optionally
-    names a different dual pair, as two rows in the standard coordinates.
+    pencil lives in K^{2m} with the (u | v) encoding in the standard dual
+    pair (alpha^1, alpha^2), which a line's frame fixes; the chains refer to
+    that pair.
     """
     field = pencil.field
     if pencil.ambient_dim % 2:
         raise ValueError("pencil ambient dimension must be even")
     m = pencil.ambient_dim // 2
-    alpha = _alpha_matrix(field, alpha)
-    work = pencil if alpha == _identity_alpha(field) \
-        else _to_alpha_coords(pencil, alpha, m)
 
-    R = _relation_space(work, m)
+    R = _relation_space(pencil, m)
     V = Subspace.full(field, m)
     levels_dim = []        # dim V[t-1] - dim V[t] for t = 1, 2, ...
     meets = []             # R cap (V[t-1] x K^m)
@@ -188,9 +157,11 @@ def normal_form(pencil: Subspace, alpha=None) -> NormalForm:
         offsets.append(off)
         adapted.extend(b)
         off += len(b)
+    one, zero = field.one(), field.zero()
     nf = NormalForm(field=field, m=m, r=len(blocks), s=s,
                     adapted_basis=tuple(adapted),
-                    chain_offsets=tuple(offsets), alpha=alpha)
+                    chain_offsets=tuple(offsets),
+                    alpha=((one, zero), (zero, one)))
     if not verify_normal_form(pencil, nf):
         raise NotConstantRankTwo("normal form candidate failed verification")
     return nf

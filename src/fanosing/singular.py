@@ -21,7 +21,8 @@ from .ideal import (GeneratorSet, IdealFiltration, build_filtration,
                     contains_image_sigma, extract_generators)
 from .linalg import Field, combine, plain, rref, unit_vectors
 from .pencil import NormalForm, NotConstantRankTwo, normal_form
-from .tangent import Hypersurface, LineFrame, TangentReport, analyze_tangent
+from .tangent import (Hypersurface, LineFrame, PlaneNotContained, TangentReport,
+                      analyze_tangent)
 
 
 class BudgetExceeded(RuntimeError):
@@ -192,7 +193,7 @@ def analyze_line(X: Hypersurface, frame: LineFrame) -> LineAnalysis:
                             degenerate=str(e), gens=None, filt=None,
                             certificate=None, everyp1=None,
                             image_contained=None)
-    gens = extract_generators(X, frame, nf, rep.pi)
+    gens = extract_generators(X, nf, rep)
     filt = build_filtration(gens)
     cert = singular_on_line(X, frame, filt)
     ep1 = check_everyp1(X, rep, nf, cert)
@@ -225,11 +226,13 @@ def projective_points(field: Field, ncoords: int):
 
 
 def _line_on(X: Hypersurface, e1, e2) -> bool:
-    """Exact containment test for the line span(e1, e2)."""
+    """Exact containment test for the line span(e1, e2), given that e1 is a
+    point of X: every caller has already checked P(e1) = 0."""
     p, d = X.field.p, X.d
     if p and d <= p:
-        # a degree-d form on the line vanishing at d+1 points vanishes
-        for k in range(d):
+        # a degree-d form on the line vanishing at d+1 points vanishes;
+        # e1 (k = 0) is one of them
+        for k in range(1, d):
             pt = tuple(a + X.field.scalar(k) * b for a, b in zip(e1, e2))
             if X.P.evaluate(pt):
                 return False
@@ -275,14 +278,15 @@ def _projective_size(p: int, ncoords: int) -> int:
 
 
 def lines_through(X: Hypersurface, point, budget: int = 10 ** 8) -> list:
-    """All lines on X through a point of X, as frames with e1 = the point."""
+    """All lines on X through a point of X, as frames with e1 = the point.
+    A point off X raises PlaneNotContained."""
     _require_prime_field(X.field)
     field = X.field
     x = field.vector(point)
     if not any(x):
         raise ValueError("zero vector does not define a projective point")
     if X.P.evaluate(x):
-        raise ValueError("point is not on the hypersurface")
+        raise PlaneNotContained("point is not on the hypersurface")
     _check_budget("lines through a point", _projective_size(field.p, X.n),
                   budget)
     red, pivots = rref([x], field)

@@ -6,9 +6,15 @@ deformations of E inside X form the kernel of a linear map
     sigma : E^* (x) W/E  ->  S^d E^*,   alpha (x) w  |->  alpha . (w -| P)|_E,
 
 where (w -| P) is the directional derivative of P along w and |_E is the
-restriction to the line.  sigma is assembled as an exact matrix whose rows
-are indexed by alpha^i (x) w_j (all alpha^1 rows first, complement index
-ascending) and whose columns are the coefficients of s^d, s^(d-1) t, ..., t^d.
+restriction to the line.  The line fixes every basis involved: alpha^1,
+alpha^2 is the dual basis of its spanning vectors (e1, e2), and w_1, ...,
+w_{n-1} are the standard basis vectors at the non-pivot columns of
+rref(e1, e2).  sigma is assembled as an exact matrix whose rows are indexed
+by alpha^i (x) w_j (all alpha^1 rows first, complement index ascending) and
+whose columns are the coefficients of s^d, s^(d-1) t, ..., t^d.  Its alpha^1
+rows are the restricted contractions (w_j -| P)|_E times s, so the chain
+generators (ideal.extract_generators) read those forms off sigma instead of
+restricting P again.
 
 Pi <= W/E is the subspace of directions w with (w -| P)|_E = 0: deformations
 that move the line trivially to first order in every pencil direction.
@@ -22,8 +28,8 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 from .forms import BinaryForm, MultiForm, contract, restrict_to_plane
-from .linalg import (Field, Subspace, combine, invert, kernel, rank, rref,
-                     unit_vectors)
+from .linalg import (Field, Subspace, combine, kernel, rank, rref,
+                     solve_combination, unit_vectors)
 
 
 class PlaneNotContained(ValueError):
@@ -58,17 +64,18 @@ class Hypersurface:
 
 
 class LineFrame:
-    """A line span(e1, e2) with a chosen complement basis of W/E.
+    """A line span(e1, e2) that fixes the basis of its first-order data.
 
-    The complement defaults to the standard basis vectors at the non-pivot
-    columns of the echelon form of (e1, e2); any basis of a complement may be
-    supplied instead.  (alpha^1, alpha^2) is the dual basis of (e1, e2): a
-    restricted form in (s, t) is expressed in exactly these coordinates.
+    The complement w_1, ..., w_{n-1} of E in W is the standard basis vectors
+    at the non-pivot columns of rref(e1, e2), and (alpha^1, alpha^2) is the
+    dual basis of (e1, e2): a restricted form in (s, t) is expressed in
+    exactly these coordinates.  sigma, Pi and the pencil are therefore
+    functions of (e1, e2) alone.
     """
 
-    __slots__ = ("field", "e1", "e2", "complement", "_inv_cols")
+    __slots__ = ("field", "e1", "e2", "complement", "_rows")
 
-    def __init__(self, field: Field, e1, e2, complement=None):
+    def __init__(self, field: Field, e1, e2):
         self.field = field
         self.e1 = field.vector(e1)
         self.e2 = field.vector(e2)
@@ -78,19 +85,9 @@ class LineFrame:
         red, pivots = rref([self.e1, self.e2], field)
         if len(red) != 2:
             raise ValueError("line frame needs two independent spanning vectors")
-        if complement is None:
-            complement = unit_vectors(field, n1, [c for c in range(n1)
-                                                  if c not in pivots])
-        self.complement = tuple(field.vector(w) for w in complement)
-        if len(self.complement) != n1 - 2:
-            raise ValueError("complement must have %d vectors" % (n1 - 2))
-        basis = [self.e1, self.e2, *self.complement]
-        # columns of the change-of-basis matrix are the basis vectors
-        cols = [[basis[j][i] for j in range(n1)] for i in range(n1)]
-        try:
-            self._inv_cols = invert(cols, field)
-        except ValueError:
-            raise ValueError("complement does not complete the line to a basis")
+        self._rows = tuple(red)
+        self.complement = tuple(unit_vectors(
+            field, n1, [c for c in range(n1) if c not in pivots]))
 
     @property
     def ambient_dim(self) -> int:
@@ -100,21 +97,10 @@ class LineFrame:
     def n(self) -> int:
         return self.ambient_dim - 1
 
-    def coords(self, v):
-        """Coordinates (a, b, c_1..c_{n-1}) of v in the frame basis."""
-        v = self.field.vector(v)
-        if len(v) != self.ambient_dim:
-            raise ValueError("vector length mismatch")
-        return tuple(sum((row[i] * v[i] for i in range(self.ambient_dim)),
-                         self.field.zero())
-                     for row in self._inv_cols)
-
     def line_coords(self, x):
         """(a, b) with x = a e1 + b e2, or None if x is off the line."""
-        c = self.coords(x)
-        if any(c[2:]):
-            return None
-        return c[0], c[1]
+        ab = solve_combination([self.e1, self.e2], x, self.field)
+        return None if ab is None else tuple(ab)
 
     def point(self, a, b):
         a, b = self.field.scalar(a), self.field.scalar(b)
@@ -126,11 +112,10 @@ class LineFrame:
 
     def canonical_rows(self):
         """Echelon representative of the line in the Grassmannian."""
-        red, _ = rref([self.e1, self.e2], self.field)
-        return tuple(red)
+        return self._rows
 
     def _key(self):
-        return (self.field, self.e1, self.e2, self.complement)
+        return (self.field, self.e1, self.e2)
 
     def __eq__(self, other):
         if not isinstance(other, LineFrame):

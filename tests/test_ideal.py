@@ -24,7 +24,7 @@ def mono(field, nvars, exps, c=1):
 def _pipeline(X, fr):
     rep = analyze_tangent(X, fr)
     nf = normal_form(rep.pencil)
-    gens = extract_generators(X, fr, nf, rep.pi)
+    gens = extract_generators(X, nf, rep)
     return rep, nf, gens, build_filtration(gens)
 
 
@@ -138,7 +138,7 @@ def test_degree_guard_on_mismatched_normal_form(quadric_pipeline):
                       chain_offsets=(0,),
                       alpha=((Fr(1), Fr(0)), (Fr(0), Fr(1))))
     with pytest.raises(DegreeTooSmall, match="too small"):
-        extract_generators(X, fr, fake, rep.pi)
+        extract_generators(X, fake, rep)
 
 
 def test_piece_below_first_delta_is_zero(cone_pipeline):

@@ -1,14 +1,16 @@
 """Certified singular points on lines, enumeration over prime fields, and the
 whole-surface survey."""
 
+import random
 from fractions import Fraction as Fr
 from itertools import product
 
 import pytest
 
 from fanosing.corpus import cone, fermat, random_with_line
-from fanosing.forms import MultiForm, restrict_to_plane
-from fanosing.linalg import QQ, parse_field, plain
+from fanosing.forms import MultiForm, projective_normalize, restrict_to_plane
+from fanosing.linalg import (QQ, combine, parse_field, plain, rank,
+                             solve_combination)
 from fanosing.singular import (BudgetExceeded, CharacteristicRefused,
                                SingularPoint, all_lines, analyze_line,
                                certify_entire_line, conjecture_check,
@@ -202,6 +204,75 @@ def test_lines_through_rejects_off_point():
     s = F5.scalar
     with pytest.raises(ValueError, match="not on the hypersurface"):
         lines_through(X, (s(0), s(1), s(1), s(0)))
+
+
+def _planted_q_lines():
+    """Lines over Q: rigid, cone-vertex, quadric, entirely singular, and a
+    random form through span(e0, e1) in P^4."""
+    rng = random.Random(3)
+    terms = {}
+    for _ in range(8):
+        e = [0] * 5
+        e[rng.randint(2, 4)] += 1
+        for _ in range(2):
+            e[rng.randint(0, 4)] += 1
+        terms[tuple(e)] = QQ.scalar(rng.randint(-3, 3))
+    return [
+        (fermat(3, 3, QQ), ((1, -1, 0, 0), (0, 0, 1, -1))),
+        (cone(fermat(2, 3, QQ)), ((1, -1, 0, 0), (0, 0, 0, 1))),
+        (Hypersurface(mono(QQ, 4, (1, 0, 0, 1)) - mono(QQ, 4, (0, 1, 1, 0))),
+         ((1, 0, 0, 0), (0, 1, 0, 0))),
+        (Hypersurface(mono(QQ, 4, (0, 0, 2, 0))), ((1, 0, 0, 0), (0, 1, 0, 0))),
+        (Hypersurface(MultiForm(QQ, 5, 3, terms)),
+         ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0))),
+    ]
+
+
+def _line_invariants(la):
+    cert = la.certificate
+    return (la.tangent.tangent_dim, la.tangent.pi.dim, la.tangent.m,
+            la.degenerate is not None, la.nf.s if la.nf else None,
+            cert.whole_line if cert else None)
+
+
+def _certified(la, field, A_cols=None):
+    """{normalized ambient point: multiplicity}, moved by A when given."""
+    if la.certificate is None:
+        return {}
+    out = {}
+    for sp in la.certificate.points:
+        x = sp.ambient if A_cols is None \
+            else combine(field, len(sp.ambient), sp.ambient, A_cols)
+        out[projective_normalize(x, field)] = sp.multiplicity
+    return out
+
+
+def test_change_of_coordinates_oracle():
+    """X' = Z(P o A) carries the line A^-1 E with the same first-order data,
+    block sizes and certified points (moved back by A)."""
+    rng = random.Random(7)
+    cases = [random_with_line(2 + k % 4, 2 + k % 3, 11, k) for k in range(40)]
+    cases = [(X, (fr.e1, fr.e2)) for X, fr in cases] + _planted_q_lines()
+    points = 0
+    for X, line in cases:
+        field, n1 = X.field, X.n + 1
+        la = analyze_line(X, LineFrame(field, *line))
+        want = _line_invariants(la)
+        want_pts = _certified(la, field)
+        for _ in range(3):
+            while True:
+                cols = [tuple(field.scalar(rng.randrange(field.p) if field.p
+                                           else rng.randint(-3, 3))
+                              for _ in range(n1)) for _ in range(n1)]
+                if rank(cols, field) == n1:
+                    break
+            Xa = Hypersurface(restrict_to_plane(X.P, cols))
+            back = [solve_combination(cols, e, field) for e in line]
+            la_a = analyze_line(Xa, LineFrame(field, *back))
+            assert _line_invariants(la_a) == want, (X.P, cols)
+            assert _certified(la_a, field, cols) == want_pts, (X.P, cols)
+            points += len(want_pts)
+    assert points >= 100
 
 
 def test_budget_guard():

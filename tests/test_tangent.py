@@ -188,14 +188,6 @@ def test_sigma_plane_k2():
     assert tangent_space_plane(X, basis).dim == 0
 
 
-def test_custom_complement_invariance(quadric):
-    X, _ = quadric
-    fr = LineFrame(QQ, (1, 0, 0, 0), (0, 1, 0, 0),
-                   complement=[(0, 0, 1, 1), (0, 1, 3, -1)])
-    assert tangent_space(X, fr).dim == 1
-    assert compute_pi(X, fr).dim == 0
-
-
 def test_hypersurface_validation():
     with pytest.raises(ValueError):
         Hypersurface(MultiForm.zero(QQ, 4, 2))
