@@ -12,6 +12,8 @@ log p.
 Contraction convention: contract(v, P) is the directional derivative D_v P,
 *not* divided by the degree.  All identities downstream (restricted
 contractions, chain relations, extracted generators) use this normalization.
+restrict_partials restricts P and its partials d_c P = contract(e_c, P) to a
+span from one substitution of P.
 """
 
 from __future__ import annotations
@@ -320,8 +322,9 @@ def contract(v, P: MultiForm) -> MultiForm:
     return out
 
 
-def _substitute(P: MultiForm, vectors):
-    """P evaluated on sum_k y_k * vectors[k], as a form in the y's.
+def _substitute(P: MultiForm, vectors, cols=()):
+    """[P, d_{c1} P, ...] (c in cols) evaluated on sum_k y_k * vectors[k], as
+    forms in the y's; one table of powers of the linear forms serves them all.
 
     No independence requirement; exact substitution and expansion.
     """
@@ -347,32 +350,42 @@ def _substitute(P: MultiForm, vectors):
         for _ in range(max_exp[i]):
             pw.append(pw[-1] * lin[i])
         powers.append(pw)
-    out = MultiForm.zero(field, r, P.degree)
+    outs = [MultiForm.zero(field, r, P.degree)]
+    outs += [MultiForm.zero(field, r, P.degree - 1) for _ in cols]
     for e, c in P.terms.items():
-        term = MultiForm(field, r, 0, {(0,) * r: c})
-        for i, k in enumerate(e):
-            if k:
-                term = term * powers[i][k]
-        out = out + term
-    return out
+        # c x^e contributes e_j c x^(e - unit_j) to the partial d_j P
+        jobs = [(0, c, e)] + [(n, c * e[j], e[:j] + (e[j] - 1,) + e[j + 1:])
+                              for n, j in enumerate(cols, 1) if e[j]]
+        for n, a, f in jobs:
+            term = MultiForm(field, r, 0, {(0,) * r: a})
+            for i, k in enumerate(f):
+                if k:
+                    term = term * powers[i][k]
+            outs[n] = outs[n] + term
+    return outs
 
-def restrict_to_plane(P: MultiForm, basis):
-    """Restriction of P to the span of basis, in the dual coordinates of basis.
+
+def restrict_partials(P: MultiForm, basis, cols):
+    """[P, d_{c1} P, ...] restricted to the span of basis, in the dual
+    coordinates of basis, from one substitution; d_c P is contract(e_c, P).
 
     basis must be linearly independent.  For a 2-dimensional span (a line)
-    the result is a BinaryForm in (s, t); otherwise a MultiForm in k+1
+    each result is a BinaryForm in (s, t); otherwise a MultiForm in k+1
     variables.
     """
     basis = [P.field.vector(v) for v in basis]
     if rank(basis, P.field) != len(basis):
         raise ValueError("basis of the plane is linearly dependent")
-    Q = _substitute(P, basis)
+    forms = _substitute(P, basis, cols)
     if len(basis) != 2:
-        return Q
-    coeffs = [P.field.zero()] * (P.degree + 1)
-    for e, c in Q.terms.items():
-        coeffs[e[1]] = c
-    return BinaryForm(P.field, coeffs)
+        return forms
+    return [BinaryForm(P.field, [Q.terms.get((Q.degree - i, i), 0)
+                                 for i in range(Q.degree + 1)]) for Q in forms]
+
+
+def restrict_to_plane(P: MultiForm, basis):
+    """P restricted to the span of basis, as restrict_partials gives it."""
+    return restrict_partials(P, basis, ())[0]
 
 
 def multilinear_eval(P: MultiForm, args):
@@ -389,7 +402,7 @@ def multilinear_eval(P: MultiForm, args):
     if not P.field.is_rational and P.field.p <= d:
         raise CharacteristicTooSmall(
             "characteristic <= degree: polarization needs char 0 or p > %d" % d)
-    Q = _substitute(P, [v for v, _ in args])
+    Q = _substitute(P, [v for v, _ in args])[0]
     c = Q.terms.get(tuple(mults), P.field.zero())
     multinom = math.factorial(d)
     for m in mults:

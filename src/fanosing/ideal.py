@@ -5,9 +5,10 @@ w_1, ..., w_s the restricted contractions f_i = (w_i -| P)|_E satisfy
 
     f_i = beta1^(i-1) * beta2^(s-i) * p,        i = 1, ..., s,
 
-for a single binary form p of degree d - s: the chain relations force
-beta2^(s-1) to divide f_1 exactly, and p is that quotient, normalized monic
-(the block vectors are rescaled along with it so the identities stay exact).
+for a single binary form p of degree d - s, where beta1, beta2 are the line's
+coordinates s, t: the chain relations force beta2^(s-1) to divide f_1
+exactly, and p is that quotient, normalized monic (the block vectors are
+rescaled along with it so the identities stay exact).
 
 The generators of degrees delta_j = d - s_j build an ascending filtration of
 ideal pieces inside the spaces of binary forms on the line.  Points where
@@ -56,7 +57,6 @@ class GeneratorSet:
     field: Field
     degree: int            # degree d of the defining form
     m: int
-    alpha: tuple
     blocks: tuple
 
     @property
@@ -87,7 +87,7 @@ def extract_generators(X: Hypersurface, nf: NormalForm,
         raise ValueError("normal form does not match the quotient dimension")
     d = X.d
     rows = tangent.sigma_matrix[:X.n - 1]
-    beta1, beta2 = (BinaryForm.linear(field, *row) for row in nf.alpha)
+    beta1, beta2 = BinaryForm.linear(field, 1, 0), BinaryForm.linear(field, 0, 1)
     blocks = []
     for j in range(nf.r):
         s = nf.s[j]
@@ -119,8 +119,7 @@ def extract_generators(X: Hypersurface, nf: NormalForm,
                 raise ChainIdentityViolated(
                     "contraction of chain slot %d is off" % (i + 1))
         blocks.append(BlockGenerator(p=p, size=s, chain=chain))
-    return GeneratorSet(field=field, degree=d, m=nf.m, alpha=nf.alpha,
-                        blocks=tuple(blocks))
+    return GeneratorSet(field=field, degree=d, m=nf.m, blocks=tuple(blocks))
 
 
 @dataclass(frozen=True)

@@ -354,16 +354,6 @@ def solve_combination(rows, target, field: Field):
     return x
 
 
-def invert(rows, field: Field):
-    """Inverse of a square matrix; raises ValueError if singular."""
-    n = len(rows)
-    aug = [list(r) + list(u) for r, u in zip(rows, unit_vectors(field, n, range(n)))]
-    red, pivots = rref(aug, field)
-    if pivots[:n] != list(range(n)) or len(red) != n:
-        raise ValueError("matrix is singular")
-    return [tuple(row[n:]) for row in red]
-
-
 @dataclass(frozen=True)
 class Subspace:
     """Linear subspace of K^ambient_dim in canonical reduced echelon form.
@@ -441,17 +431,16 @@ class Subspace:
                                      self.field, self.ambient_dim)
 
     def meet(self, other: "Subspace") -> "Subspace":
-        """Intersection, by the Zassenhaus double-block trick."""
+        """Intersection, by the Zassenhaus double-block trick.  Its zero-left
+        rows end the RREF, so their right halves are already canonical."""
         self._check_compatible(other)
         n = self.ambient_dim
         zero = self.field.zero()
         block = [list(v) + list(v) for v in self.basis]
         block += [list(v) + [zero] * n for v in other.basis]
-        red, _ = rref(block, self.field) if block else ([], [])
-        inter = [row[n:] for row in red if not any(row[:n])]
-        if not inter:
-            return Subspace.zero(self.field, n)
-        return Subspace.from_vectors(inter, self.field, n)
+        red, _ = rref(block, self.field)
+        return Subspace(self.field, n,
+                        tuple(row[n:] for row in red if not any(row[:n])))
 
 
 def kernel(rows, field: Field, ncols: int | None = None) -> Subspace:

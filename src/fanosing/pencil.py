@@ -40,8 +40,8 @@ class NormalForm:
 
     adapted_basis holds the m vectors w_1, ..., w_m grouped block by block;
     block j occupies indices chain_offsets[j] .. chain_offsets[j] + s[j] - 1.
-    alpha holds the dual pair the chains refer to, as rows in the standard
-    pair; normal_form always uses the standard pair itself, ((1, 0), (0, 1)).
+    The chains refer to the standard dual pair (alpha^1, alpha^2), which
+    alpha returns as rows, ((1, 0), (0, 1)).
     """
 
     field: Field
@@ -50,23 +50,23 @@ class NormalForm:
     s: tuple
     adapted_basis: tuple
     chain_offsets: tuple
-    alpha: tuple
+
+    @property
+    def alpha(self) -> tuple:
+        one, zero = self.field.one(), self.field.zero()
+        return ((one, zero), (zero, one))
 
     def block(self, j: int) -> tuple:
         off = self.chain_offsets[j]
         return self.adapted_basis[off:off + self.s[j]]
 
     def chain_elements(self):
-        """The spanning tensors (u | v) of the pencil, standard coordinates."""
-        (a11, a12), (a21, a22) = self.alpha
+        """The spanning tensors alpha^1 (x) u - alpha^2 (x) v, as (u | -v)."""
         out = []
         for j in range(self.r):
             blk = self.block(j)
             for u, v in zip(blk, blk[1:]):
-                # beta^1 (x) u - beta^2 (x) v, rewritten in the standard pair
-                first = tuple(a11 * x - a21 * y for x, y in zip(u, v))
-                second = tuple(a12 * x - a22 * y for x, y in zip(u, v))
-                out.append(first + second)
+                out.append(u + tuple(-y for y in v))
         return out
 
 
@@ -77,10 +77,11 @@ def _relation_space(pencil: Subspace, m: int) -> Subspace:
 
 
 def _product_with_full(left: Subspace, m: int) -> Subspace:
+    # rows (v | 0), then unit rows on the right half: already in RREF
     field = left.field
     vecs = [v + (field.zero(),) * m for v in left.basis]
     vecs += unit_vectors(field, 2 * m, range(m, 2 * m))
-    return Subspace.from_vectors(vecs, field, 2 * m)
+    return Subspace(field, 2 * m, tuple(vecs))
 
 
 def _second_block_image(space: Subspace, m: int) -> Subspace:
@@ -157,11 +158,9 @@ def normal_form(pencil: Subspace) -> NormalForm:
         offsets.append(off)
         adapted.extend(b)
         off += len(b)
-    one, zero = field.one(), field.zero()
     nf = NormalForm(field=field, m=m, r=len(blocks), s=s,
                     adapted_basis=tuple(adapted),
-                    chain_offsets=tuple(offsets),
-                    alpha=((one, zero), (zero, one)))
+                    chain_offsets=tuple(offsets))
     if not verify_normal_form(pencil, nf):
         raise NotConstantRankTwo("normal form candidate failed verification")
     return nf

@@ -16,7 +16,7 @@ from itertools import product
 from operator import mul
 
 from .forms import (BinaryForm, binary_gcd, binary_roots, projective_normalize,
-                    restrict_to_plane)
+                    restrict_partials, restrict_to_plane)
 from .ideal import (GeneratorSet, IdealFiltration, build_filtration,
                     contains_image_sigma, extract_generators)
 from .linalg import Field, combine, plain, rref, unit_vectors
@@ -101,12 +101,12 @@ def singular_on_line(X: Hypersurface, frame: LineFrame,
 def certify_entire_line(X: Hypersurface, frame: LineFrame) -> SingularCertificate:
     """Certificate that the gradient vanishes identically on the line.
 
-    Exact: each partial derivative is restricted to the line symbolically.
-    Raises if the line is not entirely singular.
+    Exact: one substitution restricts all n+1 partial derivatives of P to the
+    line symbolically.  Raises if the line is not entirely singular.
     """
-    for i in range(X.n + 1):
-        if not restrict_to_plane(X.P.partial(i), [frame.e1, frame.e2]).is_zero():
-            raise ValueError("line is not entirely singular")
+    _, *grad = restrict_partials(X.P, [frame.e1, frame.e2], range(X.n + 1))
+    if any(not f.is_zero() for f in grad):
+        raise ValueError("line is not entirely singular")
     for sample in ((X.field.one(), X.field.zero()),
                    (X.field.zero(), X.field.one()),
                    (X.field.one(), X.field.one())):

@@ -27,9 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
-from .forms import BinaryForm, MultiForm, contract, restrict_to_plane
-from .linalg import (Field, Subspace, combine, kernel, rank, rref,
-                     solve_combination, unit_vectors)
+from .forms import MultiForm, _substitute, restrict_partials
+from .linalg import Field, Subspace, kernel, rref, solve_combination, unit_vectors
 
 
 class PlaneNotContained(ValueError):
@@ -67,13 +66,13 @@ class LineFrame:
     """A line span(e1, e2) that fixes the basis of its first-order data.
 
     The complement w_1, ..., w_{n-1} of E in W is the standard basis vectors
-    at the non-pivot columns of rref(e1, e2), and (alpha^1, alpha^2) is the
-    dual basis of (e1, e2): a restricted form in (s, t) is expressed in
-    exactly these coordinates.  sigma, Pi and the pencil are therefore
+    at the non-pivot columns c_1 < ... < c_{n-1} of rref(e1, e2), kept in
+    columns, and (alpha^1, alpha^2) is the dual basis of (e1, e2): a
+    restricted form in (s, t) is expressed in exactly these coordinates.  sigma, Pi and the pencil are therefore
     functions of (e1, e2) alone.
     """
 
-    __slots__ = ("field", "e1", "e2", "complement", "_rows")
+    __slots__ = ("field", "e1", "e2", "columns", "complement", "_rows")
 
     def __init__(self, field: Field, e1, e2):
         self.field = field
@@ -86,8 +85,8 @@ class LineFrame:
         if len(red) != 2:
             raise ValueError("line frame needs two independent spanning vectors")
         self._rows = tuple(red)
-        self.complement = tuple(unit_vectors(
-            field, n1, [c for c in range(n1) if c not in pivots]))
+        self.columns = tuple(c for c in range(n1) if c not in pivots)
+        self.complement = tuple(unit_vectors(field, n1, self.columns))
 
     @property
     def ambient_dim(self) -> int:
@@ -105,10 +104,6 @@ class LineFrame:
     def point(self, a, b):
         a, b = self.field.scalar(a), self.field.scalar(b)
         return tuple(a * u + b * v for u, v in zip(self.e1, self.e2))
-
-    def lift_from_complement(self, coeffs):
-        """The W-vector with given complement coordinates."""
-        return combine(self.field, self.ambient_dim, coeffs, self.complement)
 
     def canonical_rows(self):
         """Echelon representative of the line in the Grassmannian."""
@@ -141,18 +136,16 @@ class TangentReport:
     tangent_dim: int
 
 
-def _require_on_surface(X: Hypersurface, frame: LineFrame):
+def restricted_contractions(X: Hypersurface, frame: LineFrame):
+    """(w_j -| P)|_E = (d_{c_j} P)|_E for each complement vector w_j = e_{c_j},
+    as degree d-1 binary forms, from one substitution that also checks P|_E = 0.
+    """
     if X.field != frame.field:
         raise ValueError("field mismatch between hypersurface and frame")
-    if not restrict_to_plane(X.P, [frame.e1, frame.e2]).is_zero():
+    on_line, *fs = restrict_partials(X.P, [frame.e1, frame.e2], frame.columns)
+    if not on_line.is_zero():
         raise PlaneNotContained("plane not contained in hypersurface")
-
-
-def restricted_contractions(X: Hypersurface, frame: LineFrame):
-    """(w_j -| P)|_E for each complement vector, as degree d-1 binary forms."""
-    _require_on_surface(X, frame)
-    return [restrict_to_plane(contract(w, X.P), [frame.e1, frame.e2])
-            for w in frame.complement]
+    return fs
 
 
 def sigma(X: Hypersurface, frame: LineFrame):
@@ -272,37 +265,29 @@ def sigma_plane(X: Hypersurface, basis):
     Rows are indexed by y_i (x) w_j (dual-coordinate blocks, complement index
     ascending inside each block); columns by the degree-d monomials in the
     plane's dual coordinates, descending lexicographic.  Returns
-    (matrix, monomial_order).
+    (matrix, monomial_order).  One substitution of P on the basis gives P on
+    the plane, which must vanish, and each (w_j -| P) = (d_{c_j} P) there.
     """
     field = X.field
     k = len(basis) - 1
     if not 1 <= k <= 3:
         raise ValueError("plane dimension capped at k <= 3")
     basis = [field.vector(v) for v in basis]
-    if rank(basis, field) != k + 1:
-        raise ValueError("plane basis is linearly dependent")
-    if not restrict_to_plane(X.P, basis).is_zero():
-        raise PlaneNotContained("plane not contained in hypersurface")
-    n1 = X.n + 1
     red, pivots = rref(basis, field)
+    if len(red) != k + 1:
+        raise ValueError("plane basis is linearly dependent")
+    on_plane, *restricted = _substitute(
+        X.P, basis, [c for c in range(X.n + 1) if c not in pivots])
+    if not on_plane.is_zero():
+        raise PlaneNotContained("plane not contained in hypersurface")
     zero = field.zero()
-    complement = unit_vectors(field, n1, [c for c in range(n1) if c not in pivots])
     monos = _monomials(k + 1, X.d)
     index = {e: i for i, e in enumerate(monos)}
     rows = []
-    restricted = []
-    for w in complement:
-        f = restrict_to_plane(contract(w, X.P), basis)
-        if isinstance(f, BinaryForm):
-            deg = f.degree
-            restricted.append({(deg - i, i): c
-                               for i, c in enumerate(f.coeffs) if c})
-        else:
-            restricted.append(f.terms)
     for i in range(k + 1):
-        for terms in restricted:
+        for f in restricted:
             row = [zero] * len(monos)
-            for e, c in terms.items():
+            for e, c in f.terms.items():
                 shifted = e[:i] + (e[i] + 1,) + e[i + 1:]
                 row[index[shifted]] = c
             rows.append(tuple(row))

@@ -17,7 +17,7 @@ from fanosing.forms import BinaryForm, MultiForm, contract, restrict_to_plane
 from fanosing.ideal import (build_filtration, contains_image_sigma,
                             extract_generators, ideal_degree_piece,
                             max_multiplicity_at, pure_power_locus)
-from fanosing.linalg import QQ, Subspace, parse_field
+from fanosing.linalg import QQ, Subspace, combine, parse_field
 from fanosing.pencil import NotConstantRankTwo, normal_form, verify_normal_form
 from fanosing.ruled import DivisorClass, FIBER, RuledSurface, intersect, itcone_check
 from fanosing.singular import (all_lines, analyze_line, conjecture_check,
@@ -249,12 +249,13 @@ def test_acceptance_06_normal_form_round_trips():
 
 def _recheck_block_identities(X, fr, la):
     """Exact re-verification of the factorization identities from public data."""
-    beta1 = BinaryForm.linear(X.field, *la.gens.alpha[0])
-    beta2 = BinaryForm.linear(X.field, *la.gens.alpha[1])
+    beta1 = BinaryForm.linear(X.field, 1, 0)
+    beta2 = BinaryForm.linear(X.field, 0, 1)
     for blk in la.gens.blocks:
         s = blk.size
         for i, w in enumerate(blk.chain):
-            lift = fr.lift_from_complement(quotient_section(w, la.tangent.pi))
+            lift = combine(fr.field, fr.ambient_dim,
+                           quotient_section(w, la.tangent.pi), fr.complement)
             f = restrict_to_plane(contract(lift, X.P), [fr.e1, fr.e2])
             assert f == (beta1 ** i) * (beta2 ** (s - 1 - i)) * blk.p
 

@@ -13,7 +13,7 @@ from fanosing.forms import (BinaryForm, CharacteristicTooSmall, MultiForm,
                             NotDivisible, binary_divide, binary_gcd,
                             binary_roots, contract, format_form, format_scalar,
                             multilinear_eval, parse_form, projective_normalize,
-                            restrict_to_plane)
+                            restrict_partials, restrict_to_plane)
 from fanosing.linalg import QQ, parse_field, rank
 
 F7 = parse_field("Fp:7")
@@ -116,6 +116,61 @@ def test_restrict_to_three_vectors_gives_multiform():
     assert isinstance(R, MultiForm)
     assert R.nvars == 3
     assert R == mono(QQ, 3, (2, 0, 1))
+
+
+def _expand_on_span(P, basis):
+    """P on sum_k y_k basis[k] by plain MultiForm arithmetic, one power of a
+    linear form per factor of each term; a BinaryForm on a line."""
+    field, r = P.field, len(basis)
+    lin = [MultiForm(field, r, 1, {tuple(int(k == j) for k in range(r)): v[i]
+                                   for j, v in enumerate(basis)})
+           for i in range(P.nvars)]
+    Q = MultiForm.zero(field, r, P.degree)
+    for e, c in P.terms.items():
+        term = MultiForm(field, r, 0, {(0,) * r: c})
+        for form, k in zip(lin, e):
+            term = term * form ** k
+        Q = Q + term
+    if r != 2:
+        return Q
+    return BinaryForm(field, [Q.terms.get((P.degree - i, i), 0)
+                              for i in range(P.degree + 1)])
+
+
+def test_restrict_partials_match_contraction_oracle():
+    """One substitution gives P|_L and every (d_c P)|_L.  Each partial equals
+    restrict_to_plane(contract(e_c, P), basis) and P|_L equals a plain
+    term-by-term expansion, for lines and 2- and 3-planes with non-unit
+    bases, including characteristic p <= d where some e_c vanish mod p."""
+    rng = random.Random(29)
+    checked = 0
+    for field in (QQ, parse_field("Fp:2"), parse_field("Fp:3"),
+                  parse_field("Fp:11")):
+        for d in range(1, 6):
+            for k in (1, 2, 3):
+                nvars = rng.randint(k + 1, k + 3)
+                P = rand_form(rng, field, nvars, d, rng.randint(1, 8))
+                while True:
+                    basis = [tuple(field.scalar(rng.randint(-3, 3))
+                                   for _ in range(nvars)) for _ in range(k + 1)]
+                    if rank(basis, field) == k + 1 and \
+                            any(sum(1 for x in v if x) >= 2 for v in basis):
+                        break
+                cols = list(range(nvars))
+                got = restrict_partials(P, basis, cols)
+                assert len(got) == nvars + 1
+                assert all(isinstance(f, BinaryForm if k == 1 else MultiForm)
+                           for f in got)
+                assert got[0] == _expand_on_span(P, basis)
+                assert got[0] == restrict_to_plane(P, basis)
+                for c in cols:
+                    e_c = [0] * nvars
+                    e_c[c] = 1
+                    assert got[c + 1] == restrict_to_plane(contract(e_c, P),
+                                                           basis)
+                assert restrict_partials(P, basis, cols[::-1])[1:] == got[:0:-1]
+                checked += 1
+    assert checked == 60
 
 
 def binform(field, *coeffs):

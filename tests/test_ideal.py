@@ -135,8 +135,7 @@ def test_degree_guard_on_mismatched_normal_form(quadric_pipeline):
     fake = NormalForm(field=QQ, m=2, r=1, s=(3,),
                       adapted_basis=((Fr(1), Fr(0)), (Fr(0), Fr(1)),
                                      (Fr(1), Fr(1))),
-                      chain_offsets=(0,),
-                      alpha=((Fr(1), Fr(0)), (Fr(0), Fr(1))))
+                      chain_offsets=(0,))
     with pytest.raises(DegreeTooSmall, match="too small"):
         extract_generators(X, fake, rep)
 

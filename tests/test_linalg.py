@@ -8,8 +8,9 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from fanosing.linalg import (QQ, Field, FieldMismatch, Fp, Subspace,
-                             echelon_complement, invert, kernel,
+                             echelon_complement, kernel,
                              parse_field, rank, rref, solve_combination)
+from fanosing.pencil import _product_with_full
 
 F5 = parse_field("Fp:5")
 F7 = parse_field("Fp:7")
@@ -188,6 +189,36 @@ def test_meet_join_dimension_formula():
         assert U.contains_subspace(U.meet(V))
 
 
+@st.composite
+def _subspace_pair(draw):
+    field = draw(st.sampled_from([QQ, parse_field("Fp:2"), F7]))
+    n = draw(st.integers(1, 6))
+
+    def subspace():
+        rows = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n,
+                                      max_size=n), max_size=n + 1))
+        return Subspace.from_vectors(
+            [tuple(field.scalar(x) for x in row) for row in rows], field, n)
+
+    return field, n, subspace(), subspace()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_subspace_pair())
+def test_meet_and_product_rows_are_canonical(case):
+    """meet returns its Zassenhaus rows and _product_with_full its (v | 0)
+    and unit rows without a second rref: both must already be the canonical
+    echelon basis.  The meet lies in both inputs with the dimension formula."""
+    field, n, A, B = case
+    M = A.meet(B)
+    assert M == Subspace.from_vectors(M.basis, field, n)
+    assert A.contains_subspace(M) and B.contains_subspace(M)
+    assert M.dim == A.dim + B.dim - A.join(B).dim
+    prod = _product_with_full(A, n)
+    assert prod == Subspace.from_vectors(prod.basis, field, 2 * n)
+    assert prod.dim == A.dim + n
+
+
 @settings(max_examples=60)
 @given(st.lists(st.lists(st.integers(0, 4), min_size=4, max_size=4),
                 min_size=1, max_size=5))
@@ -201,24 +232,6 @@ def test_solve_combination():
     x = solve_combination(rows, F(3, 2), QQ)
     assert list(x) == [Fraction(1), Fraction(2)]
     assert solve_combination([F(1, 0, 0)], F(0, 1, 0), QQ) is None
-
-
-def test_invert_round_trip():
-    A = [F(1, 2), F(3, 5)]
-    B = invert(A, QQ)
-    assert list(B) == [F(-5, 2), F(3, -1)]
-    rng = random.Random(9)
-    for _ in range(20):
-        while True:
-            M = [tuple(F7.scalar(rng.randint(0, 6)) for _ in range(3))
-                 for _ in range(3)]
-            if rank(M, F7) == 3:
-                break
-        Minv = invert(M, F7)
-        prod = [[sum((M[i][k] * Minv[k][j] for k in range(3)), F7.zero())
-                 for j in range(3)] for i in range(3)]
-        assert all(prod[i][j] == (F7.one() if i == j else F7.zero())
-                   for i in range(3) for j in range(3))
 
 
 def test_echelon_complement():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from fanosing.forms import BinaryForm, MultiForm, restrict_to_plane
-from fanosing.linalg import QQ, parse_field
+from fanosing.linalg import QQ, combine, parse_field
 from fanosing.tangent import (Hypersurface, LineFrame, PlaneNotContained,
                               analyze_tangent, compute_pi, sigma, sigma_plane,
                               tangent_cone_lines, tangent_space,
@@ -157,13 +157,13 @@ def test_deformation_matches_interpolation_oracle():
         fr = LineFrame(field, e1, e2)
         mat = sigma(X, fr)
         v = [field.scalar(rng.randint(0, 10)) for _ in range(2 * (n - 1))]
-        w1 = fr.lift_from_complement(v[:n - 1])
-        w2 = fr.lift_from_complement(v[n - 1:])
+        w1 = combine(fr.field, fr.ambient_dim, v[:n - 1], fr.complement)
+        w2 = combine(fr.field, fr.ambient_dim, v[n - 1:], fr.complement)
         got = _row_combo(mat, v, field, d)
         assert got == _interp_linear_term(P, fr.e1, fr.e2, w1, w2)
         for kv in tangent_space(X, fr).basis:
-            kw1 = fr.lift_from_complement(kv[:n - 1])
-            kw2 = fr.lift_from_complement(kv[n - 1:])
+            kw1 = combine(fr.field, fr.ambient_dim, kv[:n - 1], fr.complement)
+            kw2 = combine(fr.field, fr.ambient_dim, kv[n - 1:], fr.complement)
             assert _interp_linear_term(P, fr.e1, fr.e2, kw1, kw2).is_zero()
 
 
