@@ -13,9 +13,9 @@ from .forms import (MultiForm, BinaryForm, NotDivisible, CharacteristicTooSmall,
                     binary_gcd, binary_roots, parse_form, format_form,
                     format_scalar, projective_normalize, RootReport)
 from .tangent import (Hypersurface, LineFrame, TangentReport, PlaneNotContained,
-                      sigma, tangent_space, compute_pi, pencil_quotient,
-                      analyze_tangent, tangent_cone_lines, quotient_project,
-                      quotient_section, sigma_plane, tangent_space_plane)
+                      sigma, tangent_space, compute_pi, analyze_tangent,
+                      tangent_cone_lines, quotient_section, sigma_plane,
+                      tangent_space_plane)
 from .pencil import (NormalForm, NotConstantRankTwo, normal_form,
                      verify_normal_form, has_decomposable)
 from .ideal import (BlockGenerator, GeneratorSet, IdealFiltration,

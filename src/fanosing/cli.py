@@ -17,7 +17,7 @@ import json
 import sys
 
 from .corpus import cone, fermat, random_with_line
-from .forms import (BinaryForm, _int_at, _scalar_at, format_form, format_scalar,
+from .forms import (BinaryForm, _at, _int_at, format_form, format_scalar,
                     parse_form)
 from .linalg import Field, Subspace, parse_field, plain
 from .pencil import NotConstantRankTwo, normal_form
@@ -69,7 +69,7 @@ def _parse_vector(field: Field, text: str):
         toks = text.split(":")
     else:
         toks = text.split(",")
-    return tuple(_scalar_at(field, "entry %d of %r" % (i, text), t.strip())
+    return tuple(_at("entry %d of %r" % (i, text), field.scalar, t.strip())
                  for i, t in enumerate(toks, 1))
 
 
@@ -299,7 +299,7 @@ def _parse_pencil_file(text: str):
         if len(toks) == 1 and toks[0] in ("field", "m", "element"):
             raise CliError("line %d: '%s' needs a value" % (lineno, toks[0]))
         if toks[0] == "field":
-            field = parse_field(toks[1])
+            field = _at("line %d" % lineno, parse_field, toks[1])
             continue
         if toks[0] == "m":
             m = _int_at(lineno, "'m'", toks[1])
@@ -352,7 +352,11 @@ def _parse_class(text: str) -> DivisorClass:
     toks = text.split(",")
     if len(toks) != 2:
         raise CliError("divisor class must be 'a,b'")
-    return DivisorClass(int(toks[0]), int(toks[1]))
+    try:
+        a, b = int(toks[0]), int(toks[1])
+    except ValueError:
+        raise CliError("divisor class %r needs integers a,b" % text) from None
+    return DivisorClass(a, b)
 
 
 def cmd_ruled(args) -> int:

@@ -47,6 +47,8 @@ def random_with_line(n: int, d: int, p: int, seed: int):
     """
     if n < 2:
         raise ValueError("need n >= 2 for a complement direction")
+    if d < 1:
+        raise ValueError("random-with-line needs degree d >= 1, got d = %d" % d)
     if not _is_prime(p):
         raise ValueError("random-with-line needs a prime p, got p = %d" % p)
     field = Field(p)

@@ -768,10 +768,10 @@ def _int_at(lineno: int, what: str, value: str) -> int:
                          % (lineno, what, value)) from None
 
 
-def _scalar_at(field: Field, where: str, value: str):
-    """field.scalar(value); a bad literal is reported with where it stands."""
+def _at(where: str, parse, value: str):
+    """parse(value); a bad literal is reported with where it stands."""
     try:
-        return field.scalar(value)
+        return parse(value)
     except ValueError as e:
         raise ValueError("%s: %s" % (where, e)) from None
 
@@ -798,7 +798,7 @@ def parse_form(text: str) -> MultiForm:
         if len(toks) == 1 and toks[0] in ("field", "vars"):
             raise ValueError("line %d: '%s' needs a value" % (lineno, toks[0]))
         if toks[0] == "field":
-            field = parse_field(" ".join(toks[1:]))
+            field = _at("line %d" % lineno, parse_field, " ".join(toks[1:]))
             continue
         if toks[0] == "vars":
             nvars = _int_at(lineno, "'vars'", toks[1])
@@ -808,7 +808,7 @@ def parse_form(text: str) -> MultiForm:
         if len(toks) != nvars + 1:
             raise ValueError("term line %r: expected coefficient + %d exponents"
                              % (line, nvars))
-        c = _scalar_at(field, "line %d: coefficient" % lineno, toks[0])
+        c = _at("line %d: coefficient" % lineno, field.scalar, toks[0])
         terms.append((c, tuple(_int_at(lineno, "exponent", t) for t in toks[1:])))
     if field is None or nvars is None:
         raise ValueError("missing 'field' or 'vars' header")

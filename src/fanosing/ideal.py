@@ -6,9 +6,11 @@ w_1, ..., w_s the restricted contractions f_i = (w_i -| P)|_E satisfy
     f_i = beta1^(i-1) * beta2^(s-i) * p,        i = 1, ..., s,
 
 for a single binary form p of degree d - s, where beta1, beta2 are the line's
-coordinates s, t: the chain relations force beta2^(s-1) to divide f_1
-exactly, and p is that quotient, normalized monic (the block vectors are
-rescaled along with it so the identities stay exact).
+coordinates s, t.  On coefficient tuples (s^(d-1), ..., t^(d-1)) each
+identity is a shift: f_i is p's coefficients with s - i zeros in front and
+i - 1 behind.  So t^(s-1) divides f_1 exactly when its first s - 1
+coefficients vanish, and p is the rest, normalized monic (the block vectors
+are rescaled along with it so the identities stay exact).
 
 The generators of degrees delta_j = d - s_j build an ascending filtration of
 ideal pieces inside the spaces of binary forms on the line.  Points where
@@ -22,11 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .forms import (BinaryForm, NotDivisible, RootReport, binary_divide,
-                    binary_gcd, binary_roots)
+from .forms import BinaryForm, RootReport, binary_gcd, binary_roots
 from .linalg import Field, Subspace, combine, kernel
 from .pencil import NormalForm
-from .tangent import Hypersurface, TangentReport, quotient_section
+from .tangent import Hypersurface, TangentReport, _free_columns
 
 
 class ChainIdentityViolated(ValueError):
@@ -74,10 +75,11 @@ def extract_generators(X: Hypersurface, nf: NormalForm,
                        tangent: TangentReport) -> GeneratorSet:
     """Generator p of each chain block, with exact identity verification.
 
-    A chain vector w lifts to sum_j c_j w_j in the frame's complement, so its
-    restricted contraction (w -| P)|_E is sum_j c_j (w_j -| P)|_E: the same
-    combination of the alpha^1 rows of sigma, read without their last
-    (zero) coefficient.  P is not contracted or restricted again here.
+    A chain vector w has coordinates at Pi's free columns, so its restricted
+    contraction (w -| P)|_E is the same combination of sigma's alpha^1 rows
+    at those columns, read without their last (zero) coefficient.  P is not
+    contracted or restricted again, and each chain identity is checked as a
+    coefficient shift of p.
     """
     field = X.field
     pi = tangent.pi
@@ -86,8 +88,8 @@ def extract_generators(X: Hypersurface, nf: NormalForm,
     if nf.m != (X.n - 1) - pi.dim:
         raise ValueError("normal form does not match the quotient dimension")
     d = X.d
-    rows = tangent.sigma_matrix[:X.n - 1]
-    beta1, beta2 = BinaryForm.linear(field, 1, 0), BinaryForm.linear(field, 0, 1)
+    rows = [tangent.sigma_matrix[c] for c in _free_columns(pi)]
+    zero = field.zero()
     blocks = []
     for j in range(nf.r):
         s = nf.s[j]
@@ -95,18 +97,11 @@ def extract_generators(X: Hypersurface, nf: NormalForm,
             raise DegreeTooSmall(
                 "degree %d is too small for a block of size %d" % (d, s))
         chain = nf.block(j)
-        fs = [BinaryForm(field, combine(field, d, quotient_section(w, pi),
-                                        rows))
-              for w in chain]
-        if s == 1:
-            p_raw = fs[0]
-        else:
-            try:
-                p_raw = binary_divide(fs[0], beta2 ** (s - 1))
-            except NotDivisible as e:
-                raise ChainIdentityViolated(
-                    "head contraction is not divisible by the chain "
-                    "power") from e
+        fs = [combine(field, d, w, rows) for w in chain]
+        if any(fs[0][:s - 1]):
+            raise ChainIdentityViolated(
+                "head contraction is not divisible by the chain power")
+        p_raw = BinaryForm(field, fs[0][s - 1:])
         if p_raw.is_zero():
             raise ChainIdentityViolated("block generator vanishes")
         lam = next(c for c in p_raw.coeffs if c)
@@ -114,8 +109,8 @@ def extract_generators(X: Hypersurface, nf: NormalForm,
         inv = field.one() / lam
         chain = tuple(tuple(inv * c for c in w) for w in chain)
         for i in range(s):
-            want = (beta1 ** i) * (beta2 ** (s - 1 - i)) * p
-            if fs[i].scale(inv) != want:
+            want = (zero,) * (s - 1 - i) + p.coeffs + (zero,) * i
+            if tuple(inv * c for c in fs[i]) != want:
                 raise ChainIdentityViolated(
                     "contraction of chain slot %d is off" % (i + 1))
         blocks.append(BlockGenerator(p=p, size=s, chain=chain))

@@ -235,7 +235,11 @@ def parse_field(text: str) -> Field:
         return QQ
     for sep in (":", " "):
         if t.startswith("Fp" + sep):
-            p = int(t[3:])
+            try:
+                p = int(t[3:])
+            except ValueError:
+                raise ValueError("field Fp needs an integer characteristic, "
+                                 "got %r" % t[3:].strip()) from None
             if p < 2:
                 raise ValueError("field Fp needs a prime characteristic, got %d" % p)
             return Field(p)

@@ -279,7 +279,8 @@ def _projective_size(p: int, ncoords: int) -> int:
 
 def lines_through(X: Hypersurface, point, budget: int = 10 ** 8) -> list:
     """All lines on X through a point of X, as frames with e1 = the point.
-    A point off X raises PlaneNotContained."""
+    A point off X raises PlaneNotContained.  The second vector runs over the
+    kernel of the point's first polar on the complement of its pivot."""
     _require_prime_field(X.field)
     field = X.field
     x = field.vector(point)
@@ -289,15 +290,17 @@ def lines_through(X: Hypersurface, point, budget: int = 10 ** 8) -> list:
         raise PlaneNotContained("point is not on the hypersurface")
     _check_budget("lines through a point", _projective_size(field.p, X.n),
                   budget)
-    red, pivots = rref([x], field)
-    comp = unit_vectors(field, X.n + 1,
-                        [c for c in range(X.n + 1) if c not in pivots])
-    g = _polar([X.P.partial(i) for i in range(X.n + 1)], x)
+    _, pivots = rref([x], field)
+    cols = [c for c in range(X.n + 1) if c not in pivots]
+    comp = unit_vectors(field, X.n + 1, cols)
+    g = _polar([X.P.partial(c) for c in cols], x)
+    elems = _field_elements(field)
     frames = []
-    for coords in projective_points(field, X.n):
-        w = combine(field, X.n + 1, coords, comp)
-        if not sum(map(mul, g, w), field.zero()) and _line_on(X, x, w):
-            frames.append(LineFrame(field, x, w))
+    for j in range(X.n):
+        for coords in _polar_rows(g, j, elems):
+            w = combine(field, X.n + 1, coords, comp)
+            if _line_on(X, x, w):
+                frames.append(LineFrame(field, x, w))
     return frames
 
 
@@ -415,7 +418,7 @@ def conjecture_check(X: Hypersurface, budget: int = 10 ** 8,
                        "over an extension" % (gcd,)))
     certified = tuple(sorted(set(certified),
                              key=lambda pt: tuple(map(plain, pt))))
-    trigger = (max_dim >= X.n - 2) and (X.d >= X.n)
+    trigger = bool(frames) and max_dim >= X.n - 2 and X.d >= X.n
     if trigger:
         note = ("overloaded regime: a line deforms in dimension >= %d "
                 "with d >= n" % (X.n - 2))

@@ -18,8 +18,9 @@ restricting P again.
 
 Pi <= W/E is the subspace of directions w with (w -| P)|_E = 0: deformations
 that move the line trivially to first order in every pencil direction.
-Quotienting the kernel by E^* (x) Pi leaves a pencil of 2 x m matrices, fed
-to the normal-form machinery.
+sigma vanishes on E^* (x) Pi, so it induces a map on E^* (x) (W/E)/Pi whose
+rows are sigma's rows at Pi's free (non-pivot) columns; its kernel is the
+pencil of 2 x m matrices fed to the normal-form machinery.
 """
 
 from __future__ import annotations
@@ -132,7 +133,7 @@ class TangentReport:
     kernel: Subspace       # in E^* (x) W/E coordinates, dim 2(n-1)
     pi: Subspace           # in W/E complement coordinates, dim n-1
     m: int                 # dim (W/E)/Pi
-    pencil: Subspace       # kernel/(E^* (x) Pi) inside K^2 (x) K^m
+    pencil: Subspace       # ker of sigma on E^* (x) (W/E)/Pi, in K^2 (x) K^m
     tangent_dim: int
 
 
@@ -159,11 +160,21 @@ def sigma(X: Hypersurface, frame: LineFrame):
     return tuple([*(f.coeffs + zero for f in fs), *(zero + f.coeffs for f in fs)])
 
 
+def _left_kernel(rows, field: Field, ncols: int) -> Subspace:
+    """The c with sum_r c_r * rows[r] = 0, for rows of ncols entries."""
+    return kernel([[row[i] for row in rows] for i in range(ncols)], field,
+                  ncols=len(rows))
+
+
+def _free_columns(pi: Subspace):
+    """Pi's non-pivot columns: coordinates of (W/E)/Pi inside W/E."""
+    pivots = set(pi.pivot_columns())
+    return [i for i in range(pi.ambient_dim) if i not in pivots]
+
+
 def tangent_space(X: Hypersurface, frame: LineFrame) -> Subspace:
     """Kernel of sigma: first-order deformations of the line inside X."""
-    mat = sigma(X, frame)
-    cols = [[row[i] for row in mat] for i in range(X.d + 1)]
-    return kernel(cols, X.field, ncols=len(mat))
+    return _left_kernel(sigma(X, frame), X.field, X.d + 1)
 
 
 def compute_pi(X: Hypersurface, frame: LineFrame) -> Subspace:
@@ -172,20 +183,12 @@ def compute_pi(X: Hypersurface, frame: LineFrame) -> Subspace:
     This is the largest subspace Pi with E^* (x) Pi inside ker sigma.
     """
     fs = restricted_contractions(X, frame)
-    cols = [[f.coeffs[i] for f in fs] for i in range(X.d)]
-    return kernel(cols, X.field, ncols=len(fs))
-
-
-def quotient_project(v, pi: Subspace):
-    """Coordinates of v + Pi in the canonical complement of Pi."""
-    reduced = pi._reduce(v)
-    pivots = set(pi.pivot_columns())
-    return tuple(reduced[i] for i in range(pi.ambient_dim) if i not in pivots)
+    return _left_kernel([f.coeffs for f in fs], X.field, X.d)
 
 
 def quotient_section(c, pi: Subspace):
     """Canonical preimage in W/E coordinates of a quotient vector."""
-    free = [i for i in range(pi.ambient_dim) if i not in set(pi.pivot_columns())]
+    free = _free_columns(pi)
     if len(c) != len(free):
         raise ValueError("quotient vector has wrong length")
     out = [pi.field.zero()] * pi.ambient_dim
@@ -194,31 +197,17 @@ def quotient_section(c, pi: Subspace):
     return tuple(out)
 
 
-def pencil_quotient(X: Hypersurface, tangent: Subspace, pi: Subspace) -> Subspace:
-    """Image of ker sigma in K^2 (x) (W/E)/Pi, flattened to length 2m vectors.
-
-    Coordinates: the alpha^1 block of quotient coordinates, then the alpha^2
-    block.  E^* (x) Pi maps to zero, so the result has dimension
-    dim ker sigma - 2 dim Pi whenever the kernel contains E^* (x) Pi.
-    """
-    nm1 = X.n - 1
-    m = nm1 - pi.dim
-    vecs = []
-    for v in tangent.basis:
-        a, b = v[:nm1], v[nm1:]
-        vecs.append(quotient_project(a, pi) + quotient_project(b, pi))
-    if not vecs:
-        return Subspace.zero(X.field, 2 * m)
-    return Subspace.from_vectors(vecs, X.field, 2 * m)
-
-
 def analyze_tangent(X: Hypersurface, frame: LineFrame) -> TangentReport:
+    """sigma, its kernel, Pi, and the pencil: the kernel of sigma's rows at
+    Pi's free columns, alpha^1 block then alpha^2 block."""
     mat = sigma(X, frame)
     tang = tangent_space(X, frame)
     pi = compute_pi(X, frame)
-    pencil = pencil_quotient(X, tang, pi)
-    return TangentReport(sigma_matrix=mat, kernel=tang, pi=pi,
-                         m=(X.n - 1) - pi.dim, pencil=pencil,
+    nm1 = X.n - 1
+    free = _free_columns(pi)
+    rows = [mat[c] for c in free] + [mat[nm1 + c] for c in free]
+    return TangentReport(sigma_matrix=mat, kernel=tang, pi=pi, m=len(free),
+                         pencil=_left_kernel(rows, X.field, X.d + 1),
                          tangent_dim=tang.dim)
 
 
@@ -297,5 +286,4 @@ def sigma_plane(X: Hypersurface, basis):
 def tangent_space_plane(X: Hypersurface, basis) -> Subspace:
     """Kernel of the k-plane deformation matrix."""
     mat, monos = sigma_plane(X, basis)
-    cols = [[row[i] for row in mat] for i in range(len(monos))]
-    return kernel(cols, X.field, ncols=len(mat))
+    return _left_kernel(mat, X.field, len(monos))

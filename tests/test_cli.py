@@ -205,10 +205,25 @@ _CUBIC = "field Q\nvars 4\n1 3 0 0 0\n1 0 3 0 0\n"
      "zero vector does not define a projective point"),
     (_CUBIC, ["lines", "{f}", "--field", "Fp:7", "--through", "0,0,0,7"],
      "zero vector does not define a projective point"),
+    (_CUBIC, ["lines", "{f}", "--field", "Fp:x"],
+     "field Fp needs an integer characteristic, got 'x'"),
+    ("field Fp x\nvars 4\n1 3 0 0 0\n", ["lines", "{f}"],
+     "line 1: field Fp needs an integer characteristic, got 'x'"),
+    ("\nfield Fp x\nm 2\n", ["pencil-nf", "{f}"],
+     "line 2: field Fp needs an integer characteristic, got 'x'"),
+    ("", ["ruled", "--k", "2", "--d1", "a,3", "--d2", "2,5"],
+     "divisor class 'a,3' needs integers a,b"),
+    ("", ["ruled", "--k", "2", "--d1", "1,3", "--d2", "2,5", "--twist-p", "3",
+          "--twist-l", "x,1"],
+     "divisor class 'x,1' needs integers a,b"),
+    ("", ["gen", "random-with-line", "--p", "7", "--d", "0"],
+     "needs degree d >= 1, got d = 0"),
 ], ids=["line-spec", "form-coefficient", "through-point", "field-option-fp0",
         "form-header-fp0", "gen-p0", "form-coefficient-literal",
         "line-spec-literal", "through-point-literal", "pencil-element-literal",
-        "through-zero-point", "through-zero-point-mod-p"])
+        "through-zero-point", "through-zero-point-mod-p", "field-option-literal",
+        "form-header-literal", "pencil-header-literal", "ruled-class-literal",
+        "twist-class-literal", "gen-d0"])
 def test_bad_scalar_or_characteristic_is_one_line_error(tmp_path, capsys, form,
                                                         argv, message):
     path = tmp_path / "in.form"

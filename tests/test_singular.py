@@ -315,6 +315,15 @@ def test_cone_f7_survey():
     assert rep.certified[0] == (s(0), s(0), s(0), s(1))
 
 
+def test_survey_without_lines_does_not_trigger():
+    # a plane cubic curve holds no line, so nothing deforms and nothing is
+    # forced, even though max_tangent_dim >= n - 2 = 0 and d >= n
+    rep = conjecture_check(fermat(2, 3, F7), budget=10 ** 6)
+    assert rep.num_lines == 0
+    assert not rep.trigger
+    assert rep.note.startswith("no line deforms")
+
+
 def test_random_with_line_is_deterministic():
     Xa, fra = random_with_line(4, 3, 11, seed=5)
     Xb, frb = random_with_line(4, 3, 11, seed=5)

@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from fanosing.corpus import cone, fermat, random_with_line
 from fanosing.forms import BinaryForm, MultiForm, restrict_to_plane
-from fanosing.linalg import QQ, combine, parse_field
+from fanosing.linalg import QQ, Subspace, combine, parse_field
 from fanosing.tangent import (Hypersurface, LineFrame, PlaneNotContained,
                               analyze_tangent, compute_pi, sigma, sigma_plane,
                               tangent_cone_lines, tangent_space,
@@ -165,6 +166,73 @@ def test_deformation_matches_interpolation_oracle():
             kw1 = combine(fr.field, fr.ambient_dim, kv[:n - 1], fr.complement)
             kw2 = combine(fr.field, fr.ambient_dim, kv[n - 1:], fr.complement)
             assert _interp_linear_term(P, fr.e1, fr.e2, kw1, kw2).is_zero()
+
+
+def _projected_kernel(X, fr):
+    """The pencil by its older definition: reduce both halves of each ker
+    sigma basis vector mod Pi, keep Pi's free coordinates, re-echelon."""
+    nm1 = X.n - 1
+    tang, pi = tangent_space(X, fr), compute_pi(X, fr)
+    pivots = pi.pivot_columns()
+    free = [i for i in range(nm1) if i not in pivots]
+
+    def project(v):
+        v = list(v)
+        for row, pc in zip(pi.basis, pivots):
+            f = v[pc]
+            v = [a - f * b for a, b in zip(v, row)]
+        assert not any(v[pc] for pc in pivots)
+        return tuple(v[i] for i in free)
+
+    vecs = [project(v[:nm1]) + project(v[nm1:]) for v in tang.basis]
+    return Subspace.from_vectors(vecs, X.field, 2 * len(free))
+
+
+def _planted_q(rng, n, d):
+    """A random form over Q vanishing on span(e0, e1), with that line."""
+    terms = {}
+    for _ in range(rng.randint(2, 3 * n)):
+        exps = [0] * (n + 1)
+        exps[rng.randint(2, n)] += 1
+        for _ in range(d - 1):
+            exps[rng.randint(0, n)] += 1
+        terms[tuple(exps)] = QQ.scalar(rng.randint(-5, 5) or 1)
+    units = [tuple(QQ.scalar(int(i == j)) for i in range(n + 1))
+             for j in (0, 1)]
+    return Hypersurface(MultiForm(QQ, n + 1, d, terms)), LineFrame(QQ, *units)
+
+
+def _pencil_cases():
+    cases = [random_with_line(n, d, 11, seed)
+             for n in range(2, 7) for d in range(2, 6) for seed in range(3)]
+    rng = random.Random(11)
+    cases += [_planted_q(rng, rng.randint(2, 5), rng.randint(2, 4))
+              for _ in range(25)]
+    # lines through a cone vertex: Pi holds the vertex directions
+    cases.append((cone(fermat(2, 3, QQ)),
+                  LineFrame(QQ, (1, -1, 0, 0), (0, 0, 0, 1))))
+    cases.append((cone(fermat(3, 3, QQ)),
+                  LineFrame(QQ, (1, -1, 0, 0, 0), (0, 0, 0, 0, 1))))
+    cases.append((cone(fermat(2, 3, QQ), extra=2),
+                  LineFrame(QQ, (1, -1, 0, 0, 0), (0, 0, 0, 1, 1))))
+    # a whole singular line: Pi is all of W/E and the pencil is trivial
+    P = (mono(QQ, 4, (1, 0, 2, 0)) + mono(QQ, 4, (0, 1, 0, 2))
+         + mono(QQ, 4, (0, 0, 3, 0)))
+    cases.append((Hypersurface(P), LineFrame(QQ, (1, 0, 0, 0), (0, 1, 0, 0))))
+    return cases
+
+
+def test_pencil_is_the_projected_kernel():
+    """The pencil, read as the kernel of sigma's rows at Pi's free columns,
+    equals the image of ker sigma in E^* (x) (W/E)/Pi."""
+    seen = set()
+    for X, fr in _pencil_cases():
+        rep = analyze_tangent(X, fr)
+        assert rep.pencil == _projected_kernel(X, fr)
+        assert rep.pencil.ambient_dim == 2 * rep.m
+        seen.add((rep.pi.dim > 0, rep.m > 0, rep.pencil.dim > 0))
+    # Pi both trivial and not, next to a nonzero pencil, and a trivial pencil
+    assert {(False, True, True), (True, True, True), (True, False, False)} <= seen
 
 
 def test_sigma_plane_k1_matches_sigma(fermat_cubic):
