@@ -14,6 +14,12 @@ Contraction convention: contract(v, P) is the directional derivative D_v P,
 contractions, chain relations, extracted generators) use this normalization.
 restrict_partials restricts P and its partials d_c P = contract(e_c, P) to a
 span from one substitution of P.
+
+Forms store field scalars: `Fp` residues or `Fraction`s.  Substitution on a
+span (under restrict_partials, restrict_to_plane and multilinear_eval) and
+MultiForm.evaluate check their vectors against the field once, then compute
+on plain ints mod p (Fractions over Q); `Fp` is built only for the forms and
+scalars they return.  The other form operations compute on `Fp` directly.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Field, FieldMismatch, QQ, parse_field, plain, rank
+from .linalg import Field, FieldMismatch, Fp, QQ, parse_field, plain, rank
 
 
 class NotDivisible(ValueError):
@@ -68,6 +74,15 @@ class MultiForm:
         self.nvars = nvars
         self.degree = degree
         self.terms = clean
+
+    @classmethod
+    def _unchecked(cls, field: Field, nvars: int, degree: int, terms: dict):
+        """A form on terms already in normal form: exponent tuples of length
+        nvars and sum degree, mapped to nonzero scalars of field.  Skips the
+        checks and copying of __init__."""
+        form = cls.__new__(cls)
+        form.field, form.nvars, form.degree, form.terms = field, nvars, degree, terms
+        return form
 
     @classmethod
     def zero(cls, field: Field, nvars: int, degree: int):
@@ -153,18 +168,22 @@ class MultiForm:
         return MultiForm(self.field, self.nvars, self.degree - 1, terms)
 
     def evaluate(self, point):
+        """P(point) as one field scalar, summed on plain ints mod p (Fractions
+        over Q); the point is checked against the field first."""
         point = self.field.vector(point)
         if len(point) != self.nvars:
             raise ValueError("point has %d coordinates, form has %d variables"
                              % (len(point), self.nvars))
-        total = self.field.zero()
+        p = self.field.p
+        xs = [x.v for x in point] if p else point
+        total = 0
         for e, c in self.terms.items():
-            v = c
-            for x, k in zip(point, e):
+            v = c.v if p else c
+            for x, k in zip(xs, e):
                 if k:
-                    v = v * x**k
-            total = total + v
-        return total
+                    v *= x**k
+            total += v % p if p else v
+        return self.field.scalar(total)
 
     def reduce_mod(self, p: int) -> "MultiForm":
         """Reduce a rational form modulo a prime (denominators must be units)."""
@@ -322,47 +341,81 @@ def contract(v, P: MultiForm) -> MultiForm:
     return out
 
 
+def _nonzero(terms, p):
+    """terms without its zero values, each reduced mod p when p > 0."""
+    out = {}
+    for k, v in terms.items():
+        if p:
+            v %= p
+        if v:
+            out[k] = v
+    return out
+
+
 def _substitute(P: MultiForm, vectors, cols=()):
     """[P, d_{c1} P, ...] (c in cols) evaluated on sum_k y_k * vectors[k], as
     forms in the y's; one table of powers of the linear forms serves them all.
 
-    No independence requirement; exact substitution and expansion.
+    No independence requirement; exact substitution and expansion.  The
+    vectors are checked against P's field once; the expansion then runs on
+    plain scalars, ints reduced mod p once per product over F_p and
+    Fractions over Q.  A monomial y^f is keyed by the int sum_k f_k B^k with
+    B = deg P + 1, so multiplying monomials adds keys.  Fp coefficients are
+    built only for the returned forms.
     """
     field = P.field
+    p = field.p
     r = len(vectors)
-    vectors = [field.vector(v) for v in vectors]
+    vectors = [[plain(x) for x in field.vector(v)] for v in vectors]
     for v in vectors:
         if len(v) != P.nvars:
             raise ValueError("vector length does not match variable count")
-    # linear form in the y's for each ambient variable
-    lin = []
-    for i in range(P.nvars):
-        lin.append(MultiForm(field, r, 1,
-                             {tuple(1 if k == j else 0 for k in range(r)): vectors[j][i]
-                              for j in range(r) if vectors[j][i]}))
-    max_exp = [0] * P.nvars
-    for e in P.terms:
-        for i, k in enumerate(e):
-            max_exp[i] = max(max_exp[i], k)
+    if cols and P.degree == 0:
+        raise ValueError("cannot differentiate a degree-0 form")
+    base = P.degree + 1
+
+    def mul(a, b):
+        out = {}
+        get = out.get
+        for k1, c1 in a.items():
+            for k2, c2 in b.items():
+                k = k1 + k2
+                out[k] = get(k, 0) + c1 * c2
+        return _nonzero(out, p)
+
+    # powers[i][k]: the k-th power of the linear form of ambient variable i
     powers = []
-    for i in range(P.nvars):
-        pw = [MultiForm(field, r, 0, {(0,) * r: 1})]
-        for _ in range(max_exp[i]):
-            pw.append(pw[-1] * lin[i])
+    for i, top in enumerate(map(max, zip(*P.terms))):
+        lin = {base ** j: v[i] for j, v in enumerate(vectors) if v[i]}
+        pw = [{0: 1}]
+        for _ in range(top):
+            pw.append(mul(pw[-1], lin))
         powers.append(pw)
-    outs = [MultiForm.zero(field, r, P.degree)]
-    outs += [MultiForm.zero(field, r, P.degree - 1) for _ in cols]
+    outs = [{} for _ in range(len(cols) + 1)]
     for e, c in P.terms.items():
+        c = plain(c)
         # c x^e contributes e_j c x^(e - unit_j) to the partial d_j P
         jobs = [(0, c, e)] + [(n, c * e[j], e[:j] + (e[j] - 1,) + e[j + 1:])
                               for n, j in enumerate(cols, 1) if e[j]]
         for n, a, f in jobs:
-            term = MultiForm(field, r, 0, {(0,) * r: a})
+            term = {0: a}
             for i, k in enumerate(f):
                 if k:
-                    term = term * powers[i][k]
-            outs[n] = outs[n] + term
-    return outs
+                    term = mul(term, powers[i][k])
+            acc = outs[n]
+            for key, v in term.items():
+                acc[key] = acc.get(key, 0) + v
+    forms = []
+    for n, acc in enumerate(outs):
+        terms = {}
+        for key, v in _nonzero(acc, p).items():
+            f = []
+            for _ in range(r):
+                key, k = divmod(key, base)
+                f.append(k)
+            terms[tuple(f)] = Fp(v, p) if p else v
+        forms.append(MultiForm._unchecked(field, r, P.degree - (n > 0), terms))
+    return forms
 
 
 def restrict_partials(P: MultiForm, basis, cols):

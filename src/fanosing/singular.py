@@ -25,6 +25,10 @@ from .tangent import (Hypersurface, LineFrame, PlaneNotContained, TangentReport,
                       analyze_tangent)
 
 
+# largest point or candidate list a scan builds unless a caller passes its own
+_BUDGET = 10 ** 8
+
+
 class BudgetExceeded(RuntimeError):
     """Enumeration would overrun the budget; .estimate carries the count."""
 
@@ -217,8 +221,11 @@ def _field_elements(field: Field):
 
 
 def projective_points(field: Field, ncoords: int):
-    """All points of P^(ncoords-1) over F_p, first nonzero coordinate 1."""
+    """All points of P^(ncoords-1) over F_p, first nonzero coordinate 1.
+    Raises BudgetExceeded before building a list longer than _BUDGET."""
     _require_prime_field(field)
+    _check_budget("point list of P^%d" % (ncoords - 1),
+                  _projective_size(field.p, ncoords), _BUDGET)
     elems = _field_elements(field)
     zero, one = field.zero(), field.one()
     return [(zero,) * lead + (one,) + tail for lead in range(ncoords)
@@ -319,6 +326,7 @@ def all_lines(X: Hypersurface, budget: int = 10 ** 8) -> list:
     elems = _field_elements(field)
     one, zero = (field.one(),), (field.zero(),)
     partials = [X.P.partial(i) for i in range(n1)]
+    polars = {}     # row 1 -> its polar, or None off X; rows recur across j2
     frames = []
     # echelon pairs with pivots j1 < j2: row 2 is 1 at j2, then free entries;
     # row 1 is 1 at j1, then free entries with a 0 at column j2.  Free
@@ -328,9 +336,13 @@ def all_lines(X: Hypersurface, budget: int = 10 ** 8) -> list:
             cut = j2 - j1 - 1
             for t in product(elems, repeat=n1 - 2 - j1):
                 r1 = zero * j1 + one + t[:cut] + zero + t[cut:]
-                if X.P.evaluate(r1):
+                if r1 not in polars:
+                    polars[r1] = (None if X.P.evaluate(r1)
+                                  else _polar(partials, r1))
+                g = polars[r1]
+                if g is None:
                     continue
-                for r2 in _polar_rows(_polar(partials, r1), j2, elems):
+                for r2 in _polar_rows(g, j2, elems):
                     if _line_on(X, r1, r2):
                         frames.append(LineFrame(field, r1, r2))
     return frames
@@ -340,7 +352,7 @@ def singular_points(X: Hypersurface) -> tuple:
     """Exhaustive scan of P^n(F_p) for singular points of X."""
     _require_prime_field(X.field)
     _check_budget("singular point scan", _projective_size(X.field.p, X.n + 1),
-                  10 ** 8)
+                  _BUDGET)
     return tuple(pt for pt in projective_points(X.field, X.n + 1)
                  if is_singular_at(X, pt))
 

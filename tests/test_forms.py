@@ -14,7 +14,7 @@ from fanosing.forms import (BinaryForm, CharacteristicTooSmall, MultiForm,
                             binary_roots, contract, format_form, format_scalar,
                             multilinear_eval, parse_form, projective_normalize,
                             restrict_partials, restrict_to_plane)
-from fanosing.linalg import QQ, parse_field, rank
+from fanosing.linalg import QQ, FieldMismatch, Fp, parse_field, rank
 
 F7 = parse_field("Fp:7")
 Fr = Fraction
@@ -171,6 +171,118 @@ def test_restrict_partials_match_contraction_oracle():
                 assert restrict_partials(P, basis, cols[::-1])[1:] == got[:0:-1]
                 checked += 1
     assert checked == 60
+
+
+def _termwise_on_span(P, basis, cols):
+    """{exponents: scalar} of P and of each d_c P on sum_k y_k basis[k],
+    expanded one linear factor at a time on the field's own scalars; d_c P
+    takes e_c c x^(e - unit_c) from each term c x^e."""
+    field, r = P.field, len(basis)
+    zero = field.zero()
+    jobs = [[(c, e) for e, c in P.terms.items()]]
+    for j in cols:
+        jobs.append([(c * e[j], e[:j] + (e[j] - 1,) + e[j + 1:])
+                     for e, c in P.terms.items() if e[j]])
+    outs = []
+    for terms in jobs:
+        total = {}
+        for c, e in terms:
+            poly = {(0,) * r: c}
+            for i, k in enumerate(e):
+                for _ in range(k):
+                    nxt = {}
+                    for f, a in poly.items():
+                        for y, v in enumerate(basis):
+                            g = f[:y] + (f[y] + 1,) + f[y + 1:]
+                            nxt[g] = nxt.get(g, zero) + a * v[i]
+                    poly = nxt
+            for f, a in poly.items():
+                total[f] = total.get(f, zero) + a
+        outs.append({f: a for f, a in total.items() if a})
+    return outs
+
+
+def _termwise_value(P, point):
+    total = P.field.zero()
+    for e, c in P.terms.items():
+        for x, k in zip(point, e):
+            for _ in range(k):
+                c = c * x
+        total = total + c
+    return total
+
+
+def test_restriction_and_evaluation_match_termwise_oracle():
+    """restrict_partials, restrict_to_plane and evaluate against a plain
+    expansion on Fp/Fraction scalars, over F_2, F_3, F_11 and F_(2^61 - 1)
+    with entries near p, and over Q with fractional entries.  Half the forms
+    carry a factor x0 + x1 that vanishes on the span only mod p, so a
+    coefficient that is a nonzero multiple of p would show.  Every stored
+    coefficient is a nonzero scalar of the form's field."""
+    rng = random.Random(61)
+    checked = 0
+    for p in (2, 3, 11, 2 ** 61 - 1, 0):
+        field = parse_field("Fp:%d" % p if p else "Q")
+        kind = Fp if p else Fr
+
+        def entry():
+            if p:
+                return field.scalar(rng.choice((0, 1, 2, p - 1, p - 2, p // 2)))
+            return Fr(rng.randint(-9, 9), rng.randint(1, 7))
+
+        for d in range(1, 6):
+            for k in (1, 2, 3):
+                nvars = k + 2
+                for planted in (False, True):
+                    while True:
+                        basis = [tuple(entry() for _ in range(nvars))
+                                 for _ in range(k + 1)]
+                        if planted:
+                            # x0 + x1 vanishes on the span; over F_p each
+                            # pair of residues sums to 0 or p as integers
+                            basis = [(-v[1],) + v[1:] for v in basis]
+                        if rank(basis, field) == k + 1:
+                            break
+                    terms = {}
+                    for _ in range(rng.randint(1, 6)):
+                        e = [0] * nvars
+                        for _ in range(d - planted):
+                            e[rng.randint(0, nvars - 1)] += 1
+                        terms[tuple(e)] = entry() or field.one()
+                    P = MultiForm(field, nvars, d - planted, terms)
+                    if planted:
+                        P = P * (mono(field, nvars, (1, 0) + (0,) * (nvars - 2))
+                                 + mono(field, nvars, (0, 1) + (0,) * (nvars - 2)))
+                    cols = list(range(nvars))
+                    want = _termwise_on_span(P, basis, cols)
+                    if planted:
+                        assert not want[0]
+                    got = restrict_partials(P, basis, cols)
+                    assert restrict_to_plane(P, basis) == got[0]
+                    for form, expected in zip(got, want):
+                        if k == 1:
+                            deg = form.degree
+                            assert all(isinstance(c, kind) for c in form.coeffs)
+                            assert form.coeffs == tuple(
+                                expected.get((deg - i, i), field.zero())
+                                for i in range(deg + 1))
+                            continue
+                        assert all(isinstance(c, kind) and c
+                                   for c in form.terms.values())
+                        if p:
+                            assert all(c.p == p for c in form.terms.values())
+                        assert form.terms == expected
+                    for _ in range(3):
+                        pt = tuple(entry() for _ in range(nvars))
+                        val = P.evaluate(pt)
+                        assert isinstance(val, kind)
+                        assert val == _termwise_value(P, pt)
+                    checked += 1
+    assert checked == 150
+    with pytest.raises(FieldMismatch):
+        mono(F7, 2, (1, 1)).evaluate((F7.scalar(1), Fr(1, 2)))
+    with pytest.raises(FieldMismatch):
+        mono(F7, 2, (1, 1)).evaluate((F7.scalar(1), Fp(1, 5)))
 
 
 def binform(field, *coeffs):

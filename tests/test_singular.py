@@ -7,6 +7,7 @@ from itertools import product
 
 import pytest
 
+from fanosing import singular
 from fanosing.corpus import cone, fermat, random_with_line
 from fanosing.forms import MultiForm, projective_normalize, restrict_to_plane
 from fanosing.linalg import (QQ, combine, parse_field, plain, rank,
@@ -199,6 +200,18 @@ def test_all_lines_vs_bruteforce(X):
                       if LineFrame(X.field, *L).line_coords(x) is not None)
 
 
+def test_all_lines_takes_each_polar_once(monkeypatch):
+    """A row 1 recurs for every later pivot j2 it is zero at; all_lines
+    evaluates P and its polar there once, and finds the same lines."""
+    X = fermat(4, 3, F7)
+    seen = []
+    polar = singular._polar
+    monkeypatch.setattr(singular, "_polar",
+                        lambda partials, x: seen.append(x) or polar(partials, x))
+    assert len(all_lines(X)) == 135
+    assert len(seen) == len(set(seen)) > 0
+
+
 def test_lines_through_rejects_off_point():
     X = Hypersurface(mono(F5, 4, (1, 0, 0, 1)) - mono(F5, 4, (0, 1, 1, 0)))
     s = F5.scalar
@@ -292,6 +305,22 @@ def test_point_scan_budget_guards():
     with pytest.raises(BudgetExceeded) as exc:
         singular_points(fermat(3, 3, parse_field("Fp:467")))
     assert exc.value.estimate == 102066120      # points of P^3(F_467)
+
+
+def test_projective_points_budget_guard(monkeypatch):
+    """The point list is refused before it is built: P^4(F_10007) has about
+    10^16 points.  singular_points keeps its own message."""
+    with pytest.raises(BudgetExceeded) as exc:
+        projective_points(parse_field("Fp:10007"), 5)
+    assert exc.value.estimate == (10007 ** 5 - 1) // 10006
+    monkeypatch.setattr(singular, "_BUDGET", 13)
+    assert len(projective_points(F3, 3)) == 13      # the 13 points of P^2(F_3)
+    monkeypatch.setattr(singular, "_BUDGET", 12)
+    with pytest.raises(BudgetExceeded):
+        projective_points(F3, 3)
+    monkeypatch.undo()
+    with pytest.raises(BudgetExceeded, match="^singular point scan needs"):
+        singular_points(fermat(3, 3, parse_field("Fp:467")))
 
 
 def test_characteristic_refusal():
