@@ -1,10 +1,17 @@
 """Exact linear algebra over the rationals and over prime fields.
 
 Scalars are `fractions.Fraction` (field Q) or `Fp` residues (field Fp:p,
-p prime, p <= 2**61).  No floats anywhere.  Row reduction eliminates on
-plain ints; `Fp` and `Fraction` appear only at its entry and exit.
-Subspaces are stored in canonical reduced row echelon form, so two
-subspaces are equal iff their representations compare equal.
+p prime, p <= 2**61).  No floats anywhere.  Subspaces are stored in
+canonical reduced row echelon form, so two subspaces are equal iff their
+representations compare equal.
+
+Row reduction and the subspace operations (containment, meet, echelon
+complements) compute on plain ints: residues mod p, or integer rows over
+Q.  Every entry, a subspace's own basis included, is checked once on the
+way in (`_ints`); one echelon kernel (`_echelon`) does the elimination;
+`Fp` and `Fraction` are built again only for what is returned.  The meet
+reduces one basis modulo the other and takes a left kernel of the
+residues, instead of row reducing a double-width block.
 """
 
 from __future__ import annotations
@@ -266,6 +273,81 @@ def combine(field: Field, n: int, coeffs, vectors) -> tuple:
     return tuple(out)
 
 
+def _ints(rows, field: Field) -> list:
+    """Rows of field scalars or ints as lists of ints, every entry checked:
+    residues in [0, p) over F_p; over Q each row times the lcm of its
+    denominators.  Anything but an Fp of this field (a Fraction over Q) goes
+    through field.strict, which converts ints and raises FieldMismatch for
+    values of another field."""
+    p = field.p
+    if p:
+        return [[x.v if type(x) is Fp and x.p == p else field.strict(x).v
+                 for x in row] for row in rows]
+    out = []
+    for row in rows:
+        row = [x if type(x) is Fraction else field.strict(x) for x in row]
+        den = lcm(*[x.denominator for x in row])
+        out.append([x.numerator * (den // x.denominator) for x in row])
+    return out
+
+
+def _echelon(mat, p: int):
+    """Reduced row echelon form of int rows, modified in place: the nonzero
+    rows and their pivot columns.
+
+    Over F_p (p > 0, entries in [0, p)) each pivot row is scaled to 1 and
+    the other rows are cleared on the columns from the pivot on, in one
+    pass mod p.  Over Q (p == 0) row <- (a*row - b*pivot_row)/gcd(a, b) is
+    divided by its content, so rows stay primitive (in the spirit of
+    Bareiss, Math. Comp. 1968); a row's pivot entry is then its denominator.
+    """
+    if not mat:
+        return [], []
+    pivots = []
+    r = 0
+    for c in range(len(mat[0])):
+        pr = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if pr is None:
+            continue
+        mat[r], mat[pr] = mat[pr], mat[r]
+        prow = mat[r]
+        if p:
+            inv = pow(prow[c], -1, p)
+            tail = [x * inv % p for x in prow[c:]]
+            prow[c:] = tail
+            for i, row in enumerate(mat):
+                b = row[c]
+                if i != r and b:
+                    row[c:] = [(x - b * y) % p for x, y in zip(row[c:], tail)]
+        else:
+            a = prow[c]
+            for i, row in enumerate(mat):
+                b = row[c]
+                if i != r and b:
+                    g = gcd(a, b)
+                    ag, bg = a // g, b // g
+                    row = [ag * x - bg * y for x, y in zip(row, prow)]
+                    g = gcd(*row) or 1
+                    mat[i] = [x // g for x in row]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return mat[:r], pivots
+
+
+def _scalars(mat, pivots, field: Field) -> list:
+    """Echelon int rows back to field scalars, each divided by its pivot."""
+    p, zero, out = field.p, field.zero(), []
+    for row, c in zip(mat, pivots):
+        if p:
+            out.append(tuple(Fp(x, p) if x else zero for x in row))
+        else:
+            a = row[c]
+            out.append(tuple(Fraction(x, a) if x else zero for x in row))
+    return out
+
+
 def rref(rows, field: Field):
     """Reduced row echelon form.
 
@@ -274,60 +356,15 @@ def rref(rows, field: Field):
     of the row space: pivot columns are the lexicographically earliest
     possible.
 
-    Entries are checked once, then become ints: residues over F_p, each row
-    times the lcm of its denominators over Q.  Elimination runs on ints,
-    row <- (a*row - b*pivot_row)/gcd(a, b), reduced mod p or divided by its
-    content, so Q rows stay primitive (in the spirit of Bareiss, Math. Comp.
-    1968).  On exit each row is divided by its pivot into Fp or Fraction
-    entries; the RREF of a row space is unique, so the output is unchanged.
+    Entries are checked once by _ints, eliminated on ints by _echelon and
+    turned back into Fp or Fraction entries on exit; the RREF of a row space
+    is unique, so the output does not depend on the integer scaling.
     """
-    p = field.p
-    mat = []
-    for row in rows:
-        row = field.vector(row)
-        if p:
-            mat.append([x.v for x in row])
-        else:
-            den = lcm(*(x.denominator for x in row))
-            mat.append([x.numerator * (den // x.denominator) for x in row])
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
-    if any(len(row) != ncols for row in mat):
+    mat = _ints(rows, field)
+    if any(len(row) != len(mat[0]) for row in mat):
         raise ValueError("ragged matrix")
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        prow = mat[r]
-        a = prow[c]
-        for i, row in enumerate(mat):
-            b = row[c]
-            if i != r and b:
-                g = gcd(a, b)
-                ag, bg = a // g, b // g
-                row = [ag * x - bg * y for x, y in zip(row, prow)]
-                if p:
-                    mat[i] = [x % p for x in row]
-                else:
-                    g = gcd(*row) or 1
-                    mat[i] = [x // g for x in row]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    zero, out = field.zero(), []
-    for row, c in zip(mat, pivots):
-        if p:
-            inv = pow(row[c], -1, p)
-            out.append(tuple(Fp(x * inv, p) if x else zero for x in row))
-        else:
-            a = row[c]
-            out.append(tuple(Fraction(x, a) if x else zero for x in row))
-    return out, pivots
+    mat, pivots = _echelon(mat, field.p)
+    return _scalars(mat, pivots, field), pivots
 
 
 def rank(rows, field: Field) -> int:
@@ -405,22 +442,44 @@ class Subspace:
                     break
         return cols
 
-    def _reduce(self, v):
-        v = list(self.field.vector(v))
-        if len(v) != self.ambient_dim:
-            raise ValueError("vector length %d != ambient dim %d" % (len(v), self.ambient_dim))
-        for row, pc in zip(self.basis, self.pivot_columns()):
-            if v[pc]:
-                f = v[pc]
-                v = [a - f * b for a, b in zip(v, row)]
-        return v
+    def _reduce(self, vectors) -> list:
+        """Int vectors (as from _ints) reduced modulo this subspace on ints.
+
+        Gives (r, s) per vector v with r = s*v - (a vector of this subspace)
+        and r zero at the pivot columns, so v lies here iff r is zero.  Over
+        F_p the basis rows have pivot 1 and s == 1; over Q each step
+        v <- (a*v - b*row)/gcd(a, b) multiplies the scale s by a/gcd(a, b).
+        """
+        p = self.field.p
+        rows = _ints(self.basis, self.field)
+        pivots = [next(j for j, x in enumerate(row) if x) for row in rows]
+        out = []
+        for v in vectors:
+            s = 1
+            for row, c in zip(rows, pivots):
+                b = v[c]
+                if not b:
+                    continue
+                if p:
+                    v = [(x - b * y) % p for x, y in zip(v, row)]
+                else:
+                    g = gcd(row[c], b)
+                    a, b = row[c] // g, b // g
+                    v = [a * x - b * y for x, y in zip(v, row)]
+                    s *= a
+            out.append((v, s))
+        return out
 
     def contains_vector(self, v) -> bool:
-        return not any(self._reduce(v))
+        (v,) = _ints([v], self.field)
+        if len(v) != self.ambient_dim:
+            raise ValueError("vector length %d != ambient dim %d" % (len(v), self.ambient_dim))
+        return not any(self._reduce([v])[0][0])
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._check_compatible(other)
-        return all(self.contains_vector(v) for v in other.basis)
+        return not any(any(r) for r, _ in
+                       self._reduce(_ints(other.basis, self.field)))
 
     def _check_compatible(self, other: "Subspace"):
         if self.field != other.field:
@@ -435,16 +494,39 @@ class Subspace:
                                      self.field, self.ambient_dim)
 
     def meet(self, other: "Subspace") -> "Subspace":
-        """Intersection, by the Zassenhaus double-block trick.  Its zero-left
-        rows end the RREF, so their right halves are already canonical."""
+        """Intersection, by reduction on ints.
+
+        Each basis row x_i of self reduces modulo other to r_i = s_i*x_i - y_i
+        with y_i in other.  The left kernel of the r_i at other's free columns
+        (where all of r_i lives) gives the coefficients c with sum c_i*r_i = 0,
+        and then sum c_i*s_i*x_i lies in both; self's rows are independent,
+        so these span the meet.  One echelon pass makes them canonical.
+        """
         self._check_compatible(other)
-        n = self.ambient_dim
-        zero = self.field.zero()
-        block = [list(v) + list(v) for v in self.basis]
-        block += [list(v) + [zero] * n for v in other.basis]
-        red, _ = rref(block, self.field)
-        return Subspace(self.field, n,
-                        tuple(row[n:] for row in red if not any(row[:n])))
+        field, n, p = self.field, self.ambient_dim, self.field.p
+        xs = _ints(self.basis, field)
+        reduced = other._reduce(xs)
+        pivots = set(other.pivot_columns())
+        cols = [[r[j] for r, _ in reduced] for j in range(n) if j not in pivots]
+        red, kpiv = _echelon(cols, p)
+        den = lcm(*[row[c] for row, c in zip(red, kpiv)])
+        vecs = []
+        for f in range(len(xs)):
+            if f in kpiv:
+                continue
+            # the left kernel vector of free index f, scaled to be integral
+            coeffs = [0] * len(xs)
+            coeffs[f] = den
+            for row, c in zip(red, kpiv):
+                coeffs[c] = -row[f] * (den // row[c])
+            vec = [0] * n
+            for c, (_, s), x in zip(coeffs, reduced, xs):
+                if c:
+                    cs = c * s
+                    vec = [a + cs * b for a, b in zip(vec, x)]
+            vecs.append([a % p for a in vec] if p else vec)
+        mat, piv = _echelon(vecs, p)
+        return Subspace(field, n, tuple(_scalars(mat, piv, field)))
 
 
 def kernel(rows, field: Field, ncols: int | None = None) -> Subspace:
@@ -472,20 +554,17 @@ def kernel(rows, field: Field, ncols: int | None = None) -> Subspace:
 def echelon_complement(inner: Subspace, outer: Subspace):
     """Vectors of outer's canonical basis extending inner to a basis of outer.
 
-    Scans outer's echelon basis in order and keeps the earliest-pivot rows
-    that are independent of inner; deterministic.  Requires inner <= outer.
+    Keeps, in order, each row of outer's echelon basis that is independent
+    of inner and the rows kept before it; deterministic.  Requires
+    inner <= outer.  In the coordinates of outer's basis (the entries at its
+    pivot columns) row k is skipped iff some vector of inner has its last
+    nonzero coordinate at k: the pivots of inner's coordinates with the
+    columns reversed, found in one echelon pass.
     """
     if not outer.contains_subspace(inner):
         raise ValueError("inner subspace is not contained in outer")
-    picked = []
-    span = list(inner.basis)
-    cur = Subspace.from_vectors(span, inner.field, inner.ambient_dim) if span \
-        else Subspace.zero(inner.field, inner.ambient_dim)
-    for v in outer.basis:
-        if not cur.contains_vector(v):
-            picked.append(v)
-            span.append(v)
-            cur = Subspace.from_vectors(span, inner.field, inner.ambient_dim)
-    if len(picked) != outer.dim - inner.dim:
-        raise AssertionError("complement extension failed")
-    return picked
+    cols = outer.pivot_columns()[::-1]
+    coords = [[x[c] for c in cols] for x in _ints(inner.basis, inner.field)]
+    _, last = _echelon(coords, inner.field.p)
+    skip = {len(cols) - 1 - j for j in last}
+    return [v for k, v in enumerate(outer.basis) if k not in skip]

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 from operator import mul
 
 from .forms import (BinaryForm, binary_gcd, binary_roots, projective_normalize,
@@ -68,13 +69,34 @@ class SingularCertificate:
 
 
 def is_singular_at(X: Hypersurface, point) -> bool:
-    """Gradient test: P and all its partials vanish at the point."""
+    """Gradient test: P and all its partials vanish at the point.
+
+    One pass over P's terms on plain ints mod p (Fractions over Q): a term
+    c x^e adds c x^e to P(x) and e_i c x^(e - unit_i) to d_i P(x).  It uses
+    neither the restriction code nor MultiForm.partial, so it stays an
+    independent check of both.
+    """
     point = X.field.vector(point)
     if not any(point):
         raise ValueError("zero vector does not define a projective point")
-    if X.P.evaluate(point):
-        return False
-    return not any(X.P.partial(i).evaluate(point) for i in range(X.n + 1))
+    if len(point) != X.n + 1:
+        raise ValueError("point has %d coordinates, form has %d variables"
+                         % (len(point), X.n + 1))
+    p = X.field.p
+    powers = [[x ** k % p if p else x ** k for k in range(X.d + 1)]
+              for x in map(plain, point)]
+    value, grad = 0, [0] * (X.n + 1)
+    for e, c in X.P.terms.items():
+        c = plain(c)
+        mono = [pw[k] for pw, k in zip(powers, e)]
+        value += c * prod(mono)
+        for i, k in enumerate(e):
+            if k:
+                grad[i] += (c * k * powers[i][k - 1]
+                            * prod(mono[:i]) * prod(mono[i + 1:]))
+    if p:
+        return not value % p and not any(g % p for g in grad)
+    return not value and not any(grad)
 
 
 def singular_on_line(X: Hypersurface, frame: LineFrame,

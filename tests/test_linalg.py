@@ -206,9 +206,10 @@ def _subspace_pair(draw):
 @settings(max_examples=300, deadline=None)
 @given(_subspace_pair())
 def test_meet_and_product_rows_are_canonical(case):
-    """meet returns its Zassenhaus rows and _product_with_full its (v | 0)
-    and unit rows without a second rref: both must already be the canonical
-    echelon basis.  The meet lies in both inputs with the dimension formula."""
+    """meet returns the rows of its final echelon pass and _product_with_full
+    its (v | 0) and unit rows without a second rref: both must already be the
+    canonical echelon basis.  The meet lies in both inputs with the dimension
+    formula."""
     field, n, A, B = case
     M = A.meet(B)
     assert M == Subspace.from_vectors(M.basis, field, n)
@@ -218,6 +219,83 @@ def test_meet_and_product_rows_are_canonical(case):
     assert prod == Subspace.from_vectors(prod.basis, field, 2 * n)
     assert prod.dim == A.dim + n
 
+
+
+def _zassenhaus_meet(A, B):
+    """Reference intersection: RREF of the rows (a | a) and (b | 0); the rows
+    with zero left half end the RREF, and their right halves span the meet."""
+    n, zero = A.ambient_dim, A.field.zero()
+    block = [list(v) + list(v) for v in A.basis]
+    block += [list(v) + [zero] * n for v in B.basis]
+    red, _ = rref(block, A.field)
+    return Subspace(A.field, n, tuple(row[n:] for row in red if not any(row[:n])))
+
+
+@st.composite
+def _related_pair(draw):
+    """Two subspaces of K^n: unrelated, zero, full, equal or nested, in
+    either order.  Over Q the generators have entries a/b with b | 12, so
+    the integer rows met in reduction have pivots sharing factors."""
+    field = draw(st.sampled_from([QQ, parse_field("Fp:2"), F7]))
+    n = draw(st.integers(1, 6))
+    if field.p:
+        entry = st.integers(-3, 3)
+    else:
+        entry = st.builds(Fraction, st.integers(-12, 12),
+                          st.sampled_from([1, 2, 3, 4, 6, 12]))
+
+    def vectors(k):
+        return [tuple(field.scalar(draw(entry)) for _ in range(n))
+                for _ in range(k)]
+
+    def subspace():
+        return Subspace.from_vectors(vectors(draw(st.integers(0, n + 1))),
+                                     field, n)
+
+    A = subspace()
+    kind = draw(st.sampled_from(["random", "zero", "full", "equal", "nested"]))
+    if kind == "random":
+        B = subspace()
+    elif kind == "zero":
+        B = Subspace.zero(field, n)
+    elif kind == "full":
+        B = Subspace.full(field, n)
+    elif kind == "equal":
+        B = A
+    else:
+        B = A.join(subspace())
+    return (field, B, A) if draw(st.booleans()) else (field, A, B)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_related_pair())
+def test_meet_matches_zassenhaus(case):
+    field, A, B = case
+    M = A.meet(B)
+    assert M == _zassenhaus_meet(A, B)
+    for row in M.basis:
+        assert all(type(x) is (Fp if field.p else Fraction) for x in row)
+
+
+def _greedy_complement(inner, outer):
+    """Reference picks: each row of outer's basis that raises the rank."""
+    picked, span = [], list(inner.basis)
+    for v in outer.basis:
+        if rank(span + [v], inner.field) > rank(span, inner.field):
+            picked.append(v)
+            span.append(v)
+    return picked
+
+
+@settings(max_examples=300, deadline=None)
+@given(_related_pair())
+def test_echelon_complement_matches_greedy_rank(case):
+    field, A, B = case
+    inner, outer = A.meet(B), B
+    assert echelon_complement(inner, outer) == _greedy_complement(inner, outer)
+    if not B.contains_subspace(A):
+        with pytest.raises(ValueError, match="not contained"):
+            echelon_complement(A, B)
 
 @settings(max_examples=60)
 @given(st.lists(st.lists(st.integers(0, 4), min_size=4, max_size=4),

@@ -10,8 +10,8 @@ import pytest
 from fanosing import singular
 from fanosing.corpus import cone, fermat, random_with_line
 from fanosing.forms import MultiForm, projective_normalize, restrict_to_plane
-from fanosing.linalg import (QQ, combine, parse_field, plain, rank,
-                             solve_combination)
+from fanosing.linalg import (QQ, FieldMismatch, combine, parse_field, plain,
+                             rank, solve_combination)
 from fanosing.singular import (BudgetExceeded, CharacteristicRefused,
                                SingularPoint, all_lines, analyze_line,
                                certify_entire_line, conjecture_check,
@@ -286,6 +286,72 @@ def test_change_of_coordinates_oracle():
             assert _certified(la_a, field, cols) == want_pts, (X.P, cols)
             points += len(want_pts)
     assert points >= 100
+
+
+def _gradient_oracle(X, x):
+    """P(x) and every P.partial(i)(x), by the form code."""
+    return [X.P.evaluate(x)] + [X.P.partial(i).evaluate(x)
+                                for i in range(X.n + 1)]
+
+
+def test_is_singular_at_matches_partials_oracle():
+    """The one-pass gradient agrees with P.partial(i).evaluate over Q and
+    small and large primes, at random points (coordinates near p too), at
+    points of X where some partial does not vanish, and at singular points;
+    it keeps the point checks of field.vector."""
+    rng = random.Random(12)
+    big = parse_field("Fp:%d" % (2 ** 61 - 1))
+    fields = [QQ, parse_field("Fp:2"), F3, parse_field("Fp:11"), big]
+    smooth_zeros = 0
+    for field in fields:
+        p = field.p
+        for _ in range(40):
+            n, d = rng.randint(1, 4), rng.randint(1, 4)
+            exps = [e for e in product(range(d + 1), repeat=n + 1)
+                    if sum(e) == d]
+
+            def coord():
+                if p and rng.random() < 0.5:
+                    return p - rng.randint(1, min(p, 3))
+                return (Fr(rng.randint(-9, 9), rng.randint(1, 5)) if not p
+                        else rng.randint(0, 9))
+
+            terms = {e: coord() for e in rng.sample(exps, min(len(exps), 4))}
+            x = tuple(field.scalar(coord()) for _ in range(n + 1))
+            x = x if any(x) else (field.one(),) + x[1:]
+            P = MultiForm(field, n + 1, d, terms)
+            if P.is_zero():
+                continue
+            # a term at x's first nonzero coordinate makes P vanish there
+            j = next(i for i, c in enumerate(x) if c)
+            fix = MultiForm.monomial(field, n + 1,
+                                     tuple(d * (i == j) for i in range(n + 1)),
+                                     P.evaluate(x) / x[j] ** d)
+            for Q in (P, P - fix):
+                if Q.is_zero():
+                    continue
+                X = Hypersurface(Q)
+                values = _gradient_oracle(X, x)
+                assert is_singular_at(X, x) == (not any(values)), (Q, x)
+                smooth_zeros += not values[0] and any(values[1:])
+    assert smooth_zeros >= 50
+    # singular points: the cone vertex and a double point of a cubic
+    X = cone(fermat(2, 3, big))
+    assert is_singular_at(X, (0, 0, 0, big.scalar(2 ** 61 - 2)))
+    X = Hypersurface(mono(F3, 3, (1, 2, 0)) + mono(F3, 3, (0, 0, 3), -1))
+    assert is_singular_at(X, (1, 0, 0))
+    assert not is_singular_at(X, (0, 1, 1))
+    X = fermat(3, 3, parse_field("Fp:11"))
+    with pytest.raises(ValueError, match="zero vector"):
+        is_singular_at(X, (0, 0, 0, 0))
+    with pytest.raises(ValueError, match="3 coordinates, form has 4"):
+        is_singular_at(X, (1, 0, 0))
+    with pytest.raises(FieldMismatch):
+        is_singular_at(X, (1, Fr(1, 2), 0, 0))
+    with pytest.raises(FieldMismatch):
+        is_singular_at(X, (1, F7.one(), 0, 0))
+    with pytest.raises(FieldMismatch):
+        is_singular_at(fermat(3, 3, QQ), (1, F7.one(), 0, 0))
 
 
 def test_budget_guard():
