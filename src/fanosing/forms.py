@@ -842,7 +842,7 @@ def parse_form(text: str) -> MultiForm:
     """
     field = None
     nvars = None
-    terms = []
+    terms = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line:
@@ -862,19 +862,16 @@ def parse_form(text: str) -> MultiForm:
             raise ValueError("term line %r: expected coefficient + %d exponents"
                              % (line, nvars))
         c = _at("line %d: coefficient" % lineno, field.scalar, toks[0])
-        terms.append((c, tuple(_int_at(lineno, "exponent", t) for t in toks[1:])))
+        e = tuple(_int_at(lineno, "exponent", t) for t in toks[1:])
+        terms[e] = terms[e] + c if e in terms else c
     if field is None or nvars is None:
         raise ValueError("missing 'field' or 'vars' header")
     if not terms:
         raise ValueError("form has no terms")
-    degs = {sum(e) for _, e in terms}
+    degs = {sum(e) for e in terms}
     if len(degs) != 1:
         raise ValueError("form is not homogeneous: degrees %s" % sorted(degs))
-    degree = degs.pop()
-    out = MultiForm.zero(field, nvars, degree)
-    for c, e in terms:
-        out = out + MultiForm(field, nvars, degree, {e: c})
-    return out
+    return MultiForm(field, nvars, degs.pop(), terms)
 
 
 def format_scalar(c) -> str:

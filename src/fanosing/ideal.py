@@ -192,7 +192,7 @@ def contains_image_sigma(filt: IdealFiltration, sigma_matrix) -> bool:
         return True
     k = len(sigma_matrix[0]) - 1
     piece = ideal_degree_piece(filt, k)
-    return all(piece.contains_vector(row) for row in sigma_matrix)
+    return piece.contains_vectors(sigma_matrix)
 
 
 def max_multiplicity_at(filt: IdealFiltration, k: int, point):

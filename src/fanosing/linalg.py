@@ -5,13 +5,13 @@ p prime, p <= 2**61).  No floats anywhere.  Subspaces are stored in
 canonical reduced row echelon form, so two subspaces are equal iff their
 representations compare equal.
 
-Row reduction and the subspace operations (containment, meet, echelon
-complements) compute on plain ints: residues mod p, or integer rows over
-Q.  Every entry, a subspace's own basis included, is checked once on the
-way in (`_ints`); one echelon kernel (`_echelon`) does the elimination;
-`Fp` and `Fraction` are built again only for what is returned.  The meet
-reduces one basis modulo the other and takes a left kernel of the
-residues, instead of row reducing a double-width block.
+Row reduction, null spaces and the subspace operations (containment,
+meet, echelon complements) compute on plain ints: residues mod p, or
+integer rows over Q.  Every entry, a subspace's own basis included, is
+checked once on the way in (`_ints`); one echelon kernel (`_echelon`) does
+the elimination; `Fp` and `Fraction` are built again only for what is
+returned.  The meet reduces one basis modulo the other and takes a left
+kernel of the residues, instead of row reducing a double-width block.
 """
 
 from __future__ import annotations
@@ -348,6 +348,21 @@ def _scalars(mat, pivots, field: Field) -> list:
     return out
 
 
+def _null_vectors(red, pivots, ncols: int, p: int) -> list:
+    """Integral null vectors of echelon int rows (from _echelon): per free
+    column f, den = lcm(pivot entries) at f and -row[f]*den/row[c] at each
+    pivot column c; reduced mod p over F_p."""
+    den = lcm(*[row[c] for row, c in zip(red, pivots)])
+    out = []
+    for f in [c for c in range(ncols) if c not in pivots]:
+        v = [0] * ncols
+        v[f] = den
+        for row, c in zip(red, pivots):
+            v[c] = -row[f] * (den // row[c])
+        out.append([x % p for x in v] if p else v)
+    return out
+
+
 def rref(rows, field: Field):
     """Reduced row echelon form.
 
@@ -470,16 +485,21 @@ class Subspace:
             out.append((v, s))
         return out
 
+    def contains_vectors(self, vectors) -> bool:
+        """Whether every vector lies here; one _reduce pass for them all."""
+        vectors = _ints(vectors, self.field)
+        for v in vectors:
+            if len(v) != self.ambient_dim:
+                raise ValueError("vector length %d != ambient dim %d"
+                                 % (len(v), self.ambient_dim))
+        return not any(any(r) for r, _ in self._reduce(vectors))
+
     def contains_vector(self, v) -> bool:
-        (v,) = _ints([v], self.field)
-        if len(v) != self.ambient_dim:
-            raise ValueError("vector length %d != ambient dim %d" % (len(v), self.ambient_dim))
-        return not any(self._reduce([v])[0][0])
+        return self.contains_vectors([v])
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._check_compatible(other)
-        return not any(any(r) for r, _ in
-                       self._reduce(_ints(other.basis, self.field)))
+        return self.contains_vectors(other.basis)
 
     def _check_compatible(self, other: "Subspace"):
         if self.field != other.field:
@@ -509,16 +529,9 @@ class Subspace:
         pivots = set(other.pivot_columns())
         cols = [[r[j] for r, _ in reduced] for j in range(n) if j not in pivots]
         red, kpiv = _echelon(cols, p)
-        den = lcm(*[row[c] for row, c in zip(red, kpiv)])
         vecs = []
-        for f in range(len(xs)):
-            if f in kpiv:
-                continue
-            # the left kernel vector of free index f, scaled to be integral
-            coeffs = [0] * len(xs)
-            coeffs[f] = den
-            for row, c in zip(red, kpiv):
-                coeffs[c] = -row[f] * (den // row[c])
+        # each left kernel vector, scaled to be integral, gives sum c_i*s_i*x_i
+        for coeffs in _null_vectors(red, kpiv, len(xs), p):
             vec = [0] * n
             for c, (_, s), x in zip(coeffs, reduced, xs):
                 if c:
@@ -530,25 +543,19 @@ class Subspace:
 
 
 def kernel(rows, field: Field, ncols: int | None = None) -> Subspace:
-    """Right null space {v : M v = 0} as a canonical Subspace."""
+    """Right null space {v : M v = 0} as a canonical Subspace: the null
+    vectors of one echelon pass on ints, made canonical by a second."""
     rows = list(rows)
     if rows:
         ncols = len(rows[0])
     elif ncols is None:
         raise ValueError("ncols required for a matrix with no rows")
-    red, pivots = rref(rows, field)
-    free = [c for c in range(ncols) if c not in pivots]
-    vecs = []
-    one, zero = field.one(), field.zero()
-    for f in free:
-        v = [zero] * ncols
-        v[f] = one
-        for row, pc in zip(red, pivots):
-            v[pc] = -row[f]
-        vecs.append(v)
-    if not vecs:
-        return Subspace.zero(field, ncols)
-    return Subspace.from_vectors(vecs, field, ncols)
+    mat = _ints(rows, field)
+    if any(len(row) != ncols for row in mat):
+        raise ValueError("ragged matrix")
+    red, pivots = _echelon(mat, field.p)
+    mat, piv = _echelon(_null_vectors(red, pivots, ncols, field.p), field.p)
+    return Subspace(field, ncols, tuple(_scalars(mat, piv, field)))
 
 
 def echelon_complement(inner: Subspace, outer: Subspace):

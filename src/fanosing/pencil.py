@@ -181,7 +181,7 @@ def verify_normal_form(pencil: Subspace, nf: NormalForm) -> bool:
         return False
     if rank(nf.adapted_basis, nf.field) != m:
         return False
-    return all(pencil.contains_vector(e) for e in nf.chain_elements())
+    return pencil.contains_vectors(nf.chain_elements())
 
 
 def has_decomposable(pencil: Subspace) -> bool:

@@ -17,7 +17,7 @@ from math import prod
 from operator import mul
 
 from .forms import (BinaryForm, binary_gcd, binary_roots, projective_normalize,
-                    restrict_partials, restrict_to_plane)
+                    restrict_to_plane)
 from .ideal import (GeneratorSet, IdealFiltration, build_filtration,
                     contains_image_sigma, extract_generators)
 from .linalg import Field, combine, plain, rref, unit_vectors
@@ -124,14 +124,15 @@ def singular_on_line(X: Hypersurface, frame: LineFrame,
                                note=note)
 
 
-def certify_entire_line(X: Hypersurface, frame: LineFrame) -> SingularCertificate:
+def certify_entire_line(X: Hypersurface, frame: LineFrame,
+                        tangent: TangentReport) -> SingularCertificate:
     """Certificate that the gradient vanishes identically on the line.
 
-    Exact: one substitution restricts all n+1 partial derivatives of P to the
-    line symbolically.  Raises if the line is not entirely singular.
+    Exact, from the line's sigma: P|_E = 0 kills the derivatives along E, so
+    the gradient vanishes on E exactly when every (w_j -| P)|_E does, i.e.
+    when sigma is zero.  Raises if the line is not entirely singular.
     """
-    _, *grad = restrict_partials(X.P, [frame.e1, frame.e2], range(X.n + 1))
-    if any(not f.is_zero() for f in grad):
+    if any(any(row) for row in tangent.sigma_matrix):
         raise ValueError("line is not entirely singular")
     for sample in ((X.field.one(), X.field.zero()),
                    (X.field.zero(), X.field.one()),
@@ -207,7 +208,7 @@ def analyze_line(X: Hypersurface, frame: LineFrame) -> LineAnalysis:
     """Run the whole pipeline on one line, recording each stage."""
     rep = analyze_tangent(X, frame)
     if rep.m == 0:
-        cert = certify_entire_line(X, frame)
+        cert = certify_entire_line(X, frame, rep)
         ep1 = check_everyp1(X, rep, None, cert)
         return LineAnalysis(frame=frame, tangent=rep, nf=None, degenerate=None,
                             gens=None, filt=None, certificate=cert,

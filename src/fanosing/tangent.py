@@ -1,20 +1,19 @@
 """First-order tangent data for lines (and small planes) inside a hypersurface.
 
-For a line E = span(e1, e2) contained in X = Z(P) the first-order
-deformations of E inside X form the kernel of a linear map
+For a k-plane L contained in X = Z(P) the first-order deformations of L
+inside X form the kernel of a linear map
 
-    sigma : E^* (x) W/E  ->  S^d E^*,   alpha (x) w  |->  alpha . (w -| P)|_E,
+    sigma : L^* (x) W/L  ->  S^d L^*,   y (x) w  |->  y . (w -| P)|_L,
 
-where (w -| P) is the directional derivative of P along w and |_E is the
-restriction to the line.  The line fixes every basis involved: alpha^1,
-alpha^2 is the dual basis of its spanning vectors (e1, e2), and w_1, ...,
-w_{n-1} are the standard basis vectors at the non-pivot columns of
-rref(e1, e2).  sigma is assembled as an exact matrix whose rows are indexed
-by alpha^i (x) w_j (all alpha^1 rows first, complement index ascending) and
-whose columns are the coefficients of s^d, s^(d-1) t, ..., t^d.  Its alpha^1
-rows are the restricted contractions (w_j -| P)|_E times s, so the chain
-generators (ideal.extract_generators) read those forms off sigma instead of
-restricting P again.
+where (w -| P) is the directional derivative of P along w.  sigma has one
+construction, sigma_plane, with one restriction of P; a line E = span(e1, e2)
+is its case k = 1.  The basis fixes everything: y_0, ..., y_k (alpha^1,
+alpha^2 on a line) is its dual basis and the w_j are the standard basis
+vectors at the non-pivot columns of its rref.  Rows are indexed by
+y_i (x) w_j, y_0 block first; columns by the degree-d monomials in the y's,
+descending lexicographic (s^d, s^(d-1) t, ..., t^d on a line).  A line's
+alpha^1 rows are (w_j -| P)|_E times s, so Pi and the chain generators
+(ideal.extract_generators) read those forms off sigma.
 
 Pi <= W/E is the subspace of directions w with (w -| P)|_E = 0: deformations
 that move the line trivially to first order in every pencil direction.
@@ -28,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
-from .forms import MultiForm, _substitute, restrict_partials
+from .forms import MultiForm, _substitute
 from .linalg import Field, Subspace, kernel, rref, solve_combination, unit_vectors
 
 
@@ -67,13 +66,13 @@ class LineFrame:
     """A line span(e1, e2) that fixes the basis of its first-order data.
 
     The complement w_1, ..., w_{n-1} of E in W is the standard basis vectors
-    at the non-pivot columns c_1 < ... < c_{n-1} of rref(e1, e2), kept in
-    columns, and (alpha^1, alpha^2) is the dual basis of (e1, e2): a
-    restricted form in (s, t) is expressed in exactly these coordinates.  sigma, Pi and the pencil are therefore
-    functions of (e1, e2) alone.
+    at the non-pivot columns c_1 < ... < c_{n-1} of rref(e1, e2), and
+    (alpha^1, alpha^2) is the dual basis of (e1, e2): a restricted form in
+    (s, t) is expressed in exactly these coordinates.  sigma, Pi and the
+    pencil are therefore functions of (e1, e2) alone.
     """
 
-    __slots__ = ("field", "e1", "e2", "columns", "complement", "_rows")
+    __slots__ = ("field", "e1", "e2", "complement", "_rows")
 
     def __init__(self, field: Field, e1, e2):
         self.field = field
@@ -86,8 +85,8 @@ class LineFrame:
         if len(red) != 2:
             raise ValueError("line frame needs two independent spanning vectors")
         self._rows = tuple(red)
-        self.columns = tuple(c for c in range(n1) if c not in pivots)
-        self.complement = tuple(unit_vectors(field, n1, self.columns))
+        self.complement = tuple(unit_vectors(
+            field, n1, [c for c in range(n1) if c not in pivots]))
 
     @property
     def ambient_dim(self) -> int:
@@ -137,27 +136,24 @@ class TangentReport:
     tangent_dim: int
 
 
-def restricted_contractions(X: Hypersurface, frame: LineFrame):
-    """(w_j -| P)|_E = (d_{c_j} P)|_E for each complement vector w_j = e_{c_j},
-    as degree d-1 binary forms, from one substitution that also checks P|_E = 0.
-    """
-    if X.field != frame.field:
-        raise ValueError("field mismatch between hypersurface and frame")
-    on_line, *fs = restrict_partials(X.P, [frame.e1, frame.e2], frame.columns)
-    if not on_line.is_zero():
+def restricted_contractions(X: Hypersurface, basis, cols):
+    """(d_c P)|_L for c in cols, as MultiForms in the dual coordinates of
+    basis, from one substitution of P that also checks P|_L = 0: the only
+    restriction of P here, made by sigma_plane for lines and planes alike."""
+    on_plane, *fs = _substitute(X.P, basis, cols)
+    if not on_plane.is_zero():
         raise PlaneNotContained("plane not contained in hypersurface")
     return fs
 
 
 def sigma(X: Hypersurface, frame: LineFrame):
-    """Matrix of the first-order deformation map of the line.
-
-    Rows: alpha^1 (x) w_1 .. alpha^1 (x) w_{n-1}, then the alpha^2 row block.
-    Columns: coefficients of s^d, s^{d-1} t, ..., t^d.
+    """Matrix of the first-order deformation map of the line: the k = 1
+    case of sigma_plane.  Rows: alpha^1 (x) w_1 .. alpha^1 (x) w_{n-1}, then
+    the alpha^2 row block.  Columns: coefficients of s^d, ..., t^d.
     """
-    fs = restricted_contractions(X, frame)
-    zero = (X.field.zero(),)
-    return tuple([*(f.coeffs + zero for f in fs), *(zero + f.coeffs for f in fs)])
+    if X.field != frame.field:
+        raise ValueError("field mismatch between hypersurface and frame")
+    return sigma_plane(X, (frame.e1, frame.e2))[0]
 
 
 def _left_kernel(rows, field: Field, ncols: int) -> Subspace:
@@ -178,12 +174,11 @@ def tangent_space(X: Hypersurface, frame: LineFrame) -> Subspace:
 
 
 def compute_pi(X: Hypersurface, frame: LineFrame) -> Subspace:
-    """Directions w in W/E with (w -| P)|_E identically zero.
-
-    This is the largest subspace Pi with E^* (x) Pi inside ker sigma.
+    """Directions w in W/E with (w -| P)|_E identically zero: the largest
+    Pi with E^* (x) Pi inside ker sigma.  The left kernel of sigma's alpha^1
+    rows, (w_j -| P)|_E times s, without their last (zero) column.
     """
-    fs = restricted_contractions(X, frame)
-    return _left_kernel([f.coeffs for f in fs], X.field, X.d)
+    return _left_kernel([r[:-1] for r in sigma(X, frame)[:X.n - 1]], X.field, X.d)
 
 
 def quotient_section(c, pi: Subspace):
@@ -234,7 +229,7 @@ def tangent_cone_lines(X: Hypersurface, frame: LineFrame, x) -> Subspace:
 
 
 # ---------------------------------------------------------------------------
-# small-dimensional planes (k <= 3): the same first-order map
+# the first-order map of a k-plane (k <= 3); a line is the case k = 1
 
 
 def _monomials(nv: int, d: int):
@@ -249,13 +244,13 @@ def _monomials(nv: int, d: int):
 
 
 def sigma_plane(X: Hypersurface, basis):
-    """Deformation matrix for a k-plane on X, k = len(basis)-1 <= 3.
+    """Deformation matrix for a k-plane on X, k = len(basis)-1 <= 3; sigma
+    is its case k = 1.
 
     Rows are indexed by y_i (x) w_j (dual-coordinate blocks, complement index
     ascending inside each block); columns by the degree-d monomials in the
     plane's dual coordinates, descending lexicographic.  Returns
-    (matrix, monomial_order).  One substitution of P on the basis gives P on
-    the plane, which must vanish, and each (w_j -| P) = (d_{c_j} P) there.
+    (matrix, monomial_order).  Row y_i (x) w_j is y_i (w_j -| P)|_L.
     """
     field = X.field
     k = len(basis) - 1
@@ -265,10 +260,8 @@ def sigma_plane(X: Hypersurface, basis):
     red, pivots = rref(basis, field)
     if len(red) != k + 1:
         raise ValueError("plane basis is linearly dependent")
-    on_plane, *restricted = _substitute(
-        X.P, basis, [c for c in range(X.n + 1) if c not in pivots])
-    if not on_plane.is_zero():
-        raise PlaneNotContained("plane not contained in hypersurface")
+    restricted = restricted_contractions(
+        X, basis, [c for c in range(X.n + 1) if c not in pivots])
     zero = field.zero()
     monos = _monomials(k + 1, X.d)
     index = {e: i for i, e in enumerate(monos)}

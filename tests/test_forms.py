@@ -1,8 +1,10 @@
 """Polynomial layer: sparse forms, contraction, restriction, binary-form
 division, gcd, and projective root finding."""
 
+import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -465,6 +467,37 @@ def test_parse_form_rejects_inhomogeneous():
 def test_parse_form_sums_duplicates():
     text = "field Q\nvars 2\n1 1 1\n2 1 1\n"
     assert parse_form(text) == mono(QQ, 2, (1, 1), 3)
+
+
+def test_parse_form_sums_and_cancels_repeats():
+    text = ("field Fp 7\nvars 3\n3 2 0 0\n1 1 1 0\n2 0 1 1\n4 2 0 0\n"
+            "-2 0 1 1\n5 1 1 0\n1 0 0 2\n")
+    P = parse_form(text)
+    # 3 + 4 and 2 - 2 cancel mod 7; 1 + 5 is summed
+    assert P.terms == {(1, 1, 0): F7.scalar(6), (0, 0, 2): F7.scalar(1)}
+    Q = parse_form("field Q\nvars 2\n1/2 1 1\n-1/2 1 1\n1/3 2 0\n1/6 2 0\n")
+    assert Q.terms == {(2, 0): Fr(1, 2)} and Q.degree == 2
+    zero = parse_form("field Q\nvars 2\n1 1 1\n-1 1 1\n")
+    assert zero.is_zero() and zero.degree == 2 and zero.nvars == 2
+    with pytest.raises(ValueError, match="bad exponent tuple"):
+        parse_form("field Q\nvars 2\n1 2 0\n1 3 -1\n")
+
+
+def test_parse_form_dense_is_fast():
+    """Every monomial of degree 6 in 9 variables (3003 terms), once each and
+    then again with the same coefficient, parses in well under a second."""
+    exps = [tuple(c.count(i) for i in range(9))
+            for c in itertools.combinations_with_replacement(range(9), 6)]
+    assert len(exps) == 3003
+    lines = ["%d %s" % (k % 5 + 1, " ".join(map(str, e)))
+             for k, e in enumerate(exps)]
+    text = "field Fp 11\nvars 9\n" + "\n".join(lines + lines) + "\n"
+    start = time.perf_counter()
+    P = parse_form(text)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0, elapsed
+    assert len(P.terms) == 3003
+    assert all(P.terms[e] == 2 * (k % 5 + 1) for k, e in enumerate(exps))
 
 
 def test_format_scalar():

@@ -156,6 +156,42 @@ def test_kernel_frozen():
     assert not K.contains_vector(F(1, 0, 0))
 
 
+def _scalar_kernel(rows, field, ncols):
+    """Reference null space: the null vectors of the Gauss-Jordan RREF on
+    field scalars, one per free column, re-echeloned by from_vectors."""
+    red, pivots = _gauss_jordan(rows, field) if rows else ([], [])
+    vecs = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [field.zero()] * ncols
+        v[f] = field.one()
+        for row, c in zip(red, pivots):
+            v[c] = -row[f]
+        vecs.append(v)
+    return Subspace.from_vectors(vecs, field, ncols)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rref_case())
+def test_kernel_matches_scalar_null_space(case):
+    field, rows = case
+    ncols = len(rows[0])
+    K = kernel(rows, field)
+    assert K == _scalar_kernel(rows, field, ncols)
+    assert K.dim == ncols - rank(rows, field)
+    for row in K.basis:
+        assert all(type(x) is (Fp if field.p else Fraction) for x in row)
+    assert kernel([], field, ncols) == Subspace.full(field, ncols)
+
+
+def test_kernel_rejects_ragged_and_missing_ncols():
+    with pytest.raises(ValueError, match="ragged matrix"):
+        kernel([F(1, 2), F(1)], QQ)
+    with pytest.raises(ValueError, match="ncols required"):
+        kernel([], QQ)
+    with pytest.raises(FieldMismatch):
+        kernel([(F7.one(), Fraction(1, 2))], F7)
+
+
 def test_subspace_canonical_under_presentation():
     U = Subspace.from_vectors([F(2, 4, 0), F(0, 0, 3)], QQ, 3)
     V = Subspace.from_vectors([F(1, 2, 3), F(1, 2, 0)], QQ, 3)
@@ -275,6 +311,20 @@ def test_meet_matches_zassenhaus(case):
     assert M == _zassenhaus_meet(A, B)
     for row in M.basis:
         assert all(type(x) is (Fp if field.p else Fraction) for x in row)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_related_pair())
+def test_contains_vectors_matches_one_at_a_time(case):
+    """One reduction pass over many vectors answers as contains_vector does
+    for each of them, with the same length error."""
+    field, A, B = case
+    vecs = list(B.basis) + [tuple(x + y for x, y in zip(u, v))
+                            for u, v in zip(A.basis, B.basis)]
+    assert A.contains_vectors(vecs) == all(A.contains_vector(v) for v in vecs)
+    assert A.contains_vectors([]) and A.contains_vectors(A.basis)
+    with pytest.raises(ValueError, match="vector length"):
+        A.contains_vectors(list(A.basis) + [(field.zero(),) * (A.ambient_dim + 1)])
 
 
 def _greedy_complement(inner, outer):

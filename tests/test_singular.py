@@ -6,19 +6,23 @@ from fractions import Fraction as Fr
 from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings
+import hypothesis.strategies as st
 
 from fanosing import singular
 from fanosing.corpus import cone, fermat, random_with_line
-from fanosing.forms import MultiForm, projective_normalize, restrict_to_plane
+from fanosing.forms import (MultiForm, projective_normalize, restrict_partials,
+                            restrict_to_plane)
 from fanosing.linalg import (QQ, FieldMismatch, combine, parse_field, plain,
                              rank, solve_combination)
+from fanosing.pencil import has_decomposable
 from fanosing.singular import (BudgetExceeded, CharacteristicRefused,
                                SingularPoint, all_lines, analyze_line,
                                certify_entire_line, conjecture_check,
                                grassmannian_size, is_singular_at,
                                lines_through, projective_points,
                                singular_points)
-from fanosing.tangent import Hypersurface, LineFrame
+from fanosing.tangent import Hypersurface, LineFrame, analyze_tangent
 
 F3 = parse_field("Fp:3")
 F5 = parse_field("Fp:5")
@@ -64,12 +68,115 @@ def test_entirely_singular_line():
     assert la.tangent.m == 0
     assert la.certificate.whole_line
     assert la.nf is None and la.gens is None
-    cert = certify_entire_line(X, fr)
+    cert = certify_entire_line(X, fr, la.tangent)
     assert cert.whole_line
     # a line that is NOT entirely singular is refused
     Xs = Hypersurface(mono(QQ, 4, (1, 0, 0, 1)) - mono(QQ, 4, (0, 1, 1, 0)))
     with pytest.raises(ValueError, match="not entirely singular"):
-        certify_entire_line(Xs, fr)
+        certify_entire_line(Xs, fr, analyze_tangent(Xs, fr))
+
+
+def _moved(X, line, rng):
+    """X' = Z(P o A) for a random invertible A, the line A^-1 E, and A's
+    columns."""
+    field, n1 = X.field, X.n + 1
+    while True:
+        cols = [tuple(field.scalar(rng.randrange(field.p) if field.p
+                                   else rng.randint(-3, 3))
+                      for _ in range(n1)) for _ in range(n1)]
+        if rank(cols, field) == n1:
+            break
+    back = [solve_combination(cols, e, field) for e in line]
+    return Hypersurface(restrict_to_plane(X.P, cols)), back, cols
+
+
+def _double_line(field, n, d, rng, linear):
+    """A random form through span(e0, e1) whose terms have order >= 2 along
+    the line, plus `linear` random terms of order 1: with none the line is
+    a double line and lies in the singular locus."""
+    terms = {}
+    for k in range(rng.randint(2, 3 * n) + linear):
+        e = [0] * (n + 1)
+        for _ in range(1 if k < linear else 2):
+            e[rng.randint(2, n)] += 1
+        for _ in range(d - sum(e)):
+            e[rng.randint(0, n)] += 1
+        c = rng.randrange(1, field.p) if field.p else rng.randint(-4, 4) or 1
+        terms[tuple(e)] = field.scalar(c)
+    return (Hypersurface(MultiForm(field, n + 1, d, terms)),
+            [tuple(field.scalar(int(i == j)) for i in range(n + 1))
+             for j in (0, 1)])
+
+
+def _whole_line_corpus():
+    """Lines on hypersurfaces: random_with_line over F_2..F_13, planted and
+    moved lines over Q, cone lines and double lines."""
+    rng = random.Random(13)
+    out = []
+    for p in (2, 3, 5, 7, 11, 13):
+        for k in range(12):
+            X, fr = random_with_line(2 + k % 4, 1 + k % 5, p, 100 * p + k)
+            out.append((X, [fr.e1, fr.e2]))
+    out += _planted_q_lines()
+    for X, line in list(out[::5]):
+        out.append(_moved(X, line, rng)[:2])
+    for base in (fermat(2, 3, QQ), fermat(2, 3, F7), fermat(3, 2, F5)):
+        for extra in (1, 2):
+            X = cone(base, extra)
+            vertex = (0,) * (base.n + 1) + (1,) * extra
+            for line in (((1, -1) + (0,) * (X.n - 1), vertex),
+                         ((1, 2) + (0,) * (X.n - 1), vertex)):
+                if not X.P.evaluate(X.field.vector(line[0])):
+                    out.append((X, line))
+    for field in (QQ, F3, F5, F7):
+        for k in range(8):
+            X, line = _double_line(field, 2 + k % 3, 2 + k % 3, rng, k % 2)
+            out.append((X, line))
+            out.append(_moved(X, line, rng)[:2])
+    return out
+
+
+def test_whole_line_lemma_matches_restricted_gradient():
+    """m == 0 exactly when every partial of P restricts to zero on the line,
+    the derivation certify_entire_line used before it read sigma; and the
+    certificate refuses every line with m > 0."""
+    seen = {True: 0, False: 0}
+    for X, line in _whole_line_corpus():
+        fr = LineFrame(X.field, *line)
+        rep = analyze_tangent(X, fr)
+        _, *grad = restrict_partials(X.P, line, range(X.n + 1))
+        whole = all(f.is_zero() for f in grad)
+        assert (rep.m == 0) == whole, (X.P, line)
+        seen[whole] += 1
+        if whole:
+            assert certify_entire_line(X, fr, rep).whole_line
+        else:
+            with pytest.raises(ValueError, match="not entirely singular"):
+                certify_entire_line(X, fr, rep)
+    assert seen[True] >= 20 and seen[False] >= 60, seen
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from((2, 3, 5, 7, 11, 0)), st.integers(2, 5),
+       st.integers(2, 5), st.integers(0, 10 ** 6), st.booleans())
+def test_no_rank_one_pencil_on_a_line(p, n, d, seed, move):
+    """A line's pencil never has a rank-one element: for (lam v | mu v) in
+    it, (lam s + mu t) times sum_k v_k f_(free_k) is zero, binary forms have
+    no zero divisors, and so v would be a nonzero vector of Pi at Pi's free
+    columns."""
+    X, fr = random_with_line(n, d, p or 101, seed)
+    line = [fr.e1, fr.e2]
+    if not p:
+        # the same form and line read over Q, coefficients in [0, 101)
+        X = Hypersurface(MultiForm(QQ, n + 1, d, {e: plain(c) for e, c
+                                                  in X.P.terms.items()}))
+        line = [[plain(x) for x in v] for v in line]
+    if move:
+        X, line, _ = _moved(X, line, random.Random(seed))
+    la = analyze_line(X, LineFrame(X.field, *line))
+    assume(la.tangent.m > 0)
+    assert la.degenerate is None
+    assert not has_decomposable(la.tangent.pencil)
 
 
 def test_fermat_f7_line_count_and_rigidity():
@@ -268,19 +375,12 @@ def test_change_of_coordinates_oracle():
     cases = [(X, (fr.e1, fr.e2)) for X, fr in cases] + _planted_q_lines()
     points = 0
     for X, line in cases:
-        field, n1 = X.field, X.n + 1
+        field = X.field
         la = analyze_line(X, LineFrame(field, *line))
         want = _line_invariants(la)
         want_pts = _certified(la, field)
         for _ in range(3):
-            while True:
-                cols = [tuple(field.scalar(rng.randrange(field.p) if field.p
-                                           else rng.randint(-3, 3))
-                              for _ in range(n1)) for _ in range(n1)]
-                if rank(cols, field) == n1:
-                    break
-            Xa = Hypersurface(restrict_to_plane(X.P, cols))
-            back = [solve_combination(cols, e, field) for e in line]
+            Xa, back, cols = _moved(X, line, rng)
             la_a = analyze_line(Xa, LineFrame(field, *back))
             assert _line_invariants(la_a) == want, (X.P, cols)
             assert _certified(la_a, field, cols) == want_pts, (X.P, cols)
