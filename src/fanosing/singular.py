@@ -7,20 +7,23 @@ that into certificates (each claimed point is re-checked against the
 gradient), enumerates lines over small finite fields by echelon position,
 and packages a replay-friendly survey of a whole hypersurface.  Candidate
 lines start at a point of X and run over the kernel of its first polar.
+
+The gradient re-check and the line scans share one pass over P's terms,
+(c, ((i, k), ...)) on plain scalars.  The scans run on residue tuples mod p
+throughout and build Fp vectors only for the frames they return.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import prod
 from operator import mul
 
 from .forms import (BinaryForm, binary_gcd, binary_roots, projective_normalize,
                     restrict_to_plane)
 from .ideal import (GeneratorSet, IdealFiltration, build_filtration,
                     contains_image_sigma, extract_generators)
-from .linalg import Field, combine, plain, rref, unit_vectors
+from .linalg import Field, plain
 from .pencil import NormalForm, NotConstantRankTwo, normal_form
 from .tangent import (Hypersurface, LineFrame, PlaneNotContained, TangentReport,
                       analyze_tangent)
@@ -68,35 +71,61 @@ class SingularCertificate:
     note: str
 
 
-def is_singular_at(X: Hypersurface, point) -> bool:
-    """Gradient test: P and all its partials vanish at the point.
+def _plain_form(P) -> tuple:
+    """P as (terms, p), p = 0 over Q: each term (c, ((i, k), ...)) carries
+    its coefficient as a plain scalar (int mod p, Fraction) and its nonzero
+    exponents."""
+    return ([(plain(c), tuple((i, k) for i, k in enumerate(e) if k))
+             for e, c in P.terms.items()], P.field.p)
 
-    One pass over P's terms on plain ints mod p (Fractions over Q): a term
-    c x^e adds c x^e to P(x) and e_i c x^(e - unit_i) to d_i P(x).  It uses
-    neither the restriction code nor MultiForm.partial, so it stays an
-    independent check of both.
+
+def _polar(form, x):
+    """The gradient g of P at x (plain scalars), or None when P(x) != 0.
+
+    One pass over P's terms: a term c x^e adds c x^e to P(x) and
+    e_i c x^(e - unit_i) to d_i P(x).  sum g_i w_i is the s^(d-1) t
+    coefficient of P(s x + t w), so it vanishes in every characteristic when
+    span(x, w) is on X.
     """
+    terms, p = form
+    value, grad = 0, [0] * len(x)
+    for c, e in terms:
+        term = c
+        for i, k in e:
+            term *= x[i] ** k
+        value += term
+        for i, k in e:
+            part = c * k * x[i] ** (k - 1)
+            for i2, k2 in e:
+                if i2 != i:
+                    part *= x[i2] ** k2
+            grad[i] += part
+    if p:
+        return None if value % p else [g % p for g in grad]
+    return None if value else grad
+
+
+def _checked_point(X: Hypersurface, point) -> tuple:
+    """The point checked against X's field and ambient space."""
     point = X.field.vector(point)
     if not any(point):
         raise ValueError("zero vector does not define a projective point")
     if len(point) != X.n + 1:
         raise ValueError("point has %d coordinates, form has %d variables"
                          % (len(point), X.n + 1))
-    p = X.field.p
-    powers = [[x ** k % p if p else x ** k for k in range(X.d + 1)]
-              for x in map(plain, point)]
-    value, grad = 0, [0] * (X.n + 1)
-    for e, c in X.P.terms.items():
-        c = plain(c)
-        mono = [pw[k] for pw, k in zip(powers, e)]
-        value += c * prod(mono)
-        for i, k in enumerate(e):
-            if k:
-                grad[i] += (c * k * powers[i][k - 1]
-                            * prod(mono[:i]) * prod(mono[i + 1:]))
-    if p:
-        return not value % p and not any(g % p for g in grad)
-    return not value and not any(grad)
+    return point
+
+
+def is_singular_at(X: Hypersurface, point) -> bool:
+    """Gradient test: P and all its partials vanish at the point.
+
+    One pass over P's terms on plain ints mod p (Fractions over Q), the
+    _polar the line scans use.  It uses neither the restriction code nor
+    MultiForm.partial, so it stays an independent check of both.
+    """
+    point = _checked_point(X, point)
+    grad = _polar(_plain_form(X.P), [plain(x) for x in point])
+    return grad is not None and not any(grad)
 
 
 def singular_on_line(X: Hypersurface, frame: LineFrame,
@@ -239,60 +268,62 @@ def _require_prime_field(field: Field):
         raise ValueError("enumeration needs a finite field")
 
 
-def _field_elements(field: Field):
-    return [field.scalar(i) for i in range(field.p)]
-
-
 def projective_points(field: Field, ncoords: int):
     """All points of P^(ncoords-1) over F_p, first nonzero coordinate 1.
     Raises BudgetExceeded before building a list longer than _BUDGET."""
     _require_prime_field(field)
     _check_budget("point list of P^%d" % (ncoords - 1),
                   _projective_size(field.p, ncoords), _BUDGET)
-    elems = _field_elements(field)
+    elems = [field.scalar(i) for i in range(field.p)]
     zero, one = field.zero(), field.one()
     return [(zero,) * lead + (one,) + tail for lead in range(ncoords)
             for tail in product(elems, repeat=ncoords - 1 - lead)]
 
 
-def _line_on(X: Hypersurface, e1, e2) -> bool:
-    """Exact containment test for the line span(e1, e2), given that e1 is a
-    point of X: every caller has already checked P(e1) = 0."""
-    p, d = X.field.p, X.d
-    if p and d <= p:
+def _value(form, x) -> int:
+    """P(x) mod p at a residue point."""
+    terms, p = form
+    total = 0
+    for c, e in terms:
+        for i, k in e:
+            c *= x[i] ** k
+        total += c
+    return total % p
+
+
+def _line_on(X: Hypersurface, form, e1, e2) -> bool:
+    """Exact containment test for the line span(e1, e2) of residue vectors,
+    given that e1 is a point of X: every caller has already checked
+    P(e1) = 0.  form is _plain_form(X.P)."""
+    d, p = X.d, form[1]
+    if d <= p:
         # a degree-d form on the line vanishing at d+1 points vanishes;
         # e1 (k = 0) is one of them
         for k in range(1, d):
-            pt = tuple(a + X.field.scalar(k) * b for a, b in zip(e1, e2))
-            if X.P.evaluate(pt):
+            if _value(form, [a + k * b for a, b in zip(e1, e2)]):
                 return False
-        return not X.P.evaluate(e2)
+        return not _value(form, e2)
     return restrict_to_plane(X.P, [e1, e2]).is_zero()
 
 
-def _polar(partials, x) -> list:
-    """The gradient g of P at x: sum g_i w_i is the s^(d-1) t coefficient of
-    P(s x + t w), so it vanishes in every characteristic when span(x, w) is
-    on X."""
-    return [D.evaluate(x) for D in partials]
-
-
-def _polar_rows(g, j, elems):
-    """The rows e_j + sum_{c > j} t_c e_c with sum g_i r_i = 0, the t_c
-    running lexicographically over elems = (0, 1, ..., p-1).  The last c with
+def _polar_rows(g, j, p):
+    """The residue rows e_j + sum_{c > j} t_c e_c with sum g_i r_i = 0 mod p,
+    the t_c running lexicographically over 0, 1, ..., p-1.  The last c with
     g_c != 0 is solved for; it depends only on earlier entries, so the
     surviving rows stay in that order."""
-    head = (elems[0],) * j + (elems[1],)
+    head = (0,) * j + (1,)
     live = [c for c in range(j + 1, len(g)) if g[c]]
     if not live:
         if not g[j]:
-            yield from (head + t for t in product(elems, repeat=len(g) - 1 - j))
+            yield from (head + t
+                        for t in product(range(p), repeat=len(g) - 1 - j))
         return
     c = live[-1]
     k = c - j - 1
-    for t in product(elems, repeat=len(g) - 2 - j):
-        rest = sum(map(mul, g[j + 1:c], t), g[j])
-        yield head + t[:k] + (-rest / g[c],) + t[k:]
+    before, minus_inv = g[j + 1:c], -pow(g[c], -1, p)
+    for t in product(range(p), repeat=len(g) - 2 - j):
+        rest = sum(map(mul, before, t), g[j])
+        yield head + t[:k] + (rest * minus_inv % p,) + t[k:]
 
 
 def _check_budget(what: str, total: int, budget: int):
@@ -310,26 +341,24 @@ def _projective_size(p: int, ncoords: int) -> int:
 def lines_through(X: Hypersurface, point, budget: int = 10 ** 8) -> list:
     """All lines on X through a point of X, as frames with e1 = the point.
     A point off X raises PlaneNotContained.  The second vector runs over the
-    kernel of the point's first polar on the complement of its pivot."""
+    kernel of the point's first polar on the complement of its pivot; the
+    scan runs on residues and builds Fp only for the frames it returns."""
     _require_prime_field(X.field)
-    field = X.field
-    x = field.vector(point)
-    if not any(x):
-        raise ValueError("zero vector does not define a projective point")
-    if X.P.evaluate(x):
+    field, p = X.field, X.field.p
+    x = _checked_point(X, point)
+    xs = tuple(plain(c) for c in x)
+    form = _plain_form(X.P)
+    g = _polar(form, xs)
+    if g is None:
         raise PlaneNotContained("point is not on the hypersurface")
-    _check_budget("lines through a point", _projective_size(field.p, X.n),
-                  budget)
-    _, pivots = rref([x], field)
-    cols = [c for c in range(X.n + 1) if c not in pivots]
-    comp = unit_vectors(field, X.n + 1, cols)
-    g = _polar([X.P.partial(c) for c in cols], x)
-    elems = _field_elements(field)
+    _check_budget("lines through a point", _projective_size(p, X.n), budget)
+    piv = next(i for i, c in enumerate(xs) if c)
+    g = g[:piv] + g[piv + 1:]
     frames = []
     for j in range(X.n):
-        for coords in _polar_rows(g, j, elems):
-            w = combine(field, X.n + 1, coords, comp)
-            if _line_on(X, x, w):
+        for w in _polar_rows(g, j, p):
+            w = w[:piv] + (0,) + w[piv:]
+            if _line_on(X, form, xs, w):
                 frames.append(LineFrame(field, x, w))
     return frames
 
@@ -341,14 +370,13 @@ def grassmannian_size(p: int, n: int) -> int:
 
 def all_lines(X: Hypersurface, budget: int = 10 ** 8) -> list:
     """Every line on X over F_p, one frame per line, echelon representatives.
-    Row 1 must be a point of X, row 2 in the kernel of its first polar."""
+    Row 1 must be a point of X, row 2 in the kernel of its first polar.  The
+    scan runs on residues and builds Fp only for the frames it returns."""
     _require_prime_field(X.field)
-    field = X.field
+    field, p = X.field, X.field.p
     n1 = X.n + 1
-    _check_budget("line enumeration", grassmannian_size(field.p, X.n), budget)
-    elems = _field_elements(field)
-    one, zero = (field.one(),), (field.zero(),)
-    partials = [X.P.partial(i) for i in range(n1)]
+    _check_budget("line enumeration", grassmannian_size(p, X.n), budget)
+    form = _plain_form(X.P)
     polars = {}     # row 1 -> its polar, or None off X; rows recur across j2
     frames = []
     # echelon pairs with pivots j1 < j2: row 2 is 1 at j2, then free entries;
@@ -357,16 +385,15 @@ def all_lines(X: Hypersurface, budget: int = 10 ** 8) -> list:
     for j2 in range(1, n1):
         for j1 in range(j2):
             cut = j2 - j1 - 1
-            for t in product(elems, repeat=n1 - 2 - j1):
-                r1 = zero * j1 + one + t[:cut] + zero + t[cut:]
+            for t in product(range(p), repeat=n1 - 2 - j1):
+                r1 = (0,) * j1 + (1,) + t[:cut] + (0,) + t[cut:]
                 if r1 not in polars:
-                    polars[r1] = (None if X.P.evaluate(r1)
-                                  else _polar(partials, r1))
+                    polars[r1] = _polar(form, r1)
                 g = polars[r1]
                 if g is None:
                     continue
-                for r2 in _polar_rows(g, j2, elems):
-                    if _line_on(X, r1, r2):
+                for r2 in _polar_rows(g, j2, p):
+                    if _line_on(X, form, r1, r2):
                         frames.append(LineFrame(field, r1, r2))
     return frames
 
@@ -417,12 +444,15 @@ class ConjectureReport:
 
 def conjecture_check(X: Hypersurface, budget: int = 10 ** 8,
                      force: bool = False) -> ConjectureReport:
+    """Survey every F_p-line of X: analyse each one, and count the points
+    the lines cover on residue tuples read off their echelon rows.  Fp
+    points are built only for whole-line certificates."""
     _require_prime_field(X.field)
-    field = X.field
-    if field.p <= X.d and not force:
+    field, p = X.field, X.field.p
+    if p <= X.d and not force:
         raise CharacteristicRefused(
             "characteristic %d is at most the degree %d; results would be "
-            "unreliable (pass force=True to proceed)" % (field.p, X.d))
+            "unreliable (pass force=True to proceed)" % (p, X.d))
     frames = all_lines(X, budget)
     covered = set()
     certified = []
@@ -432,9 +462,12 @@ def conjecture_check(X: Hypersurface, budget: int = 10 ** 8,
     for fr in frames:
         la = analyze_line(X, fr)
         max_dim = max(max_dim, la.tangent.tangent_dim)
-        pts = [fr.point(a, b) for a, b in line_points]
-        for pt in pts:
-            covered.add(projective_normalize(pt, field))
+        # the echelon rows give the line's points normalised: e2, and
+        # e1 + a e2 (e2 is zero at e1's pivot)
+        r1, r2 = ([plain(c) for c in row] for row in fr.canonical_rows())
+        covered.add(tuple(r2))
+        covered.update(tuple((u + a * v) % p for u, v in zip(r1, r2))
+                       for a in range(p))
         if la.degenerate is not None:
             exceptions.append(ExceptionRecord(
                 line=fr.canonical_rows(), kind="rank-one-pencil",
@@ -442,7 +475,8 @@ def conjecture_check(X: Hypersurface, budget: int = 10 ** 8,
             continue
         cert = la.certificate
         if cert.whole_line:
-            certified.extend(projective_normalize(pt, field) for pt in pts)
+            certified.extend(projective_normalize(fr.point(a, b), field)
+                             for a, b in line_points)
         else:
             certified.extend(sp.ambient for sp in cert.points)
         if la.everyp1.applies and not cert.points:
@@ -461,7 +495,7 @@ def conjecture_check(X: Hypersurface, budget: int = 10 ** 8,
         note = "no line deforms in dimension >= %d; nothing is forced" % (X.n - 2)
     if exceptions:
         note += "; %d line(s) need extension fields or stall" % len(exceptions)
-    return ConjectureReport(p=field.p, n=X.n, d=X.d, num_lines=len(frames),
+    return ConjectureReport(p=p, n=X.n, d=X.d, num_lines=len(frames),
                             max_tangent_dim=max_dim, trigger=trigger,
                             covered_points=len(covered),
                             certified=certified, exceptions=tuple(exceptions),

@@ -2,6 +2,7 @@
 whole-surface survey."""
 
 import random
+from collections import Counter
 from fractions import Fraction as Fr
 from itertools import product
 
@@ -13,8 +14,8 @@ from fanosing import singular
 from fanosing.corpus import cone, fermat, random_with_line
 from fanosing.forms import (MultiForm, projective_normalize, restrict_partials,
                             restrict_to_plane)
-from fanosing.linalg import (QQ, FieldMismatch, combine, parse_field, plain,
-                             rank, solve_combination)
+from fanosing.linalg import (QQ, Field, FieldMismatch, Fp, combine, parse_field,
+                             plain, rank, solve_combination)
 from fanosing.pencil import has_decomposable
 from fanosing.singular import (BudgetExceeded, CharacteristicRefused,
                                SingularPoint, all_lines, analyze_line,
@@ -324,6 +325,58 @@ def test_lines_through_rejects_off_point():
     s = F5.scalar
     with pytest.raises(ValueError, match="not on the hypersurface"):
         lines_through(X, (s(0), s(1), s(1), s(0)))
+
+
+def test_lines_through_takes_any_representative():
+    # [1:-1:0:0] on the Fermat cubic surface over F_7 lies on three lines;
+    # the point may come scaled, as ints or as Fp, and is kept as e1
+    X = fermat(3, 3, F7)
+    base = lines_through(X, (1, 6, 0, 0))
+    assert len(base) == 3
+    scaled = (3, 18, 0, 0)
+    for point in (scaled, F7.vector(scaled)):
+        frames = lines_through(X, point)
+        assert [fr.canonical_rows() for fr in frames] == \
+            [fr.canonical_rows() for fr in base]
+        for fr in frames:
+            assert fr.e1 == F7.vector(scaled)
+            assert all(isinstance(c, Fp) and c.p == 7 for c in fr.e1 + fr.e2)
+
+
+def _fermat_cubic_points(p, k, nvars):
+    """#X(F_q), q = p^k with k in (1, 2), for X = Z(sum x_i^3) in
+    P^(nvars-1): the affine zeros come from convolving the distribution of
+    cubes in F_q, with F_(p^2) = F_p(sqrt r) for a non-residue r."""
+    r = next(r for r in range(2, p) if pow(r, (p - 1) // 2, p) == p - 1)
+
+    def mul(u, v):
+        return ((u[0] * v[0] + r * u[1] * v[1]) % p,
+                (u[0] * v[1] + u[1] * v[0]) % p)
+
+    elems = product(range(p), range(p) if k == 2 else (0,))
+    cubes = Counter(mul(mul(x, x), x) for x in elems)
+    sums = Counter({(0, 0): 1})
+    for _ in range(nvars):
+        nxt = Counter()
+        for (a, b), m in sums.items():
+            for (c, d), w in cubes.items():
+                nxt[(a + c) % p, (b + d) % p] += m * w
+        sums = nxt
+    q = p ** k
+    return (sums[0, 0] - 1) // (q - 1)
+
+
+@pytest.mark.parametrize("n,p,expected", [(3, 7, 27), (3, 13, 27),
+                                          (4, 7, 135), (4, 13, 135),
+                                          (4, 19, 1647)])
+def test_all_lines_galkin_shinder_oracle(n, p, expected):
+    """Galkin-Shinder: a smooth cubic of dimension m over F_q carries
+    ((N_1^2 + N_2)/2 - (1 + q^m) N_1) / q^2 lines over F_q, N_k the number
+    of its points over F_(q^k)."""
+    n1, n2 = (_fermat_cubic_points(p, k, n + 1) for k in (1, 2))
+    count, rem = divmod((n1 * n1 + n2) // 2 - (1 + p ** (n - 1)) * n1, p * p)
+    assert (count, rem) == (expected, 0)
+    assert len(all_lines(fermat(n, 3, Field(p)))) == expected
 
 
 def _planted_q_lines():
