@@ -16,10 +16,12 @@ restrict_partials restricts P and its partials d_c P = contract(e_c, P) to a
 span from one substitution of P.
 
 Forms store field scalars: `Fp` residues or `Fraction`s.  Substitution on a
-span (under restrict_partials, restrict_to_plane and multilinear_eval) and
-MultiForm.evaluate check their vectors against the field once, then compute
-on plain ints mod p (Fractions over Q); `Fp` is built only for the forms and
-scalars they return.  The other form operations compute on `Fp` directly.
+span (under restrict_partials, restrict_to_plane and multilinear_eval)
+expands on ints: residues mod p, or over Q after clearing the denominators
+of P and of each vector once; `Fp` or `Fraction` is built only for the
+coefficients it returns.  MultiForm.evaluate, the tests' oracle, sums on
+ints mod p and on Fractions over Q.  The other form operations compute on
+field scalars directly.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Field, FieldMismatch, Fp, QQ, parse_field, plain, rank
+from .linalg import Field, FieldMismatch, Fp, QQ, _ints, parse_field, plain, rank
 
 
 class NotDivisible(ValueError):
@@ -356,22 +358,25 @@ def _substitute(P: MultiForm, vectors, cols=()):
     """[P, d_{c1} P, ...] (c in cols) evaluated on sum_k y_k * vectors[k], as
     forms in the y's; one table of powers of the linear forms serves them all.
 
-    No independence requirement; exact substitution and expansion.  The
-    vectors are checked against P's field once; the expansion then runs on
-    plain scalars, ints reduced mod p once per product over F_p and
-    Fractions over Q.  A monomial y^f is keyed by the int sum_k f_k B^k with
-    B = deg P + 1, so multiplying monomials adds keys.  Fp coefficients are
-    built only for the returned forms.
+    No independence requirement; exact substitution and expansion on ints.
+    linalg._ints checks P's coefficients and the vectors once: residues mod
+    p (reduced once per product), or over Q D*P and m_k vectors[k], D and
+    m_k the lcms of their denominators.  The int y^f coefficient is then
+    D prod_k m_k^(f_k) times the true one, in P and every partial, so over
+    Q a Fraction is built only for each returned coefficient.  A monomial
+    y^f is keyed by the int sum_k f_k B^k with B = deg P + 1, so
+    multiplying monomials adds keys.
     """
     field = P.field
     p = field.p
     r = len(vectors)
-    vectors = [[plain(x) for x in field.vector(v)] for v in vectors]
+    vectors, scales = _ints(vectors, field)
     for v in vectors:
         if len(v) != P.nvars:
             raise ValueError("vector length does not match variable count")
     if cols and P.degree == 0:
         raise ValueError("cannot differentiate a degree-0 form")
+    (coeffs,), (den,) = _ints([P.terms.values()], field)
     base = P.degree + 1
 
     def mul(a, b):
@@ -392,8 +397,7 @@ def _substitute(P: MultiForm, vectors, cols=()):
             pw.append(mul(pw[-1], lin))
         powers.append(pw)
     outs = [{} for _ in range(len(cols) + 1)]
-    for e, c in P.terms.items():
-        c = plain(c)
+    for e, c in zip(P.terms, coeffs):
         # c x^e contributes e_j c x^(e - unit_j) to the partial d_j P
         jobs = [(0, c, e)] + [(n, c * e[j], e[:j] + (e[j] - 1,) + e[j + 1:])
                               for n, j in enumerate(cols, 1) if e[j]]
@@ -413,7 +417,8 @@ def _substitute(P: MultiForm, vectors, cols=()):
             for _ in range(r):
                 key, k = divmod(key, base)
                 f.append(k)
-            terms[tuple(f)] = Fp(v, p) if p else v
+            terms[tuple(f)] = Fp(v, p) if p else Fraction(
+                v, den * math.prod(map(pow, scales, f)))
         forms.append(MultiForm._unchecked(field, r, P.degree - (n > 0), terms))
     return forms
 

@@ -8,10 +8,11 @@ representations compare equal.
 Row reduction, null spaces and the subspace operations (containment,
 meet, echelon complements) compute on plain ints: residues mod p, or
 integer rows over Q.  Every entry, a subspace's own basis included, is
-checked once on the way in (`_ints`); one echelon kernel (`_echelon`) does
-the elimination; `Fp` and `Fraction` are built again only for what is
-returned.  The meet reduces one basis modulo the other and takes a left
-kernel of the residues, instead of row reducing a double-width block.
+checked once on the way in (`_ints`, which the form code uses too); one
+echelon kernel (`_echelon`) does the elimination; `Fp` and `Fraction` are
+built again only for what is returned.  The meet reduces one basis modulo
+the other and takes a left kernel of the residues, instead of row reducing
+a double-width block.
 """
 
 from __future__ import annotations
@@ -273,22 +274,25 @@ def combine(field: Field, n: int, coeffs, vectors) -> tuple:
     return tuple(out)
 
 
-def _ints(rows, field: Field) -> list:
-    """Rows of field scalars or ints as lists of ints, every entry checked:
-    residues in [0, p) over F_p; over Q each row times the lcm of its
-    denominators.  Anything but an Fp of this field (a Fraction over Q) goes
-    through field.strict, which converts ints and raises FieldMismatch for
-    values of another field."""
+def _ints(rows, field: Field) -> tuple:
+    """(int rows, scales): the rows of field scalars or ints as lists of
+    ints, every entry checked, and the nonzero int each row was scaled by.
+    Over F_p the residues in [0, p), each scale 1; over Q each row times
+    its scale, the lcm of its denominators.  Anything but an Fp of this
+    field (a Fraction over Q) goes through field.strict, which converts ints
+    and raises FieldMismatch for values of another field."""
     p = field.p
     if p:
-        return [[x.v if type(x) is Fp and x.p == p else field.strict(x).v
-                 for x in row] for row in rows]
-    out = []
+        out = [[x.v if type(x) is Fp and x.p == p else field.strict(x).v
+                for x in row] for row in rows]
+        return out, [1] * len(out)
+    out, scales = [], []
     for row in rows:
         row = [x if type(x) is Fraction else field.strict(x) for x in row]
         den = lcm(*[x.denominator for x in row])
         out.append([x.numerator * (den // x.denominator) for x in row])
-    return out
+        scales.append(den)
+    return out, scales
 
 
 def _echelon(mat, p: int):
@@ -375,7 +379,7 @@ def rref(rows, field: Field):
     turned back into Fp or Fraction entries on exit; the RREF of a row space
     is unique, so the output does not depend on the integer scaling.
     """
-    mat = _ints(rows, field)
+    mat, _ = _ints(rows, field)
     if any(len(row) != len(mat[0]) for row in mat):
         raise ValueError("ragged matrix")
     mat, pivots = _echelon(mat, field.p)
@@ -466,7 +470,7 @@ class Subspace:
         v <- (a*v - b*row)/gcd(a, b) multiplies the scale s by a/gcd(a, b).
         """
         p = self.field.p
-        rows = _ints(self.basis, self.field)
+        rows, _ = _ints(self.basis, self.field)
         pivots = [next(j for j, x in enumerate(row) if x) for row in rows]
         out = []
         for v in vectors:
@@ -487,7 +491,7 @@ class Subspace:
 
     def contains_vectors(self, vectors) -> bool:
         """Whether every vector lies here; one _reduce pass for them all."""
-        vectors = _ints(vectors, self.field)
+        vectors, _ = _ints(vectors, self.field)
         for v in vectors:
             if len(v) != self.ambient_dim:
                 raise ValueError("vector length %d != ambient dim %d"
@@ -524,7 +528,7 @@ class Subspace:
         """
         self._check_compatible(other)
         field, n, p = self.field, self.ambient_dim, self.field.p
-        xs = _ints(self.basis, field)
+        xs, _ = _ints(self.basis, field)
         reduced = other._reduce(xs)
         pivots = set(other.pivot_columns())
         cols = [[r[j] for r, _ in reduced] for j in range(n) if j not in pivots]
@@ -550,7 +554,7 @@ def kernel(rows, field: Field, ncols: int | None = None) -> Subspace:
         ncols = len(rows[0])
     elif ncols is None:
         raise ValueError("ncols required for a matrix with no rows")
-    mat = _ints(rows, field)
+    mat, _ = _ints(rows, field)
     if any(len(row) != ncols for row in mat):
         raise ValueError("ragged matrix")
     red, pivots = _echelon(mat, field.p)
@@ -571,7 +575,7 @@ def echelon_complement(inner: Subspace, outer: Subspace):
     if not outer.contains_subspace(inner):
         raise ValueError("inner subspace is not contained in outer")
     cols = outer.pivot_columns()[::-1]
-    coords = [[x[c] for c in cols] for x in _ints(inner.basis, inner.field)]
+    coords = [[x[c] for c in cols] for x in _ints(inner.basis, inner.field)[0]]
     _, last = _echelon(coords, inner.field.p)
     skip = {len(cols) - 1 - j for j in last}
     return [v for k, v in enumerate(outer.basis) if k not in skip]

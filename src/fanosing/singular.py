@@ -8,9 +8,10 @@ gradient), enumerates lines over small finite fields by echelon position,
 and packages a replay-friendly survey of a whole hypersurface.  Candidate
 lines start at a point of X and run over the kernel of its first polar.
 
-The gradient re-check and the line scans share one pass over P's terms,
-(c, ((i, k), ...)) on plain scalars.  The scans run on residue tuples mod p
-throughout and build Fp vectors only for the frames they return.
+The gradient re-check and the point and line scans share one pass over
+P's terms, (c, ((i, k), ...)) on ints: residues mod p, or over Q the terms
+of D*P at a point scaled to ints, good only for zero tests.  The scans run
+on residue tuples mod p and build Fp only for what they return.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .forms import (BinaryForm, binary_gcd, binary_roots, projective_normalize,
                     restrict_to_plane)
 from .ideal import (GeneratorSet, IdealFiltration, build_filtration,
                     contains_image_sigma, extract_generators)
-from .linalg import Field, plain
+from .linalg import Field, _ints, plain
 from .pencil import NormalForm, NotConstantRankTwo, normal_form
 from .tangent import (Hypersurface, LineFrame, PlaneNotContained, TangentReport,
                       analyze_tangent)
@@ -73,19 +74,21 @@ class SingularCertificate:
 
 def _plain_form(P) -> tuple:
     """P as (terms, p), p = 0 over Q: each term (c, ((i, k), ...)) carries
-    its coefficient as a plain scalar (int mod p, Fraction) and its nonzero
-    exponents."""
-    return ([(plain(c), tuple((i, k) for i, k in enumerate(e) if k))
-             for e, c in P.terms.items()], P.field.p)
+    its coefficient as an int and its nonzero exponents; over Q the terms
+    are those of D*P, D the lcm of P's denominators."""
+    (coeffs,), _ = _ints([P.terms.values()], P.field)
+    return ([(c, tuple((i, k) for i, k in enumerate(e) if k))
+             for e, c in zip(P.terms, coeffs)], P.field.p)
 
 
 def _polar(form, x):
-    """The gradient g of P at x (plain scalars), or None when P(x) != 0.
+    """The gradient g of P at the int point x, or None when P(x) != 0.
 
-    One pass over P's terms: a term c x^e adds c x^e to P(x) and
+    One pass over P's terms on ints: a term c x^e adds c x^e to P(x) and
     e_i c x^(e - unit_i) to d_i P(x).  sum g_i w_i is the s^(d-1) t
     coefficient of P(s x + t w), so it vanishes in every characteristic when
-    span(x, w) is on X.
+    span(x, w) is on X.  Over Q, with form D*P and x = m x', g is
+    D m^(d-1) times the gradient at x': right only about which entries vanish.
     """
     terms, p = form
     value, grad = 0, [0] * len(x)
@@ -119,12 +122,13 @@ def _checked_point(X: Hypersurface, point) -> tuple:
 def is_singular_at(X: Hypersurface, point) -> bool:
     """Gradient test: P and all its partials vanish at the point.
 
-    One pass over P's terms on plain ints mod p (Fractions over Q), the
-    _polar the line scans use.  It uses neither the restriction code nor
+    One pass over P's terms on ints, the _polar the line scans use; over Q
+    on D*P at the point times the lcm of its denominators, nonzero scalings
+    that keep every zero.  It uses neither the restriction code nor
     MultiForm.partial, so it stays an independent check of both.
     """
-    point = _checked_point(X, point)
-    grad = _polar(_plain_form(X.P), [plain(x) for x in point])
+    (x,), _ = _ints([_checked_point(X, point)], X.field)
+    grad = _polar(_plain_form(X.P), x)
     return grad is not None and not any(grad)
 
 
@@ -275,9 +279,14 @@ def projective_points(field: Field, ncoords: int):
     _check_budget("point list of P^%d" % (ncoords - 1),
                   _projective_size(field.p, ncoords), _BUDGET)
     elems = [field.scalar(i) for i in range(field.p)]
-    zero, one = field.zero(), field.one()
-    return [(zero,) * lead + (one,) + tail for lead in range(ncoords)
-            for tail in product(elems, repeat=ncoords - 1 - lead)]
+    return [tuple(map(elems.__getitem__, x))
+            for x in _residue_points(field.p, ncoords)]
+
+
+def _residue_points(p: int, ncoords: int):
+    """The points of projective_points as residue tuples, in its order."""
+    return ((0,) * lead + (1,) + tail for lead in range(ncoords)
+            for tail in product(range(p), repeat=ncoords - 1 - lead))
 
 
 def _value(form, x) -> int:
@@ -399,12 +408,14 @@ def all_lines(X: Hypersurface, budget: int = 10 ** 8) -> list:
 
 
 def singular_points(X: Hypersurface) -> tuple:
-    """Exhaustive scan of P^n(F_p) for singular points of X."""
+    """Exhaustive scan of P^n(F_p) for singular points of X, in
+    projective_points order, on residue tuples with P read once."""
     _require_prime_field(X.field)
     _check_budget("singular point scan", _projective_size(X.field.p, X.n + 1),
                   _BUDGET)
-    return tuple(pt for pt in projective_points(X.field, X.n + 1)
-                 if is_singular_at(X, pt))
+    form = _plain_form(X.P)
+    return tuple(X.field.vector(x) for x in _residue_points(X.field.p, X.n + 1)
+                 if (g := _polar(form, x)) is not None and not any(g))
 
 
 # ---------------------------------------------------------------------------

@@ -287,6 +287,68 @@ def test_restriction_and_evaluation_match_termwise_oracle():
         mono(F7, 2, (1, 1)).evaluate((F7.scalar(1), Fp(1, 5)))
 
 
+_BIG = 1000003     # a prime above 10^6
+
+
+def _q_entry():
+    """Fractions whose denominators often carry _BIG."""
+    return st.builds(lambda a, b, big: Fr(a, b * (_BIG if big else 1)),
+                     st.integers(-40, 40), st.integers(1, 30), st.booleans())
+
+
+def _polarization(P, vectors):
+    """The full polarization M(x_1, ..., x_d) = (1/d!) sum over subsets S of
+    (-1)^(d - |S|) P(sum_{i in S} x_i), from MultiForm.evaluate alone."""
+    d, total = len(vectors), Fr(0)
+    for mask in itertools.product((0, 1), repeat=d):
+        point = [Fr(0)] * P.nvars
+        for bit, v in zip(mask, vectors):
+            if bit:
+                point = [a + b for a, b in zip(point, v)]
+        total += (-1) ** (d - sum(mask)) * P.evaluate(point)
+    return total / math.factorial(d)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_q_restriction_with_large_denominators(data):
+    """Over Q, with a prime above 10^6 in the denominators of P's
+    coefficients and of 1-3 spanning vectors: every form restrict_partials
+    returns, at a random y, equals MultiForm.evaluate of P or of
+    P.partial(c) at sum_k y_k v_k, and multilinear_eval equals the
+    polarization formula on evaluate."""
+    nvars, d = data.draw(st.integers(2, 5)), data.draw(st.integers(1, 4))
+    exps = st.lists(st.integers(0, nvars - 1), min_size=d, max_size=d).map(
+        lambda ix: tuple(ix.count(i) for i in range(nvars)))
+    terms = data.draw(st.dictionaries(exps, _q_entry().filter(bool),
+                                      min_size=1, max_size=6))
+    first = next(iter(terms))
+    terms[first] /= _BIG
+    P = MultiForm(QQ, nvars, d, terms)
+    r = data.draw(st.integers(1, min(3, nvars)))
+    vectors = data.draw(st.lists(
+        st.lists(_q_entry(), min_size=nvars, max_size=nvars).map(tuple),
+        min_size=r, max_size=r))
+    vectors[0] = tuple(x / _BIG for x in vectors[0])
+    cols = data.draw(st.lists(st.integers(0, nvars - 1), max_size=nvars))
+    if rank(vectors, QQ) == r:
+        forms = restrict_partials(P, vectors, cols)
+        oracles = [P] + [P.partial(c) for c in cols]
+        assert len(forms) == len(oracles)
+        for _ in range(2):
+            y = data.draw(st.lists(_q_entry(), min_size=r, max_size=r))
+            point = [sum((a * v[i] for a, v in zip(y, vectors)), Fr(0))
+                     for i in range(nvars)]
+            for form, Q in zip(forms, oracles):
+                got = form.evaluate(*y) if r == 2 else form.evaluate(y)
+                assert got == Q.evaluate(point)
+    slots = data.draw(st.lists(st.integers(0, r - 1), min_size=d, max_size=d))
+    mults = [slots.count(k) for k in range(r)]
+    repeated = [v for v, m in zip(vectors, mults) for _ in range(m)]
+    assert multilinear_eval(P, list(zip(vectors, mults))) == \
+        _polarization(P, repeated)
+
+
 def binform(field, *coeffs):
     return BinaryForm(field, tuple(field.scalar(c) for c in coeffs))
 

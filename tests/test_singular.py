@@ -507,6 +507,29 @@ def test_is_singular_at_matches_partials_oracle():
         is_singular_at(fermat(3, 3, QQ), (1, F7.one(), 0, 0))
 
 
+def test_is_singular_at_is_invariant_under_scaling():
+    """The gradient test gives the same answer at a point and at its
+    multiples by Fractions: the README cone's vertex given as (0,0,0,1/7),
+    and the certified and sample points of the planted Q lines scaled by
+    -3/5 and by 1/1000003."""
+    X = cone(fermat(2, 3, QQ))
+    assert is_singular_at(X, (0, 0, 0, Fr(1, 7)))
+    assert not is_singular_at(X, (Fr(1, 7), Fr(-1, 7), 0, 0))
+    scale = Fr(-3, 5)
+    seen = 0
+    for X, line in _planted_q_lines():
+        fr = LineFrame(QQ, *line)
+        la = analyze_line(X, fr)
+        points = [sp.ambient for sp in la.certificate.points]
+        points += [fr.point(1, 0), fr.point(1, 1), fr.point(2, -1)]
+        for x in points:
+            want = is_singular_at(X, x)
+            assert is_singular_at(X, tuple(scale * c for c in x)) == want
+            assert is_singular_at(X, tuple(c / 1000003 for c in x)) == want
+            seen += want
+    assert seen >= 5
+
+
 def test_budget_guard():
     X = fermat(3, 3, F7)
     with pytest.raises(BudgetExceeded) as exc:

@@ -7,7 +7,7 @@ import pytest
 
 from fanosing.corpus import cone, fermat, random_with_line
 from fanosing.forms import BinaryForm, MultiForm, restrict_to_plane
-from fanosing.linalg import QQ, Subspace, combine, parse_field
+from fanosing.linalg import QQ, Subspace, combine, kernel, parse_field
 from fanosing.tangent import (Hypersurface, LineFrame, PlaneNotContained,
                               analyze_tangent, compute_pi, sigma, sigma_plane,
                               tangent_cone_lines, tangent_space,
@@ -254,6 +254,64 @@ def test_sigma_plane_k2():
     assert mat[1][monos.index((2, 1, 0))] == 1
     assert mat[2][monos.index((2, 0, 1))] == 1
     assert tangent_space_plane(X, basis).dim == 0
+
+
+def _fractional_line(rng, n, d):
+    """A random Q form through a line with a fractional frame: P is
+    sum_j l_j G_j, the l_j a basis of the linear forms vanishing on the line
+    and the G_j random fractional forms of degree d - 1."""
+    def q():
+        return Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 5, 7, 9, 1000003)))
+
+    while True:
+        e1, e2 = (tuple(q() for _ in range(n + 1)) for _ in range(2))
+        if len(Subspace.from_vectors([e1, e2], QQ, n + 1).basis) == 2:
+            break
+    P = MultiForm.zero(QQ, n + 1, d)
+    for ell in kernel([e1, e2], QQ).basis:
+        lin = MultiForm(QQ, n + 1, 1, {tuple(int(i == j) for i in range(n + 1)): c
+                                       for j, c in enumerate(ell)})
+        G = MultiForm.zero(QQ, n + 1, d - 1)
+        for _ in range(rng.randint(1, 3)):
+            exps = [0] * (n + 1)
+            for _ in range(d - 1):
+                exps[rng.randint(0, n)] += 1
+            G = G + mono(QQ, n + 1, exps, q())
+        P = P + lin * G
+    return P, e1, e2
+
+
+def test_sigma_commutes_with_reduction_mod_p():
+    """On Q lines with fractional coefficients and frames, sigma over Q
+    reduced mod p equals sigma of P.reduce_mod(p) on the reduced frame, for
+    primes dividing no denominator and keeping the frame's pivot columns."""
+    rng = random.Random(15)
+    compared = 0
+    for case in range(30):
+        n, d = 2 + case % 3, 2 + case % 3
+        P, e1, e2 = _fractional_line(rng, n, d)
+        if P.is_zero():
+            continue
+        frame = LineFrame(QQ, e1, e2)
+        mat = sigma(Hypersurface(P), frame)
+        dens = [c.denominator for c in (*P.terms.values(), *e1, *e2)]
+        primes = [p for p in (11, 13, 101, 10007, 1000003)
+                  if all(den % p for den in dens)]
+        assert len(primes) >= 3
+        for p in primes:
+            Fp_ = parse_field("Fp:%d" % p)
+            Pp = P.reduce_mod(p)
+            f1, f2 = (tuple(map(Fp_.scalar, v)) for v in (e1, e2))
+            if Pp.is_zero() or len(Subspace.from_vectors([f1, f2], Fp_).basis) < 2:
+                continue
+            frame_p = LineFrame(Fp_, f1, f2)
+            if frame_p.complement != tuple(tuple(map(Fp_.scalar, w))
+                                           for w in frame.complement):
+                continue
+            assert sigma(Hypersurface(Pp), frame_p) == \
+                tuple(tuple(map(Fp_.scalar, row)) for row in mat)
+            compared += 1
+    assert compared >= 80
 
 
 def test_hypersurface_validation():
