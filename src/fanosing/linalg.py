@@ -5,14 +5,21 @@ p prime, p <= 2**61).  No floats anywhere.  Subspaces are stored in
 canonical reduced row echelon form, so two subspaces are equal iff their
 representations compare equal.
 
-Row reduction, null spaces and the subspace operations (containment,
-meet, echelon complements) compute on plain ints: residues mod p, or
-integer rows over Q.  Every entry, a subspace's own basis included, is
-checked once on the way in (`_ints`, which the form code uses too); one
-echelon kernel (`_echelon`) does the elimination; `Fp` and `Fraction` are
-built again only for what is returned.  The meet reduces one basis modulo
-the other and takes a left kernel of the residues, instead of row reducing
-a double-width block.
+Everything below the scalar layer computes on plain ints: residues mod
+p, or integer rows over Q, where a vector is an int row with a nonzero
+scale (the row divided by its scale) and an echelon row's scale is its
+pivot entry.  Scalars enter through `_ints`, the one checked int entry
+(every entry, a subspace's own basis included, is checked once; the form
+code uses it too), and leave through `_scalars`, which builds `Fp` and
+`Fraction` only for what is returned.  Between them there is one echelon
+kernel (`_echelon`) and one int helper for each subspace operation:
+`_reduce` (reduction modulo echelon rows), `_meet` (reduce one basis
+modulo the other and take a left kernel of the residues, instead of row
+reducing a double-width block), `_solve` (a combination with the free
+coefficients 0) and `_complement` (the echelon rows extending a subspace).
+`rref`, `kernel`, `solve_combination`, `echelon_complement` and the
+`Subspace` methods are thin wrappers over them; `pencil.normal_form` calls
+the int helpers directly.
 """
 
 from __future__ import annotations
@@ -340,16 +347,22 @@ def _echelon(mat, p: int):
     return mat[:r], pivots
 
 
-def _scalars(mat, pivots, field: Field) -> list:
-    """Echelon int rows back to field scalars, each divided by its pivot."""
-    p, zero, out = field.p, field.zero(), []
-    for row, c in zip(mat, pivots):
-        if p:
-            out.append(tuple(Fp(x, p) if x else zero for x in row))
-        else:
-            a = row[c]
-            out.append(tuple(Fraction(x, a) if x else zero for x in row))
-    return out
+def _scalars(rows, scales, field: Field) -> list:
+    """Int rows back to field scalars, the inverse of _ints: over F_p the
+    residues as they are, over Q row i divided by scales[i] (for an echelon
+    row from _echelon, its pivot entry).  Fp values are never modified in
+    place, so one is built per distinct residue and its entries share it."""
+    p, zero = field.p, field.zero()
+    if p:
+        memo = {x: Fp(x, p) if x else zero for x in set().union(*rows)}
+        return [tuple(map(memo.__getitem__, row)) for row in rows]
+    return [tuple(Fraction(x, a) if x else zero for x in row)
+            for row, a in zip(rows, scales)]
+
+
+def _heads(mat, pivots) -> list:
+    """The pivot entry of each echelon int row: its scale over Q."""
+    return [row[c] for row, c in zip(mat, pivots)]
 
 
 def _null_vectors(red, pivots, ncols: int, p: int) -> list:
@@ -365,6 +378,99 @@ def _null_vectors(red, pivots, ncols: int, p: int) -> list:
             v[c] = -row[f] * (den // row[c])
         out.append([x % p for x in v] if p else v)
     return out
+
+
+def _reduce(rows, pivots, vectors, p: int) -> list:
+    """Int vectors reduced modulo the span of echelon int rows, on ints.
+
+    rows have pivot columns `pivots` and are zero at each other's pivot
+    columns (from _echelon, or _ints of a Subspace basis).  Gives (r, s) per
+    vector v with r = s*v - (a vector of the span) and r zero at the pivot
+    columns, so v lies in the span iff r is zero.  Over F_p the rows have
+    pivot 1 and s == 1; over Q each step v <- (a*v - b*row)/gcd(a, b)
+    multiplies the scale s by a/gcd(a, b).
+    """
+    out = []
+    for v in vectors:
+        s = 1
+        for row, c in zip(rows, pivots):
+            b = v[c]
+            if not b:
+                continue
+            if p:
+                v = [(x - b * y) % p for x, y in zip(v, row)]
+            else:
+                g = gcd(row[c], b)
+                a, b = row[c] // g, b // g
+                v = [a * x - b * y for x, y in zip(v, row)]
+                s *= a
+        out.append((v, s))
+    return out
+
+
+def _meet(xs, rows, pivots, n: int, p: int):
+    """The vectors of span(xs) whose first n entries lie in span(rows), as
+    echelon int rows and pivots: span(xs) meet (span(rows) x K^k) for xs in
+    K^(n+k), the plain meet when k = 0.
+
+    xs are independent int rows; rows are echelon int rows in K^n with the
+    given pivot columns.  Each x_i[:n] reduces modulo rows to
+    r_i = s_i*x_i[:n] - y_i with y_i in span(rows).  The left kernel of the
+    r_i at the free columns (where all of r_i lives) gives the coefficients
+    c with sum c_i*r_i = 0, and then sum c_i*s_i*x_i is in the meet; the x_i
+    are independent, so these span it.  One echelon pass makes them
+    canonical.
+    """
+    reduced = _reduce(rows, pivots, [x[:n] for x in xs], p)
+    taken = set(pivots)
+    cols = [[r[j] for r, _ in reduced] for j in range(n) if j not in taken]
+    red, kpiv = _echelon(cols, p)
+    vecs = []
+    # each left kernel vector, scaled to be integral, gives sum c_i*s_i*x_i
+    for coeffs in _null_vectors(red, kpiv, len(xs), p):
+        vec = [0] * len(xs[0])
+        for c, (_, s), x in zip(coeffs, reduced, xs):
+            if c:
+                cs = c * s
+                vec = [a + cs * b for a, b in zip(vec, x)]
+        vecs.append([a % p for a in vec] if p else vec)
+    return _echelon(vecs, p)
+
+
+def _solve(rows, target, p: int):
+    """(nums, den) with sum_i nums[i]*rows[i] == den*target on int rows,
+    or None when target is outside their span.
+
+    Reduces the transposed system augmented with the target; the free
+    coefficients are 0 and den is the lcm of the pivot entries (1 over
+    F_p).  Only the first len(target) entries of each row are read.
+    """
+    k = len(rows)
+    aug = [[row[j] for row in rows] + [t] for j, t in enumerate(target)]
+    red, pivots = _echelon(aug, p)
+    if pivots and pivots[-1] == k:
+        return None  # inconsistent
+    den = lcm(*_heads(red, pivots))
+    nums = [0] * k
+    for row, c in zip(red, pivots):
+        nums[c] = row[k] * (den // row[c])
+    return nums, den
+
+
+def _complement(inner, pivots, p: int) -> list:
+    """Indices of the echelon rows with pivot columns `pivots` that extend
+    span(inner) to their span, in order; inner (int rows) must lie in it.
+
+    Keeps row k iff it is independent of inner and the rows kept before it.
+    In the coordinates of the echelon basis (a vector's entries at its
+    pivot columns) row k is skipped iff some vector of inner has its last
+    nonzero coordinate at k: the pivots of inner's coordinates with the
+    columns reversed, found in one echelon pass.
+    """
+    cols = pivots[::-1]
+    _, last = _echelon([[x[c] for c in cols] for x in inner], p)
+    skip = {len(cols) - 1 - j for j in last}
+    return [k for k in range(len(cols)) if k not in skip]
 
 
 def rref(rows, field: Field):
@@ -383,7 +489,7 @@ def rref(rows, field: Field):
     if any(len(row) != len(mat[0]) for row in mat):
         raise ValueError("ragged matrix")
     mat, pivots = _echelon(mat, field.p)
-    return _scalars(mat, pivots, field), pivots
+    return _scalars(mat, _heads(mat, pivots), field), pivots
 
 
 def rank(rows, field: Field) -> int:
@@ -394,24 +500,22 @@ def solve_combination(rows, target, field: Field):
     """Coefficients x with sum_i x_i * rows[i] == target, or None.
 
     When the system is underdetermined the free coefficients are set to 0.
+    _solve on the int rows s_i*rows[i] and t*target gives y with
+    sum y_i*s_i*rows[i] == t*target, so x_i = y_i*s_i/t.
     """
+    (vec,), (t,) = _ints([target], field)
     rows = list(rows)
-    target = field.vector(target)
-    k = len(rows)
-    if k == 0:
-        return [] if not any(target) else None
-    n = len(rows[0])
-    if len(target) != n:
+    if not rows:
+        return [] if not any(vec) else None
+    if len(vec) != len(rows[0]):
         raise ValueError("length mismatch")
-    # columns of the transposed system, augmented with the target
-    aug = [[rows[i][j] for i in range(k)] + [target[j]] for j in range(n)]
-    red, pivots = rref(aug, field)
-    x = [field.zero()] * k
-    for row, pc in zip(red, pivots):
-        if pc == k:
-            return None  # inconsistent
-        x[pc] = row[k]
-    return x
+    ints, scales = _ints(rows, field)
+    sol = _solve(ints, vec, field.p)
+    if sol is None:
+        return None
+    nums, den = sol
+    return list(_scalars([[y * s for y, s in zip(nums, scales)]],
+                         [den * t], field)[0])
 
 
 @dataclass(frozen=True)
@@ -419,7 +523,8 @@ class Subspace:
     """Linear subspace of K^ambient_dim in canonical reduced echelon form.
 
     Built via from_vectors; equality of subspaces is equality of the frozen
-    representation.
+    representation.  contains_vectors and meet read the basis through
+    _ints and run the module's int helpers (_reduce, _meet).
     """
 
     field: Field
@@ -461,33 +566,10 @@ class Subspace:
                     break
         return cols
 
-    def _reduce(self, vectors) -> list:
-        """Int vectors (as from _ints) reduced modulo this subspace on ints.
-
-        Gives (r, s) per vector v with r = s*v - (a vector of this subspace)
-        and r zero at the pivot columns, so v lies here iff r is zero.  Over
-        F_p the basis rows have pivot 1 and s == 1; over Q each step
-        v <- (a*v - b*row)/gcd(a, b) multiplies the scale s by a/gcd(a, b).
-        """
-        p = self.field.p
+    def _rows(self) -> tuple:
+        """The basis as int rows (from _ints) and their pivot columns."""
         rows, _ = _ints(self.basis, self.field)
-        pivots = [next(j for j, x in enumerate(row) if x) for row in rows]
-        out = []
-        for v in vectors:
-            s = 1
-            for row, c in zip(rows, pivots):
-                b = v[c]
-                if not b:
-                    continue
-                if p:
-                    v = [(x - b * y) % p for x, y in zip(v, row)]
-                else:
-                    g = gcd(row[c], b)
-                    a, b = row[c] // g, b // g
-                    v = [a * x - b * y for x, y in zip(v, row)]
-                    s *= a
-            out.append((v, s))
-        return out
+        return rows, [next(j for j, x in enumerate(row) if x) for row in rows]
 
     def contains_vectors(self, vectors) -> bool:
         """Whether every vector lies here; one _reduce pass for them all."""
@@ -496,7 +578,8 @@ class Subspace:
             if len(v) != self.ambient_dim:
                 raise ValueError("vector length %d != ambient dim %d"
                                  % (len(v), self.ambient_dim))
-        return not any(any(r) for r, _ in self._reduce(vectors))
+        reduced = _reduce(*self._rows(), vectors, self.field.p)
+        return not any(any(r) for r, _ in reduced)
 
     def contains_vector(self, v) -> bool:
         return self.contains_vectors([v])
@@ -518,32 +601,12 @@ class Subspace:
                                      self.field, self.ambient_dim)
 
     def meet(self, other: "Subspace") -> "Subspace":
-        """Intersection, by reduction on ints.
-
-        Each basis row x_i of self reduces modulo other to r_i = s_i*x_i - y_i
-        with y_i in other.  The left kernel of the r_i at other's free columns
-        (where all of r_i lives) gives the coefficients c with sum c_i*r_i = 0,
-        and then sum c_i*s_i*x_i lies in both; self's rows are independent,
-        so these span the meet.  One echelon pass makes them canonical.
-        """
+        """Intersection: _meet of self's basis rows with other's, on ints."""
         self._check_compatible(other)
-        field, n, p = self.field, self.ambient_dim, self.field.p
+        field, n = self.field, self.ambient_dim
         xs, _ = _ints(self.basis, field)
-        reduced = other._reduce(xs)
-        pivots = set(other.pivot_columns())
-        cols = [[r[j] for r, _ in reduced] for j in range(n) if j not in pivots]
-        red, kpiv = _echelon(cols, p)
-        vecs = []
-        # each left kernel vector, scaled to be integral, gives sum c_i*s_i*x_i
-        for coeffs in _null_vectors(red, kpiv, len(xs), p):
-            vec = [0] * n
-            for c, (_, s), x in zip(coeffs, reduced, xs):
-                if c:
-                    cs = c * s
-                    vec = [a + cs * b for a, b in zip(vec, x)]
-            vecs.append([a % p for a in vec] if p else vec)
-        mat, piv = _echelon(vecs, p)
-        return Subspace(field, n, tuple(_scalars(mat, piv, field)))
+        mat, piv = _meet(xs, *other._rows(), n, field.p)
+        return Subspace(field, n, tuple(_scalars(mat, _heads(mat, piv), field)))
 
 
 def kernel(rows, field: Field, ncols: int | None = None) -> Subspace:
@@ -559,23 +622,18 @@ def kernel(rows, field: Field, ncols: int | None = None) -> Subspace:
         raise ValueError("ragged matrix")
     red, pivots = _echelon(mat, field.p)
     mat, piv = _echelon(_null_vectors(red, pivots, ncols, field.p), field.p)
-    return Subspace(field, ncols, tuple(_scalars(mat, piv, field)))
+    return Subspace(field, ncols, tuple(_scalars(mat, _heads(mat, piv), field)))
 
 
 def echelon_complement(inner: Subspace, outer: Subspace):
     """Vectors of outer's canonical basis extending inner to a basis of outer.
 
     Keeps, in order, each row of outer's echelon basis that is independent
-    of inner and the rows kept before it; deterministic.  Requires
-    inner <= outer.  In the coordinates of outer's basis (the entries at its
-    pivot columns) row k is skipped iff some vector of inner has its last
-    nonzero coordinate at k: the pivots of inner's coordinates with the
-    columns reversed, found in one echelon pass.
+    of inner and the rows kept before it (_complement); deterministic.
+    Requires inner <= outer.
     """
     if not outer.contains_subspace(inner):
         raise ValueError("inner subspace is not contained in outer")
-    cols = outer.pivot_columns()[::-1]
-    coords = [[x[c] for c in cols] for x in _ints(inner.basis, inner.field)[0]]
-    _, last = _echelon(coords, inner.field.p)
-    skip = {len(cols) - 1 - j for j in last}
-    return [v for k, v in enumerate(outer.basis) if k not in skip]
+    rows, _ = _ints(inner.basis, inner.field)
+    keep = _complement(rows, outer.pivot_columns(), inner.field.p)
+    return [outer.basis[k] for k in keep]

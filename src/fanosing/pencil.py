@@ -20,14 +20,23 @@ slot first by solving for predecessors inside R.  A completed candidate is
 always re-verified; verification failure (or a stalled filtration) proves a
 rank-one element exists over the algebraic closure, so construction plus
 verification decides decomposability exactly.
+
+Scalars enter once and leave once.  normal_form reads the pencil's basis
+through linalg._ints and computes on int rows from then on, with linalg's
+int helpers (_echelon, _meet, _solve, _complement), the same ones the
+Subspace methods wrap: residues mod p, or over Q a vector is an (int row,
+scale) pair, an echelon row's scale being its pivot entry.  Fp or Fraction
+entries are built only for the returned adapted basis.  verify_normal_form
+stays on the public scalar API, an independent re-check of that basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
-from .linalg import (Field, Subspace, combine, echelon_complement, rank,
-                     solve_combination, unit_vectors)
+from .linalg import (Field, Subspace, _complement, _echelon, _ints, _meet,
+                     _scalars, _solve, rank)
 
 
 class NotConstantRankTwo(ValueError):
@@ -70,22 +79,29 @@ class NormalForm:
         return out
 
 
-def _relation_space(pencil: Subspace, m: int) -> Subspace:
-    """R = {(u, v) : alpha^1 (x) u - alpha^2 (x) v lies in the pencil}."""
-    vecs = [w[:m] + tuple(-y for y in w[m:]) for w in pencil.basis]
-    return Subspace.from_vectors(vecs, pencil.field, 2 * m)
+def _relation_space(rows, m: int, p: int) -> list:
+    """R = {(u, v) : alpha^1 (x) u - alpha^2 (x) v lies in the pencil}, as
+    echelon int rows, from the pencil's int basis rows."""
+    return _echelon([w[:m] + [-y % p if p else -y for y in w[m:]]
+                     for w in rows], p)[0]
 
 
-def _product_with_full(left: Subspace, m: int) -> Subspace:
-    # rows (v | 0), then unit rows on the right half: already in RREF
-    field = left.field
-    vecs = [v + (field.zero(),) * m for v in left.basis]
-    vecs += unit_vectors(field, 2 * m, range(m, 2 * m))
-    return Subspace(field, 2 * m, tuple(vecs))
-
-
-def _second_block_image(space: Subspace, m: int) -> Subspace:
-    return Subspace.from_vectors([w[m:] for w in space.basis], space.field, m)
+def _predecessor(meet, v, scale, m: int, p: int):
+    """A u with (u, v/scale) in the meet, as an (int row, scale) pair, or
+    None: the coefficients of v on the meet's second halves (free ones 0,
+    as solve_combination sets them) applied to the first halves."""
+    sol = _solve([w[m:] for w in meet], v, p)
+    if sol is None:
+        return None
+    nums, den = sol
+    u = [0] * m
+    for c, w in zip(nums, meet):
+        if c:
+            u = [a + c * b for a, b in zip(u, w)]
+    if p:
+        return [a % p for a in u], 1
+    g = gcd(*u, den * scale)
+    return [a // g for a in u], den * scale // g
 
 
 def normal_form(pencil: Subspace) -> NormalForm:
@@ -93,26 +109,28 @@ def normal_form(pencil: Subspace) -> NormalForm:
 
     pencil lives in K^{2m} with the (u | v) encoding in the standard dual
     pair (alpha^1, alpha^2), which a line's frame fixes; the chains refer to
-    that pair.
+    that pair.  R, the levels V[t], the meets and the chains are int rows
+    (see the module docstring).
     """
-    field = pencil.field
+    field, p = pencil.field, pencil.field.p
     if pencil.ambient_dim % 2:
         raise ValueError("pencil ambient dimension must be even")
     m = pencil.ambient_dim // 2
 
-    R = _relation_space(pencil, m)
-    V = Subspace.full(field, m)
+    R = _relation_space(_ints(pencil.basis, field)[0], m, p)
+    V = ([[int(i == j) for j in range(m)] for i in range(m)], list(range(m)))
     levels_dim = []        # dim V[t-1] - dim V[t] for t = 1, 2, ...
-    meets = []             # R cap (V[t-1] x K^m)
-    chain_spaces = [V]
-    while V.dim:
-        M = R.meet(_product_with_full(V, m))
-        nxt = _second_block_image(M, m)
-        if nxt.dim >= V.dim:
+    meets = []             # R cap (V[t-1] x K^m), echelon int rows
+    chain_spaces = [V]     # (echelon int rows, pivots) of each V[t]
+    while V[0]:
+        # R cap (V x K^m): the right halves are never reduced
+        M, _ = _meet(R, *V, m, p)
+        nxt = _echelon([w[m:] for w in M], p)
+        if len(nxt[0]) >= len(V[0]):
             raise NotConstantRankTwo(
-                "chain recursion stalled at dimension %d" % nxt.dim)
+                "chain recursion stalled at dimension %d" % len(nxt[0]))
         meets.append(M)
-        levels_dim.append(V.dim - nxt.dim)
+        levels_dim.append(len(V[0]) - len(nxt[0]))
         chain_spaces.append(nxt)
         V = nxt
 
@@ -122,44 +140,43 @@ def normal_form(pencil: Subspace) -> NormalForm:
             raise NotConstantRankTwo(
                 "level sizes are not monotone; no block decomposition")
 
-    chains_rev = []        # vectors of each block, deepest slot first
+    chains_rev = []        # (int row, scale) of each block, deepest slot first
     current = []           # chain index of each vector in the current level
     level_vecs = []
     for t in range(T, 0, -1):
-        below, here = chain_spaces[t], chain_spaces[t - 1]
-        M = meets[t - 1]
-        second = [w[m:] for w in M.basis]
+        below, (here, here_piv) = chain_spaces[t][0], chain_spaces[t - 1]
         preds = []
-        for v in level_vecs:
-            coeffs = solve_combination(second, v, field)
-            if coeffs is None:
+        for v, scale in level_vecs:
+            pred = _predecessor(meets[t - 1], v, scale, m, p)
+            if pred is None:
                 raise NotConstantRankTwo("chain predecessor missing")
-            # combine reads the first m entries of each (u | v) basis vector
-            preds.append(combine(field, m, coeffs, M.basis))
-        inner = below.join(Subspace.from_vectors(preds, field, m)) \
-            if preds else below
-        if inner.dim != below.dim + len(preds):
+            preds.append(pred)
+        # below and the predecessors lie in here: the rank of their join is
+        # the number of here's rows the complement does not keep
+        keep = _complement(below + [u for u, _ in preds], here_piv, p)
+        if len(here) - len(keep) != len(below) + len(preds):
             raise NotConstantRankTwo(
                 "chain predecessors collapse; no block decomposition")
-        new_heads = echelon_complement(inner, here)
+        new_heads = [(here[k], here[k][here_piv[k]]) for k in keep]
         for i, vec in enumerate(preds):
             chains_rev[current[i]].append(vec)
         ids = list(current)
         for vec in new_heads:
             chains_rev.append([vec])
             ids.append(len(chains_rev) - 1)
-        level_vecs = preds + list(new_heads)
+        level_vecs = preds + new_heads
         current = ids
 
-    blocks = [tuple(reversed(ch)) for ch in chains_rev]
+    blocks = [ch[::-1] for ch in chains_rev]
     s = tuple(len(b) for b in blocks)
     offsets, adapted, off = [], [], 0
     for b in blocks:
         offsets.append(off)
         adapted.extend(b)
         off += len(b)
+    basis = _scalars([u for u, _ in adapted], [c for _, c in adapted], field)
     nf = NormalForm(field=field, m=m, r=len(blocks), s=s,
-                    adapted_basis=tuple(adapted),
+                    adapted_basis=tuple(basis),
                     chain_offsets=tuple(offsets))
     if not verify_normal_form(pencil, nf):
         raise NotConstantRankTwo("normal form candidate failed verification")

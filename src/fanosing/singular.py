@@ -10,7 +10,8 @@ lines start at a point of X and run over the kernel of its first polar.
 
 The gradient re-check and the point and line scans share one pass over
 P's terms, (c, ((i, k), ...)) on ints: residues mod p, or over Q the terms
-of D*P at a point scaled to ints, good only for zero tests.  The scans run
+of D*P at a point scaled to ints, good only for zero tests.  The terms are
+read once per hypersurface (Hypersurface.plain_form).  The scans run
 on residue tuples mod p and build Fp only for what they return.
 """
 
@@ -72,15 +73,6 @@ class SingularCertificate:
     note: str
 
 
-def _plain_form(P) -> tuple:
-    """P as (terms, p), p = 0 over Q: each term (c, ((i, k), ...)) carries
-    its coefficient as an int and its nonzero exponents; over Q the terms
-    are those of D*P, D the lcm of P's denominators."""
-    (coeffs,), _ = _ints([P.terms.values()], P.field)
-    return ([(c, tuple((i, k) for i, k in enumerate(e) if k))
-             for e, c in zip(P.terms, coeffs)], P.field.p)
-
-
 def _polar(form, x):
     """The gradient g of P at the int point x, or None when P(x) != 0.
 
@@ -122,13 +114,13 @@ def _checked_point(X: Hypersurface, point) -> tuple:
 def is_singular_at(X: Hypersurface, point) -> bool:
     """Gradient test: P and all its partials vanish at the point.
 
-    One pass over P's terms on ints, the _polar the line scans use; over Q
+    One pass over X.plain_form on ints, the _polar the line scans use; over Q
     on D*P at the point times the lcm of its denominators, nonzero scalings
     that keep every zero.  It uses neither the restriction code nor
     MultiForm.partial, so it stays an independent check of both.
     """
     (x,), _ = _ints([_checked_point(X, point)], X.field)
-    grad = _polar(_plain_form(X.P), x)
+    grad = _polar(X.plain_form, x)
     return grad is not None and not any(grad)
 
 
@@ -303,7 +295,7 @@ def _value(form, x) -> int:
 def _line_on(X: Hypersurface, form, e1, e2) -> bool:
     """Exact containment test for the line span(e1, e2) of residue vectors,
     given that e1 is a point of X: every caller has already checked
-    P(e1) = 0.  form is _plain_form(X.P)."""
+    P(e1) = 0.  form is X.plain_form."""
     d, p = X.d, form[1]
     if d <= p:
         # a degree-d form on the line vanishing at d+1 points vanishes;
@@ -356,7 +348,7 @@ def lines_through(X: Hypersurface, point, budget: int = 10 ** 8) -> list:
     field, p = X.field, X.field.p
     x = _checked_point(X, point)
     xs = tuple(plain(c) for c in x)
-    form = _plain_form(X.P)
+    form = X.plain_form
     g = _polar(form, xs)
     if g is None:
         raise PlaneNotContained("point is not on the hypersurface")
@@ -385,7 +377,7 @@ def all_lines(X: Hypersurface, budget: int = 10 ** 8) -> list:
     field, p = X.field, X.field.p
     n1 = X.n + 1
     _check_budget("line enumeration", grassmannian_size(p, X.n), budget)
-    form = _plain_form(X.P)
+    form = X.plain_form
     polars = {}     # row 1 -> its polar, or None off X; rows recur across j2
     frames = []
     # echelon pairs with pivots j1 < j2: row 2 is 1 at j2, then free entries;
@@ -413,7 +405,7 @@ def singular_points(X: Hypersurface) -> tuple:
     _require_prime_field(X.field)
     _check_budget("singular point scan", _projective_size(X.field.p, X.n + 1),
                   _BUDGET)
-    form = _plain_form(X.P)
+    form = X.plain_form
     return tuple(X.field.vector(x) for x in _residue_points(X.field.p, X.n + 1)
                  if (g := _polar(form, x)) is not None and not any(g))
 

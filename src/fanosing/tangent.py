@@ -25,10 +25,12 @@ pencil of 2 x m matrices fed to the normal-form machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations_with_replacement
 
 from .forms import MultiForm, _substitute
-from .linalg import Field, Subspace, kernel, rref, solve_combination, unit_vectors
+from .linalg import (Field, Subspace, _ints, kernel, rref, solve_combination,
+                     unit_vectors)
 
 
 class PlaneNotContained(ValueError):
@@ -60,6 +62,17 @@ class Hypersurface:
     @property
     def field(self) -> Field:
         return self.P.field
+
+    @cached_property
+    def plain_form(self) -> tuple:
+        """P as (terms, p), p = 0 over Q, read once per hypersurface: each
+        term (c, ((i, k), ...)) carries its coefficient as an int and its
+        nonzero exponents; over Q the terms are those of D*P, D the lcm of
+        P's denominators.  The gradient checks and line scans of
+        fanosing.singular evaluate it on ints."""
+        (coeffs,), _ = _ints([self.P.terms.values()], self.field)
+        return ([(c, tuple((i, k) for i, k in enumerate(e) if k))
+                 for e, c in zip(self.P.terms, coeffs)], self.field.p)
 
 
 class LineFrame:

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from fanosing.linalg import (QQ, Field, FieldMismatch, Fp, Subspace,
-                             echelon_complement, kernel,
-                             parse_field, rank, rref, solve_combination)
-from fanosing.pencil import _product_with_full
+from fanosing.linalg import (QQ, Field, FieldMismatch, Fp, Subspace, _heads,
+                             _ints, _meet, _scalars, combine,
+                             echelon_complement, kernel, parse_field, rank,
+                             rref, solve_combination, unit_vectors)
 
 F5 = parse_field("Fp:5")
 F7 = parse_field("Fp:7")
@@ -242,19 +242,28 @@ def _subspace_pair(draw):
 @settings(max_examples=300, deadline=None)
 @given(_subspace_pair())
 def test_meet_and_product_rows_are_canonical(case):
-    """meet returns the rows of its final echelon pass and _product_with_full
-    its (v | 0) and unit rows without a second rref: both must already be the
-    canonical echelon basis.  The meet lies in both inputs with the dimension
-    formula."""
+    """meet returns the rows of its final echelon pass, and the product
+    A x K^n is its (v | 0) and unit rows without a second rref: both must
+    already be the canonical echelon basis.  The meet lies in both inputs
+    with the dimension formula.  _meet of rows of K^(2n) with A's rows is
+    the meet with that product, which pencil.normal_form takes without
+    building the product."""
     field, n, A, B = case
     M = A.meet(B)
     assert M == Subspace.from_vectors(M.basis, field, n)
     assert A.contains_subspace(M) and B.contains_subspace(M)
     assert M.dim == A.dim + B.dim - A.join(B).dim
-    prod = _product_with_full(A, n)
+    prod = Subspace(field, 2 * n, tuple(
+        [v + (field.zero(),) * n for v in A.basis]
+        + unit_vectors(field, 2 * n, range(n, 2 * n))))
     assert prod == Subspace.from_vectors(prod.basis, field, 2 * n)
     assert prod.dim == A.dim + n
-
+    wide = Subspace.from_vectors(
+        [b + a for b, a in zip(B.basis, A.basis)]
+        + [a + b for a, b in zip(A.basis[1:], B.basis)], field, 2 * n)
+    rows, piv = _meet(_ints(wide.basis, field)[0], *A._rows(), n, field.p)
+    got = Subspace(field, 2 * n, tuple(_scalars(rows, _heads(rows, piv), field)))
+    assert got == wide.meet(prod)
 
 
 def _zassenhaus_meet(A, B):
@@ -360,6 +369,66 @@ def test_solve_combination():
     x = solve_combination(rows, F(3, 2), QQ)
     assert list(x) == [Fraction(1), Fraction(2)]
     assert solve_combination([F(1, 0, 0)], F(0, 1, 0), QQ) is None
+
+
+@st.composite
+def _solve_case(draw):
+    """Rows over Q (fractional entries), F_2 or F_7 with repeated and
+    dependent rows, and a target in their span or drawn at random."""
+    field = draw(st.sampled_from([QQ, parse_field("Fp:2"), F7]))
+    if field.p:
+        entry = st.integers(-3, 9)
+    else:
+        entry = st.builds(Fraction, st.integers(-12, 12),
+                          st.sampled_from([1, 2, 3, 5, 12]))
+    k, n = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    rows = [[draw(entry) for _ in range(n)] for _ in range(k)]
+    for _ in range(draw(st.integers(0, 2))):
+        i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+        rows[i] = [x + draw(entry) * y for x, y in zip(rows[i], rows[j])]
+    rows = [tuple(field.scalar(x) for x in row) for row in rows]
+    if draw(st.booleans()):
+        coeffs = [field.scalar(draw(entry)) for _ in range(k)]
+        target = combine(field, n, coeffs, rows)
+    else:
+        target = tuple(field.scalar(draw(entry)) for _ in range(n))
+    return field, rows, target
+
+
+def _gauss_jordan_solve(rows, target, field):
+    """Reference: Gauss-Jordan on the transposed system augmented with the
+    target; free coefficients 0."""
+    k = len(rows)
+    aug = [[row[j] for row in rows] + [t] for j, t in enumerate(target)]
+    red, pivots = _gauss_jordan(aug, field)
+    if k in pivots:
+        return None
+    x = [field.zero()] * k
+    for row, c in zip(red, pivots):
+        x[c] = row[k]
+    return x
+
+
+@settings(max_examples=300, deadline=None)
+@given(_solve_case())
+def test_solve_combination_matches_gauss_jordan(case):
+    field, rows, target = case
+    x = solve_combination(rows, target, field)
+    assert x == _gauss_jordan_solve(rows, target, field)
+    in_span = rank(rows + [target], field) == rank(rows, field)
+    assert (x is None) == (not in_span)
+    if x is not None:
+        assert all(type(c) is (Fp if field.p else Fraction) for c in x)
+        assert combine(field, len(target), x, rows) == target
+        # the coefficient of a row dependent on the rows before it is 0
+        _, pivots = rref([[row[j] for row in rows] for j in range(len(target))],
+                         field)
+        assert all(not c for i, c in enumerate(x) if i not in pivots)
+    foreign = Fp(1, 5) if not field.p else Fraction(1, 2)
+    with pytest.raises(FieldMismatch):
+        solve_combination(rows, (foreign,) + target[1:], field)
+    with pytest.raises(FieldMismatch):
+        solve_combination([(foreign,) + rows[0][1:]] + rows[1:], target, field)
 
 
 def test_echelon_complement():

@@ -4,10 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
-from fanosing.linalg import QQ, Subspace, parse_field, rank
-from fanosing.pencil import (NotConstantRankTwo, has_decomposable, normal_form,
-                             verify_normal_form)
+from fanosing.linalg import (QQ, Subspace, combine, echelon_complement,
+                             parse_field, rank, solve_combination, unit_vectors)
+from fanosing.pencil import (NormalForm, NotConstantRankTwo, has_decomposable,
+                             normal_form, verify_normal_form)
 
 F7 = parse_field("Fp:7")
 F101 = parse_field("Fp:101")
@@ -175,3 +178,137 @@ def test_verify_rejects_wrong_partition():
     import dataclasses
     wrong = dataclasses.replace(nf, s=(3,), r=1, chain_offsets=(0,))
     assert not verify_normal_form(L, wrong)
+
+
+def _reference_normal_form(pencil):
+    """The chain normal form on the public scalar Subspace API: the same
+    filtration and backward pass as normal_form, with Subspace.meet,
+    solve_combination, combine and echelon_complement on Fp/Fraction
+    entries.  The reference for the int implementation."""
+    field = pencil.field
+    if pencil.ambient_dim % 2:
+        raise ValueError("pencil ambient dimension must be even")
+    m = pencil.ambient_dim // 2
+    R = Subspace.from_vectors([w[:m] + tuple(-y for y in w[m:])
+                               for w in pencil.basis], field, 2 * m)
+    V = Subspace.full(field, m)
+    levels_dim, meets, chain_spaces = [], [], [V]
+    while V.dim:
+        prod = Subspace(field, 2 * m, tuple(
+            [v + (field.zero(),) * m for v in V.basis]
+            + unit_vectors(field, 2 * m, range(m, 2 * m))))
+        M = R.meet(prod)
+        nxt = Subspace.from_vectors([w[m:] for w in M.basis], field, m)
+        if nxt.dim >= V.dim:
+            raise NotConstantRankTwo(
+                "chain recursion stalled at dimension %d" % nxt.dim)
+        meets.append(M)
+        levels_dim.append(V.dim - nxt.dim)
+        chain_spaces.append(nxt)
+        V = nxt
+    for a, b in zip(levels_dim, levels_dim[1:]):
+        if a < b:
+            raise NotConstantRankTwo(
+                "level sizes are not monotone; no block decomposition")
+    chains_rev, current, level_vecs = [], [], []
+    for t in range(len(levels_dim), 0, -1):
+        below, here, M = chain_spaces[t], chain_spaces[t - 1], meets[t - 1]
+        second = [w[m:] for w in M.basis]
+        preds = []
+        for v in level_vecs:
+            coeffs = solve_combination(second, v, field)
+            if coeffs is None:
+                raise NotConstantRankTwo("chain predecessor missing")
+            preds.append(combine(field, m, coeffs, M.basis))
+        inner = below.join(Subspace.from_vectors(preds, field, m)) \
+            if preds else below
+        if inner.dim != below.dim + len(preds):
+            raise NotConstantRankTwo(
+                "chain predecessors collapse; no block decomposition")
+        new_heads = echelon_complement(inner, here)
+        for i, vec in enumerate(preds):
+            chains_rev[current[i]].append(vec)
+        ids = list(current)
+        for vec in new_heads:
+            chains_rev.append([vec])
+            ids.append(len(chains_rev) - 1)
+        level_vecs = preds + list(new_heads)
+        current = ids
+    blocks = [tuple(reversed(ch)) for ch in chains_rev]
+    offsets, adapted = [], []
+    for b in blocks:
+        offsets.append(len(adapted))
+        adapted.extend(b)
+    nf = NormalForm(field=field, m=m, r=len(blocks),
+                    s=tuple(len(b) for b in blocks),
+                    adapted_basis=tuple(adapted), chain_offsets=tuple(offsets))
+    if not verify_normal_form(pencil, nf):
+        raise NotConstantRankTwo("normal form candidate failed verification")
+    return nf
+
+
+@st.composite
+def _planted_case(draw):
+    """A chain pencil with a drawn partition of m <= 8 over Q (fractional
+    entries), F_2, F_3, F_7 or F_101, in a random basis L U, its dual pair
+    moved by GL_2; optionally salted with a rank-one element or a random
+    vector."""
+    field = draw(st.sampled_from([QQ] + [parse_field("Fp:%d" % p)
+                                         for p in (2, 3, 7, 101)]))
+    if field.p:
+        entry = st.builds(field.scalar, st.integers(0, field.p - 1))
+        unit = st.builds(field.scalar, st.integers(1, field.p - 1))
+    else:
+        entry = st.builds(Fraction, st.integers(-9, 9),
+                          st.sampled_from([1, 2, 3, 4, 7]))
+        unit = entry.filter(bool)
+    m = draw(st.integers(0, 8))
+    sizes, left = [], m
+    while left:
+        sizes.append(draw(st.integers(1, left)))
+        left -= sizes[-1]
+    sizes.sort(reverse=True)
+    low = [[draw(entry) if j < i else field.scalar(int(i == j))
+            for j in range(m)] for i in range(m)]
+    up = [[draw(unit) if j == i else draw(entry) if j > i else field.zero()
+           for j in range(m)] for i in range(m)]
+    basis = [tuple(sum((low[i][k] * up[k][j] for k in range(m)), field.zero())
+                   for j in range(m)) for i in range(m)]
+    vecs, idx = [], 0
+    for k in sizes:
+        blk = basis[idx:idx + k]
+        idx += k
+        vecs.extend(u + tuple(-y for y in v) for u, v in zip(blk, blk[1:]))
+    salt = draw(st.sampled_from(["none", "rank-one", "random"])) if m else "none"
+    if salt == "rank-one":
+        y = [draw(entry) for _ in range(m)]
+        y[draw(st.integers(0, m - 1))] = draw(unit)
+        a, b = draw(st.sampled_from([(1, 0), (0, 1), (1, 1), (2, -3)]))
+        vecs.append(tuple(a * c for c in y) + tuple(b * c for c in y))
+    elif salt == "random":
+        vecs.append(tuple(draw(entry) for _ in range(2 * m)))
+    a, b, c, d = (draw(entry) for _ in range(4))
+    if a * d - b * c:
+        vecs = [tuple(a * u + b * v for u, v in zip(w[:m], w[m:]))
+                + tuple(c * u + d * v for u, v in zip(w[:m], w[m:]))
+                for w in vecs]
+    return Subspace.from_vectors(vecs, field, 2 * m)
+
+
+def _outcome(fn, pencil):
+    try:
+        nf = fn(pencil)
+    except NotConstantRankTwo as e:
+        return "NotConstantRankTwo: %s" % e, None
+    return repr(nf), nf
+
+
+@settings(max_examples=400, deadline=None)
+@given(_planted_case())
+def test_int_normal_form_matches_scalar_reference(pencil):
+    """normal_form on int rows gives the same NormalForm as the scalar
+    reference, or raises NotConstantRankTwo with the same message."""
+    got, got_nf = _outcome(normal_form, pencil)
+    want, want_nf = _outcome(_reference_normal_form, pencil)
+    assert got == want
+    assert got_nf == want_nf
