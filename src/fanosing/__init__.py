@@ -14,8 +14,7 @@ from .forms import (MultiForm, BinaryForm, NotDivisible, CharacteristicTooSmall,
                     format_scalar, projective_normalize, RootReport)
 from .tangent import (Hypersurface, LineFrame, TangentReport, PlaneNotContained,
                       sigma, tangent_space, compute_pi, analyze_tangent,
-                      tangent_cone_lines, quotient_section, sigma_plane,
-                      tangent_space_plane)
+                      tangent_cone_lines, quotient_section)
 from .pencil import (NormalForm, NotConstantRankTwo, normal_form,
                      verify_normal_form, has_decomposable)
 from .ideal import (BlockGenerator, GeneratorSet, IdealFiltration,

@@ -16,12 +16,15 @@ restrict_partials restricts P and its partials d_c P = contract(e_c, P) to a
 span from one substitution of P.
 
 Forms store field scalars: `Fp` residues or `Fraction`s.  Substitution on a
-span (under restrict_partials, restrict_to_plane and multilinear_eval)
-expands on ints: residues mod p, or over Q after clearing the denominators
-of P and of each vector once; `Fp` or `Fraction` is built only for the
-coefficients it returns.  MultiForm.evaluate, the tests' oracle, sums on
-ints mod p and on Fractions over Q.  The other form operations compute on
-field scalars directly.
+span has one int kernel, _expand: it reads P as sparse int terms
+(c, ((i, k), ...)) (_plain_terms, the layout of Hypersurface.plain_form)
+and the spanning vectors as int rows, residues mod p or over Q integers
+after clearing denominators once.  _substitute wraps it for
+restrict_partials, restrict_to_plane and multilinear_eval and builds `Fp`
+or `Fraction` only for the coefficients it returns; fanosing.tangent calls
+it directly for a line's deformation matrix.  MultiForm.evaluate, the
+tests' oracle, sums on ints mod p and on Fractions over Q.  The other form
+operations compute on field scalars directly.
 """
 
 from __future__ import annotations
@@ -354,30 +357,32 @@ def _nonzero(terms, p):
     return out
 
 
-def _substitute(P: MultiForm, vectors, cols=()):
-    """[P, d_{c1} P, ...] (c in cols) evaluated on sum_k y_k * vectors[k], as
-    forms in the y's; one table of powers of the linear forms serves them all.
+def _plain_terms(P: MultiForm):
+    """P's terms on ints, as (terms, den): each term (c, ((i, k), ...))
+    carries its coefficient as an int and its nonzero exponents.  Over Q the
+    terms are those of den*P, den the lcm of P's denominators; over F_p the
+    residues, den 1.  linalg._ints checks every coefficient."""
+    (coeffs,), (den,) = _ints([P.terms.values()], P.field)
+    pairs = {}      # one (i, k) tuple per distinct factor, shared by terms
+    return [(c, tuple(pairs.setdefault(f, f) for f in enumerate(e) if f[1]))
+            for e, c in zip(P.terms, coeffs)], den
 
-    No independence requirement; exact substitution and expansion on ints.
-    linalg._ints checks P's coefficients and the vectors once: residues mod
-    p (reduced once per product), or over Q D*P and m_k vectors[k], D and
-    m_k the lcms of their denominators.  The int y^f coefficient is then
-    D prod_k m_k^(f_k) times the true one, in P and every partial, so over
-    Q a Fraction is built only for each returned coefficient.  A monomial
-    y^f is keyed by the int sum_k f_k B^k with B = deg P + 1, so
-    multiplying monomials adds keys.
+
+def _expand(terms, rows, cols, degree: int, p: int) -> list:
+    """[P, d_{c1} P, ...] (c in cols) on sum_k y_k * rows[k], on ints: the
+    one substitution kernel.
+
+    terms are P's sparse int terms (from _plain_terms) of the given degree,
+    rows int vectors (residues mod p, or any ints over Q).  Each output is a
+    {packed monomial key: int} dict without zero values, reduced mod p when
+    p > 0.  A monomial y^f is keyed by the int sum_k f_k B^k with
+    B = degree + 1, so multiplying monomials adds keys.  The powers of each
+    ambient variable's linear form are built only when a term needs them.
+    A term with a factor x_i^k whose linear form is zero contributes
+    nothing to P, and to d_i P only when that is its one such factor and
+    k = 1, so such terms are skipped before any product is formed.
     """
-    field = P.field
-    p = field.p
-    r = len(vectors)
-    vectors, scales = _ints(vectors, field)
-    for v in vectors:
-        if len(v) != P.nvars:
-            raise ValueError("vector length does not match variable count")
-    if cols and P.degree == 0:
-        raise ValueError("cannot differentiate a degree-0 form")
-    (coeffs,), (den,) = _ints([P.terms.values()], field)
-    base = P.degree + 1
+    base = degree + 1
 
     def mul(a, b):
         out = {}
@@ -389,30 +394,62 @@ def _substitute(P: MultiForm, vectors, cols=()):
         return _nonzero(out, p)
 
     # powers[i][k]: the k-th power of the linear form of ambient variable i
-    powers = []
-    for i, top in enumerate(map(max, zip(*P.terms))):
-        lin = {base ** j: v[i] for j, v in enumerate(vectors) if v[i]}
-        pw = [{0: 1}]
-        for _ in range(top):
-            pw.append(mul(pw[-1], lin))
-        powers.append(pw)
+    powers = [[{0: 1}, {base ** j: v[i] for j, v in enumerate(rows) if v[i]}]
+              for i in range(len(rows[0]) if rows else 0)]
     outs = [{} for _ in range(len(cols) + 1)]
-    for e, c in zip(P.terms, coeffs):
-        # c x^e contributes e_j c x^(e - unit_j) to the partial d_j P
-        jobs = [(0, c, e)] + [(n, c * e[j], e[:j] + (e[j] - 1,) + e[j + 1:])
-                              for n, j in enumerate(cols, 1) if e[j]]
+    for c, e in terms:
+        zero = [(i, k) for i, k in e if not powers[i][1]]
+        if not zero:
+            # c x^e contributes e_j c x^(e - unit_j) to the partial d_j P
+            exps = dict(e)
+            jobs = [(0, c, e)] + [
+                (n, c * exps[j], tuple((i, k - (i == j)) for i, k in e
+                                       if k > (i == j)))
+                for n, j in enumerate(cols, 1) if j in exps]
+        elif len(zero) == 1 and zero[0][1] == 1:
+            j = zero[0][0]
+            rest = tuple(f for f in e if f[0] != j)
+            jobs = [(n, c, rest) for n, col in enumerate(cols, 1) if col == j]
+        else:
+            continue
         for n, a, f in jobs:
             term = {0: a}
-            for i, k in enumerate(f):
-                if k:
-                    term = mul(term, powers[i][k])
+            for i, k in f:
+                pw = powers[i]
+                while len(pw) <= k:
+                    pw.append(mul(pw[-1], pw[1]))
+                term = mul(term, pw[k])
             acc = outs[n]
             for key, v in term.items():
                 acc[key] = acc.get(key, 0) + v
+    return [_nonzero(acc, p) for acc in outs]
+
+
+def _substitute(P: MultiForm, vectors, cols=()):
+    """[P, d_{c1} P, ...] (c in cols) evaluated on sum_k y_k * vectors[k], as
+    forms in the y's: _expand on the int terms of P and the int vectors.
+
+    No independence requirement.  linalg._ints checks the vectors once:
+    residues mod p, or over Q m_k vectors[k], m_k the lcm of its
+    denominators.  With P read as den*P, the int y^f coefficient is
+    den prod_k m_k^(f_k) times the true one, in P and every partial, so
+    over Q a Fraction is built only for each returned coefficient.
+    """
+    field = P.field
+    p = field.p
+    r = len(vectors)
+    vectors, scales = _ints(vectors, field)
+    for v in vectors:
+        if len(v) != P.nvars:
+            raise ValueError("vector length does not match variable count")
+    if cols and P.degree == 0:
+        raise ValueError("cannot differentiate a degree-0 form")
+    terms, den = _plain_terms(P)
+    base = P.degree + 1
     forms = []
-    for n, acc in enumerate(outs):
+    for n, acc in enumerate(_expand(terms, vectors, cols, P.degree, p)):
         terms = {}
-        for key, v in _nonzero(acc, p).items():
+        for key, v in acc.items():
             f = []
             for _ in range(r):
                 key, k = divmod(key, base)

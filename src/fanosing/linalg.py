@@ -17,9 +17,10 @@ kernel (`_echelon`) and one int helper for each subspace operation:
 modulo the other and take a left kernel of the residues, instead of row
 reducing a double-width block), `_solve` (a combination with the free
 coefficients 0) and `_complement` (the echelon rows extending a subspace).
-`rref`, `kernel`, `solve_combination`, `echelon_complement` and the
-`Subspace` methods are thin wrappers over them; `pencil.normal_form` calls
-the int helpers directly.
+`rref`, `rank`, `kernel` (over `_kernel`), `solve_combination`,
+`echelon_complement` and the `Subspace` methods are thin wrappers over
+them; `pencil.normal_form` calls the int helpers directly, and
+`fanosing.tangent` hands a line's int deformation matrix to `_kernel`.
 """
 
 from __future__ import annotations
@@ -473,6 +474,14 @@ def _complement(inner, pivots, p: int) -> list:
     return [k for k in range(len(cols)) if k not in skip]
 
 
+def _checked_echelon(rows, field: Field):
+    """_echelon of the _ints rows, after the ragged-matrix check."""
+    mat, _ = _ints(rows, field)
+    if any(len(row) != len(mat[0]) for row in mat):
+        raise ValueError("ragged matrix")
+    return _echelon(mat, field.p)
+
+
 def rref(rows, field: Field):
     """Reduced row echelon form.
 
@@ -485,15 +494,13 @@ def rref(rows, field: Field):
     turned back into Fp or Fraction entries on exit; the RREF of a row space
     is unique, so the output does not depend on the integer scaling.
     """
-    mat, _ = _ints(rows, field)
-    if any(len(row) != len(mat[0]) for row in mat):
-        raise ValueError("ragged matrix")
-    mat, pivots = _echelon(mat, field.p)
+    mat, pivots = _checked_echelon(rows, field)
     return _scalars(mat, _heads(mat, pivots), field), pivots
 
 
 def rank(rows, field: Field) -> int:
-    return len(rref(rows, field)[0])
+    """The number of pivots of _echelon on the int rows; no scalar is built."""
+    return len(_checked_echelon(rows, field)[1])
 
 
 def solve_combination(rows, target, field: Field):
@@ -609,9 +616,20 @@ class Subspace:
         return Subspace(field, n, tuple(_scalars(mat, _heads(mat, piv), field)))
 
 
+def _kernel(mat, ncols: int, field: Field) -> Subspace:
+    """Right null space of int rows of ncols entries (residues mod p over
+    F_p, any ints over Q; consumed) as a canonical Subspace: the null
+    vectors of one echelon pass, made canonical by a second.  Scalars are
+    built only for the returned basis."""
+    p = field.p
+    red, pivots = _echelon(mat, p)
+    mat, piv = _echelon(_null_vectors(red, pivots, ncols, p), p)
+    return Subspace(field, ncols, tuple(_scalars(mat, _heads(mat, piv), field)))
+
+
 def kernel(rows, field: Field, ncols: int | None = None) -> Subspace:
-    """Right null space {v : M v = 0} as a canonical Subspace: the null
-    vectors of one echelon pass on ints, made canonical by a second."""
+    """Right null space {v : M v = 0} as a canonical Subspace: _kernel of
+    the checked int rows."""
     rows = list(rows)
     if rows:
         ncols = len(rows[0])
@@ -620,9 +638,7 @@ def kernel(rows, field: Field, ncols: int | None = None) -> Subspace:
     mat, _ = _ints(rows, field)
     if any(len(row) != ncols for row in mat):
         raise ValueError("ragged matrix")
-    red, pivots = _echelon(mat, field.p)
-    mat, piv = _echelon(_null_vectors(red, pivots, ncols, field.p), field.p)
-    return Subspace(field, ncols, tuple(_scalars(mat, _heads(mat, piv), field)))
+    return _kernel(mat, ncols, field)
 
 
 def echelon_complement(inner: Subspace, outer: Subspace):

@@ -82,7 +82,7 @@ def _polar(form, x):
     span(x, w) is on X.  Over Q, with form D*P and x = m x', g is
     D m^(d-1) times the gradient at x': right only about which entries vanish.
     """
-    terms, p = form
+    terms, p, _ = form
     value, grad = 0, [0] * len(x)
     for c, e in terms:
         term = c
@@ -283,7 +283,7 @@ def _residue_points(p: int, ncoords: int):
 
 def _value(form, x) -> int:
     """P(x) mod p at a residue point."""
-    terms, p = form
+    terms, p, _ = form
     total = 0
     for c, e in terms:
         for i, k in e:

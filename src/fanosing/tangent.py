@@ -1,19 +1,25 @@
-"""First-order tangent data for lines (and small planes) inside a hypersurface.
+"""First-order tangent data for lines inside a hypersurface.
 
-For a k-plane L contained in X = Z(P) the first-order deformations of L
-inside X form the kernel of a linear map
+For a line E = span(e1, e2) contained in X = Z(P) the first-order
+deformations of E inside X form the kernel of a linear map
 
-    sigma : L^* (x) W/L  ->  S^d L^*,   y (x) w  |->  y . (w -| P)|_L,
+    sigma : E^* (x) W/E  ->  S^d E^*,   y (x) w  |->  y . (w -| P)|_E,
 
-where (w -| P) is the directional derivative of P along w.  sigma has one
-construction, sigma_plane, with one restriction of P; a line E = span(e1, e2)
-is its case k = 1.  The basis fixes everything: y_0, ..., y_k (alpha^1,
-alpha^2 on a line) is its dual basis and the w_j are the standard basis
-vectors at the non-pivot columns of its rref.  Rows are indexed by
-y_i (x) w_j, y_0 block first; columns by the degree-d monomials in the y's,
-descending lexicographic (s^d, s^(d-1) t, ..., t^d on a line).  A line's
-alpha^1 rows are (w_j -| P)|_E times s, so Pi and the chain generators
+where (w -| P) is the directional derivative of P along w.  The frame fixes
+the basis: alpha^1, alpha^2 (s, t) is the dual basis of (e1, e2) and the w_j
+are the standard basis vectors at the non-pivot columns of rref(e1, e2).
+Rows are indexed by alpha^i (x) w_j, the alpha^1 block first; columns by
+s^d, s^(d-1) t, ..., t^d.  A line's alpha^1 rows are (w_j -| P)|_E times s
+and its alpha^2 rows the same forms times t, so Pi and the chain generators
 (ideal.extract_generators) read those forms off sigma.
+
+sigma is computed on ints: restricted_contractions runs the one
+substitution kernel of fanosing.forms on P's int terms (read once per
+hypersurface, Hypersurface.plain_form) and the frame's int rows, so over Q
+every entry is one common scale times the true one.  Its kernels (the
+tangent space, Pi and the pencil) come from linalg._kernel on those int
+rows; Fp or Fraction entries are built only for the returned matrix and
+subspaces.
 
 Pi <= W/E is the subspace of directions w with (w -| P)|_E = 0: deformations
 that move the line trivially to first order in every pencil direction.
@@ -26,11 +32,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations_with_replacement
+from math import lcm
 
-from .forms import MultiForm, _substitute
-from .linalg import (Field, Subspace, _ints, kernel, rref, solve_combination,
-                     unit_vectors)
+from .forms import MultiForm, _expand, _plain_terms
+from .linalg import (Field, Subspace, _ints, _kernel, _scalars, rref,
+                     solve_combination, unit_vectors)
 
 
 class PlaneNotContained(ValueError):
@@ -65,14 +71,13 @@ class Hypersurface:
 
     @cached_property
     def plain_form(self) -> tuple:
-        """P as (terms, p), p = 0 over Q, read once per hypersurface: each
-        term (c, ((i, k), ...)) carries its coefficient as an int and its
-        nonzero exponents; over Q the terms are those of D*P, D the lcm of
-        P's denominators.  The gradient checks and line scans of
-        fanosing.singular evaluate it on ints."""
-        (coeffs,), _ = _ints([self.P.terms.values()], self.field)
-        return ([(c, tuple((i, k) for i, k in enumerate(e) if k))
-                 for e, c in zip(self.P.terms, coeffs)], self.field.p)
+        """P as (terms, p, den), p = 0 over Q, read once per hypersurface:
+        each term (c, ((i, k), ...)) carries its coefficient as an int and
+        its nonzero exponents; over Q the terms are those of den*P, den the
+        lcm of P's denominators (1 over F_p).  sigma and the gradient checks
+        and line scans of fanosing.singular evaluate it on ints."""
+        terms, den = _plain_terms(self.P)
+        return terms, self.field.p, den
 
 
 class LineFrame:
@@ -149,30 +154,55 @@ class TangentReport:
     tangent_dim: int
 
 
-def restricted_contractions(X: Hypersurface, basis, cols):
-    """(d_c P)|_L for c in cols, as MultiForms in the dual coordinates of
-    basis, from one substitution of P that also checks P|_L = 0: the only
-    restriction of P here, made by sigma_plane for lines and planes alike."""
-    on_plane, *fs = _substitute(X.P, basis, cols)
-    if not on_plane.is_zero():
-        raise PlaneNotContained("plane not contained in hypersurface")
-    return fs
-
-
-def sigma(X: Hypersurface, frame: LineFrame):
-    """Matrix of the first-order deformation map of the line: the k = 1
-    case of sigma_plane.  Rows: alpha^1 (x) w_1 .. alpha^1 (x) w_{n-1}, then
-    the alpha^2 row block.  Columns: coefficients of s^d, ..., t^d.
+def restricted_contractions(X: Hypersurface, frame: LineFrame):
+    """((w_j -| P)|_E for the frame's complement w_1, ..., w_{n-1}, scale):
+    each form as the int coefficients of s^(d-1), s^(d-2) t, ..., t^(d-1),
+    every one of them scale times the true coefficient.  One substitution of
+    P (forms._expand on X.plain_form) that also checks P|_E = 0.  Over Q e1
+    and e2 are scaled by one common lcm m of their denominators, so
+    scale = den * m^(d-1); over F_p it is 1.
     """
     if X.field != frame.field:
         raise ValueError("field mismatch between hypersurface and frame")
-    return sigma_plane(X, (frame.e1, frame.e2))[0]
+    terms, p, den = X.plain_form
+    rows, (m1, m2) = _ints([frame.e1, frame.e2], X.field)
+    if len(rows[0]) != X.n + 1:
+        raise ValueError("vector length does not match variable count")
+    m = lcm(m1, m2)
+    if m1 != m2:
+        rows = [[x * (m // s) for x in row] for row, s in zip(rows, (m1, m2))]
+    pivots = [next(j for j, x in enumerate(row) if x)
+              for row in frame.canonical_rows()]
+    cols = [c for c in range(X.n + 1) if c not in pivots]
+    on_line, *fs = _expand(terms, rows, cols, X.d, p)
+    if on_line:
+        raise PlaneNotContained("plane not contained in hypersurface")
+    d = X.d
+    # s^(d-1-i) t^i is keyed (d-1-i) + i*(d+1)
+    fs = [[f.get(d - 1 + i * d, 0) for i in range(d)] for f in fs]
+    return fs, den * m ** (d - 1)
+
+
+def _sigma_rows(X: Hypersurface, frame: LineFrame):
+    """sigma as int rows and their scales (one common value): the alpha^1
+    rows are each contraction times s, the alpha^2 rows times t."""
+    fs, scale = restricted_contractions(X, frame)
+    rows = [f + [0] for f in fs] + [[0] + f for f in fs]
+    return rows, [scale] * len(rows)
+
+
+def sigma(X: Hypersurface, frame: LineFrame):
+    """Matrix of the first-order deformation map of the line.  Rows:
+    alpha^1 (x) w_1 .. alpha^1 (x) w_{n-1}, then the alpha^2 row block.
+    Columns: coefficients of s^d, ..., t^d.
+    """
+    return tuple(_scalars(*_sigma_rows(X, frame), X.field))
 
 
 def _left_kernel(rows, field: Field, ncols: int) -> Subspace:
-    """The c with sum_r c_r * rows[r] = 0, for rows of ncols entries."""
-    return kernel([[row[i] for row in rows] for i in range(ncols)], field,
-                  ncols=len(rows))
+    """The c with sum_r c_r * rows[r] = 0, for int rows of ncols entries."""
+    return _kernel([[row[i] for row in rows] for i in range(ncols)],
+                   len(rows), field)
 
 
 def _free_columns(pi: Subspace):
@@ -183,15 +213,16 @@ def _free_columns(pi: Subspace):
 
 def tangent_space(X: Hypersurface, frame: LineFrame) -> Subspace:
     """Kernel of sigma: first-order deformations of the line inside X."""
-    return _left_kernel(sigma(X, frame), X.field, X.d + 1)
+    return _left_kernel(_sigma_rows(X, frame)[0], X.field, X.d + 1)
 
 
 def compute_pi(X: Hypersurface, frame: LineFrame) -> Subspace:
     """Directions w in W/E with (w -| P)|_E identically zero: the largest
-    Pi with E^* (x) Pi inside ker sigma.  The left kernel of sigma's alpha^1
-    rows, (w_j -| P)|_E times s, without their last (zero) column.
+    Pi with E^* (x) Pi inside ker sigma.  The left kernel of the
+    contractions (w_j -| P)|_E, sigma's alpha^1 rows without their last
+    (zero) column.
     """
-    return _left_kernel([r[:-1] for r in sigma(X, frame)[:X.n - 1]], X.field, X.d)
+    return _left_kernel(restricted_contractions(X, frame)[0], X.field, X.d)
 
 
 def quotient_section(c, pi: Subspace):
@@ -208,14 +239,15 @@ def quotient_section(c, pi: Subspace):
 def analyze_tangent(X: Hypersurface, frame: LineFrame) -> TangentReport:
     """sigma, its kernel, Pi, and the pencil: the kernel of sigma's rows at
     Pi's free columns, alpha^1 block then alpha^2 block."""
-    mat = sigma(X, frame)
+    rows, scales = _sigma_rows(X, frame)
     tang = tangent_space(X, frame)
     pi = compute_pi(X, frame)
     nm1 = X.n - 1
     free = _free_columns(pi)
-    rows = [mat[c] for c in free] + [mat[nm1 + c] for c in free]
-    return TangentReport(sigma_matrix=mat, kernel=tang, pi=pi, m=len(free),
-                         pencil=_left_kernel(rows, X.field, X.d + 1),
+    pencil = [rows[c] for c in free] + [rows[nm1 + c] for c in free]
+    return TangentReport(sigma_matrix=tuple(_scalars(rows, scales, X.field)),
+                         kernel=tang, pi=pi, m=len(free),
+                         pencil=_left_kernel(pencil, X.field, X.d + 1),
                          tangent_dim=tang.dim)
 
 
@@ -239,57 +271,3 @@ def tangent_cone_lines(X: Hypersurface, frame: LineFrame, x) -> Subspace:
     if not vecs:
         return Subspace.zero(X.field, 2 * nm1)
     return Subspace.from_vectors(vecs, X.field, 2 * nm1)
-
-
-# ---------------------------------------------------------------------------
-# the first-order map of a k-plane (k <= 3); a line is the case k = 1
-
-
-def _monomials(nv: int, d: int):
-    """Exponent tuples of degree d in nv variables, descending lexicographic."""
-    out = []
-    for combo in combinations_with_replacement(range(nv), d):
-        e = [0] * nv
-        for i in combo:
-            e[i] += 1
-        out.append(tuple(e))
-    return sorted(out, reverse=True)
-
-
-def sigma_plane(X: Hypersurface, basis):
-    """Deformation matrix for a k-plane on X, k = len(basis)-1 <= 3; sigma
-    is its case k = 1.
-
-    Rows are indexed by y_i (x) w_j (dual-coordinate blocks, complement index
-    ascending inside each block); columns by the degree-d monomials in the
-    plane's dual coordinates, descending lexicographic.  Returns
-    (matrix, monomial_order).  Row y_i (x) w_j is y_i (w_j -| P)|_L.
-    """
-    field = X.field
-    k = len(basis) - 1
-    if not 1 <= k <= 3:
-        raise ValueError("plane dimension capped at k <= 3")
-    basis = [field.vector(v) for v in basis]
-    red, pivots = rref(basis, field)
-    if len(red) != k + 1:
-        raise ValueError("plane basis is linearly dependent")
-    restricted = restricted_contractions(
-        X, basis, [c for c in range(X.n + 1) if c not in pivots])
-    zero = field.zero()
-    monos = _monomials(k + 1, X.d)
-    index = {e: i for i, e in enumerate(monos)}
-    rows = []
-    for i in range(k + 1):
-        for f in restricted:
-            row = [zero] * len(monos)
-            for e, c in f.terms.items():
-                shifted = e[:i] + (e[i] + 1,) + e[i + 1:]
-                row[index[shifted]] = c
-            rows.append(tuple(row))
-    return tuple(rows), tuple(monos)
-
-
-def tangent_space_plane(X: Hypersurface, basis) -> Subspace:
-    """Kernel of the k-plane deformation matrix."""
-    mat, monos = sigma_plane(X, basis)
-    return _left_kernel(mat, X.field, len(monos))

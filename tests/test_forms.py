@@ -175,6 +175,23 @@ def test_restrict_partials_match_contraction_oracle():
     assert checked == 60
 
 
+def test_restrict_partials_repeated_unordered_cols():
+    """cols is a list, not a set: one output per entry, in the given order,
+    repeats included, also when the span has x_2 = 0 (a zero linear form,
+    where only the terms linear in x_2 reach d_2 P)."""
+    for field in (QQ, F7):
+        P = (mono(field, 3, (2, 0, 1), 3) + mono(field, 3, (0, 1, 2), -2)
+             + mono(field, 3, (1, 1, 1)))
+        for basis in ([(1, 2, 0), (0, 1, 3)], [(1, 2, 0), (0, 1, 0)]):
+            got = restrict_partials(P, basis, [2, 0, 2])
+            assert len(got) == 4
+            assert got[0] == restrict_to_plane(P, basis)
+            d2 = restrict_to_plane(contract((0, 0, 1), P), basis)
+            assert got[1] == got[3] == d2 and not d2.is_zero()
+            assert got[2] == restrict_to_plane(contract((1, 0, 0), P), basis)
+            assert got[1] != got[2]
+
+
 def _termwise_on_span(P, basis, cols):
     """{exponents: scalar} of P and of each d_c P on sum_k y_k basis[k],
     expanded one linear factor at a time on the field's own scalars; d_c P

@@ -6,12 +6,11 @@ from fractions import Fraction
 import pytest
 
 from fanosing.corpus import cone, fermat, random_with_line
-from fanosing.forms import BinaryForm, MultiForm, restrict_to_plane
+from fanosing.forms import BinaryForm, MultiForm, contract, restrict_to_plane
 from fanosing.linalg import QQ, Subspace, combine, kernel, parse_field
 from fanosing.tangent import (Hypersurface, LineFrame, PlaneNotContained,
-                              analyze_tangent, compute_pi, sigma, sigma_plane,
-                              tangent_cone_lines, tangent_space,
-                              tangent_space_plane)
+                              analyze_tangent, compute_pi, sigma,
+                              tangent_cone_lines, tangent_space)
 
 F11 = parse_field("Fp:11")
 
@@ -235,31 +234,27 @@ def test_pencil_is_the_projected_kernel():
     assert {(False, True, True), (True, True, True), (True, False, False)} <= seen
 
 
-def test_sigma_plane_k1_matches_sigma(fermat_cubic):
-    X, fr = fermat_cubic
-    rep = analyze_tangent(X, fr)
-    mat1, monos1 = sigma_plane(X, [fr.e1, fr.e2])
-    assert mat1 == rep.sigma_matrix
-    assert monos1 == ((3, 0), (2, 1), (1, 2), (0, 3))
-    assert tangent_space_plane(X, [fr.e1, fr.e2]).dim == 0
-
-
-def test_sigma_plane_k2():
-    X = Hypersurface(mono(QQ, 4, (2, 0, 0, 1)))
-    basis = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)]
-    mat, monos = sigma_plane(X, basis)
-    assert len(mat) == 3 and len(monos) == 10
-    assert mat[0][monos.index((3, 0, 0))] == 1
-    assert sum(1 for c in mat[0] if c) == 1
-    assert mat[1][monos.index((2, 1, 0))] == 1
-    assert mat[2][monos.index((2, 0, 1))] == 1
-    assert tangent_space_plane(X, basis).dim == 0
+def _form_on_line(rng, field, e1, e2, d, q):
+    """A random form of degree d vanishing on span(e1, e2): sum_j l_j G_j,
+    the l_j a basis of the linear forms vanishing on the line and the G_j
+    random forms of degree d - 1 with coefficients q()."""
+    n1 = len(e1)
+    P = MultiForm.zero(field, n1, d)
+    for ell in kernel([e1, e2], field).basis:
+        lin = MultiForm(field, n1, 1, {tuple(int(i == j) for i in range(n1)): c
+                                       for j, c in enumerate(ell)})
+        G = MultiForm.zero(field, n1, d - 1)
+        for _ in range(rng.randint(1, 3)):
+            exps = [0] * n1
+            for _ in range(d - 1):
+                exps[rng.randint(0, n1 - 1)] += 1
+            G = G + mono(field, n1, exps, q())
+        P = P + lin * G
+    return P
 
 
 def _fractional_line(rng, n, d):
-    """A random Q form through a line with a fractional frame: P is
-    sum_j l_j G_j, the l_j a basis of the linear forms vanishing on the line
-    and the G_j random fractional forms of degree d - 1."""
+    """A random Q form through a line with a fractional frame."""
     def q():
         return Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 5, 7, 9, 1000003)))
 
@@ -267,18 +262,7 @@ def _fractional_line(rng, n, d):
         e1, e2 = (tuple(q() for _ in range(n + 1)) for _ in range(2))
         if len(Subspace.from_vectors([e1, e2], QQ, n + 1).basis) == 2:
             break
-    P = MultiForm.zero(QQ, n + 1, d)
-    for ell in kernel([e1, e2], QQ).basis:
-        lin = MultiForm(QQ, n + 1, 1, {tuple(int(i == j) for i in range(n + 1)): c
-                                       for j, c in enumerate(ell)})
-        G = MultiForm.zero(QQ, n + 1, d - 1)
-        for _ in range(rng.randint(1, 3)):
-            exps = [0] * (n + 1)
-            for _ in range(d - 1):
-                exps[rng.randint(0, n)] += 1
-            G = G + mono(QQ, n + 1, exps, q())
-        P = P + lin * G
-    return P, e1, e2
+    return _form_on_line(rng, QQ, e1, e2, d, q), e1, e2
 
 
 def test_sigma_commutes_with_reduction_mod_p():
@@ -327,3 +311,94 @@ def test_line_frame_coords(quadric):
     assert fr.line_coords((0, 0, 1, 0)) is None
     assert fr.point(2, 7) == F(2, 7, 0, 0)
     assert fr.canonical_rows() == (F(1, 0, 0, 0), F(0, 1, 0, 0))
+
+
+def _left_kernel_oracle(rows, ncols, field):
+    """The c with sum_r c_r * rows[r] = 0, by the public kernel."""
+    return kernel([[row[i] for row in rows] for i in range(ncols)], field,
+                  ncols=len(rows))
+
+
+def _int_sigma_cases():
+    """Lines on random forms, with frames not in echelon form, over F_2,
+    F_3, F_13, F_10007 and Q (denominators above 10^6), plus the cone
+    frame e1 = M u + v, e2 = N u + 2v with large M, N, and the Fermat
+    cubic's rigid line."""
+    rng = random.Random(17)
+    cases = []
+    for p in (2, 3, 13, 10007, 0):
+        field = parse_field("Fp:%d" % p) if p else QQ
+
+        def q():
+            if p:
+                return rng.randrange(p)
+            return Fraction(rng.randint(-9, 9),
+                            rng.choice((1, 2, 1000003, 1000033)))
+
+        for case in range(12):
+            n1, d = 3 + case % 4, 2 + case % 3
+            while True:
+                e1, e2 = (tuple(field.scalar(q()) for _ in range(n1))
+                          for _ in range(2))
+                if len(Subspace.from_vectors([e1, e2], field).basis) == 2 \
+                        and LineFrame(field, e1, e2).canonical_rows() != (e1, e2):
+                    break
+            P = _form_on_line(rng, field, e1, e2, d, q)
+            if not P.is_zero():
+                cases.append((P, LineFrame(field, e1, e2)))
+    u, v = (1, -1, 0, 0), (0, 0, 0, 1)
+    for M, N in ((10**6 + 3, 10**6 + 33), (Fraction(1, 10**6 + 3), 7)):
+        cases.append((cone(fermat(2, 3, QQ)).P, LineFrame(
+            QQ, [M * a + b for a, b in zip(u, v)],
+            [N * a + 2 * b for a, b in zip(u, v)])))
+    P = (mono(QQ, 4, (3, 0, 0, 0)) + mono(QQ, 4, (0, 3, 0, 0))
+         + mono(QQ, 4, (0, 0, 3, 0)) + mono(QQ, 4, (0, 0, 0, 3)))
+    cases.append((P, LineFrame(QQ, (1, -1, 0, 0), (0, 0, 1, -1))))
+    return cases
+
+
+def test_int_sigma_matches_restricted_contractions():
+    """sigma computed on ints agrees with the scalar definition: row
+    alpha^1 (x) w_j holds the coefficients s^(d-1), ..., t^(d-1) of
+    (w_j -| P)|_E shifted to s^d, ..., s t^(d-1) (a trailing 0), row
+    alpha^2 (x) w_j the same shifted to s^(d-1) t, ..., t^d (a leading 0).
+    The kernel, Pi and the pencil of analyze_tangent equal the public
+    kernel of the returned scalar matrix, and a frame off X raises
+    PlaneNotContained."""
+    rng = random.Random(23)
+    seen, raised = {}, set()
+    for P, fr in _int_sigma_cases():
+        field, d = P.field, P.degree
+        X = Hypersurface(P)
+        rep = analyze_tangent(X, fr)
+        mat, nm1, zero = rep.sigma_matrix, X.n - 1, field.zero()
+        assert mat == sigma(X, fr)
+        assert len(mat) == 2 * nm1
+        for j, w in enumerate(fr.complement):
+            f = restrict_to_plane(contract(w, P), [fr.e1, fr.e2]).coeffs
+            assert mat[j] == f + (zero,)
+            assert mat[nm1 + j] == (zero,) + f
+        assert rep.kernel == tangent_space(X, fr) == \
+            _left_kernel_oracle(mat, d + 1, field)
+        pi = _left_kernel_oracle([r[:-1] for r in mat[:nm1]], d, field)
+        assert rep.pi == compute_pi(X, fr) == pi
+        free = [c for c in range(nm1) if c not in pi.pivot_columns()]
+        rows = [mat[c] for c in free] + [mat[nm1 + c] for c in free]
+        assert rep.pencil == _left_kernel_oracle(rows, d + 1, field)
+        assert rep.m == len(free) and rep.tangent_dim == rep.kernel.dim
+        seen[field] = seen.get(field, 0) + 1
+        # move e2 off X: a random vector outside the line and off X
+        for _ in range(20):
+            w = tuple(field.scalar(rng.randint(0, 50)) for _ in fr.e1)
+            if len(Subspace.from_vectors([fr.e1, w], field).basis) == 2 \
+                    and not restrict_to_plane(P, [fr.e1, w]).is_zero():
+                off = LineFrame(field, fr.e1, w)
+                for fn in (sigma, tangent_space, compute_pi, analyze_tangent):
+                    with pytest.raises(PlaneNotContained):
+                        fn(X, off)
+                raised.add(field.is_rational)
+                break
+    assert len(seen) == 5 and min(seen.values()) >= 10
+    assert raised == {True, False}
+    # the Fermat cubic's line is rigid
+    assert rep.tangent_dim == 0 and rep.pi.dim == 0 and rep.m == 2
