@@ -3,11 +3,11 @@
 MultiForm is a sparse homogeneous polynomial in n+1 ambient variables;
 BinaryForm is a dense homogeneous form on a line, written in the dual
 coordinates (s, t) of a chosen basis of the line.  Binary-form product,
-division, gcd and root peeling share one dense univariate kernel.  Over
-F_p the roots of a binary form are not found by scanning the p+1 points of
-the line: the kernel computes gcd(f, t^p - t) by modular powering and splits
-it by equal-degree factoring with fixed shifts, at a cost polynomial in
-log p.
+division, gcd and factoring share one dense univariate kernel on plain
+values: ints mod p (mod p^k while lifting) or Fractions.  binary_roots
+factors a form into irreducibles in time polynomial in log p and in the
+coefficient size: over F_p by distinct- and equal-degree splitting, over Q
+by Hensel-lifting a factorization mod a small prime.
 
 Contraction convention: contract(v, P) is the directional derivative D_v P,
 *not* divided by the degree.  All identities downstream (restricted
@@ -23,8 +23,8 @@ after clearing denominators once.  _substitute wraps it for
 restrict_partials, restrict_to_plane and multilinear_eval and builds `Fp`
 or `Fraction` only for the coefficients it returns; fanosing.tangent calls
 it directly for a line's deformation matrix.  MultiForm.evaluate, the
-tests' oracle, sums on ints mod p and on Fractions over Q.  The other form
-operations compute on field scalars directly.
+tests' oracle, sums on ints mod p and on Fractions over Q.  The other
+MultiForm operations compute on field scalars directly.
 """
 
 from __future__ import annotations
@@ -34,7 +34,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Field, FieldMismatch, Fp, QQ, _ints, parse_field, plain, rank
+from .linalg import (Field, FieldMismatch, Fp, _ints, _is_prime, parse_field,
+                     plain, rank)
 
 
 class NotDivisible(ValueError):
@@ -264,8 +265,8 @@ class BinaryForm:
         if not isinstance(other, BinaryForm):
             return self.scale(other)
         self._check(other, same_degree=False)
-        return BinaryForm(self.field,
-                          _umul(self.coeffs, other.coeffs, self.field.zero()))
+        a, m = _plain_coeffs(self)
+        return BinaryForm(self.field, _umul(a, _plain_coeffs(other)[0], m))
 
     __rmul__ = __mul__
 
@@ -506,7 +507,9 @@ def multilinear_eval(P: MultiForm, args):
 
 
 # ---------------------------------------------------------------------------
-# dense univariate kernel: coefficient lists, index = power of t
+# dense univariate kernel: coefficient lists, index = power of t.  Entries
+# are plain values: ints mod m when m > 0 (m = p, or a power of p while a
+# factorization is lifted), exact values when m = 0.
 
 
 def _trim(a):
@@ -517,42 +520,80 @@ def _trim(a):
     return a
 
 
-def _umul(a, b, zero):
+def _plain_coeffs(f):
+    """(f's coefficients, m): residues and m = p, or Fractions and m = 0."""
+    p = f.field.p
+    return ([c.v for c in f.coeffs] if p else list(f.coeffs)), p
+
+
+def _umul(a, b, m):
     """Product of two coefficient lists."""
-    out = [zero] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
-                if y:
-                    out[i + j] = out[i + j] + x * y
-    return out
+                out[i + j] += x * y
+    return [c % m for c in out] if m else out
 
 
-def _udivmod(a, b, zero):
-    """(q, r) with a = q*b + r and deg r < deg b; b[-1] must be nonzero.
+def _usub(a, b, m):
+    """a - b, trimmed."""
+    out = list(a) + [0] * (len(b) - len(a))
+    for i, y in enumerate(b):
+        out[i] -= y
+    return _trim([c % m for c in out] if m else out)
 
-    q has len(a) - len(b) + 1 entries (none when a is shorter than b); r
-    keeps the length of a, with zeros from position len(b) - 1 on.
-    """
+
+def _udivmod(a, b, m):
+    """(q, r) with a = q*b + r, deg r < deg b and r trimmed; q has
+    len(a) - len(b) + 1 entries.  b is trimmed with a lead that is a unit
+    mod m; when m = 0 a's entries are Fractions, so quotients are exact."""
     n = len(b)
-    q = [zero] * max(len(a) - n + 1, 0)
     r = list(a)
-    lead = b[-1]
+    q = [0] * max(len(a) - n + 1, 0)
+    lead = pow(b[-1], -1, m) if m else b[-1]
     for i in range(len(a) - n, -1, -1):
-        c = r[i + n - 1] / lead
+        c = r[i + n - 1] * lead % m if m else r[i + n - 1] / lead
         if c:
             q[i] = c
-            for j in range(n):
-                r[i + j] = r[i + j] - c * b[j]
-    return q, r
+            for j in range(n - 1):
+                r[i + j] -= c * b[j]
+    r = r[:n - 1]
+    return q, _trim([c % m for c in r] if m else r)
 
 
-def _ugcd(a, b, zero):
+def _ugcd(a, b, m):
     """A gcd of two coefficient lists by Euclid, unnormalized and trimmed."""
     a, b = _trim(a), _trim(b)
     while b:
-        a, b = b, _trim(_udivmod(a, b, zero)[1])
+        a, b = b, _udivmod(a, b, m)[1]
     return a
+
+
+def _monic(a, m):
+    """A trimmed list mod m scaled to lead 1."""
+    inv = pow(a[-1], -1, m)
+    return [c * inv % m for c in a]
+
+
+def _upowmod(a, e, g, m):
+    """a^e mod g by square-and-multiply."""
+    out = [1]
+    for bit in bin(e)[2:]:
+        out = _udivmod(_umul(out, out, m), g, m)[1]
+        if bit == "1":
+            out = _udivmod(_umul(out, a, m), g, m)[1]
+    return out
+
+
+def _peel(a, b, m):
+    """(a / b^k, k) for the largest k with b^k dividing a (a nonzero)."""
+    k = 0
+    while True:
+        q, r = _udivmod(a, b, m)
+        if r:
+            return a, k
+        a, k = q, k + 1
 
 
 def _int_poly(coeffs):
@@ -564,6 +605,134 @@ def _int_poly(coeffs):
     if next((i for i in ints if i), 0) < 0:
         g = -g
     return [i // g for i in ints]
+
+
+# ---------------------------------------------------------------------------
+# factoring chart polynomials: F_p by distinct- and equal-degree splitting,
+# Q by Hensel-lifting a factorization mod p
+
+
+def _factor_fp(g, p):
+    """The distinct monic irreducible factors over F_p of a trimmed list g,
+    at a cost polynomial in deg g and log p.
+
+    Distinct-degree factoring: with h = t^(p^k) mod g, gcd(g, h - t) is the
+    squarefree product of g's irreducible factors of degree dividing k.
+    Those of smaller degree are already divided out of g completely, so
+    _split separates factors of degree k, and each is divided out in turn.
+    Once deg g < 2(k + 1), what is left of g is 1 or irreducible.
+    """
+    g = _monic(g, p)
+    out, h, k = [], [0, 1], 0
+    while len(g) > 2 * (k + 1):
+        k += 1
+        h = _upowmod(h, p, g, p)
+        d = _ugcd(g, _usub(h, [0, 1], p), p)
+        if len(d) > 1:
+            for u in _split(_monic(d, p), k, p, 0):
+                out.append(u)
+                g = _peel(g, u, p)[0]
+    return out + [g] if len(g) > 1 else out
+
+
+def _split(d, k, p, n):
+    """Equal-degree splitting of a monic squarefree d over F_p whose
+    irreducible factors all have degree k.
+
+    Trial element n has the base-p digits of p + n as coefficients: t,
+    t + 1, ..., t + p - 1, 2t, ...  For odd p, gcd(d, a^((p^k - 1)/2) - 1)
+    keeps the factors modulo which a is a nonzero square; over F_2,
+    gcd(d, a + a^2 + ... + a^(2^(k-1))) those where a has trace 0.  Some a
+    of degree < deg d splits d (Chinese remainders); one that fails on d
+    fails on its factors too, so they go on from the next.
+    """
+    if len(d) - 1 == k:
+        return [d]
+    while True:
+        a, x = [], p + n
+        while x:
+            x, c = divmod(x, p)
+            a.append(c)
+        n += 1
+        if p == 2:
+            w = x = _udivmod(a, d, 2)[1]
+            for _ in range(k - 1):
+                x = _udivmod(_umul(x, x, 2), d, 2)[1]
+                w = _usub(w, x, 2)          # - is + over F_2
+        else:
+            w = _usub(_upowmod(a, (p ** k - 1) // 2, d, p), [1], p)
+        e = _ugcd(d, w, p)
+        if 1 < len(e) < len(d):
+            e = _monic(e, p)
+            return (_split(e, k, p, n)
+                    + _split(_udivmod(d, e, p)[0], k, p, n))
+
+
+def _hensel_lift(w, u, p, m):
+    """The monic factor of w mod m (a power of p) that is u mod p, for u
+    a simple monic irreducible factor of w mod p and p not dividing w's lead.
+
+    Each step lifts f = w/lc = g h and s = 1/g mod h from mod k to mod k^2:
+    h += s (f - g h) mod h, g = f div h, and s = s (2 - s g) mod h.  The
+    first s is g^(p^deg u - 2) mod u, F_p[t]/(u) being a field.
+    """
+    h = u
+    g = _udivmod(_monic([c % p for c in w], p), h, p)[0]
+    s = _upowmod(g, p ** (len(h) - 1) - 2, h, p)
+    k = p
+    while k < m:
+        k *= k
+        f = _monic([c % k for c in w], k)
+        e = _usub(_umul(g, h, k), f, k)
+        h = _usub(h, _udivmod(_umul(s, e, k), h, k)[1], k)
+        g = _udivmod(f, h, k)[0]
+        s = _udivmod(_usub([2 * c for c in s], _umul(s, _umul(s, g, k), k),
+                           k), h, k)[1]
+    return h
+
+
+def _factor_q(core):
+    """The irreducible factors over Q, normalized by _int_poly, of a
+    Fraction list with nonzero first and last entries.
+
+    Its primitive squarefree part w is factored mod the least prime p that
+    keeps w's degree and squarefreeness, and the factors are Hensel-lifted
+    to m > 2 |lc| B, B = 2^deg w |w|_2 the Mignotte bound on the
+    coefficients of a factor.  A factor of w times lc/its lead is then lc
+    times a product of lifted factors, read in (-m/2, m/2): subsets by
+    increasing size are trial-divided over Z until half the rest is tried.
+    """
+    der = [c * i for i, c in enumerate(core)][1:]
+    w = _int_poly(_udivmod(core, _ugcd(core, der, 0), 0)[0])
+    p = 2
+    while not w[-1] % p or len(_ugcd([c % p for c in w],
+                                     [c * i % p for i, c in enumerate(w)][1:],
+                                     p)) > 1:
+        p = next(q for q in itertools.count(p + 1) if _is_prime(q))
+    factors = _factor_fp([c % p for c in w], p)
+    if len(factors) == 1:
+        return [w]
+    m, norm = p, math.isqrt(sum(c * c for c in w)) + 1
+    while m <= (2 * abs(w[-1]) * norm) << (len(w) - 1):
+        m *= m
+    lifted = [_hensel_lift(w, u, p, m) for u in factors]
+    f = [Fraction(c) for c in w]
+    out, size = [], 1
+    while 2 * size <= len(lifted):
+        for subset in itertools.combinations(lifted, size):
+            g = [f[-1].numerator]
+            for u in subset:
+                g = _umul(g, u, m)
+            g = _int_poly([c - m if 2 * c > m else c for c in g])
+            q, r = _udivmod(f, g, 0)
+            if not r:
+                out.append(g)
+                f = q
+                lifted = [u for u in lifted if u not in subset]
+                break
+        else:
+            size += 1
+    return out + [_int_poly(f)] if len(f) > 1 else out
 
 
 # ---------------------------------------------------------------------------
@@ -579,21 +748,13 @@ def _binary_divmod(f: BinaryForm, g: BinaryForm):
     df, dg = f.degree, g.degree
     if df < dg:
         return None, f
-    uq, r = _udivmod(f.coeffs, _trim(g.coeffs), f.field.zero())
+    a, m = _plain_coeffs(f)
+    uq, r = _udivmod(a, _trim(_plain_coeffs(g)[0]), m)
     # t-degree of the quotient may not exceed df - dg (s-power obstruction)
     if any(uq[df - dg + 1:]):
         return None, f
-    return BinaryForm(f.field, uq[:df - dg + 1]), BinaryForm(f.field, r)
-
-
-def _peel(f: BinaryForm, g: BinaryForm):
-    """(f / g^k, k) for the largest k with g^k dividing f."""
-    k = 0
-    while True:
-        q, r = _binary_divmod(f, g)
-        if q is None or not r.is_zero():
-            return f, k
-        f, k = q, k + 1
+    return (BinaryForm(f.field, uq[:df - dg + 1]),
+            BinaryForm(f.field, r + [0] * (df + 1 - len(r))))
 
 
 def binary_divide(f: BinaryForm, g: BinaryForm) -> BinaryForm:
@@ -614,18 +775,17 @@ def binary_gcd(forms) -> BinaryForm:
     forms = [f for f in forms if not f.is_zero()]
     if not forms:
         raise ValueError("gcd needs at least one nonzero form")
-    field = forms[0].field
-    zero = field.zero()
     for f in forms[1:]:
         f._check(forms[0], same_degree=False)
-    g = forms[0]
+    g, m = _plain_coeffs(forms[0])
+    sm = forms[0].s_multiplicity()
     for f in forms[1:]:
         # the chart gcd misses the common power of s; put it back
-        sm = min(g.s_multiplicity(), f.s_multiplicity())
-        g = BinaryForm(field, _ugcd(g.coeffs, f.coeffs, zero) + [zero] * sm)
-        if g.degree == 0:
+        sm = min(sm, f.s_multiplicity())
+        g = _ugcd(g, _plain_coeffs(f)[0], m) + [0] * sm
+        if len(g) == 1:
             break
-    return g.monic()
+    return BinaryForm(forms[0].field, g).monic()
 
 
 @dataclass(frozen=True)
@@ -634,8 +794,9 @@ class RootReport:
 
     roots: ((x, y), multiplicity) pairs, (x, y) in canonical coordinates
     (first nonzero coordinate 1 over F_p; primitive integers with positive
-    leading coordinate over Q).  unsolved: factors of degree >= 2 without
-    rational roots, with multiplicities; their roots live in an extension.
+    leading coordinate over Q).  unsolved: the irreducible factors of degree
+    >= 2 with multiplicities, with s^deg coefficient 1 over F_p, primitive
+    with it positive over Q; their roots live in an extension.
     """
 
     roots: tuple
@@ -654,201 +815,38 @@ def projective_normalize(vec, field: Field):
     return tuple(Fraction(i) for i in _int_poly(vec))
 
 
-def _divisors_signed(n: int):
-    n = abs(n)
-    small, big = [], []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            small.append(i)
-            if i != n // i:
-                big.append(n // i)
-        i += 1
-    out = small + big[::-1]
-    return [d for v in out for d in (v, -v)]
-
-
-def _kronecker_irreducible_factors(w):
-    """Irreducible factors (each of degree >= 2) of a primitive squarefree
-    integer polynomial with no rational roots, by divisor interpolation on
-    small integer nodes.  Desk-scale only; guarded by a combinatorial budget.
-    w comes normalized by _int_poly, and so does every factor returned.
-    """
-    n = len(w) - 1
-    if n <= 3:
-        return [list(w)]  # no rational roots and degree <= 3: irreducible
-    zero = Fraction(0)
-    wf = BinaryForm(QQ, w)
-    for e in range(2, n // 2 + 1):
-        nodes = [0]
-        k = 1
-        while len(nodes) < e + 1:
-            nodes += [k, -k]
-            k += 1
-        nodes = nodes[:e + 1]
-        vals = [int(wf.evaluate(1, x)) for x in nodes]
-        div_lists = [_divisors_signed(v) for v in vals]
-        total = 1
-        for dl in div_lists:
-            total *= len(dl)
-            if total > 200000:
-                raise ValueError("factorization budget exceeded")
-        for choice in itertools.product(*div_lists):
-            # Lagrange interpolation of a factor candidate through the nodes
-            cand = [zero] * (e + 1)
-            for xi, yi in zip(nodes, choice):
-                li = [Fraction(1)]
-                denom = Fraction(1)
-                for xj in nodes:
-                    if xj == xi:
-                        continue
-                    li = _umul(li, [Fraction(-xj), Fraction(1)], zero)
-                    denom *= Fraction(xi - xj)
-                scale = Fraction(yi) / denom
-                for k2 in range(len(li)):
-                    cand[k2] += scale * li[k2]
-            if not cand[e] or any(c.denominator != 1 for c in cand):
-                continue
-            q, r = _udivmod(w, cand, zero)
-            if any(r):
-                continue
-            return (_kronecker_irreducible_factors(_int_poly(cand))
-                    + _kronecker_irreducible_factors(_int_poly(q)))
-    return [list(w)]
-
-
 def binary_roots(f: BinaryForm) -> RootReport:
-    """Roots of a nonzero binary form over its field of definition.
+    """Roots and irreducible factors of a nonzero binary form over its field.
 
-    Over F_p: the finite roots [1:a] are the distinct roots of the chart
-    polynomial f(1, t), found by _fp_chart_roots in time polynomial in
-    log p; [0:1] is a root when the last coefficient vanishes.  Roots come
-    as [1:a] by ascending a, then [0:1]; multiplicities by repeated exact
-    division.  Over Q: rational roots by the integer root test, remaining
-    factors split into irreducibles (desk scale) and reported unsolved.
+    The powers of t and s give the roots [1:0] and [0:1]; the chart f(1, t)
+    of the rest is factored by _factor_fp or _factor_q, in time polynomial
+    in log p and the coefficient size.  Linear factors are roots, the others
+    unsolved, each with the multiplicity _peel finds.  Roots come as [1:a]
+    by ascending a, then [0:1], over F_p, and sorted over Q; unsolved
+    factors by degree, then by their t-monic (over Q, _int_poly)
+    coefficients from the constant term up.
     """
     if f.is_zero():
         raise ValueError("roots of the zero form are everything")
     field = f.field
-    roots = []
-    cofactor = f
-
-    def peel(point):
-        nonlocal cofactor
-        x, y = point
-        cofactor, mult = _peel(cofactor, BinaryForm.linear(field, y, -x))
-        return mult
-
-    if not field.is_rational:
-        pts = [(field.one(), a) for a in _fp_chart_roots(_trim(f.coeffs), field)]
-        if not f.coeffs[-1]:
-            pts.append((field.zero(), field.one()))
-        for pt in pts:
-            roots.append((pt, peel(pt)))
-        unsolved = ()
-        if cofactor.degree >= 2:
-            unsolved = tuple(_factor_nonsplit_fp(cofactor))
-        return RootReport(tuple(roots), unsolved)
-
-    # field Q
-    tm = f.t_multiplicity()
-    if tm:
-        m = peel((field.one(), field.zero()))
-        assert m == tm
-        roots.append((projective_normalize((1, 0), field), m))
-    sm = cofactor.s_multiplicity() if not cofactor.is_zero() else 0
-    if cofactor.degree >= 1 and sm:
-        m = peel((field.zero(), field.one()))
-        roots.append((projective_normalize((0, 1), field), m))
-    if cofactor.degree >= 1:
-        # chart s=1: polynomial in t with nonzero constant and leading coeff
-        ints = _int_poly(cofactor.coeffs)
-        for num in _divisors_signed(ints[0]):
-            for den in _divisors_signed(ints[-1]):
-                if den <= 0:
-                    continue
-                pt = (field.one(), Fraction(num, den))
-                if not cofactor.evaluate(*pt):
-                    roots.append((projective_normalize(pt, field), peel(pt)))
+    c, m = _plain_coeffs(f)
+    tm, sm = f.t_multiplicity(), f.s_multiplicity()
+    core = c[tm:len(c) - sm]
+    roots = [((1, 0), tm), ((0, 1), sm)]
     unsolved = []
-    if cofactor.degree >= 2:
-        w = list(cofactor.coeffs)
-        der = [c * i for i, c in enumerate(w)][1:]
-        sqfree, _ = _udivmod(w, _ugcd(w, der, field.zero()), field.zero())
-        for fac in _kronecker_irreducible_factors(_int_poly(sqfree)):
-            bf = BinaryForm(field, fac)
-            cofactor, mult = _peel(cofactor, bf)
-            unsolved.append((bf, mult))
-    roots.sort(key=lambda rm: rm[0])
+    if len(core) > 1:
+        for u in sorted(_factor_fp(core, m) if m else _factor_q(core),
+                        key=lambda u: (len(u), u)):
+            core, k = _peel(core, u, m)
+            if len(u) == 2:
+                roots.append(((u[1], -u[0]), k))
+            else:
+                unsolved.append((BinaryForm(field, u).monic() if m
+                                 else BinaryForm(field, u), k))
+    roots = [(projective_normalize(pt, field), k) for pt, k in roots if k]
+    # over F_p [0:1] goes last
+    roots.sort(key=lambda r: (m and not r[0][0], [plain(x) for x in r[0]]))
     return RootReport(tuple(roots), tuple(unsolved))
-
-
-def _fp_chart_roots(g, field):
-    """Distinct roots in F_p of a trimmed coefficient list g, ascending.
-
-    r = gcd(g, t^p - t) is the product of the distinct linear factors of g,
-    with t^p reduced mod g by square-and-multiply.  r is split by
-    gcd(r, (t+a)^((p-1)/2) - 1) for the fixed shifts a = 0, 1, 2, ...
-    (Cantor-Zassenhaus equal-degree splitting).  The gcd keeps the roots x
-    with x + a a nonzero square; for odd p some shift keeps exactly one of
-    any two roots, so the search ends.  A shift that fails to split r fails
-    on its factors too, so they go on from the next one.  Over F_2 a
-    squarefree r of degree 2 is t(t+1).
-    """
-    p = field.p
-    zero, one = field.zero(), field.one()
-
-    def powmod(base, e, mod):
-        out = [one]
-        for bit in bin(e)[2:]:
-            out = _trim(_udivmod(_umul(out, out, zero), mod, zero)[1])
-            if bit == "1":
-                out = _trim(_udivmod(_umul(out, base, zero), mod, zero)[1])
-        return out
-
-    def split(r, a):
-        if len(r) == 2:
-            return [-r[0] / r[1]]
-        if p == 2:
-            return [zero, one]
-        while True:
-            w = powmod([field.scalar(a), one], (p - 1) // 2, r) or [zero]
-            w[0] = w[0] - one
-            d = _ugcd(r, w, zero)
-            if 1 < len(d) < len(r):
-                return split(d, a + 1) + split(_udivmod(r, d, zero)[0], a + 1)
-            a += 1
-
-    if len(g) < 2:
-        return []
-    h = powmod([zero, one], p, g) + [zero, zero]
-    h[1] = h[1] - one
-    r = _ugcd(g, h, zero)
-    return sorted(split(r, 0), key=plain) if len(r) > 1 else []
-
-
-def _factor_nonsplit_fp(f: BinaryForm):
-    """Factor a rootless cofactor over a small prime field by trial division;
-    for large p the cofactor is reported whole."""
-    field = f.field
-    p = field.p
-    out = []
-    if p > 64 or f.degree < 4:
-        return [(f.monic(), 1)]
-    rest = f
-    for e in range(2, f.degree // 2 + 1):
-        for tail in itertools.product(range(p), repeat=e):
-            if not tail[0]:
-                continue  # divisible by t, but the cofactor has no roots
-            cand = BinaryForm(field, tail + (1,))
-            rest, mult = _peel(rest, cand)
-            if mult:
-                out.append((cand.monic(), mult))
-        if rest.degree < 4:
-            break
-    if rest.degree >= 2:
-        out.append((rest.monic(), 1))
-    return out
 
 
 # ---------------------------------------------------------------------------

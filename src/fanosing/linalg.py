@@ -41,7 +41,7 @@ def _is_prime(n: int) -> bool:
     # deterministic Miller-Rabin, valid far beyond 2**61
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _MR_BASES:
         if n % q == 0:
             return n == q
     d = n - 1

@@ -450,8 +450,8 @@ def test_binary_roots_fp_vs_bruteforce():
             lin = rng.choice([(0, 1), (1, 0), (rng.randrange(p), 1),
                               (1, rng.randrange(p))])
             f = f * binform(field, *lin) ** rng.randint(1, 3)
-        # times a dense form of degree <= 5, whose rootless quartic and
-        # quintic parts go through trial division for small p
+        # times a dense form of degree <= 5, whose rootless part is split
+        # into irreducibles by distinct- and equal-degree factoring
         extra = binform(field, *(rng.randrange(p)
                                  for _ in range(rng.randint(1, 6))))
         if not extra.is_zero():
@@ -492,12 +492,27 @@ def test_binary_roots_fp_multiplicity():
     # a squared quadratic and an irreducible quartic in degree 8
     (QQ, [(1, 0, 1), (1, 0, 1), (1, 0, 0, 0, 3)], [],
      [((1, 0, 1), 2), ((1, 0, 0, 0, 3), 1)]),
-    # trial division of a rootless quartic over a small prime
+    # a rootless quartic over a small prime split into its quadratics
     (F7, [(1, 0, 1), (1, 1, 3)], [], [((1, 0, 1), 1), ((1, 1, 3), 1)]),
     (parse_field("Fp:101"), [(1, 0, 1), (1, 0, 3)],
      [((1, 10), 1), ((1, 91), 1)], [((1, 0, 3), 1)]),
+    # two irreducible quadratics over a large prime (10007 = 2 mod 3 and
+    # 3 mod 4, so -1 and -3 are non-squares) come back split
+    (parse_field("Fp:10007"), [(1, 0, 1), (1, 0, 3)], [],
+     [((1, 0, 1), 1), ((1, 0, 3), 1)]),
+    # a square over F_2, whose derivative vanishes, times a rootless quartic
+    (parse_field("Fp:2"), [(1, 1, 1), (1, 1, 1), (1, 1, 0, 0, 1)], [],
+     [((1, 1, 1), 2), ((1, 1, 0, 0, 1), 1)]),
+    # two cubics with coefficients above 10^6, rootless mod 11 and mod 23;
+    # mod 5 each is a linear times a quadratic factor, so the lifted
+    # factors recombine in pairs
+    (QQ, [(1000003, -2000017, 3000001, 1000033),
+          (7000009, 1000081, -5000011, 2000007)], [],
+     [((1000003, -2000017, 3000001, 1000033), 1),
+      ((7000009, 1000081, -5000011, 2000007), 1)]),
 ], ids=["q-root-and-quadratics", "q-square-and-quartic", "f7-quartic",
-        "f101-roots-and-quadratic"])
+        "f101-roots-and-quadratic", "f10007-two-quadratics",
+        "f2-square-and-quartic", "q-big-cubics"])
 def test_binary_roots_frozen(field, factors, roots, unsolved):
     f = binform(field, 1)
     for c in factors:
@@ -506,6 +521,89 @@ def test_binary_roots_frozen(field, factors, roots, unsolved):
     assert rep.roots == tuple((tuple(field.scalar(x) for x in pt), m)
                               for pt, m in roots)
     assert rep.unsolved == tuple((binform(field, *c), m) for c, m in unsolved)
+
+
+def _chart_value(coeffs, a, p):
+    """f(1, a) mod p for a coefficient list (index = power of t)."""
+    return sum(c * a ** i for i, c in enumerate(coeffs)) % p
+
+
+def _small_monic_divisor(f):
+    """A monic chart divisor of degree <= deg f / 2 of a binary form over a
+    small prime, by enumerating every candidate; None if there is none."""
+    field = f.field
+    for e in range(1, f.degree // 2 + 1):
+        for tail in itertools.product(range(field.p), repeat=e):
+            cand = BinaryForm(field, tail + (1,))
+            try:
+                binary_divide(f, cand)
+            except NotDivisible:
+                continue
+            return cand
+    return None
+
+
+def _irreducible_witness(coeffs, p):
+    """True when a planted factor of degree 2 or 3 (or 4, for p <= 7) is
+    irreducible: over F_p it has no root, or for p <= 7 no small monic
+    divisor; over Q a quadratic's discriminant is not a square, and a cubic
+    has no root mod some prime not dividing its lead."""
+    if p:
+        if p <= 7:
+            return _small_monic_divisor(
+                BinaryForm(parse_field("Fp:%d" % p), coeffs)) is None
+        return len(coeffs) <= 4 and all(_chart_value(coeffs, a, p)
+                                        for a in range(p))
+    if len(coeffs) == 3:
+        c, b, a = coeffs
+        disc = b * b - 4 * a * c
+        return disc < 0 or math.isqrt(disc) ** 2 != disc
+    return any(coeffs[-1] % q and all(_chart_value(coeffs, a, q)
+                                      for a in range(q))
+               for q in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_binary_roots_factor_oracle(data):
+    """Planted products over Q (coefficients up to 10^30) and over F_p: the
+    report multiplies back to f, returns the planted roots and irreducible
+    factors with their multiplicities, and over small p no unsolved factor
+    has a monic divisor of degree <= half its own."""
+    p = data.draw(st.sampled_from([0, 2, 3, 5, 7, 101, 10007]), label="p")
+    field = parse_field("Fp:%d" % p if p else "Q")
+    coeff = st.integers(0, p - 1) if p else st.integers(-10 ** 30, 10 ** 30)
+    mult = st.integers(1, 3)
+    points = data.draw(st.lists(st.tuples(coeff, coeff, mult), max_size=3),
+                       label="roots")
+    max_degree = 4 if 0 < p <= 7 else 3
+    factors = data.draw(st.lists(st.tuples(
+        st.integers(2, max_degree).flatmap(
+            lambda d: st.lists(coeff, min_size=d + 1, max_size=d + 1)),
+        mult), max_size=2), label="factors")
+    f = binform(field, data.draw(coeff.filter(bool), label="unit"))
+    want_roots, want_factors = {}, {}
+    for x, y, m in points:
+        if x or y:
+            pt = projective_normalize((x, y), field)
+            want_roots[pt] = want_roots.get(pt, 0) + m
+            f = f * binform(field, y, -x) ** m
+    for coeffs, m in factors:
+        if coeffs[0] and coeffs[-1] and _irreducible_witness(coeffs, p):
+            g = binform(field, *coeffs).monic()
+            want_factors[g.coeffs] = want_factors.get(g.coeffs, 0) + m
+            f = f * g ** m
+    rep = binary_roots(f)
+    assert dict(rep.roots) == want_roots
+    assert {g.monic().coeffs: m for g, m in rep.unsolved} == want_factors
+    back = binform(field, 1)
+    for (x, y), m in rep.roots:
+        back = back * binform(field, y, -x) ** m
+    for g, m in rep.unsolved:
+        back = back * g ** m
+    assert back.monic() == f.monic()
+    if 0 < p <= 7:
+        assert all(_small_monic_divisor(g) is None for g, _ in rep.unsolved)
 
 
 def test_projective_normalize():

@@ -2,6 +2,7 @@
 whole-surface survey."""
 
 import random
+import time
 from collections import Counter
 from fractions import Fraction as Fr
 from itertools import product
@@ -49,6 +50,24 @@ def test_cone_vertex_certified():
     assert is_singular_at(X, (0, 0, 0, 1))
     assert not is_singular_at(X, (1, -1, 0, 0))
 
+
+
+def test_scaled_cone_vertex_certified_fast():
+    """The README cone on the frame e1 = M u + v, e2 = N u + 2v, u a point of
+    the base curve and v the vertex: the generators' gcd is (M s + N t)^2 up
+    to a scalar, and each line certifies the vertex once, with multiplicity
+    2, in time that does not grow with the size of M and N."""
+    X = cone(fermat(2, 3, QQ))
+    u, v = (1, -1, 0, 0), (0, 0, 0, 1)
+    sizes = (10 ** 3, 10 ** 6, 10 ** 9, 10 ** 12)
+    start = time.perf_counter()
+    for M, N in sorted(product(sizes, repeat=2), key=max):
+        fr = LineFrame(QQ, tuple(M * a + b for a, b in zip(u, v)),
+                       tuple(N * a + 2 * b for a, b in zip(u, v)))
+        points = analyze_line(X, fr).certificate.points
+        assert [(pt.ambient, pt.multiplicity) for pt in points] == \
+            [((Fr(0), Fr(0), Fr(0), Fr(1)), 2)], (M, N)
+        assert time.perf_counter() - start < 5.0, (M, N)
 
 def test_quadric_line_has_no_singular_points():
     X = Hypersurface(mono(QQ, 4, (1, 0, 0, 1)) - mono(QQ, 4, (0, 1, 1, 0)))
