@@ -5,9 +5,10 @@ conjecture (whole-surface survey), pencil-nf (normal form of a raw pencil),
 ruled (divisor intersection numbers), gen (stock examples).
 
 Exit codes: 0 success, 1 usage or input errors, 2 the given line or point
-is not on the hypersurface, 3 the pipeline hit a rank-one pencil, 4 the
-enumeration budget was exceeded, 5 refused because the characteristic is at
-most the degree (pass --force).
+is not on the hypersurface, 3 (pencil-nf only) the pencil has a rank-one
+element, 4 the enumeration budget was exceeded, 5 refused because the
+characteristic is at most the degree (pass --force).  analyze never exits
+3: a line's pencil has no rank-one element.
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ from .forms import (BinaryForm, _at, _int_at, format_form, format_scalar,
 from .linalg import Field, Subspace, parse_field, plain
 from .pencil import NotConstantRankTwo, normal_form
 from .ruled import DivisorClass, RuledSurface, c1_twist, intersect, itcone_check
-from .singular import (BudgetExceeded, CharacteristicRefused, all_lines,
-                       analyze_line, conjecture_check, lines_through)
+from .singular import (_BUDGET, BudgetExceeded, CharacteristicRefused,
+                       all_lines, analyze_line, conjecture_check,
+                       lines_through)
 from .tangent import Hypersurface, LineFrame, PlaneNotContained
 
 EXIT_OK = 0
@@ -126,8 +128,6 @@ def _tangent_payload(rep):
 
 
 def _certificate_payload(cert):
-    if cert is None:
-        return None
     return {
         "whole_line": cert.whole_line,
         "points": [{"ambient": _vec(sp.ambient),
@@ -159,10 +159,6 @@ def cmd_analyze(args) -> int:
     out = ["field: %s   n: %d   d: %d" % (X.field, X.n, X.d),
            "tangent dim: %d   pi dim: %d   m: %d"
            % (la.tangent.tangent_dim, la.tangent.pi.dim, la.tangent.m)]
-    if la.degenerate is not None:
-        payload["degenerate"] = la.degenerate
-        out.append("pencil degenerate: %s" % la.degenerate)
-        return _emit(args, out, payload, EXIT_DEGENERATE)
     payload["degenerate"] = None
     if la.nf is not None:
         payload["normal_form"] = {
@@ -189,15 +185,12 @@ def cmd_analyze(args) -> int:
         payload["filtration"] = None
     payload["certificate"] = _certificate_payload(la.certificate)
     payload["image_contained"] = la.image_contained
-    if la.everyp1 is not None:
-        payload["everyp1"] = {
-            "applies": la.everyp1.applies, "s1": la.everyp1.s1,
-            "dim_cx_tangent": la.everyp1.dim_cx_tangent,
-            "points": [_vec(sp.ambient) for sp in la.everyp1.points],
-            "note": la.everyp1.note,
-        }
-    else:
-        payload["everyp1"] = None
+    payload["everyp1"] = {
+        "applies": la.everyp1.applies, "s1": la.everyp1.s1,
+        "dim_cx_tangent": la.everyp1.dim_cx_tangent,
+        "points": [_vec(sp.ambient) for sp in la.everyp1.points],
+        "note": la.everyp1.note,
+    }
     cert = la.certificate
     if cert.whole_line:
         out.append("singular: entire line (gradient vanishes identically)")
@@ -210,10 +203,9 @@ def cmd_analyze(args) -> int:
                           + "]", sp.multiplicity))
     else:
         out.append("singular points: none rational (%s)" % cert.note)
-    if la.everyp1 is not None:
-        out.append("forced-singularity criterion: %s (%s)"
-                   % ("applies" if la.everyp1.applies else "does not apply",
-                      la.everyp1.note))
+    out.append("forced-singularity criterion: %s (%s)"
+               % ("applies" if la.everyp1.applies else "does not apply",
+                  la.everyp1.note))
     if la.image_contained is not None:
         out.append("deformation rows inside the ideal: %s"
                    % ("yes" if la.image_contained else "NO"))
@@ -423,14 +415,14 @@ def build_parser() -> _Parser:
     pl = sub.add_parser("lines", help="enumerate lines on X over F_p")
     pl.add_argument("form")
     pl.add_argument("--through", help="a point, e.g. '[1:0:0:0]' or '1,0,0,0'")
-    pl.add_argument("--budget", type=int, default=10 ** 8)
+    pl.add_argument("--budget", type=int, default=_BUDGET)
     pl.add_argument("--field")
     pl.add_argument("--json")
     pl.set_defaults(func=cmd_lines)
 
     pc = sub.add_parser("conjecture", help="survey all lines on X over F_p")
     pc.add_argument("form")
-    pc.add_argument("--budget", type=int, default=10 ** 8)
+    pc.add_argument("--budget", type=int, default=_BUDGET)
     pc.add_argument("--force", action="store_true",
                     help="proceed even when the characteristic <= degree")
     pc.add_argument("--field")

@@ -21,12 +21,12 @@ from dataclasses import dataclass
 from itertools import product
 from operator import mul
 
-from .forms import (BinaryForm, binary_gcd, binary_roots, projective_normalize,
-                    restrict_to_plane)
+from .forms import (BinaryForm, _expand, binary_gcd, binary_roots,
+                    projective_normalize)
 from .ideal import (GeneratorSet, IdealFiltration, build_filtration,
                     contains_image_sigma, extract_generators)
 from .linalg import Field, _ints, plain
-from .pencil import NormalForm, NotConstantRankTwo, normal_form
+from .pencil import NormalForm, normal_form
 from .tangent import (Hypersurface, LineFrame, PlaneNotContained, TangentReport,
                       analyze_tangent)
 
@@ -221,37 +221,39 @@ class LineAnalysis:
     frame: LineFrame
     tangent: TangentReport
     nf: NormalForm | None
-    degenerate: str | None          # diagnostic when the pencil has rank-one
     gens: GeneratorSet | None
     filt: IdealFiltration | None
-    certificate: SingularCertificate | None
-    everyp1: EveryP1Report | None
+    certificate: SingularCertificate
+    everyp1: EveryP1Report
     image_contained: bool | None
+
+    degenerate = None   # no line's pencil is rank-one; perfbench reads it
 
 
 def analyze_line(X: Hypersurface, frame: LineFrame) -> LineAnalysis:
-    """Run the whole pipeline on one line, recording each stage."""
+    """Run the whole pipeline on one line, recording each stage.
+
+    A line's pencil has no rank-one element: for (lam v | mu v) in it,
+    (lam s + mu t) sum_k v_k f_(free_k) = 0, binary forms have no zero
+    divisors, so v would be a nonzero vector of Pi at Pi's free columns.
+    normal_form therefore succeeds; a NotConstantRankTwo here is a bug and
+    propagates.
+    """
     rep = analyze_tangent(X, frame)
     if rep.m == 0:
         cert = certify_entire_line(X, frame, rep)
         ep1 = check_everyp1(X, rep, None, cert)
-        return LineAnalysis(frame=frame, tangent=rep, nf=None, degenerate=None,
-                            gens=None, filt=None, certificate=cert,
-                            everyp1=ep1, image_contained=None)
-    try:
-        nf = normal_form(rep.pencil)
-    except NotConstantRankTwo as e:
-        return LineAnalysis(frame=frame, tangent=rep, nf=None,
-                            degenerate=str(e), gens=None, filt=None,
-                            certificate=None, everyp1=None,
+        return LineAnalysis(frame=frame, tangent=rep, nf=None, gens=None,
+                            filt=None, certificate=cert, everyp1=ep1,
                             image_contained=None)
+    nf = normal_form(rep.pencil)
     gens = extract_generators(X, nf, rep)
     filt = build_filtration(gens)
     cert = singular_on_line(X, frame, filt)
     ep1 = check_everyp1(X, rep, nf, cert)
     image_ok = contains_image_sigma(filt, rep.sigma_matrix)
-    return LineAnalysis(frame=frame, tangent=rep, nf=nf, degenerate=None,
-                        gens=gens, filt=filt, certificate=cert, everyp1=ep1,
+    return LineAnalysis(frame=frame, tangent=rep, nf=nf, gens=gens, filt=filt,
+                        certificate=cert, everyp1=ep1,
                         image_contained=image_ok)
 
 
@@ -304,7 +306,8 @@ def _line_on(X: Hypersurface, form, e1, e2) -> bool:
             if _value(form, [a + k * b for a, b in zip(e1, e2)]):
                 return False
         return not _value(form, e2)
-    return restrict_to_plane(X.P, [e1, e2]).is_zero()
+    # too few points on the line: expand P on it with the one int kernel
+    return not _expand(form[0], [e1, e2], (), d, p)[0]
 
 
 def _polar_rows(g, j, p):
@@ -339,7 +342,7 @@ def _projective_size(p: int, ncoords: int) -> int:
     return (p ** ncoords - 1) // (p - 1)
 
 
-def lines_through(X: Hypersurface, point, budget: int = 10 ** 8) -> list:
+def lines_through(X: Hypersurface, point, budget: int = _BUDGET) -> list:
     """All lines on X through a point of X, as frames with e1 = the point.
     A point off X raises PlaneNotContained.  The second vector runs over the
     kernel of the point's first polar on the complement of its pivot; the
@@ -369,7 +372,7 @@ def grassmannian_size(p: int, n: int) -> int:
     return ((p ** (n + 1) - 1) * (p ** n - 1)) // ((p ** 2 - 1) * (p - 1))
 
 
-def all_lines(X: Hypersurface, budget: int = 10 ** 8) -> list:
+def all_lines(X: Hypersurface, budget: int = _BUDGET) -> list:
     """Every line on X over F_p, one frame per line, echelon representatives.
     Row 1 must be a point of X, row 2 in the kernel of its first polar.  The
     scan runs on residues and builds Fp only for the frames it returns."""
@@ -419,7 +422,7 @@ class ExceptionRecord:
     """A line the survey could not settle rationally, with replay data."""
 
     line: tuple            # canonical echelon rows of the line
-    kind: str              # "rank-one-pencil" or "no-rational-point"
+    kind: str              # "no-rational-point", the only kind
     detail: str
 
 
@@ -445,7 +448,7 @@ class ConjectureReport:
     note: str
 
 
-def conjecture_check(X: Hypersurface, budget: int = 10 ** 8,
+def conjecture_check(X: Hypersurface, budget: int = _BUDGET,
                      force: bool = False) -> ConjectureReport:
     """Survey every F_p-line of X: analyse each one, and count the points
     the lines cover on residue tuples read off their echelon rows.  Fp
@@ -471,11 +474,6 @@ def conjecture_check(X: Hypersurface, budget: int = 10 ** 8,
         covered.add(tuple(r2))
         covered.update(tuple((u + a * v) % p for u, v in zip(r1, r2))
                        for a in range(p))
-        if la.degenerate is not None:
-            exceptions.append(ExceptionRecord(
-                line=fr.canonical_rows(), kind="rank-one-pencil",
-                detail=la.degenerate))
-            continue
         cert = la.certificate
         if cert.whole_line:
             certified.extend(projective_normalize(fr.point(a, b), field)

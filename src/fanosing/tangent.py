@@ -87,10 +87,11 @@ class LineFrame:
     at the non-pivot columns c_1 < ... < c_{n-1} of rref(e1, e2), and
     (alpha^1, alpha^2) is the dual basis of (e1, e2): a restricted form in
     (s, t) is expressed in exactly these coordinates.  sigma, Pi and the
-    pencil are therefore functions of (e1, e2) alone.
+    pencil are therefore functions of (e1, e2) alone.  cols holds
+    c_1, ..., c_{n-1}, read off the one rref the frame makes.
     """
 
-    __slots__ = ("field", "e1", "e2", "complement", "_rows")
+    __slots__ = ("field", "e1", "e2", "cols", "_rows")
 
     def __init__(self, field: Field, e1, e2):
         self.field = field
@@ -103,8 +104,12 @@ class LineFrame:
         if len(red) != 2:
             raise ValueError("line frame needs two independent spanning vectors")
         self._rows = tuple(red)
-        self.complement = tuple(unit_vectors(
-            field, n1, [c for c in range(n1) if c not in pivots]))
+        self.cols = tuple(c for c in range(n1) if c not in pivots)
+
+    @property
+    def complement(self):
+        """w_1, ..., w_{n-1}: the standard basis vectors at cols."""
+        return tuple(unit_vectors(self.field, self.ambient_dim, self.cols))
 
     @property
     def ambient_dim(self) -> int:
@@ -171,10 +176,7 @@ def restricted_contractions(X: Hypersurface, frame: LineFrame):
     m = lcm(m1, m2)
     if m1 != m2:
         rows = [[x * (m // s) for x in row] for row, s in zip(rows, (m1, m2))]
-    pivots = [next(j for j, x in enumerate(row) if x)
-              for row in frame.canonical_rows()]
-    cols = [c for c in range(X.n + 1) if c not in pivots]
-    on_line, *fs = _expand(terms, rows, cols, X.d, p)
+    on_line, *fs = _expand(terms, rows, frame.cols, X.d, p)
     if on_line:
         raise PlaneNotContained("plane not contained in hypersurface")
     d = X.d

@@ -18,7 +18,7 @@ from fanosing.ideal import (build_filtration, contains_image_sigma,
                             extract_generators, ideal_degree_piece,
                             max_multiplicity_at, pure_power_locus)
 from fanosing.linalg import QQ, Subspace, combine, parse_field
-from fanosing.pencil import NotConstantRankTwo, normal_form, verify_normal_form
+from fanosing.pencil import normal_form, verify_normal_form
 from fanosing.ruled import DivisorClass, FIBER, RuledSurface, intersect, itcone_check
 from fanosing.singular import (all_lines, analyze_line, conjecture_check,
                                is_singular_at, lines_through,
@@ -171,9 +171,9 @@ def test_acceptance_04_quadric_f5_line_counts():
 def test_acceptance_05_kernel_bound_and_pi(random_corpus):
     corpus, build = random_corpus
     with criterion(5, "200 random planted lines: kernel bound, dual-times-Pi "
-                      "inside the kernel, pencil clean or diagnosed",
+                      "inside the kernel, a verified normal form or m = 0",
                    limit=120.0, extra=build):
-        clean, diagnosed = 0, 0
+        verified = 0
         for X, fr, la in corpus:
             n, d = X.n, X.d
             rep = la.tangent
@@ -184,16 +184,14 @@ def test_acceptance_05_kernel_bound_and_pi(random_corpus):
                     if len(pvec) != n - 1 else pvec
                 assert rep.kernel.contains_vector(tuple(lifted) + zero)
                 assert rep.kernel.contains_vector(zero + tuple(lifted))
-            if la.degenerate is None:
-                if la.nf is not None:
-                    assert verify_normal_form(rep.pencil, la.nf)
-                clean += 1
+            if rep.m == 0:
+                assert la.nf is None
             else:
-                assert la.degenerate   # clean diagnostic text
-                diagnosed += 1
-        assert clean + diagnosed == 200
-        print("  kernel-bound corpus: %d clean, %d diagnosed rank-one"
-              % (clean, diagnosed))
+                assert verify_normal_form(rep.pencil, la.nf)
+                verified += 1
+        assert len(corpus) == 200
+        print("  kernel-bound corpus: %d verified normal forms, %d with m = 0"
+              % (verified, len(corpus) - verified))
 
 
 def _random_invertible(field, m, rng):
@@ -385,7 +383,7 @@ def test_acceptance_11_conjecture_harness_cone_sweep():
         assert rep.trigger
         assert rep.num_lines == 9
         for e in rep.exceptions:
-            assert e.kind in ("rank-one-pencil", "no-rational-point")
+            assert e.kind == "no-rational-point"
             assert "counterexample" not in e.detail.lower()
         assert "counterexample" not in rep.note.lower()
         s = F7.scalar

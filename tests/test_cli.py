@@ -4,10 +4,14 @@ import json
 
 import pytest
 
+from fanosing import singular
 from fanosing.cli import main
 from fanosing.corpus import cone, fermat
 from fanosing.forms import format_form
 from fanosing.linalg import QQ, parse_field
+from fanosing.pencil import NotConstantRankTwo
+from fanosing.singular import analyze_line
+from fanosing.tangent import LineFrame
 
 
 @pytest.fixture
@@ -96,6 +100,23 @@ def test_conjecture_with_field_reduction(cone_file, capsys):
 def test_conjecture_refuses_small_characteristic(cone_file, capsys):
     assert main(["conjecture", cone_file, "--field", "Fp:3"]) == 5
     assert "characteristic" in capsys.readouterr().out
+
+
+def test_rank_one_line_pencil_propagates(cone_file, monkeypatch, capsys):
+    """A line's pencil has no rank-one element, so a NotConstantRankTwo from
+    it is a bug: analyze_line lets it propagate, and analyze ends with exit 1
+    and one stderr line, not exit 3."""
+    def refuse(pencil):
+        raise NotConstantRankTwo("planted refusal")
+
+    monkeypatch.setattr(singular, "normal_form", refuse)
+    X = cone(fermat(2, 3, QQ))
+    with pytest.raises(NotConstantRankTwo, match="planted refusal"):
+        analyze_line(X, LineFrame(QQ, (1, -1, 0, 0), (0, 0, 0, 1)))
+    assert main(["analyze", cone_file, "--line", "1,-1,0,0;0,0,0,1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: planted refusal\n"
 
 
 def test_field_override_rejects_fp_to_q(fermat7_file, capsys):

@@ -39,7 +39,6 @@ def test_cone_vertex_certified():
     X = cone(fermat(2, 3, QQ))
     fr = LineFrame(QQ, (1, -1, 0, 0), (0, 0, 0, 1))
     la = analyze_line(X, fr)
-    assert la.degenerate is None
     assert la.nf.s == (1,)
     assert la.certificate.points == (
         SingularPoint(ambient=(Fr(0), Fr(0), Fr(0), Fr(1)),
@@ -195,7 +194,6 @@ def test_no_rank_one_pencil_on_a_line(p, n, d, seed, move):
         X, line, _ = _moved(X, line, random.Random(seed))
     la = analyze_line(X, LineFrame(X.field, *line))
     assume(la.tangent.m > 0)
-    assert la.degenerate is None
     assert not has_decomposable(la.tangent.pencil)
 
 
@@ -423,7 +421,7 @@ def _planted_q_lines():
 def _line_invariants(la):
     cert = la.certificate
     return (la.tangent.tangent_dim, la.tangent.pi.dim, la.tangent.m,
-            la.degenerate is not None, la.nf.s if la.nf else None,
+            la.nf.s if la.nf else None,
             cert.whole_line if cert else None)
 
 
