@@ -10,7 +10,8 @@ coordinates s, t.  On coefficient tuples (s^(d-1), ..., t^(d-1)) each
 identity is a shift: f_i is p's coefficients with s - i zeros in front and
 i - 1 behind.  So t^(s-1) divides f_1 exactly when its first s - 1
 coefficients vanish, and p is the rest, normalized monic (the block vectors
-are rescaled along with it so the identities stay exact).
+are rescaled along with it so the identities stay exact).  It all runs on
+sigma's int rows, with scalars built only for p and the rescaled chain.
 
 The generators of degrees delta_j = d - s_j build an ascending filtration of
 ideal pieces inside the spaces of binary forms on the line.  Points where
@@ -22,10 +23,13 @@ the line (order <= k-1 away from an explicit finite locus).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import comb
+from operator import mul
 
 from .forms import BinaryForm, RootReport, binary_gcd, binary_roots
-from .linalg import Field, Subspace, combine, kernel
+from .linalg import (Field, Subspace, _echelon, _heads, _ints, _reduce,
+                     _scalars, kernel)
 from .pencil import NormalForm
 from .tangent import Hypersurface, TangentReport, _free_columns
 
@@ -79,17 +83,19 @@ def extract_generators(X: Hypersurface, nf: NormalForm,
     contraction (w -| P)|_E is the same combination of sigma's alpha^1 rows
     at those columns, read without their last (zero) coefficient.  P is not
     contracted or restricted again, and each chain identity is checked as a
-    coefficient shift of p.
+    coefficient shift of p.  On ints, with sigma's rows scale times the
+    true ones and the chain's w_i times t_i (_ints), F_i = t_i scale f_i:
+    each shift is checked as t_1 F_i == t_i (F_1 shifted).
     """
-    field = X.field
+    field, q = X.field, X.field.p
     pi = tangent.pi
     if nf.field != field or pi.field != field:
         raise ValueError("field mismatch")
     if nf.m != (X.n - 1) - pi.dim:
         raise ValueError("normal form does not match the quotient dimension")
     d = X.d
-    rows = [tangent.sigma_matrix[c] for c in _free_columns(pi)]
-    zero = field.zero()
+    sig, scale = tangent.sigma_ints
+    cols = list(zip(*(sig[c] for c in _free_columns(pi))))[:d]
     blocks = []
     for j in range(nf.r):
         s = nf.s[j]
@@ -97,22 +103,26 @@ def extract_generators(X: Hypersurface, nf: NormalForm,
             raise DegreeTooSmall(
                 "degree %d is too small for a block of size %d" % (d, s))
         chain = nf.block(j)
-        fs = [combine(field, d, w, rows) for w in chain]
+        ws, ts = _ints(chain, field)
+        fs = [[sum(map(mul, w, col)) for col in cols] for w in ws]
+        if q:
+            fs = [[a % q for a in f] for f in fs]
         if any(fs[0][:s - 1]):
             raise ChainIdentityViolated(
                 "head contraction is not divisible by the chain power")
-        p_raw = BinaryForm(field, fs[0][s - 1:])
-        if p_raw.is_zero():
+        core = fs[0][s - 1:]
+        if not any(core):
             raise ChainIdentityViolated("block generator vanishes")
-        lam = next(c for c in p_raw.coeffs if c)
-        p = p_raw.monic()
-        inv = field.one() / lam
-        chain = tuple(tuple(inv * c for c in w) for w in chain)
         for i in range(s):
-            want = (zero,) * (s - 1 - i) + p.coeffs + (zero,) * i
-            if tuple(inv * c for c in fs[i]) != want:
+            want = [0] * (s - 1 - i) + core + [0] * i
+            if [ts[0] * a for a in fs[i]] != [ts[i] * b for b in want]:
                 raise ChainIdentityViolated(
                     "contraction of chain slot %d is off" % (i + 1))
+        lam = next(c for c in core if c)
+        p = BinaryForm(field, [a * pow(lam, -1, q) % q for a in core] if q
+                       else [Fraction(a, lam) for a in core])
+        inv = field.scalar(ts[0] * scale) / lam
+        chain = tuple(tuple(inv * c for c in w) for w in chain)
         blocks.append(BlockGenerator(p=p, size=s, chain=chain))
     return GeneratorSet(field=field, degree=d, m=nf.m, blocks=tuple(blocks))
 
@@ -133,13 +143,9 @@ class IdealFiltration:
     quotient_dims: tuple   # codimension of each level in its degree
 
 
-def _shift_up(coeffs, gap: int, field: Field):
-    """All multiples of a form by the degree-gap monomials."""
-    zero = field.zero()
-    out = []
-    for b in range(gap + 1):
-        out.append((zero,) * b + tuple(coeffs) + (zero,) * (gap - b))
-    return out
+def _shift_up(coeffs, gap: int) -> list:
+    """All multiples of a form by the degree-gap monomials (int 0 padding)."""
+    return [[0] * b + list(coeffs) + [0] * (gap - b) for b in range(gap + 1)]
 
 
 def build_filtration(gens: GeneratorSet) -> IdealFiltration:
@@ -159,7 +165,7 @@ def build_filtration(gens: GeneratorSet) -> IdealFiltration:
         if prev is not None:
             gap = delta - deltas[-1]
             for row in prev.basis:
-                vecs.extend(_shift_up(row, gap, field))
+                vecs.extend(_shift_up(row, gap))
         space = Subspace.from_vectors(vecs, field, delta + 1)
         deltas.append(delta)
         counts.append(len(ps))
@@ -171,28 +177,41 @@ def build_filtration(gens: GeneratorSet) -> IdealFiltration:
                            quotient_dims=tuple(codims))
 
 
-def ideal_degree_piece(filt: IdealFiltration, k: int) -> Subspace:
-    """Degree-k piece of the ideal on the line, as coefficient vectors."""
-    field = filt.gens.field
+def _piece_rows(filt: IdealFiltration, k: int):
+    """ideal_degree_piece as echelon int rows and their pivot columns."""
     if k < 0:
         raise ValueError("negative degree")
     if k < filt.deltas[0]:
-        return Subspace.zero(field, k + 1)
+        return [], []
     j = max(i for i, delta in enumerate(filt.deltas) if delta <= k)
+    rows, _ = _ints(filt.hatM[j].basis, filt.gens.field)
     gap = k - filt.deltas[j]
-    vecs = []
-    for row in filt.hatM[j].basis:
-        vecs.extend(_shift_up(row, gap, field))
-    return Subspace.from_vectors(vecs, field, k + 1)
+    return _echelon([v for row in rows for v in _shift_up(row, gap)],
+                    filt.gens.field.p)
+
+
+def ideal_degree_piece(filt: IdealFiltration, k: int) -> Subspace:
+    """Degree-k piece of the ideal on the line, as coefficient vectors."""
+    mat, piv = _piece_rows(filt, k)
+    return Subspace(filt.gens.field, k + 1,
+                    tuple(_scalars(mat, _heads(mat, piv), filt.gens.field)))
 
 
 def contains_image_sigma(filt: IdealFiltration, sigma_matrix) -> bool:
     """Whether every row of the deformation matrix lies in the degree piece."""
-    if not sigma_matrix:
+    rows, _ = _ints(sigma_matrix, filt.gens.field)
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise ValueError("ragged matrix")
+    return _image_contained(filt, rows)
+
+
+def _image_contained(filt: IdealFiltration, rows) -> bool:
+    """contains_image_sigma on sigma's int rows: one _reduce pass."""
+    if not rows:
         return True
-    k = len(sigma_matrix[0]) - 1
-    piece = ideal_degree_piece(filt, k)
-    return piece.contains_vectors(sigma_matrix)
+    reduced = _reduce(*_piece_rows(filt, len(rows[0]) - 1), rows,
+                      filt.gens.field.p)
+    return not any(any(r) for r, _ in reduced)
 
 
 def max_multiplicity_at(filt: IdealFiltration, k: int, point):
@@ -212,7 +231,7 @@ def max_multiplicity_at(filt: IdealFiltration, k: int, point):
     ell = BinaryForm.linear(field, b, -a)
     for j in range(k, 0, -1):
         power = ell ** j
-        mults = _shift_up(power.coeffs, k - j, field)
+        mults = _shift_up(power.coeffs, k - j)
         if piece.meet(Subspace.from_vectors(mults, field, k + 1)).dim:
             return j
     return 0

@@ -19,8 +19,8 @@ reducing a double-width block), `_solve` (a combination with the free
 coefficients 0) and `_complement` (the echelon rows extending a subspace).
 `rref`, `rank`, `kernel` (over `_kernel`), `solve_combination`,
 `echelon_complement` and the `Subspace` methods are thin wrappers over
-them; `pencil.normal_form` calls the int helpers directly, and
-`fanosing.tangent` hands a line's int deformation matrix to `_kernel`.
+them; `pencil.normal_form`, `fanosing.tangent` (sigma's kernels) and
+`fanosing.ideal` (degree pieces, the image of sigma) call them directly.
 """
 
 from __future__ import annotations
@@ -270,16 +270,6 @@ def unit_vectors(field: Field, n: int, cols) -> list:
     """The standard basis vectors of K^n at the given columns, in order."""
     one, zero = field.one(), field.zero()
     return [tuple(one if j == c else zero for j in range(n)) for c in cols]
-
-
-def combine(field: Field, n: int, coeffs, vectors) -> tuple:
-    """sum_i coeffs[i] * vectors[i] in K^n, from the first n entries of each
-    vector; zero coefficients are skipped."""
-    out = [field.zero()] * n
-    for c, v in zip(coeffs, vectors):
-        if c:
-            out = [a + c * b for a, b in zip(out, v)]
-    return tuple(out)
 
 
 def _ints(rows, field: Field) -> tuple:

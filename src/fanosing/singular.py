@@ -12,7 +12,8 @@ The gradient re-check and the point and line scans share one pass over
 P's terms, (c, ((i, k), ...)) on ints: residues mod p, or over Q the terms
 of D*P at a point scaled to ints, good only for zero tests.  The terms are
 read once per hypersurface (Hypersurface.plain_form).  The scans run
-on residue tuples mod p and build Fp only for what they return.
+on residue tuples mod p, and certified points on the frame's int rows
+(LineFrame.ints); each builds scalars only for what it returns.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ from operator import mul
 
 from .forms import (BinaryForm, _expand, binary_gcd, binary_roots,
                     projective_normalize)
-from .ideal import (GeneratorSet, IdealFiltration, build_filtration,
-                    contains_image_sigma, extract_generators)
-from .linalg import Field, _ints, plain
+from .ideal import (GeneratorSet, IdealFiltration, _image_contained,
+                    build_filtration, extract_generators)
+from .linalg import Field, FieldMismatch, _ints, plain
 from .pencil import NormalForm, normal_form
 from .tangent import (Hypersurface, LineFrame, PlaneNotContained, TangentReport,
                       analyze_tangent)
@@ -124,9 +125,20 @@ def is_singular_at(X: Hypersurface, point) -> bool:
     return grad is not None and not any(grad)
 
 
+def _line_rows(X: Hypersurface, frame: LineFrame):
+    """The frame's int rows, once its field and length match X's."""
+    if frame.field != X.field:
+        raise FieldMismatch("field mismatch: %s vs %s" % (frame.field, X.field))
+    if frame.ambient_dim != X.n + 1:
+        raise ValueError("point has %d coordinates, form has %d variables"
+                         % (frame.ambient_dim, X.n + 1))
+    return frame.ints[0]
+
+
 def singular_on_line(X: Hypersurface, frame: LineFrame,
                      filt: IdealFiltration) -> SingularCertificate:
     """Certified singular points at the common zeros of the generators."""
+    r1, r2 = _line_rows(X, frame)
     gcd = binary_gcd(filt.gens.forms())
     if gcd.degree == 0:
         return SingularCertificate(points=(), whole_line=False, gcd_form=gcd,
@@ -135,12 +147,14 @@ def singular_on_line(X: Hypersurface, frame: LineFrame,
     report = binary_roots(gcd)
     points = []
     for (a, b), mult in report.roots:
-        amb = projective_normalize(frame.point(a, b), X.field)
-        if not is_singular_at(X, amb):
+        ((i, j),), _ = _ints([(a, b)], X.field)     # a multiple of [a:b]
+        x = [i * u + j * v for u, v in zip(r1, r2)]
+        grad = _polar(X.plain_form, x)
+        if grad is None or any(grad):
             raise ArithmeticError(
                 "certified point fails the gradient re-check")
-        points.append(SingularPoint(ambient=amb, line_point=(a, b),
-                                    multiplicity=mult))
+        points.append(SingularPoint(ambient=projective_normalize(x, X.field),
+                                    line_point=(a, b), multiplicity=mult))
     note = "every gcd zero is a singular point of the hypersurface"
     if report.unsolved:
         note += "; further zeros live in an extension field"
@@ -159,11 +173,10 @@ def certify_entire_line(X: Hypersurface, frame: LineFrame,
     """
     if any(any(row) for row in tangent.sigma_matrix):
         raise ValueError("line is not entirely singular")
-    for sample in ((X.field.one(), X.field.zero()),
-                   (X.field.zero(), X.field.one()),
-                   (X.field.one(), X.field.one())):
-        amb = projective_normalize(frame.point(*sample), X.field)
-        if not is_singular_at(X, amb):
+    r1, r2 = _line_rows(X, frame)
+    for x in (r1, r2, [u + v for u, v in zip(r1, r2)]):
+        grad = _polar(X.plain_form, x)
+        if grad is None or any(grad):
             raise ArithmeticError("sample point fails the gradient re-check")
     return SingularCertificate(points=(), whole_line=True, gcd_form=None,
                                unsolved=(),
@@ -251,7 +264,7 @@ def analyze_line(X: Hypersurface, frame: LineFrame) -> LineAnalysis:
     filt = build_filtration(gens)
     cert = singular_on_line(X, frame, filt)
     ep1 = check_everyp1(X, rep, nf, cert)
-    image_ok = contains_image_sigma(filt, rep.sigma_matrix)
+    image_ok = _image_contained(filt, rep.sigma_ints[0])
     return LineAnalysis(frame=frame, tangent=rep, nf=nf, gens=gens, filt=filt,
                         certificate=cert, everyp1=ep1,
                         image_contained=image_ok)
@@ -464,20 +477,18 @@ def conjecture_check(X: Hypersurface, budget: int = _BUDGET,
     certified = []
     exceptions = []
     max_dim = 0
-    line_points = projective_points(field, 2)
     for fr in frames:
         la = analyze_line(X, fr)
         max_dim = max(max_dim, la.tangent.tangent_dim)
         # the echelon rows give the line's points normalised: e2, and
         # e1 + a e2 (e2 is zero at e1's pivot)
         r1, r2 = ([plain(c) for c in row] for row in fr.canonical_rows())
-        covered.add(tuple(r2))
-        covered.update(tuple((u + a * v) % p for u, v in zip(r1, r2))
-                       for a in range(p))
+        points = [tuple(r2)] + [tuple((u + a * v) % p for u, v in zip(r1, r2))
+                                for a in range(p)]
+        covered.update(points)
         cert = la.certificate
         if cert.whole_line:
-            certified.extend(projective_normalize(fr.point(a, b), field)
-                             for a, b in line_points)
+            certified.extend(map(field.vector, points))
         else:
             certified.extend(sp.ambient for sp in cert.points)
         if la.everyp1.applies and not cert.points:

@@ -15,11 +15,12 @@ and its alpha^2 rows the same forms times t, so Pi and the chain generators
 
 sigma is computed on ints: restricted_contractions runs the one
 substitution kernel of fanosing.forms on P's int terms (read once per
-hypersurface, Hypersurface.plain_form) and the frame's int rows, so over Q
-every entry is one common scale times the true one.  Its kernels (the
-tangent space, Pi and the pencil) come from linalg._kernel on those int
-rows; Fp or Fraction entries are built only for the returned matrix and
-subspaces.
+hypersurface, Hypersurface.plain_form) and the frame's int rows (read once
+per frame, LineFrame.ints), so over Q every entry is one common scale times
+the true one.  Its kernels (the tangent space, Pi and the pencil) come from
+linalg._kernel on those rows, which the report carries on (sigma_ints) to
+the block generators, the image check and the certified points; Fp or
+Fraction entries are built only for the values the pipeline returns.
 
 Pi <= W/E is the subspace of directions w with (w -| P)|_E = 0: deformations
 that move the line trivially to first order in every pencil direction.
@@ -30,13 +31,13 @@ pencil of 2 x m matrices fed to the normal-form machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from math import lcm
 
 from .forms import MultiForm, _expand, _plain_terms
-from .linalg import (Field, Subspace, _ints, _kernel, _scalars, rref,
-                     solve_combination, unit_vectors)
+from .linalg import (Field, Subspace, _echelon, _heads, _ints, _kernel,
+                     _scalars, solve_combination, unit_vectors)
 
 
 class PlaneNotContained(ValueError):
@@ -88,10 +89,11 @@ class LineFrame:
     (alpha^1, alpha^2) is the dual basis of (e1, e2): a restricted form in
     (s, t) is expressed in exactly these coordinates.  sigma, Pi and the
     pencil are therefore functions of (e1, e2) alone.  cols holds
-    c_1, ..., c_{n-1}, read off the one rref the frame makes.
+    c_1, ..., c_{n-1}, read off the one echelon pass the frame makes; ints
+    is ((r1, r2), m) with (r1, r2) = m (e1, e2) on ints (m = 1 over F_p).
     """
 
-    __slots__ = ("field", "e1", "e2", "cols", "_rows")
+    __slots__ = ("field", "e1", "e2", "cols", "ints", "_rows")
 
     def __init__(self, field: Field, e1, e2):
         self.field = field
@@ -100,10 +102,13 @@ class LineFrame:
         n1 = len(self.e1)
         if len(self.e2) != n1:
             raise ValueError("spanning vectors have different lengths")
-        red, pivots = rref([self.e1, self.e2], field)
+        (r1, r2), (m1, m2) = _ints([self.e1, self.e2], field)
+        m = lcm(m1, m2)
+        self.ints = ([x * (m // m1) for x in r1], [x * (m // m2) for x in r2]), m
+        red, pivots = _echelon([r1, r2], field.p)
         if len(red) != 2:
             raise ValueError("line frame needs two independent spanning vectors")
-        self._rows = tuple(red)
+        self._rows = tuple(_scalars(red, _heads(red, pivots), field))
         self.cols = tuple(c for c in range(n1) if c not in pivots)
 
     @property
@@ -149,7 +154,8 @@ class LineFrame:
 
 @dataclass(frozen=True)
 class TangentReport:
-    """Bundle of the first-order data of a line inside a hypersurface."""
+    """Bundle of the first-order data of a line inside a hypersurface;
+    sigma_ints carries sigma's int rows and their common scale."""
 
     sigma_matrix: tuple
     kernel: Subspace       # in E^* (x) W/E coordinates, dim 2(n-1)
@@ -157,6 +163,7 @@ class TangentReport:
     m: int                 # dim (W/E)/Pi
     pencil: Subspace       # ker of sigma on E^* (x) (W/E)/Pi, in K^2 (x) K^m
     tangent_dim: int
+    sigma_ints: tuple = field(compare=False, repr=False)
 
 
 def restricted_contractions(X: Hypersurface, frame: LineFrame):
@@ -170,12 +177,9 @@ def restricted_contractions(X: Hypersurface, frame: LineFrame):
     if X.field != frame.field:
         raise ValueError("field mismatch between hypersurface and frame")
     terms, p, den = X.plain_form
-    rows, (m1, m2) = _ints([frame.e1, frame.e2], X.field)
+    rows, m = frame.ints
     if len(rows[0]) != X.n + 1:
         raise ValueError("vector length does not match variable count")
-    m = lcm(m1, m2)
-    if m1 != m2:
-        rows = [[x * (m // s) for x in row] for row, s in zip(rows, (m1, m2))]
     on_line, *fs = _expand(terms, rows, frame.cols, X.d, p)
     if on_line:
         raise PlaneNotContained("plane not contained in hypersurface")
@@ -186,11 +190,10 @@ def restricted_contractions(X: Hypersurface, frame: LineFrame):
 
 
 def _sigma_rows(X: Hypersurface, frame: LineFrame):
-    """sigma as int rows and their scales (one common value): the alpha^1
-    rows are each contraction times s, the alpha^2 rows times t."""
+    """sigma as int rows and their one common scale: the alpha^1 rows are
+    each contraction times s, the alpha^2 rows times t."""
     fs, scale = restricted_contractions(X, frame)
-    rows = [f + [0] for f in fs] + [[0] + f for f in fs]
-    return rows, [scale] * len(rows)
+    return [f + [0] for f in fs] + [[0] + f for f in fs], scale
 
 
 def sigma(X: Hypersurface, frame: LineFrame):
@@ -198,7 +201,8 @@ def sigma(X: Hypersurface, frame: LineFrame):
     alpha^1 (x) w_1 .. alpha^1 (x) w_{n-1}, then the alpha^2 row block.
     Columns: coefficients of s^d, ..., t^d.
     """
-    return tuple(_scalars(*_sigma_rows(X, frame), X.field))
+    rows, scale = _sigma_rows(X, frame)
+    return tuple(_scalars(rows, [scale] * len(rows), X.field))
 
 
 def _left_kernel(rows, field: Field, ncols: int) -> Subspace:
@@ -241,16 +245,17 @@ def quotient_section(c, pi: Subspace):
 def analyze_tangent(X: Hypersurface, frame: LineFrame) -> TangentReport:
     """sigma, its kernel, Pi, and the pencil: the kernel of sigma's rows at
     Pi's free columns, alpha^1 block then alpha^2 block."""
-    rows, scales = _sigma_rows(X, frame)
+    rows, scale = _sigma_rows(X, frame)
     tang = tangent_space(X, frame)
     pi = compute_pi(X, frame)
     nm1 = X.n - 1
     free = _free_columns(pi)
     pencil = [rows[c] for c in free] + [rows[nm1 + c] for c in free]
-    return TangentReport(sigma_matrix=tuple(_scalars(rows, scales, X.field)),
+    return TangentReport(sigma_matrix=tuple(_scalars(rows, [scale] * len(rows),
+                                                     X.field)),
                          kernel=tang, pi=pi, m=len(free),
                          pencil=_left_kernel(pencil, X.field, X.d + 1),
-                         tangent_dim=tang.dim)
+                         tangent_dim=tang.dim, sigma_ints=(rows, scale))
 
 
 def tangent_cone_lines(X: Hypersurface, frame: LineFrame, x) -> Subspace:

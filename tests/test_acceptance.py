@@ -17,7 +17,7 @@ from fanosing.forms import BinaryForm, MultiForm, contract, restrict_to_plane
 from fanosing.ideal import (build_filtration, contains_image_sigma,
                             extract_generators, ideal_degree_piece,
                             max_multiplicity_at, pure_power_locus)
-from fanosing.linalg import QQ, Subspace, combine, parse_field
+from fanosing.linalg import QQ, Subspace, parse_field
 from fanosing.pencil import normal_form, verify_normal_form
 from fanosing.ruled import DivisorClass, FIBER, RuledSurface, intersect, itcone_check
 from fanosing.singular import (all_lines, analyze_line, conjecture_check,
@@ -25,6 +25,7 @@ from fanosing.singular import (all_lines, analyze_line, conjecture_check,
                                projective_points, singular_points)
 from fanosing.tangent import (Hypersurface, LineFrame, analyze_tangent,
                               quotient_section)
+from helpers import combine
 
 F5 = parse_field("Fp:5")
 F7 = parse_field("Fp:7")

@@ -144,3 +144,13 @@ def test_piece_below_first_delta_is_zero(cone_pipeline):
     _, _, _, _, _, filt = cone_pipeline
     assert ideal_degree_piece(filt, 1).dim == 0
     assert max_multiplicity_at(filt, 1, (0, 1)) is None
+
+
+def test_contains_image_sigma_rejects_ragged_rows(cone_pipeline):
+    """The public check reads sigma through _ints and refuses ragged rows
+    before its int reduction, which would otherwise truncate them."""
+    X, fr, rep, nf, gens, filt = cone_pipeline
+    rows = list(rep.sigma_matrix)
+    rows[-1] = rows[-1] + (Fr(1),)
+    with pytest.raises(ValueError, match="ragged matrix"):
+        contains_image_sigma(filt, rows)

@@ -8,9 +8,10 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from fanosing.linalg import (QQ, Field, FieldMismatch, Fp, Subspace, _heads,
-                             _ints, _meet, _scalars, combine,
+                             _ints, _meet, _scalars,
                              echelon_complement, kernel, parse_field, rank,
                              rref, solve_combination, unit_vectors)
+from helpers import combine
 
 F5 = parse_field("Fp:5")
 F7 = parse_field("Fp:7")

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from fanosing.linalg import (QQ, Subspace, combine, echelon_complement,
+from fanosing.linalg import (QQ, Subspace, echelon_complement,
                              parse_field, rank, solve_combination, unit_vectors)
 from fanosing.pencil import (NormalForm, NotConstantRankTwo, has_decomposable,
                              normal_form, verify_normal_form)
+from helpers import combine
 
 F7 = parse_field("Fp:7")
 F101 = parse_field("Fp:101")

@@ -15,7 +15,7 @@ from fanosing import singular
 from fanosing.corpus import cone, fermat, random_with_line
 from fanosing.forms import (MultiForm, projective_normalize, restrict_partials,
                             restrict_to_plane)
-from fanosing.linalg import (QQ, Field, FieldMismatch, Fp, combine, parse_field,
+from fanosing.linalg import (QQ, Field, FieldMismatch, Fp, parse_field,
                              plain, rank, solve_combination)
 from fanosing.pencil import has_decomposable
 from fanosing.singular import (BudgetExceeded, CharacteristicRefused,
@@ -23,8 +23,9 @@ from fanosing.singular import (BudgetExceeded, CharacteristicRefused,
                                certify_entire_line, conjecture_check,
                                grassmannian_size, is_singular_at,
                                lines_through, projective_points,
-                               singular_points)
+                               singular_on_line, singular_points)
 from fanosing.tangent import Hypersurface, LineFrame, analyze_tangent
+from helpers import combine
 
 F3 = parse_field("Fp:3")
 F5 = parse_field("Fp:5")
@@ -93,6 +94,26 @@ def test_entirely_singular_line():
     Xs = Hypersurface(mono(QQ, 4, (1, 0, 0, 1)) - mono(QQ, 4, (0, 1, 1, 0)))
     with pytest.raises(ValueError, match="not entirely singular"):
         certify_entire_line(Xs, fr, analyze_tangent(Xs, fr))
+
+
+def test_foreign_frame_raises_field_mismatch():
+    """An F_7 frame with an F_13 hypersurface: its residues mean nothing mod
+    13, so both certificates refuse it instead of testing the gradient."""
+    F13 = parse_field("Fp:13")
+    # x0^2 x2 + x1^2 x3 is singular all along x0 = x1 = 0
+    X = Hypersurface(mono(F13, 4, (2, 0, 1, 0)) + mono(F13, 4, (0, 2, 0, 1)))
+    line = ((0, 0, 1, 0), (0, 0, 0, 1))
+    rep = analyze_tangent(X, LineFrame(F13, *line))
+    assert rep.m == 0
+    with pytest.raises(FieldMismatch, match="field mismatch: Fp:7 vs Fp:13"):
+        certify_entire_line(X, LineFrame(F7, *line), rep)
+    # the README cone's line through the vertex, which it certifies
+    X = cone(fermat(2, 3, F13))
+    line = ((1, -1, 0, 0), (0, 0, 0, 1))
+    la = analyze_line(X, LineFrame(F13, *line))
+    assert la.certificate.points
+    with pytest.raises(FieldMismatch, match="field mismatch: Fp:7 vs Fp:13"):
+        singular_on_line(X, LineFrame(F7, *line), la.filt)
 
 
 def _moved(X, line, rng):

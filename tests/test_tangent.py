@@ -1,16 +1,19 @@
 """First-order deformation data of a line inside a hypersurface."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from fanosing.corpus import cone, fermat, random_with_line
 from fanosing.forms import BinaryForm, MultiForm, contract, restrict_to_plane
-from fanosing.linalg import QQ, Subspace, combine, kernel, parse_field
+from fanosing.linalg import QQ, Subspace, kernel, parse_field
 from fanosing.tangent import (Hypersurface, LineFrame, PlaneNotContained,
-                              analyze_tangent, compute_pi, sigma,
+                              analyze_tangent, compute_pi,
+                              restricted_contractions, sigma,
                               tangent_cone_lines, tangent_space)
+from helpers import combine
 
 F11 = parse_field("Fp:11")
 
@@ -85,9 +88,15 @@ def test_fermat_line_is_rigid(fermat_cubic):
 
 
 def test_plane_not_contained(fermat_cubic):
+    """A line off X, and a frame of the wrong length, keep their messages
+    now that sigma reads the frame's cached int rows."""
     X, _ = fermat_cubic
-    with pytest.raises(PlaneNotContained):
+    with pytest.raises(PlaneNotContained,
+                       match="^plane not contained in hypersurface$"):
         sigma(X, LineFrame(QQ, (1, 0, 0, 0), (0, 1, 0, 0)))
+    with pytest.raises(ValueError,
+                       match="^vector length does not match variable count$"):
+        restricted_contractions(X, LineFrame(QQ, (1, -1, 0), (0, 0, 1)))
 
 
 def _interp_linear_term(P, e1, e2, w1, w2):
@@ -402,3 +411,22 @@ def test_int_sigma_matches_restricted_contractions():
     assert raised == {True, False}
     # the Fermat cubic's line is rigid
     assert rep.tangent_dim == 0 and rep.pi.dim == 0 and rep.m == 2
+
+
+def test_frame_int_rows_and_report_equality():
+    """A frame's int rows divided by their one scale give back e1 and e2 (the
+    scale is 1 over F_p); two reports of one line compare equal, whatever
+    int rows they carry, and their repr leaves sigma_ints out."""
+    for P, fr in _int_sigma_cases():
+        field = P.field
+        (r1, r2), m = fr.ints
+        assert all(type(x) is int for x in r1 + r2) and m >= 1
+        assert m == 1 or not field.p
+        for row, e in ((r1, fr.e1), (r2, fr.e2)):
+            assert tuple(field.scalar(Fraction(x, m)) for x in row) == e
+        X = Hypersurface(P)
+        rep = analyze_tangent(X, fr)
+        again = analyze_tangent(X, LineFrame(field, fr.e1, fr.e2))
+        assert rep == again and hash(rep) == hash(again)
+        assert replace(rep, sigma_ints=None) == rep
+        assert "sigma_ints" not in repr(rep) and repr(rep) == repr(again)
