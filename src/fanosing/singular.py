@@ -13,7 +13,8 @@ P's terms, (c, ((i, k), ...)) on ints: residues mod p, or over Q the terms
 of D*P at a point scaled to ints, good only for zero tests.  The terms are
 read once per hypersurface (Hypersurface.plain_form).  The scans run
 on residue tuples mod p, and certified points on the frame's int rows
-(LineFrame.ints); each builds scalars only for what it returns.
+(LineFrame.ints); each builds scalars only for what it returns.  A scan
+evaluates P at a point once (_value) and takes its gradient only on X.
 """
 
 from __future__ import annotations
@@ -307,18 +308,18 @@ def _value(form, x) -> int:
     return total % p
 
 
-def _line_on(X: Hypersurface, form, e1, e2) -> bool:
-    """Exact containment test for the line span(e1, e2) of residue vectors,
-    given that e1 is a point of X: every caller has already checked
-    P(e1) = 0.  form is X.plain_form."""
-    d, p = X.d, form[1]
+def _line_on(form, d: int, e1, e2) -> bool:
+    """Exact containment test for the line span(e1, e2) of residue vectors
+    on X (form is X.plain_form, d the degree), given P(e1) = P(e2) = 0 and
+    g . e2 = 0 for the polar g of e1: every caller has checked them.  They
+    are the s^d, t^d and s^(d-1) t coefficients of P(s e1 + t e2), so when
+    d <= p the line test only evaluates P(e1 + k e2) for k = 1..d-2: that is
+    k^2 times a polynomial of degree d-3 in k, and vanishes at d-2 distinct
+    nonzero k only if it is zero."""
+    p = form[1]
     if d <= p:
-        # a degree-d form on the line vanishing at d+1 points vanishes;
-        # e1 (k = 0) is one of them
-        for k in range(1, d):
-            if _value(form, [a + k * b for a, b in zip(e1, e2)]):
-                return False
-        return not _value(form, e2)
+        return not any(_value(form, [a + k * b for a, b in zip(e1, e2)])
+                       for k in range(1, d - 1))
     # too few points on the line: expand P on it with the one int kernel
     return not _expand(form[0], [e1, e2], (), d, p)[0]
 
@@ -357,9 +358,10 @@ def _projective_size(p: int, ncoords: int) -> int:
 
 def lines_through(X: Hypersurface, point, budget: int = _BUDGET) -> list:
     """All lines on X through a point of X, as frames with e1 = the point.
-    A point off X raises PlaneNotContained.  The second vector runs over the
-    kernel of the point's first polar on the complement of its pivot; the
-    scan runs on residues and builds Fp only for the frames it returns."""
+    A point off X raises PlaneNotContained.  The second vector w runs over
+    the kernel of the point's first polar on the complement of its pivot;
+    w on X passes to the line test (_line_on).  The scan runs on residues
+    and builds Fp only for the frames it returns."""
     _require_prime_field(X.field)
     field, p = X.field, X.field.p
     x = _checked_point(X, point)
@@ -375,7 +377,7 @@ def lines_through(X: Hypersurface, point, budget: int = _BUDGET) -> list:
     for j in range(X.n):
         for w in _polar_rows(g, j, p):
             w = w[:piv] + (0,) + w[piv:]
-            if _line_on(X, form, xs, w):
+            if not _value(form, w) and _line_on(form, X.d, xs, w):
                 frames.append(LineFrame(field, x, w))
     return frames
 
@@ -387,43 +389,65 @@ def grassmannian_size(p: int, n: int) -> int:
 
 def all_lines(X: Hypersurface, budget: int = _BUDGET) -> list:
     """Every line on X over F_p, one frame per line, echelon representatives.
-    Row 1 must be a point of X, row 2 in the kernel of its first polar.  The
-    scan runs on residues and builds Fp only for the frames it returns."""
+
+    Echelon pairs have pivots j1 < j2: row 2 is 1 at j2, then free entries;
+    row 1 is 1 at j1, then free entries with a 0 at column j2.  Free entries
+    run lexicographically, the first free column slowest.  Row 1 must be a
+    point of X and row 2 a point of X in the kernel of row 1's polar g, so
+    each point is tested once (P(x) first, the polar only on X) in one memo
+    that rows 1 and rows 2 share, and the points of X in chart j2 are listed
+    once, lexicographically.  Row 1's rows 2 are the listed points with
+    g . r2 = 0, in the order _polar_rows(g, j2, p) gives: it runs the other
+    free entries lexicographically and solves for the last live column c,
+    whose entry depends only on the entries before it, so inserting it keeps
+    the order lexicographic.  Since P(r1) = P(r2) = g . r2 = 0, the line test
+    (_line_on) checks only the other coefficients.  The scan runs on
+    residues; each frame is built from its echelon pair
+    (LineFrame._from_echelon), with Fp only for what it returns.
+    """
     _require_prime_field(X.field)
-    field, p = X.field, X.field.p
+    field, p, d = X.field, X.field.p, X.d
     n1 = X.n + 1
     _check_budget("line enumeration", grassmannian_size(p, X.n), budget)
     form = X.plain_form
-    polars = {}     # row 1 -> its polar, or None off X; rows recur across j2
+    polars = {}     # point -> its polar, or None off X
+
+    def polar(x):
+        if x not in polars:
+            polars[x] = None if _value(form, x) else _polar(form, x)
+        return polars[x]
+
     frames = []
-    # echelon pairs with pivots j1 < j2: row 2 is 1 at j2, then free entries;
-    # row 1 is 1 at j1, then free entries with a 0 at column j2.  Free
-    # entries run lexicographically, the first free column slowest.
     for j2 in range(1, n1):
+        head = (0,) * j2 + (1,)
+        # rows 2 as (row, its entries after j2)
+        rows2 = [(r2, t) for t in product(range(p), repeat=n1 - 1 - j2)
+                 if polar(r2 := head + t) is not None]
         for j1 in range(j2):
             cut = j2 - j1 - 1
             for t in product(range(p), repeat=n1 - 2 - j1):
                 r1 = (0,) * j1 + (1,) + t[:cut] + (0,) + t[cut:]
-                if r1 not in polars:
-                    polars[r1] = _polar(form, r1)
-                g = polars[r1]
+                g = polar(r1)
                 if g is None:
                     continue
-                for r2 in _polar_rows(g, j2, p):
-                    if _line_on(X, form, r1, r2):
-                        frames.append(LineFrame(field, r1, r2))
+                g0, gt = g[j2], g[j2 + 1:]
+                for r2, tail in rows2:
+                    if (not sum(map(mul, gt, tail), g0) % p
+                            and _line_on(form, d, r1, r2)):
+                        frames.append(LineFrame._from_echelon(field, r1, r2))
     return frames
 
 
 def singular_points(X: Hypersurface) -> tuple:
     """Exhaustive scan of P^n(F_p) for singular points of X, in
-    projective_points order, on residue tuples with P read once."""
+    projective_points order, on residue tuples with P read once: P(x)
+    first, the gradient only at points of X."""
     _require_prime_field(X.field)
     _check_budget("singular point scan", _projective_size(X.field.p, X.n + 1),
                   _BUDGET)
     form = X.plain_form
     return tuple(X.field.vector(x) for x in _residue_points(X.field.p, X.n + 1)
-                 if (g := _polar(form, x)) is not None and not any(g))
+                 if not _value(form, x) and not any(_polar(form, x)))
 
 
 # ---------------------------------------------------------------------------
@@ -480,9 +504,10 @@ def conjecture_check(X: Hypersurface, budget: int = _BUDGET,
     for fr in frames:
         la = analyze_line(X, fr)
         max_dim = max(max_dim, la.tangent.tangent_dim)
-        # the echelon rows give the line's points normalised: e2, and
-        # e1 + a e2 (e2 is zero at e1's pivot)
-        r1, r2 = ([plain(c) for c in row] for row in fr.canonical_rows())
+        # all_lines builds each frame from its echelon rows, and they give
+        # the line's points normalised: e2, and e1 + a e2 (e2 is zero at
+        # e1's pivot)
+        (r1, r2), _ = fr.ints
         points = [tuple(r2)] + [tuple((u + a * v) % p for u, v in zip(r1, r2))
                                 for a in range(p)]
         covered.update(points)
@@ -506,7 +531,8 @@ def conjecture_check(X: Hypersurface, budget: int = _BUDGET,
     else:
         note = "no line deforms in dimension >= %d; nothing is forced" % (X.n - 2)
     if exceptions:
-        note += "; %d line(s) need extension fields or stall" % len(exceptions)
+        note += ("; %d line(s) have singular points only over an extension "
+                 "field" % len(exceptions))
     return ConjectureReport(p=p, n=X.n, d=X.d, num_lines=len(frames),
                             max_tangent_dim=max_dim, trigger=trigger,
                             covered_points=len(covered),

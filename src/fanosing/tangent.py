@@ -111,6 +111,20 @@ class LineFrame:
         self._rows = tuple(_scalars(red, _heads(red, pivots), field))
         self.cols = tuple(c for c in range(n1) if c not in pivots)
 
+    @classmethod
+    def _from_echelon(cls, field: Field, r1, r2):
+        """The frame of a reduced echelon pair of residue rows over F_p, as
+        __init__ builds it from them, without reducing them again: each row
+        is 1 at its pivot and zero before it, and r1 is zero at r2's pivot."""
+        self = cls.__new__(cls)
+        self.field = field
+        self._rows = tuple(_scalars([r1, r2], (1, 1), field))
+        self.e1, self.e2 = self._rows
+        self.ints = (list(r1), list(r2)), 1
+        pivots = (r1.index(1), r2.index(1))
+        self.cols = tuple(c for c in range(len(r1)) if c not in pivots)
+        return self
+
     @property
     def complement(self):
         """w_1, ..., w_{n-1}: the standard basis vectors at cols."""

@@ -3,7 +3,6 @@ whole-surface survey."""
 
 import random
 import time
-from collections import Counter
 from fractions import Fraction as Fr
 from itertools import product
 
@@ -347,8 +346,10 @@ def test_all_lines_vs_bruteforce(X):
 
 
 def test_all_lines_takes_each_polar_once(monkeypatch):
-    """A row 1 recurs for every later pivot j2 it is zero at; all_lines
-    evaluates P and its polar there once, and finds the same lines."""
+    """A row 1 recurs for every later pivot j2 it is zero at, and a point of
+    chart j1 > 0 is also a row 2 of chart j1; all_lines evaluates P at each
+    point once, its polar only at points of X and each of them once, and
+    finds the same lines."""
     X = fermat(4, 3, F7)
     seen = []
     polar = singular._polar
@@ -356,6 +357,23 @@ def test_all_lines_takes_each_polar_once(monkeypatch):
                         lambda partials, x: seen.append(x) or polar(partials, x))
     assert len(all_lines(X)) == 135
     assert len(seen) == len(set(seen)) > 0
+    assert all(not X.P.evaluate(F7.vector(x)) for x in seen)
+    # every point of X in the charts of rows 2 is listed, as row 2 or row 1
+    assert {x for x in singular._residue_points(7, 5) if x[0] == 0
+            and not X.P.evaluate(F7.vector(x))} <= set(seen)
+
+
+@pytest.mark.parametrize("X", _bruteforce_cases())
+def test_frame_from_echelon_matches_line_frame(X):
+    """all_lines builds each frame from the scan's echelon pair; it is the
+    frame LineFrame builds from the same rows in every field it carries."""
+    for fr in all_lines(X):
+        (r1, r2), _ = fr.ints
+        ref = LineFrame(X.field, r1, r2)
+        assert (fr.e1, fr.e2, fr.cols, fr.ints) == \
+            (ref.e1, ref.e2, ref.cols, ref.ints)
+        assert fr.canonical_rows() == ref.canonical_rows() == (fr.e1, fr.e2)
+        assert fr == ref and hash(fr) == hash(ref)
 
 
 def test_lines_through_rejects_off_point():
@@ -383,30 +401,35 @@ def test_lines_through_takes_any_representative():
 
 def _fermat_cubic_points(p, k, nvars):
     """#X(F_q), q = p^k with k in (1, 2), for X = Z(sum x_i^3) in
-    P^(nvars-1): the affine zeros come from convolving the distribution of
-    cubes in F_q, with F_(p^2) = F_p(sqrt r) for a non-residue r."""
+    P^(nvars-1), with F_(p^2) = F_p(sqrt r) for a non-residue r.  Scaling
+    by a nonzero cube c^3 maps the ways to write a as a sum of j cubes onto
+    those for a c^3, so their number depends only on a's cube class; adding
+    one cube at a time is a sum over F_q for each class representative."""
     r = next(r for r in range(2, p) if pow(r, (p - 1) // 2, p) == p - 1)
 
     def mul(u, v):
         return ((u[0] * v[0] + r * u[1] * v[1]) % p,
                 (u[0] * v[1] + u[1] * v[0]) % p)
 
-    elems = product(range(p), range(p) if k == 2 else (0,))
-    cubes = Counter(mul(mul(x, x), x) for x in elems)
-    sums = Counter({(0, 0): 1})
+    zero = (0, 0)
+    elems = list(product(range(p), range(p) if k == 2 else (0,)))
+    cube = {x: mul(mul(x, x), x) for x in elems}
+    units = set(cube.values()) - {zero}
+    rep = {zero: zero}          # each element's cube class representative
+    for a in elems:
+        if a not in rep:
+            rep.update((mul(a, c), a) for c in units)
+    ways = {a: int(a == zero) for a in set(rep.values())}   # sums of 0 cubes
     for _ in range(nvars):
-        nxt = Counter()
-        for (a, b), m in sums.items():
-            for (c, d), w in cubes.items():
-                nxt[(a + c) % p, (b + d) % p] += m * w
-        sums = nxt
+        ways = {a: sum(ways[rep[(a[0] - c[0]) % p, (a[1] - c[1]) % p]]
+                       for c in cube.values()) for a in ways}
     q = p ** k
-    return (sums[0, 0] - 1) // (q - 1)
+    return (ways[zero] - 1) // (q - 1)
 
 
 @pytest.mark.parametrize("n,p,expected", [(3, 7, 27), (3, 13, 27),
-                                          (4, 7, 135), (4, 13, 135),
-                                          (4, 19, 1647)])
+                                          (3, 103, 27), (4, 7, 135),
+                                          (4, 13, 135), (4, 19, 1647)])
 def test_all_lines_galkin_shinder_oracle(n, p, expected):
     """Galkin-Shinder: a smooth cubic of dimension m over F_q carries
     ((N_1^2 + N_2)/2 - (1 + q^m) N_1) / q^2 lines over F_q, N_k the number
@@ -414,7 +437,9 @@ def test_all_lines_galkin_shinder_oracle(n, p, expected):
     n1, n2 = (_fermat_cubic_points(p, k, n + 1) for k in (1, 2))
     count, rem = divmod((n1 * n1 + n2) // 2 - (1 + p ** (n - 1)) * n1, p * p)
     assert (count, rem) == (expected, 0)
-    assert len(all_lines(fermat(n, 3, Field(p)))) == expected
+    # P^3(F_103) has 113664930 lines, past the default budget
+    assert len(all_lines(fermat(n, 3, Field(p)),
+                         budget=grassmannian_size(p, n))) == expected
 
 
 def _planted_q_lines():
@@ -631,6 +656,15 @@ def test_survey_without_lines_does_not_trigger():
     assert rep.num_lines == 0
     assert not rep.trigger
     assert rep.note.startswith("no line deforms")
+
+
+def test_survey_note_counts_extension_field_lines():
+    # p = 5 > d = 4, so no force; each exception's gcd has no zero over F_5
+    X, _ = random_with_line(3, 4, 5, 5)
+    rep = conjecture_check(X)
+    assert [e.kind for e in rep.exceptions] == ["no-rational-point"] * 5
+    assert rep.note.endswith("; 5 line(s) have singular points only over an "
+                             "extension field")
 
 
 def test_random_with_line_is_deterministic():
