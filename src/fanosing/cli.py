@@ -59,6 +59,11 @@ def _mat(rows):
     return [_vec(r) for r in rows]
 
 
+def _point(v) -> str:
+    """A projective point as text, '[a:b:...]'."""
+    return "[" + ":".join(format_scalar(c) for c in v) + "]"
+
+
 def _binform(f: BinaryForm | None):
     return None if f is None else _vec(f.coeffs)
 
@@ -127,6 +132,11 @@ def _tangent_payload(rep):
     }
 
 
+def _nf_payload(nf):
+    return {"s": list(nf.s), "r": nf.r, "adapted": _mat(nf.adapted_basis),
+            "offsets": list(nf.chain_offsets), "alpha": _mat(nf.alpha)}
+
+
 def _certificate_payload(cert):
     return {
         "whole_line": cert.whole_line,
@@ -161,12 +171,7 @@ def cmd_analyze(args) -> int:
            % (la.tangent.tangent_dim, la.tangent.pi.dim, la.tangent.m)]
     payload["degenerate"] = None
     if la.nf is not None:
-        payload["normal_form"] = {
-            "s": list(la.nf.s), "r": la.nf.r,
-            "adapted": _mat(la.nf.adapted_basis),
-            "offsets": list(la.nf.chain_offsets),
-            "alpha": _mat(la.nf.alpha),
-        }
+        payload["normal_form"] = _nf_payload(la.nf)
         out.append("blocks: %s" % (la.nf.s,))
     else:
         payload["normal_form"] = None
@@ -197,10 +202,8 @@ def cmd_analyze(args) -> int:
     elif cert.points:
         for sp in cert.points:
             out.append("singular point %s  (line point %s, multiplicity %d)"
-                       % ("[" + ":".join(format_scalar(c) for c in sp.ambient)
-                          + "]",
-                          "[" + ":".join(format_scalar(c) for c in sp.line_point)
-                          + "]", sp.multiplicity))
+                       % (_point(sp.ambient), _point(sp.line_point),
+                          sp.multiplicity))
     else:
         out.append("singular points: none rational (%s)" % cert.note)
     out.append("forced-singularity criterion: %s (%s)"
@@ -271,7 +274,7 @@ def cmd_conjecture(args) -> int:
            "points covered by lines: %d" % rep.covered_points,
            "singular points certified on lines: %d" % len(rep.certified)]
     for pt in rep.certified:
-        out.append("  [" + ":".join(format_scalar(c) for c in pt) + "]")
+        out.append("  " + _point(pt))
     out.append("exceptions: %d" % len(rep.exceptions))
     for e in rep.exceptions:
         out.append("  %s: %s (%s)" % (e.kind, _rows_to_spec(e.line), e.detail))
@@ -310,9 +313,7 @@ def _parse_pencil_file(text: str):
         raise CliError("unrecognized pencil line %r" % line)
     if field is None or m is None:
         raise CliError("missing 'field' or 'm' header")
-    if vecs:
-        return Subspace.from_vectors(vecs, field, 2 * m), field, m
-    return Subspace.zero(field, 2 * m), field, m
+    return Subspace.from_vectors(vecs, field, 2 * m), field, m
 
 
 def cmd_pencil_nf(args) -> int:
@@ -327,12 +328,7 @@ def cmd_pencil_nf(args) -> int:
         payload["error"] = str(e)
         return _emit(args, ["rank-one element: %s" % e], payload,
                      EXIT_DEGENERATE)
-    payload["normal_form"] = {
-        "s": list(nf.s), "r": nf.r, "m": nf.m,
-        "adapted": _mat(nf.adapted_basis),
-        "offsets": list(nf.chain_offsets),
-        "alpha": _mat(nf.alpha),
-    }
+    payload["normal_form"] = dict(_nf_payload(nf), m=nf.m)
     out = ["block sizes: %s" % (nf.s,),
            "adapted basis:"]
     out += ["  " + ",".join(format_scalar(c) for c in w)

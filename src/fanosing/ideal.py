@@ -28,8 +28,7 @@ from math import comb
 from operator import mul
 
 from .forms import BinaryForm, RootReport, binary_gcd, binary_roots
-from .linalg import (Field, Subspace, _echelon, _heads, _ints, _reduce,
-                     _scalars, kernel)
+from .linalg import Field, Subspace, _echelon, _ints, _kernel, _reduce
 from .pencil import NormalForm
 from .tangent import Hypersurface, TangentReport, _free_columns
 
@@ -161,12 +160,11 @@ def build_filtration(gens: GeneratorSet) -> IdealFiltration:
     deltas, counts, spaces, codims = [], [], [], []
     prev = None
     for delta, ps in levels:
-        vecs = [p.coeffs for p in ps]
+        rows, _ = _ints([p.coeffs for p in ps], field)
         if prev is not None:
             gap = delta - deltas[-1]
-            for row in prev.basis:
-                vecs.extend(_shift_up(row, gap))
-        space = Subspace.from_vectors(vecs, field, delta + 1)
+            rows += [v for row in prev.ints[0] for v in _shift_up(row, gap)]
+        space = Subspace._of(field, delta + 1, *_echelon(rows, field.p))
         deltas.append(delta)
         counts.append(len(ps))
         spaces.append(space)
@@ -184,17 +182,14 @@ def _piece_rows(filt: IdealFiltration, k: int):
     if k < filt.deltas[0]:
         return [], []
     j = max(i for i, delta in enumerate(filt.deltas) if delta <= k)
-    rows, _ = _ints(filt.hatM[j].basis, filt.gens.field)
     gap = k - filt.deltas[j]
-    return _echelon([v for row in rows for v in _shift_up(row, gap)],
-                    filt.gens.field.p)
+    return _echelon([v for row in filt.hatM[j].ints[0]
+                     for v in _shift_up(row, gap)], filt.gens.field.p)
 
 
 def ideal_degree_piece(filt: IdealFiltration, k: int) -> Subspace:
     """Degree-k piece of the ideal on the line, as coefficient vectors."""
-    mat, piv = _piece_rows(filt, k)
-    return Subspace(filt.gens.field, k + 1,
-                    tuple(_scalars(mat, _heads(mat, piv), filt.gens.field)))
+    return Subspace._of(filt.gens.field, k + 1, *_piece_rows(filt, k))
 
 
 def contains_image_sigma(filt: IdealFiltration, sigma_matrix) -> bool:
@@ -263,8 +258,7 @@ def pure_power_locus(filt: IdealFiltration, k: int) -> PurePowerLocus:
     """
     field = filt.gens.field
     piece = ideal_degree_piece(filt, k)
-    ann = kernel([list(row) for row in piece.basis], field, ncols=k + 1) \
-        if piece.dim else Subspace.full(field, k + 1)
+    ann = _kernel([list(row) for row in piece.ints[0]], k + 1, field)
     forms = []
     for lam in ann.basis:
         coeffs = [field.zero()] * (k + 1)

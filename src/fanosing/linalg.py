@@ -9,24 +9,27 @@ Everything below the scalar layer computes on plain ints: residues mod
 p, or integer rows over Q, where a vector is an int row with a nonzero
 scale (the row divided by its scale) and an echelon row's scale is its
 pivot entry.  Scalars enter through `_ints`, the one checked int entry
-(every entry, a subspace's own basis included, is checked once; the form
-code uses it too), and leave through `_scalars`, which builds `Fp` and
-`Fraction` only for what is returned.  Between them there is one echelon
-kernel (`_echelon`) and one int helper for each subspace operation:
-`_reduce` (reduction modulo echelon rows), `_meet` (reduce one basis
-modulo the other and take a left kernel of the residues, instead of row
-reducing a double-width block), `_solve` (a combination with the free
-coefficients 0) and `_complement` (the echelon rows extending a subspace).
+(every entry is checked once; the form code uses it too), and leave
+through `_scalars`, which builds `Fp` and `Fraction` only for what is
+returned.  Between them there is one echelon kernel (`_echelon`) and one
+int helper for each subspace operation: `_reduce` (reduction modulo
+echelon rows), `_meet` (reduce one basis modulo the other and take a left
+kernel of the residues, instead of row reducing a double-width block),
+`_solve` (a combination with the free coefficients 0) and `_complement`
+(the echelon rows extending a subspace).
+A `Subspace` carries its echelon int rows (`Subspace.ints`), so only this
+module converts between a subspace's scalars and ints: its int paths build
+subspaces through `Subspace._of`, and `fanosing.pencil`, `fanosing.tangent`
+and `fanosing.ideal` read `ints` and call the int helpers directly.
 `rref`, `rank`, `kernel` (over `_kernel`), `solve_combination`,
-`echelon_complement` and the `Subspace` methods are thin wrappers over
-them; `pencil.normal_form`, `fanosing.tangent` (sigma's kernels) and
-`fanosing.ideal` (degree pieces, the image of sigma) call them directly.
+`echelon_complement` and the `Subspace` methods are thin wrappers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
 
@@ -375,7 +378,7 @@ def _reduce(rows, pivots, vectors, p: int) -> list:
     """Int vectors reduced modulo the span of echelon int rows, on ints.
 
     rows have pivot columns `pivots` and are zero at each other's pivot
-    columns (from _echelon, or _ints of a Subspace basis).  Gives (r, s) per
+    columns (from _echelon, or a Subspace's ints).  Gives (r, s) per
     vector v with r = s*v - (a vector of the span) and r zero at the pivot
     columns, so v lies in the span iff r is zero.  Over F_p the rows have
     pivot 1 and s == 1; over Q each step v <- (a*v - b*row)/gcd(a, b)
@@ -519,14 +522,39 @@ def solve_combination(rows, target, field: Field):
 class Subspace:
     """Linear subspace of K^ambient_dim in canonical reduced echelon form.
 
-    Built via from_vectors; equality of subspaces is equality of the frozen
-    representation.  contains_vectors and meet read the basis through
-    _ints and run the module's int helpers (_reduce, _meet).
+    basis (the echelon rows as scalars) is the one stored field: equality,
+    hash and repr read it, and Subspace(field, n, basis) and
+    dataclasses.replace build valid subspaces.  ints is the echelon int
+    form (rows, pivots) that every int path reads: the rows as tuples in the
+    form _ints gives for the basis (residues with pivot 1 over F_p; over Q
+    primitive, with a positive pivot entry as scale) and their pivot
+    columns.  _of seeds it; any other subspace computes it on first use.
     """
 
     field: Field
     ambient_dim: int
     basis: tuple
+
+    @classmethod
+    def _of(cls, field: Field, ambient_dim: int, rows, pivots) -> "Subspace":
+        """The span of echelon int rows from _echelon, with ints seeded:
+        over Q each row is divided by its content, signed as its pivot."""
+        canon = []
+        for row, c in zip(rows, pivots):
+            g = 1 if field.p else gcd(*row) if row[c] > 0 else -gcd(*row)
+            canon.append(tuple(row) if g == 1 else tuple([x // g for x in row]))
+        rows, pivots = tuple(canon), tuple(pivots)
+        sub = cls(field, ambient_dim,
+                  tuple(_scalars(rows, _heads(rows, pivots), field)))
+        object.__setattr__(sub, "ints", (rows, pivots))
+        return sub
+
+    @cached_property
+    def ints(self) -> tuple:
+        """(rows, pivots): the echelon int form (see the class docstring)."""
+        rows, _ = _ints(self.basis, self.field)
+        return (tuple(map(tuple, rows)),
+                tuple(next(j for j, x in enumerate(row) if x) for row in rows))
 
     @classmethod
     def from_vectors(cls, vectors, field: Field, ambient_dim: int | None = None):
@@ -538,12 +566,11 @@ class Subspace:
         for v in vectors:
             if len(v) != ambient_dim:
                 raise ValueError("vector length %d != ambient dim %d" % (len(v), ambient_dim))
-        rows, _ = rref(vectors, field)
-        return cls(field, ambient_dim, tuple(rows))
+        return cls._of(field, ambient_dim, *_checked_echelon(vectors, field))
 
     @classmethod
     def zero(cls, field: Field, ambient_dim: int):
-        return cls(field, ambient_dim, ())
+        return cls._of(field, ambient_dim, (), ())
 
     @classmethod
     def full(cls, field: Field, ambient_dim: int):
@@ -555,18 +582,7 @@ class Subspace:
         return len(self.basis)
 
     def pivot_columns(self):
-        cols = []
-        for row in self.basis:
-            for j, x in enumerate(row):
-                if x:
-                    cols.append(j)
-                    break
-        return cols
-
-    def _rows(self) -> tuple:
-        """The basis as int rows (from _ints) and their pivot columns."""
-        rows, _ = _ints(self.basis, self.field)
-        return rows, [next(j for j, x in enumerate(row) if x) for row in rows]
+        return list(self.ints[1])
 
     def contains_vectors(self, vectors) -> bool:
         """Whether every vector lies here; one _reduce pass for them all."""
@@ -575,7 +591,7 @@ class Subspace:
             if len(v) != self.ambient_dim:
                 raise ValueError("vector length %d != ambient dim %d"
                                  % (len(v), self.ambient_dim))
-        reduced = _reduce(*self._rows(), vectors, self.field.p)
+        reduced = _reduce(*self.ints, vectors, self.field.p)
         return not any(any(r) for r, _ in reduced)
 
     def contains_vector(self, v) -> bool:
@@ -598,23 +614,19 @@ class Subspace:
                                      self.field, self.ambient_dim)
 
     def meet(self, other: "Subspace") -> "Subspace":
-        """Intersection: _meet of self's basis rows with other's, on ints."""
+        """Intersection: _meet of self's int rows with other's."""
         self._check_compatible(other)
         field, n = self.field, self.ambient_dim
-        xs, _ = _ints(self.basis, field)
-        mat, piv = _meet(xs, *other._rows(), n, field.p)
-        return Subspace(field, n, tuple(_scalars(mat, _heads(mat, piv), field)))
+        return Subspace._of(field, n,
+                            *_meet(self.ints[0], *other.ints, n, field.p))
 
 
 def _kernel(mat, ncols: int, field: Field) -> Subspace:
     """Right null space of int rows of ncols entries (residues mod p over
-    F_p, any ints over Q; consumed) as a canonical Subspace: the null
-    vectors of one echelon pass, made canonical by a second.  Scalars are
-    built only for the returned basis."""
-    p = field.p
-    red, pivots = _echelon(mat, p)
-    mat, piv = _echelon(_null_vectors(red, pivots, ncols, p), p)
-    return Subspace(field, ncols, tuple(_scalars(mat, _heads(mat, piv), field)))
+    F_p, any ints over Q; consumed): the null vectors of one echelon pass,
+    made canonical by a second."""
+    null = _null_vectors(*_echelon(mat, field.p), ncols, field.p)
+    return Subspace._of(field, ncols, *_echelon(null, field.p))
 
 
 def kernel(rows, field: Field, ncols: int | None = None) -> Subspace:
@@ -640,6 +652,5 @@ def echelon_complement(inner: Subspace, outer: Subspace):
     """
     if not outer.contains_subspace(inner):
         raise ValueError("inner subspace is not contained in outer")
-    rows, _ = _ints(inner.basis, inner.field)
-    keep = _complement(rows, outer.pivot_columns(), inner.field.p)
+    keep = _complement(inner.ints[0], outer.ints[1], inner.field.p)
     return [outer.basis[k] for k in keep]

@@ -21,13 +21,14 @@ always re-verified; verification failure (or a stalled filtration) proves a
 rank-one element exists over the algebraic closure, so construction plus
 verification decides decomposability exactly.
 
-Scalars enter once and leave once.  normal_form reads the pencil's basis
-through linalg._ints and computes on int rows from then on, with linalg's
-int helpers (_echelon, _meet, _solve, _complement), the same ones the
-Subspace methods wrap: residues mod p, or over Q a vector is an (int row,
-scale) pair, an echelon row's scale being its pivot entry.  Fp or Fraction
-entries are built only for the returned adapted basis.  verify_normal_form
-stays on the public scalar API, an independent re-check of that basis.
+Scalars enter once and leave once.  normal_form reads the pencil's echelon
+int rows (Subspace.ints) and computes on int rows from then on, with
+linalg's int helpers (_echelon, _meet, _solve, _complement), the same ones
+the Subspace methods wrap: residues mod p, or over Q a vector is an (int
+row, scale) pair, an echelon row's scale being its pivot entry.  Fp or
+Fraction entries are built only for the returned adapted basis.
+verify_normal_form stays on the public scalar API, an independent re-check
+of that basis.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .linalg import (Field, Subspace, _complement, _echelon, _ints, _meet,
-                     _scalars, _solve, rank)
+from .linalg import (Field, Subspace, _complement, _echelon, _meet, _scalars,
+                     _solve, rank)
 
 
 class NotConstantRankTwo(ValueError):
@@ -82,7 +83,7 @@ class NormalForm:
 def _relation_space(rows, m: int, p: int) -> list:
     """R = {(u, v) : alpha^1 (x) u - alpha^2 (x) v lies in the pencil}, as
     echelon int rows, from the pencil's int basis rows."""
-    return _echelon([w[:m] + [-y % p if p else -y for y in w[m:]]
+    return _echelon([list(w[:m]) + [-y % p if p else -y for y in w[m:]]
                      for w in rows], p)[0]
 
 
@@ -117,7 +118,7 @@ def normal_form(pencil: Subspace) -> NormalForm:
         raise ValueError("pencil ambient dimension must be even")
     m = pencil.ambient_dim // 2
 
-    R = _relation_space(_ints(pencil.basis, field)[0], m, p)
+    R = _relation_space(pencil.ints[0], m, p)
     V = ([[int(i == j) for j in range(m)] for i in range(m)], list(range(m)))
     levels_dim = []        # dim V[t-1] - dim V[t] for t = 1, 2, ...
     meets = []             # R cap (V[t-1] x K^m), echelon int rows

@@ -36,8 +36,8 @@ from functools import cached_property
 from math import lcm
 
 from .forms import MultiForm, _expand, _plain_terms
-from .linalg import (Field, Subspace, _echelon, _heads, _ints, _kernel,
-                     _scalars, solve_combination, unit_vectors)
+from .linalg import (Field, Subspace, _echelon, _ints, _kernel, _scalars,
+                     solve_combination, unit_vectors)
 
 
 class PlaneNotContained(ValueError):
@@ -84,16 +84,15 @@ class Hypersurface:
 class LineFrame:
     """A line span(e1, e2) that fixes the basis of its first-order data.
 
-    The complement w_1, ..., w_{n-1} of E in W is the standard basis vectors
-    at the non-pivot columns c_1 < ... < c_{n-1} of rref(e1, e2), and
-    (alpha^1, alpha^2) is the dual basis of (e1, e2): a restricted form in
-    (s, t) is expressed in exactly these coordinates.  sigma, Pi and the
-    pencil are therefore functions of (e1, e2) alone.  cols holds
-    c_1, ..., c_{n-1}, read off the one echelon pass the frame makes; ints
-    is ((r1, r2), m) with (r1, r2) = m (e1, e2) on ints (m = 1 over F_p).
+    line is the line as a Subspace, from the one echelon pass the frame
+    makes; its basis is canonical_rows.  The complement w_1, ..., w_{n-1}
+    of E in W is the standard basis vectors at cols, line's non-pivot
+    columns c_1 < ... < c_{n-1}, and (alpha^1, alpha^2) is the dual basis of
+    (e1, e2): sigma, Pi and the pencil are functions of (e1, e2) alone.
+    ints is ((r1, r2), m) with (r1, r2) = m (e1, e2) on ints (m = 1 over F_p).
     """
 
-    __slots__ = ("field", "e1", "e2", "cols", "ints", "_rows")
+    __slots__ = ("field", "e1", "e2", "cols", "ints", "line")
 
     def __init__(self, field: Field, e1, e2):
         self.field = field
@@ -108,7 +107,7 @@ class LineFrame:
         red, pivots = _echelon([r1, r2], field.p)
         if len(red) != 2:
             raise ValueError("line frame needs two independent spanning vectors")
-        self._rows = tuple(_scalars(red, _heads(red, pivots), field))
+        self.line = Subspace._of(field, n1, red, pivots)
         self.cols = tuple(c for c in range(n1) if c not in pivots)
 
     @classmethod
@@ -118,10 +117,10 @@ class LineFrame:
         is 1 at its pivot and zero before it, and r1 is zero at r2's pivot."""
         self = cls.__new__(cls)
         self.field = field
-        self._rows = tuple(_scalars([r1, r2], (1, 1), field))
-        self.e1, self.e2 = self._rows
-        self.ints = (list(r1), list(r2)), 1
         pivots = (r1.index(1), r2.index(1))
+        self.line = Subspace._of(field, len(r1), (r1, r2), pivots)
+        self.e1, self.e2 = self.line.basis
+        self.ints = (list(r1), list(r2)), 1
         self.cols = tuple(c for c in range(len(r1)) if c not in pivots)
         return self
 
@@ -149,7 +148,7 @@ class LineFrame:
 
     def canonical_rows(self):
         """Echelon representative of the line in the Grassmannian."""
-        return self._rows
+        return self.line.basis
 
     def _key(self):
         return (self.field, self.e1, self.e2)
@@ -227,7 +226,7 @@ def _left_kernel(rows, field: Field, ncols: int) -> Subspace:
 
 def _free_columns(pi: Subspace):
     """Pi's non-pivot columns: coordinates of (W/E)/Pi inside W/E."""
-    pivots = set(pi.pivot_columns())
+    pivots = pi.ints[1]
     return [i for i in range(pi.ambient_dim) if i not in pivots]
 
 
@@ -289,6 +288,4 @@ def tangent_cone_lines(X: Hypersurface, frame: LineFrame, x) -> Subspace:
     vecs = []
     for p in pi.basis:
         vecs.append(tuple(b * c for c in p) + tuple(-a * c for c in p))
-    if not vecs:
-        return Subspace.zero(X.field, 2 * nm1)
     return Subspace.from_vectors(vecs, X.field, 2 * nm1)

@@ -8,20 +8,19 @@ from fractions import Fraction
 
 from fanosing.corpus import cone, fermat
 from fanosing.forms import (BinaryForm, MultiForm, binary_gcd, binary_roots,
-                            projective_normalize, restrict_to_plane)
+                            projective_normalize)
 from fanosing.ideal import (BlockGenerator, ChainIdentityViolated,
                             DegreeTooSmall, GeneratorSet, build_filtration,
                             contains_image_sigma, extract_generators,
                             ideal_degree_piece)
-from fanosing.linalg import (QQ, Subspace, _ints, parse_field, rank,
-                             solve_combination)
+from fanosing.linalg import QQ, Subspace, _ints, parse_field
 from fanosing.pencil import NormalForm, normal_form
 from fanosing.singular import (SingularCertificate, SingularPoint,
                                analyze_line, certify_entire_line,
                                is_singular_at, singular_on_line)
 from fanosing.tangent import (Hypersurface, LineFrame, _free_columns,
                               analyze_tangent)
-from helpers import combine
+from helpers import combine, moved, planted
 
 FIELDS = tuple(parse_field("Fp:%d" % p) for p in (2, 3, 13, 10007)) + (QQ,)
 BIG = (1, 2, 1000003, 1000033)      # denominators over Q
@@ -146,62 +145,6 @@ def _same(new, ref, *args):
 # the corpus
 
 
-def _planted(field, n, d, rng, q, nz, double):
-    """A random degree-d form through span(E0, E1) with planted chains.
-
-    Terms of order >= 2 along the line leave sigma alone; unless double
-    (a singular line, m = 0) chains of sizes s <= d are planted on x_2, ...:
-    x_(k+i) f_i with f_i = x0^(i-1) x1^(s-i) p for a random p of degree
-    d - s, which for half the forms share a random root."""
-    terms = {}
-
-    def add(e, c):
-        terms[tuple(e)] = terms.get(tuple(e), field.zero()) + c
-
-    for _ in range(rng.randint(1, 2 * n)):
-        e = [0] * (n + 1)
-        for _ in range(min(d, 2)):
-            e[rng.randint(2, n)] += 1
-        for _ in range(d - sum(e)):
-            e[rng.randint(0, n)] += 1
-        add(e, q())
-    root = (nz(), q()) if rng.random() < 0.5 else None
-    k = 2
-    while not double and k <= n and rng.random() < 0.9:
-        s = rng.randint(1, min(d, n + 1 - k))
-        p = [nz()] + [q() for _ in range(d - s)]    # s^(d-s-i) t^i coeffs
-        if root and d > s:
-            a, b = root     # times (b s - a t): vanish at [a:b]
-            p = [b * x - a * y for x, y in zip(p[:-1] + [0], [0] + p[:-1])]
-        for i in range(1, s + 1):
-            for j, c in enumerate(p):
-                e = [0] * (n + 1)
-                e[0], e[1], e[k] = i - 1 + d - s - j, s - i + j, 1
-                add(e, c)
-            k += 1
-    return MultiForm(field, n + 1, d, terms)
-
-
-def _moved(P, rng, q):
-    """P o A for a random invertible A, the line A^-1 span(E0, E1) mixed by
-    a random 2 x 2 change of basis, so its frame is not in echelon form."""
-    field, n1 = P.field, P.nvars
-    while True:
-        cols = [tuple(q() for _ in range(n1)) for _ in range(n1)]
-        if rank(cols, field) == n1:
-            break
-    e1, e2 = (solve_combination(cols, tuple(field.scalar(int(i == j))
-                                            for i in range(n1)), field)
-              for j in (0, 1))
-    while True:
-        a, b, c = q(), q(), q()
-        if field.scalar(c) - field.scalar(a) * field.scalar(b):
-            break
-    f1 = [x + a * y for x, y in zip(e1, e2)]
-    f2 = [b * x + c * y for x, y in zip(e1, e2)]
-    return Hypersurface(restrict_to_plane(P, cols)), LineFrame(field, f1, f2)
-
-
 def _cases():
     """Lines over F_2, F_3, F_13, F_10007 and Q (denominators above 10^6),
     most on moved forms with non-echelon frames, a quarter on singular
@@ -220,11 +163,11 @@ def _cases():
 
         for k in range(24):
             n, d = 2 + k % 4, 2 + (k // 4) % 4
-            P = _planted(field, n, d, rng, q, nz, double=k % 4 == 0)
+            P = planted(field, n, d, rng, q, nz, double=k % 4 == 0)
             if P.is_zero():
                 continue
             if k % 3:
-                X, fr = _moved(P, rng, q)
+                X, fr = moved(P, rng, q)
             else:
                 X = Hypersurface(P)
                 fr = LineFrame(field, *[[int(i == j) for i in range(n + 1)]

@@ -1,17 +1,22 @@
 """Exact linear algebra: row reduction, subspaces, meet/join, complements."""
 
+import dataclasses
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from fanosing.linalg import (QQ, Field, FieldMismatch, Fp, Subspace, _heads,
-                             _ints, _meet, _scalars,
+from fanosing.ideal import ideal_degree_piece
+from fanosing.linalg import (QQ, Field, FieldMismatch, Fp, Subspace, _echelon,
+                             _heads, _ints, _meet, _scalars,
                              echelon_complement, kernel, parse_field, rank,
                              rref, solve_combination, unit_vectors)
-from helpers import combine
+from fanosing.singular import analyze_line
+from fanosing.tangent import LineFrame
+from helpers import combine, moved, planted
 
 F5 = parse_field("Fp:5")
 F7 = parse_field("Fp:7")
@@ -262,7 +267,7 @@ def test_meet_and_product_rows_are_canonical(case):
     wide = Subspace.from_vectors(
         [b + a for b, a in zip(B.basis, A.basis)]
         + [a + b for a, b in zip(A.basis[1:], B.basis)], field, 2 * n)
-    rows, piv = _meet(_ints(wide.basis, field)[0], *A._rows(), n, field.p)
+    rows, piv = _meet(_ints(wide.basis, field)[0], *A.ints, n, field.p)
     got = Subspace(field, 2 * n, tuple(_scalars(rows, _heads(rows, piv), field)))
     assert got == wide.meet(prod)
 
@@ -454,3 +459,81 @@ def test_zero_and_full():
     E = Subspace.full(F5, 3)
     assert E.dim == 3
     assert E.contains_vector((F5.scalar(1), F5.scalar(4), F5.scalar(2)))
+
+
+def _every_constructor(rng):
+    """(subspaces, Q echelon rows that are not canonical): subspaces from
+    every constructor over Q, F_2, F_7 and F_10007.  Over Q the generators
+    are integer multiples of rows with denominators, so _echelon leaves
+    rows that are not primitive or have a negative pivot, counted in the
+    second entry."""
+    subs, raw = [], 0
+    for field in (QQ, parse_field("Fp:2"), F7, parse_field("Fp:10007")):
+        def q():
+            if field.p:
+                return field.scalar(rng.randrange(field.p))
+            return Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 6, 12)))
+
+        def nz():
+            return next(x for x in iter(q, None) if x)
+
+        for _ in range(60):
+            n = rng.randint(1, 6)
+            vecs = [tuple(field.scalar(rng.choice((-6, -2, 1, 3))) * q()
+                          for _ in range(n)) for _ in range(rng.randint(0, n + 1))]
+            A = Subspace.from_vectors(vecs, field, n)
+            B = Subspace.from_vectors(
+                [tuple(q() for _ in range(n)) for _ in range(rng.randint(0, n))]
+                + list(A.basis[:1]), field, n)
+            subs += [A, B, A.meet(B), A.join(B), kernel(vecs, field, ncols=n),
+                     Subspace.full(field, n), Subspace.zero(field, n)]
+            if not field.p:
+                red, piv = _echelon(_ints(vecs, field)[0], 0)
+                raw += sum(row[c] < 0 or gcd(*row) > 1
+                           for row, c in zip(red, piv))
+        for k in range(16):
+            n, d = 2 + k % 4, 2 + (k // 4) % 4
+            P = planted(field, n, d, rng, q, nz, double=k % 8 == 0)
+            if P.is_zero():
+                continue
+            X, fr = moved(P, rng, q)
+            if X.P.is_zero():
+                continue
+            la = analyze_line(X, fr)
+            rep = la.tangent
+            subs += [rep.kernel, rep.pi, rep.pencil, fr.line]
+            if la.filt is not None:
+                subs += list(la.filt.hatM)
+                subs += [ideal_degree_piece(la.filt, j) for j in range(d + 2)]
+        if field.p:
+            for _ in range(30):
+                n1 = rng.randint(2, 6)
+                j1, j2 = sorted(rng.sample(range(n1), 2))
+                r1 = tuple(0 if j < j1 or j == j2 else 1 if j == j1
+                           else rng.randrange(field.p) for j in range(n1))
+                r2 = tuple(0 if j < j2 else 1 if j == j2
+                           else rng.randrange(field.p) for j in range(n1))
+                fr = LineFrame._from_echelon(field, r1, r2)
+                assert fr.line == LineFrame(field, r1, r2).line
+                subs.append(fr.line)
+    return subs, raw
+
+
+def test_ints_view_matches_the_basis_for_every_constructor():
+    """Each subspace's int view, seeded by Subspace._of or computed on first
+    use, equals the view a fresh copy computes from its basis: tuple rows,
+    over Q primitive with a positive pivot.  A copy with a shorter basis
+    computes its own view, so it no longer contains the dropped row."""
+    subs, raw = _every_constructor(random.Random(22))
+    stale = [sub for sub in subs
+             if sub.ints != dataclasses.replace(sub).ints]
+    assert not stale, "%d of %d views differ" % (len(stale), len(subs))
+    for sub in subs:
+        rows, pivots = sub.ints
+        assert type(rows) is tuple and all(type(r) is tuple for r in rows)
+        assert list(pivots) == sub.pivot_columns() and len(rows) == sub.dim
+        if sub.dim:
+            short = dataclasses.replace(sub, basis=sub.basis[1:])
+            assert short.ints == (rows[1:], pivots[1:])
+            assert not short.contains_vector(sub.basis[0])
+    assert len(subs) > 2000 and raw >= 40, (len(subs), raw)
