@@ -11,7 +11,8 @@ identity is a shift: f_i is p's coefficients with s - i zeros in front and
 i - 1 behind.  So t^(s-1) divides f_1 exactly when its first s - 1
 coefficients vanish, and p is the rest, normalized monic (the block vectors
 are rescaled along with it so the identities stay exact).  It all runs on
-sigma's int rows, with scalars built only for p and the rescaled chain.
+the int sigma of the line's TangentReport, as does the image check, with
+scalars built only for p and the rescaled chain.
 
 The generators of degrees delta_j = d - s_j build an ascending filtration of
 ideal pieces inside the spaces of binary forms on the line.  Points where
@@ -28,7 +29,8 @@ from math import comb
 from operator import mul
 
 from .forms import BinaryForm, RootReport, binary_gcd, binary_roots
-from .linalg import Field, Subspace, _echelon, _ints, _kernel, _reduce
+from .linalg import (Field, FieldMismatch, Subspace, _echelon, _ints, _kernel,
+                     _reduce)
 from .pencil import NormalForm
 from .tangent import Hypersurface, TangentReport, _free_columns
 
@@ -192,16 +194,11 @@ def ideal_degree_piece(filt: IdealFiltration, k: int) -> Subspace:
     return Subspace._of(filt.gens.field, k + 1, *_piece_rows(filt, k))
 
 
-def contains_image_sigma(filt: IdealFiltration, sigma_matrix) -> bool:
-    """Whether every row of the deformation matrix lies in the degree piece."""
-    rows, _ = _ints(sigma_matrix, filt.gens.field)
-    if any(len(row) != len(rows[0]) for row in rows):
-        raise ValueError("ragged matrix")
-    return _image_contained(filt, rows)
-
-
-def _image_contained(filt: IdealFiltration, rows) -> bool:
-    """contains_image_sigma on sigma's int rows: one _reduce pass."""
+def contains_image_sigma(filt: IdealFiltration, report: TangentReport) -> bool:
+    """Whether every row of the report's sigma lies in the degree-d piece."""
+    if report.pi.field != filt.gens.field:
+        raise FieldMismatch("field mismatch between filtration and report")
+    rows = report.sigma_ints[0]
     if not rows:
         return True
     reduced = _reduce(*_piece_rows(filt, len(rows[0]) - 1), rows,

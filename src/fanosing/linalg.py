@@ -21,8 +21,8 @@ A `Subspace` carries its echelon int rows (`Subspace.ints`), so only this
 module converts between a subspace's scalars and ints: its int paths build
 subspaces through `Subspace._of`, and `fanosing.pencil`, `fanosing.tangent`
 and `fanosing.ideal` read `ints` and call the int helpers directly.
-`rref`, `rank`, `kernel` (over `_kernel`), `solve_combination`,
-`echelon_complement` and the `Subspace` methods are thin wrappers.
+`rref`, `rank`, `kernel`, `solve_combination`, `echelon_complement` and the
+`Subspace` methods (reading another subspace's `ints`) are thin wrappers.
 """
 
 from __future__ import annotations
@@ -599,7 +599,8 @@ class Subspace:
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._check_compatible(other)
-        return self.contains_vectors(other.basis)
+        reduced = _reduce(*self.ints, other.ints[0], self.field.p)
+        return not any(any(r) for r, _ in reduced)
 
     def _check_compatible(self, other: "Subspace"):
         if self.field != other.field:
@@ -610,8 +611,9 @@ class Subspace:
 
     def join(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
-        return Subspace.from_vectors(list(self.basis) + list(other.basis),
-                                     self.field, self.ambient_dim)
+        rows = [list(row) for row in self.ints[0] + other.ints[0]]
+        return Subspace._of(self.field, self.ambient_dim,
+                            *_echelon(rows, self.field.p))
 
     def meet(self, other: "Subspace") -> "Subspace":
         """Intersection: _meet of self's int rows with other's."""

@@ -25,8 +25,8 @@ from operator import mul
 
 from .forms import (BinaryForm, _expand, binary_gcd, binary_roots,
                     projective_normalize)
-from .ideal import (GeneratorSet, IdealFiltration, _image_contained,
-                    build_filtration, extract_generators)
+from .ideal import (GeneratorSet, IdealFiltration, build_filtration,
+                    contains_image_sigma, extract_generators)
 from .linalg import Field, FieldMismatch, _ints, plain
 from .pencil import NormalForm, normal_form
 from .tangent import (Hypersurface, LineFrame, PlaneNotContained, TangentReport,
@@ -172,9 +172,9 @@ def certify_entire_line(X: Hypersurface, frame: LineFrame,
     the gradient vanishes on E exactly when every (w_j -| P)|_E does, i.e.
     when sigma is zero.  Raises if the line is not entirely singular.
     """
-    if any(any(row) for row in tangent.sigma_matrix):
-        raise ValueError("line is not entirely singular")
     r1, r2 = _line_rows(X, frame)
+    if any(any(row) for row in tangent.sigma_ints[0]):
+        raise ValueError("line is not entirely singular")
     for x in (r1, r2, [u + v for u, v in zip(r1, r2)]):
         grad = _polar(X.plain_form, x)
         if grad is None or any(grad):
@@ -265,7 +265,7 @@ def analyze_line(X: Hypersurface, frame: LineFrame) -> LineAnalysis:
     filt = build_filtration(gens)
     cert = singular_on_line(X, frame, filt)
     ep1 = check_everyp1(X, rep, nf, cert)
-    image_ok = _image_contained(filt, rep.sigma_ints[0])
+    image_ok = contains_image_sigma(filt, rep)
     return LineAnalysis(frame=frame, tangent=rep, nf=nf, gens=gens, filt=filt,
                         certificate=cert, everyp1=ep1,
                         image_contained=image_ok)

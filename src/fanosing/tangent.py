@@ -18,9 +18,9 @@ substitution kernel of fanosing.forms on P's int terms (read once per
 hypersurface, Hypersurface.plain_form) and the frame's int rows (read once
 per frame, LineFrame.ints), so over Q every entry is one common scale times
 the true one.  Its kernels (the tangent space, Pi and the pencil) come from
-linalg._kernel on those rows, which the report carries on (sigma_ints) to
-the block generators, the image check and the certified points; Fp or
-Fraction entries are built only for the values the pipeline returns.
+linalg._kernel on those rows.  The report holds sigma once (sigma_ints, in
+canonical form), and later stages read sigma and Pi from it.  Fp or Fraction
+entries are built only for the values the pipeline returns.
 
 Pi <= W/E is the subspace of directions w with (w -| P)|_E = 0: deformations
 that move the line trivially to first order in every pencil direction.
@@ -31,13 +31,13 @@ pencil of 2 x m matrices fed to the normal-form machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 
 from .forms import MultiForm, _expand, _plain_terms
-from .linalg import (Field, Subspace, _echelon, _ints, _kernel, _scalars,
-                     solve_combination, unit_vectors)
+from .linalg import (Field, FieldMismatch, Subspace, _echelon, _ints, _kernel,
+                     _scalars, solve_combination, unit_vectors)
 
 
 class PlaneNotContained(ValueError):
@@ -168,15 +168,21 @@ class LineFrame:
 @dataclass(frozen=True)
 class TangentReport:
     """Bundle of the first-order data of a line inside a hypersurface;
-    sigma_ints carries sigma's int rows and their common scale."""
+    sigma_ints = (rows, scale) holds sigma = rows / scale once, canonical
+    (_sigma_rows), so equality and hash compare the exact sigma."""
 
-    sigma_matrix: tuple
+    sigma_ints: tuple
     kernel: Subspace       # in E^* (x) W/E coordinates, dim 2(n-1)
     pi: Subspace           # in W/E complement coordinates, dim n-1
     m: int                 # dim (W/E)/Pi
     pencil: Subspace       # ker of sigma on E^* (x) (W/E)/Pi, in K^2 (x) K^m
     tangent_dim: int
-    sigma_ints: tuple = field(compare=False, repr=False)
+
+    @cached_property
+    def sigma_matrix(self) -> tuple:
+        """sigma's scalar view, built on first read, for output code."""
+        rows, scale = self.sigma_ints
+        return tuple(_scalars(rows, [scale] * len(rows), self.pi.field))
 
 
 def restricted_contractions(X: Hypersurface, frame: LineFrame):
@@ -188,7 +194,7 @@ def restricted_contractions(X: Hypersurface, frame: LineFrame):
     scale = den * m^(d-1); over F_p it is 1.
     """
     if X.field != frame.field:
-        raise ValueError("field mismatch between hypersurface and frame")
+        raise FieldMismatch("field mismatch between hypersurface and frame")
     terms, p, den = X.plain_form
     rows, m = frame.ints
     if len(rows[0]) != X.n + 1:
@@ -203,10 +209,14 @@ def restricted_contractions(X: Hypersurface, frame: LineFrame):
 
 
 def _sigma_rows(X: Hypersurface, frame: LineFrame):
-    """sigma as int rows and their one common scale: the alpha^1 rows are
-    each contraction times s, the alpha^2 rows times t."""
+    """sigma as tuple int rows and their one common scale: the alpha^1 rows
+    are each contraction times s, the alpha^2 rows times t.  Over Q rows and
+    scale are divided by their gcd (canonical); over F_p the scale is 1."""
     fs, scale = restricted_contractions(X, frame)
-    return [f + [0] for f in fs] + [[0] + f for f in fs], scale
+    if scale != 1:
+        g = gcd(scale, *[x for f in fs for x in f])
+        fs, scale = [[x // g for x in f] for f in fs], scale // g
+    return tuple([(*f, 0) for f in fs] + [(0, *f) for f in fs]), scale
 
 
 def sigma(X: Hypersurface, frame: LineFrame):
@@ -264,18 +274,16 @@ def analyze_tangent(X: Hypersurface, frame: LineFrame) -> TangentReport:
     nm1 = X.n - 1
     free = _free_columns(pi)
     pencil = [rows[c] for c in free] + [rows[nm1 + c] for c in free]
-    return TangentReport(sigma_matrix=tuple(_scalars(rows, [scale] * len(rows),
-                                                     X.field)),
-                         kernel=tang, pi=pi, m=len(free),
-                         pencil=_left_kernel(pencil, X.field, X.d + 1),
-                         tangent_dim=tang.dim, sigma_ints=(rows, scale))
+    return TangentReport(sigma_ints=(rows, scale), kernel=tang, pi=pi,
+                         m=len(free), tangent_dim=tang.dim,
+                         pencil=_left_kernel(pencil, X.field, X.d + 1))
 
 
-def tangent_cone_lines(X: Hypersurface, frame: LineFrame, x) -> Subspace:
+def tangent_cone_lines(report: TangentReport, frame: LineFrame, x) -> Subspace:
     """Deformations fixing the point x on the line: hat(x)-annihilator (x) Pi.
 
-    x is an ambient point on the line.  The result lives in the same
-    coordinates as tangent_space and has dimension dim Pi.
+    x is a point on the line; Pi comes from its report.  The result lives
+    in the coordinates of tangent_space and has dimension dim Pi.
     """
     ab = frame.line_coords(x)
     if ab is None:
@@ -283,9 +291,7 @@ def tangent_cone_lines(X: Hypersurface, frame: LineFrame, x) -> Subspace:
     a, b = ab
     if not a and not b:
         raise ValueError("zero vector does not define a projective point")
-    pi = compute_pi(X, frame)
-    nm1 = X.n - 1
     vecs = []
-    for p in pi.basis:
+    for p in report.pi.basis:
         vecs.append(tuple(b * c for c in p) + tuple(-a * c for c in p))
-    return Subspace.from_vectors(vecs, X.field, 2 * nm1)
+    return Subspace.from_vectors(vecs, frame.field, 2 * (frame.n - 1))

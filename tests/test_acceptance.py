@@ -274,7 +274,7 @@ def test_acceptance_07_image_identity(random_corpus, named_pipelines,
                                          X.d + 1)
             piece = ideal_degree_piece(la.filt, X.d)
             assert piece == rows, (X.n, X.d, piece.basis, rows.basis)
-            assert contains_image_sigma(la.filt, la.tangent.sigma_matrix)
+            assert contains_image_sigma(la.filt, la.tangent)
             _recheck_block_identities(X, fr, la)
             checked += 1
             if X.d >= la.nf.s[0] + 1:

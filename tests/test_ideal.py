@@ -59,7 +59,7 @@ def test_quadric_generator_is_unit(quadric_pipeline):
     assert gens.deltas() == (0,)
     assert filt.hatM[0].dim == 1 and filt.quotient_dims == (0,)
     assert ideal_degree_piece(filt, 3).dim == 4
-    assert contains_image_sigma(filt, rep.sigma_matrix)
+    assert contains_image_sigma(filt, rep)
 
 
 def test_cone_generator_and_multiplicity(cone_pipeline):
@@ -67,7 +67,7 @@ def test_cone_generator_and_multiplicity(cone_pipeline):
     assert nf.s == (1,) and nf.m == 1
     assert gens.blocks[0].p == BinaryForm(QQ, (Fr(1), Fr(0), Fr(0)))  # s^2
     assert filt.deltas == (2,)
-    assert contains_image_sigma(filt, rep.sigma_matrix)
+    assert contains_image_sigma(filt, rep)
     # the vertex [0:1] is a double point; every other line point is smooth
     assert max_multiplicity_at(filt, 2, (0, 1)) == 2
     assert max_multiplicity_at(filt, 2, (1, 1)) == 0
@@ -95,7 +95,7 @@ def test_fermat_two_generators(fermat_pipeline):
     assert got == [(Fr(0), Fr(0), Fr(1)), (Fr(1), Fr(0), Fr(0))]
     assert filt.deltas == (2,) and filt.counts == (2,)
     assert filt.quotient_dims == (1,)
-    assert contains_image_sigma(filt, rep.sigma_matrix)
+    assert contains_image_sigma(filt, rep)
 
 
 def test_fermat_filtration_fills_high_degrees(fermat_pipeline):
@@ -125,7 +125,7 @@ def test_genuine_size_three_block_over_f11():
     fr = LineFrame(F11, (1, 0, 0, 0, 0), (0, 1, 0, 0, 0))
     rep, nf, gens, filt = _pipeline(X, fr)
     assert nf.s == (3,)
-    assert contains_image_sigma(filt, rep.sigma_matrix)
+    assert contains_image_sigma(filt, rep)
     # chain identities are re-checked inside extract_generators; reaching
     # here at all means they held
 
@@ -146,11 +146,3 @@ def test_piece_below_first_delta_is_zero(cone_pipeline):
     assert max_multiplicity_at(filt, 1, (0, 1)) is None
 
 
-def test_contains_image_sigma_rejects_ragged_rows(cone_pipeline):
-    """The public check reads sigma through _ints and refuses ragged rows
-    before its int reduction, which would otherwise truncate them."""
-    X, fr, rep, nf, gens, filt = cone_pipeline
-    rows = list(rep.sigma_matrix)
-    rows[-1] = rows[-1] + (Fr(1),)
-    with pytest.raises(ValueError, match="ragged matrix"):
-        contains_image_sigma(filt, rows)

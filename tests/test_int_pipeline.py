@@ -83,7 +83,8 @@ def ref_ideal_degree_piece(filt, k):
     return Subspace.from_vectors(vecs, field, k + 1)
 
 
-def ref_contains_image_sigma(filt, sigma_matrix):
+def ref_contains_image_sigma(filt, tangent):
+    sigma_matrix = tangent.sigma_matrix
     if not sigma_matrix:
         return True
     k = len(sigma_matrix[0]) - 1
@@ -240,8 +241,7 @@ def test_int_pipeline_matches_scalar_reference():
         la = analyze_line(X, fr)
         assert la.gens == gens and la.certificate == cert
         assert la.image_contained == ref_contains_image_sigma(
-            filt, rep.sigma_matrix) == contains_image_sigma(filt,
-                                                            rep.sigma_matrix)
+            filt, rep) == contains_image_sigma(filt, rep)
         for common in (True, False):
             got = _same(extract_generators, ref_extract_generators, X,
                         _rescaled(nf, rng, field, common), rep)
@@ -259,7 +259,7 @@ def test_int_pipeline_matches_scalar_reference():
             got = _same(singular_on_line, ref_singular_on_line, X, fr, filt2)
             seen["point off"] += got[0] == "raised"
             got = _same(contains_image_sigma, ref_contains_image_sigma,
-                        filt2, rep.sigma_matrix)
+                        filt2, rep)
             seen["image no"] += got == ("ok", False)
         pool.setdefault((field, rep.m), []).append((nf, filt))
         del pool[(field, rep.m)][:-3]

@@ -523,7 +523,10 @@ def test_ints_view_matches_the_basis_for_every_constructor():
     """Each subspace's int view, seeded by Subspace._of or computed on first
     use, equals the view a fresh copy computes from its basis: tuple rows,
     over Q primitive with a positive pivot.  A copy with a shorter basis
-    computes its own view, so it no longer contains the dropped row."""
+    computes its own view, so it no longer contains the dropped row.  join
+    and contains_subspace, which read the other subspace's view, agree with
+    from_vectors and contains_vectors on the scalar bases, for pairs of
+    subspaces and shortened copies over Q, F_2, F_7 and F_10007."""
     subs, raw = _every_constructor(random.Random(22))
     stale = [sub for sub in subs
              if sub.ints != dataclasses.replace(sub).ints]
@@ -537,3 +540,17 @@ def test_ints_view_matches_the_basis_for_every_constructor():
             assert short.ints == (rows[1:], pivots[1:])
             assert not short.contains_vector(sub.basis[0])
     assert len(subs) > 2000 and raw >= 40, (len(subs), raw)
+    rng, groups, seen = random.Random(23), {}, set()
+    for sub in subs:
+        groups.setdefault((sub.field, sub.ambient_dim), []).append(sub)
+    for sub in subs:
+        group = groups[sub.field, sub.ambient_dim]
+        for other in rng.sample(group, min(3, len(group))):
+            short = dataclasses.replace(sub, basis=sub.basis[1:])
+            for A, B in ((sub, other), (other, sub), (other, short)):
+                assert A.join(B) == Subspace.from_vectors(
+                    A.basis + B.basis, A.field, A.ambient_dim)
+                inside = A.contains_subspace(B)
+                assert inside == A.contains_vectors(B.basis)
+                seen.add((A.field.p, inside))
+    assert seen == {(p, b) for p in (0, 2, 7, 10007) for b in (True, False)}

@@ -12,6 +12,7 @@ import hypothesis.strategies as st
 
 from fanosing import singular
 from fanosing.corpus import cone, fermat, random_with_line
+from fanosing.ideal import contains_image_sigma
 from fanosing.forms import (MultiForm, projective_normalize, restrict_partials,
                             restrict_to_plane)
 from fanosing.linalg import (QQ, Field, FieldMismatch, Fp, parse_field,
@@ -96,8 +97,10 @@ def test_entirely_singular_line():
 
 
 def test_foreign_frame_raises_field_mismatch():
-    """An F_7 frame with an F_13 hypersurface: its residues mean nothing mod
-    13, so both certificates refuse it instead of testing the gradient."""
+    """An F_7 (or Q) frame with an F_13 hypersurface: its residues mean
+    nothing mod 13, so analyze_tangent and both certificates refuse it with
+    FieldMismatch, certify_entire_line before it reads the report's sigma.
+    The image check refuses an F_7 report with an F_13 filtration."""
     F13 = parse_field("Fp:13")
     # x0^2 x2 + x1^2 x3 is singular all along x0 = x1 = 0
     X = Hypersurface(mono(F13, 4, (2, 0, 1, 0)) + mono(F13, 4, (0, 2, 0, 1)))
@@ -113,6 +116,16 @@ def test_foreign_frame_raises_field_mismatch():
     assert la.certificate.points
     with pytest.raises(FieldMismatch, match="field mismatch: Fp:7 vs Fp:13"):
         singular_on_line(X, LineFrame(F7, *line), la.filt)
+    with pytest.raises(FieldMismatch, match="field mismatch: Fp:7 vs Fp:13"):
+        certify_entire_line(X, LineFrame(F7, *line), la.tangent)
+    for field in (F7, QQ):
+        with pytest.raises(FieldMismatch, match="^field mismatch between "
+                                                "hypersurface and frame$"):
+            analyze_tangent(X, LineFrame(field, *line))
+    rep7 = analyze_tangent(cone(fermat(2, 3, F7)), LineFrame(F7, *line))
+    with pytest.raises(FieldMismatch, match="^field mismatch between "
+                                            "filtration and report$"):
+        contains_image_sigma(la.filt, rep7)
 
 
 def _moved(X, line, rng):

@@ -1,16 +1,18 @@
 """First-order deformation data of a line inside a hypersurface."""
 
 import random
-from dataclasses import replace
+from dataclasses import fields
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
+from fanosing import tangent
 from fanosing.corpus import cone, fermat, random_with_line
 from fanosing.forms import BinaryForm, MultiForm, contract, restrict_to_plane
-from fanosing.linalg import QQ, Subspace, kernel, parse_field
+from fanosing.linalg import QQ, Subspace, kernel, parse_field, unit_vectors
 from fanosing.tangent import (Hypersurface, LineFrame, PlaneNotContained,
-                              analyze_tangent, compute_pi,
+                              TangentReport, analyze_tangent, compute_pi,
                               restricted_contractions, sigma,
                               tangent_cone_lines, tangent_space)
 from helpers import combine
@@ -72,11 +74,11 @@ def test_cone_deformation_and_tangent_cone(cone_cubic):
     assert rep.pi.basis == (F(0, 1),)
     assert rep.m == 1 and rep.pencil.dim == 0
     # tangent directions of the line variety at the vertex vs a smooth point
-    tc = tangent_cone_lines(X, fr, (0, 0, 0, 1))
+    tc = tangent_cone_lines(rep, fr, (0, 0, 0, 1))
     assert tc.basis == (F(0, 1, 0, 0),)
-    assert tangent_cone_lines(X, fr, (1, -1, 0, 5)).dim == 1
+    assert tangent_cone_lines(rep, fr, (1, -1, 0, 5)).dim == 1
     with pytest.raises(ValueError, match="not on the line"):
-        tangent_cone_lines(X, fr, (1, 0, 0, 0))
+        tangent_cone_lines(rep, fr, (1, 0, 0, 0))
 
 
 def test_fermat_line_is_rigid(fermat_cubic):
@@ -415,8 +417,12 @@ def test_int_sigma_matches_restricted_contractions():
 
 def test_frame_int_rows_and_report_equality():
     """A frame's int rows divided by their one scale give back e1 and e2 (the
-    scale is 1 over F_p); two reports of one line compare equal, whatever
-    int rows they carry, and their repr leaves sigma_ints out."""
+    scale is 1 over F_p); a report holds sigma once, as canonical int rows
+    (tuples sharing no factor with a positive scale, the scale 1 over F_p)
+    that divided by the scale give sigma_matrix, so two reports of one line
+    compare equal and hash equal."""
+    assert [f.name for f in fields(TangentReport)].count("sigma_ints") == 1
+    assert "sigma_matrix" not in [f.name for f in fields(TangentReport)]
     for P, fr in _int_sigma_cases():
         field = P.field
         (r1, r2), m = fr.ints
@@ -428,5 +434,79 @@ def test_frame_int_rows_and_report_equality():
         rep = analyze_tangent(X, fr)
         again = analyze_tangent(X, LineFrame(field, fr.e1, fr.e2))
         assert rep == again and hash(rep) == hash(again)
-        assert replace(rep, sigma_ints=None) == rep
-        assert "sigma_ints" not in repr(rep) and repr(rep) == repr(again)
+        rows, scale = rep.sigma_ints
+        assert type(rows) is tuple and all(type(r) is tuple for r in rows)
+        assert all(type(x) is int for r in rows for x in r)
+        assert scale >= 1 and gcd(scale, *[x for r in rows for x in r]) == 1
+        assert scale == 1 or not field.p
+        assert rep.sigma_matrix == tuple(
+            tuple(field.scalar(Fraction(x, scale)) for x in r) for r in rows)
+        assert rep.sigma_ints == again.sigma_ints
+
+
+def test_equal_sigma_with_different_raw_scales_is_one_report():
+    """(P, (e1, e2)) and (2^(d-1) P, (e1/2, e2/2)) over Q have the same sigma,
+    reached through raw int rows and scales that differ by 2^(d-1): the
+    reports hold the same canonical sigma_ints, so they compare and hash
+    equal."""
+    for P, (e1, e2) in ((cone(fermat(2, 3, QQ)).P, ((1, -1, 0, 0), (0, 0, 0, 1))),
+                        (fermat(3, 3, QQ).P, ((1, -1, 0, 0), (0, 0, 1, -1))),
+                        (fermat(3, 5, QQ).P, ((1, -1, 0, 0), (0, 0, 1, -1)))):
+        d = P.degree
+        X, fr = Hypersurface(P), LineFrame(QQ, e1, e2)
+        big = Hypersurface(MultiForm(QQ, P.nvars, d, {
+            e: c * 2 ** (d - 1) for e, c in P.terms.items()}))
+        half = LineFrame(QQ, [Fraction(x, 2) for x in e1],
+                         [Fraction(x, 2) for x in e2])
+        assert restricted_contractions(big, half)[1] == \
+            2 ** (d - 1) * restricted_contractions(X, fr)[1]
+        rep, other = analyze_tangent(X, fr), analyze_tangent(big, half)
+        assert rep.sigma_matrix == other.sigma_matrix
+        assert rep.sigma_ints == other.sigma_ints
+        assert rep == other and hash(rep) == hash(other)
+
+
+def _old_tangent_cone_lines(X, frame, x):
+    """tangent_cone_lines as it was, with its own Pi from compute_pi."""
+    a, b = frame.line_coords(x)
+    vecs = [tuple(b * c for c in p) + tuple(-a * c for c in p)
+            for p in compute_pi(X, frame).basis]
+    return Subspace.from_vectors(vecs, X.field, 2 * (X.n - 1))
+
+
+def test_tangent_cone_lines_reads_pi_from_the_report(monkeypatch):
+    """tangent_cone_lines(report, frame, x) equals the old construction from
+    compute_pi(X, frame) at several points of each line: the cone lines and
+    random_with_line lines with n 2..6, d 2..5 over F_11 and F_13, some
+    through the vertex of their cone.  It makes no restricted_contractions
+    call."""
+    cases = [(cone(fermat(2, 3, QQ)), LineFrame(QQ, (1, -1, 0, 0), (0, 0, 0, 1)))]
+    cases += [(Hypersurface(P), fr) for P, fr in _int_sigma_cases()[-3:-1]]
+    for seed in range(32):
+        X, fr = random_with_line(2 + seed % 5, 2 + seed % 4, (11, 13)[seed % 2],
+                                 seed)
+        cases.append((X, fr))
+        if seed % 2:
+            # the cone over X and its line through e0 and the vertex
+            Y = cone(X)
+            cases.append((Y, LineFrame(X.field, fr.point(1, 0) + (0,),
+                                       unit_vectors(X.field, Y.n + 1, (Y.n,))[0])))
+    calls = []
+    counted = tangent.restricted_contractions
+
+    def counting(*args):
+        calls.append(args)
+        return counted(*args)
+
+    wide = 0
+    for X, fr in cases:
+        rep = analyze_tangent(X, fr)
+        points = [fr.point(a, b) for a, b in ((1, 0), (0, 1), (1, 1), (2, -3))]
+        want = [_old_tangent_cone_lines(X, fr, x) for x in points]
+        monkeypatch.setattr(tangent, "restricted_contractions", counting)
+        got = [tangent_cone_lines(rep, fr, x) for x in points]
+        monkeypatch.undo()
+        assert got == want and all(g.dim == rep.pi.dim for g in got)
+        wide += rep.pi.dim > 0
+    assert not calls
+    assert len(cases) >= 40 and wide >= 20, (len(cases), wide)
