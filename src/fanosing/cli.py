@@ -252,8 +252,8 @@ def cmd_conjecture(args) -> int:
     try:
         rep = conjecture_check(X, budget=args.budget, force=args.force)
     except CharacteristicRefused as e:
-        payload["error"] = str(e)
-        return _emit(args, ["refused: %s" % e], payload, EXIT_REFUSED)
+        payload["error"] = "%s (pass --force to proceed)" % e.reason
+        return _emit(args, ["refused: " + payload["error"]], payload, EXIT_REFUSED)
     except BudgetExceeded as e:
         payload["error"] = str(e)
         payload["estimate"] = e.estimate
@@ -378,6 +378,8 @@ def cmd_gen(args) -> int:
         X = fermat(args.n, args.d, field)
         extra = {}
     elif args.generator == "cone":
+        if args.base is None:
+            raise CliError("cone needs --base")
         base, _ = _load_surface(args.base, None)
         X = cone(base, extra=args.extra)
         extra = {}

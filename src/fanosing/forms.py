@@ -15,16 +15,16 @@ contractions, chain relations, extracted generators) use this normalization.
 restrict_partials restricts P and its partials d_c P = contract(e_c, P) to a
 span from one substitution of P.
 
-Forms store field scalars: `Fp` residues or `Fraction`s.  Substitution on a
-span has one int kernel, _expand: it reads P as sparse int terms
+Forms store field scalars.  Only fanosing.linalg knows how a scalar is
+stored: the int paths here read scalars through its _ints.  Substitution
+on a span has one int kernel, _expand: it reads P as sparse int terms
 (c, ((i, k), ...)) (_plain_terms, the layout of Hypersurface.plain_form)
 and the spanning vectors as int rows, residues mod p or over Q integers
 after clearing denominators once.  _substitute wraps it for
-restrict_partials, restrict_to_plane and multilinear_eval and builds `Fp`
-or `Fraction` only for the coefficients it returns; fanosing.tangent calls
-it directly for a line's deformation matrix.  MultiForm.evaluate, the
-tests' oracle, sums on ints mod p and on Fractions over Q.  The other
-MultiForm operations compute on field scalars directly.
+restrict_partials, restrict_to_plane and multilinear_eval and hands the
+MultiForm constructor residues over F_p and Fractions over Q for the
+coefficients it returns; fanosing.tangent calls _expand directly for a
+line's deformation matrix.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import (Field, FieldMismatch, Fp, _ints, _is_prime, parse_field,
-                     plain, rank)
+from .linalg import (Field, FieldMismatch, _ints, _is_prime, parse_field, plain,
+                     rank)
 
 
 class NotDivisible(ValueError):
@@ -80,15 +80,6 @@ class MultiForm:
         self.nvars = nvars
         self.degree = degree
         self.terms = clean
-
-    @classmethod
-    def _unchecked(cls, field: Field, nvars: int, degree: int, terms: dict):
-        """A form on terms already in normal form: exponent tuples of length
-        nvars and sum degree, mapped to nonzero scalars of field.  Skips the
-        checks and copying of __init__."""
-        form = cls.__new__(cls)
-        form.field, form.nvars, form.degree, form.terms = field, nvars, degree, terms
-        return form
 
     @classmethod
     def zero(cls, field: Field, nvars: int, degree: int):
@@ -174,22 +165,14 @@ class MultiForm:
         return MultiForm(self.field, self.nvars, self.degree - 1, terms)
 
     def evaluate(self, point):
-        """P(point) as one field scalar, summed on plain ints mod p (Fractions
-        over Q); the point is checked against the field first."""
+        """P(point) as one field scalar; the point is checked against the
+        field first."""
         point = self.field.vector(point)
         if len(point) != self.nvars:
             raise ValueError("point has %d coordinates, form has %d variables"
                              % (len(point), self.nvars))
-        p = self.field.p
-        xs = [x.v for x in point] if p else point
-        total = 0
-        for e, c in self.terms.items():
-            v = c.v if p else c
-            for x, k in zip(xs, e):
-                if k:
-                    v *= x**k
-            total += v % p if p else v
-        return self.field.scalar(total)
+        return sum((c * math.prod(x**k for x, k in zip(point, e) if k)
+                    for e, c in self.terms.items()), self.field.zero())
 
     def reduce_mod(self, p: int) -> "MultiForm":
         """Reduce a rational form modulo a prime (denominators must be units)."""
@@ -455,9 +438,9 @@ def _substitute(P: MultiForm, vectors, cols=()):
             for _ in range(r):
                 key, k = divmod(key, base)
                 f.append(k)
-            terms[tuple(f)] = Fp(v, p) if p else Fraction(
+            terms[tuple(f)] = v if p else Fraction(
                 v, den * math.prod(map(pow, scales, f)))
-        forms.append(MultiForm._unchecked(field, r, P.degree - (n > 0), terms))
+        forms.append(MultiForm(field, r, P.degree - (n > 0), terms))
     return forms
 
 
@@ -523,7 +506,7 @@ def _trim(a):
 def _plain_coeffs(f):
     """(f's coefficients, m): residues and m = p, or Fractions and m = 0."""
     p = f.field.p
-    return ([c.v for c in f.coeffs] if p else list(f.coeffs)), p
+    return (_ints([f.coeffs], f.field)[0][0] if p else list(f.coeffs)), p
 
 
 def _umul(a, b, m):

@@ -182,36 +182,26 @@ class Field:
         return Fraction(1) if self.p == 0 else Fp(1, self.p)
 
     def scalar(self, x):
-        """Coerce an int, Fraction, Fp or 'a/b' string into this field."""
-        if self.p == 0:
-            if isinstance(x, Fp):
-                raise FieldMismatch("field mismatch: Q vs Fp:%d" % x.p)
-            if isinstance(x, (int, Fraction)):
-                return Fraction(x)
-        else:
-            if isinstance(x, Fp):
-                if x.p != self.p:
-                    raise FieldMismatch("field mismatch: Fp:%d vs Fp:%d" % (self.p, x.p))
-                return x
-            if isinstance(x, int):
-                return Fp(x, self.p)
-            if isinstance(x, Fraction):
-                if x.denominator % self.p == 0:
-                    raise FieldMismatch("denominator of %s is divisible by %d" % (x, self.p))
-                return Fp(x.numerator, self.p) / Fp(x.denominator, self.p)
+        """strict() after two conversions: an 'a/b' string is read as a
+        Fraction, and over F_p a Fraction is mapped to a residue (its
+        denominator must be prime to p)."""
         if isinstance(x, str):
             try:
-                value = Fraction(x)
+                x = Fraction(x)
             except ZeroDivisionError:
                 raise ValueError("zero denominator in %r" % x) from None
             except ValueError:
                 raise ValueError("expected an integer or a fraction a/b, "
                                  "got %r" % x) from None
-            return self.scalar(value)
-        raise FieldMismatch("cannot coerce %r into %s" % (x, self))
+        if self.p and isinstance(x, Fraction):
+            if x.denominator % self.p == 0:
+                raise FieldMismatch("denominator of %s is divisible by %d" % (x, self.p))
+            return Fp(x.numerator, self.p) / Fp(x.denominator, self.p)
+        return self.strict(x)
 
     def strict(self, x):
-        """Like scalar(), but rejects cross-field values instead of converting.
+        """This field's scalar for an int or a scalar of this field; any
+        other value, of another field or of no field, raises FieldMismatch.
 
         Used at linear-algebra entry points, where a stray Fraction in an
         Fp matrix is a bug rather than a conversion request.

@@ -46,7 +46,12 @@ class BudgetExceeded(RuntimeError):
 
 
 class CharacteristicRefused(ValueError):
-    """Survey refused: characteristic at most the degree (override with force)."""
+    """Survey refused: characteristic at most the degree (override with
+    force).  .reason is the message without its hint, which names force=True."""
+
+    def __init__(self, reason):
+        super().__init__("%s (pass force=True to proceed)" % reason)
+        self.reason = reason
 
 
 @dataclass(frozen=True)
@@ -495,7 +500,7 @@ def conjecture_check(X: Hypersurface, budget: int = _BUDGET,
     if p <= X.d and not force:
         raise CharacteristicRefused(
             "characteristic %d is at most the degree %d; results would be "
-            "unreliable (pass force=True to proceed)" % (p, X.d))
+            "unreliable" % (p, X.d))
     frames = all_lines(X, budget)
     covered = set()
     certified = []

@@ -98,8 +98,15 @@ def test_conjecture_with_field_reduction(cone_file, capsys):
 
 
 def test_conjecture_refuses_small_characteristic(cone_file, capsys):
+    """The refusal names the CLI flag, --force, in its line and in the JSON
+    error; the library's message names force=True."""
     assert main(["conjecture", cone_file, "--field", "Fp:3"]) == 5
-    assert "characteristic" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "characteristic" in out
+    assert "--force" in out and "force=True" not in out
+    assert main(["conjecture", cone_file, "--field", "Fp:3", "--json", "-"]) == 5
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert "--force" in error and "force=True" not in error
 
 
 def test_rank_one_line_pencil_propagates(cone_file, monkeypatch, capsys):
@@ -239,12 +246,13 @@ _CUBIC = "field Q\nvars 4\n1 3 0 0 0\n1 0 3 0 0\n"
      "divisor class 'x,1' needs integers a,b"),
     ("", ["gen", "random-with-line", "--p", "7", "--d", "0"],
      "needs degree d >= 1, got d = 0"),
+    ("", ["gen", "cone"], "cone needs --base"),
 ], ids=["line-spec", "form-coefficient", "through-point", "field-option-fp0",
         "form-header-fp0", "gen-p0", "form-coefficient-literal",
         "line-spec-literal", "through-point-literal", "pencil-element-literal",
         "through-zero-point", "through-zero-point-mod-p", "field-option-literal",
         "form-header-literal", "pencil-header-literal", "ruled-class-literal",
-        "twist-class-literal", "gen-d0"])
+        "twist-class-literal", "gen-d0", "gen-cone-no-base"])
 def test_bad_scalar_or_characteristic_is_one_line_error(tmp_path, capsys, form,
                                                         argv, message):
     path = tmp_path / "in.form"

@@ -50,6 +50,55 @@ def test_field_scalar_coercion():
         F7.strict(Fraction(1, 2))
 
 
+_P61 = 2**61 - 1
+_LADDER_VALUES = [0, 1, -7, 2**70, True, False,
+                  Fraction(3, 4), Fraction(-9, 7), Fraction(5, _P61),
+                  Fraction(6, 3), Fp(1, 2), Fp(4, 7), Fp(_P61 - 1, _P61),
+                  Fp(2, 3), "3/4", "-9/7", "12", 1.5, 0.0, None]
+
+
+@pytest.mark.parametrize("field", [QQ, Field(2), F7, Field(_P61)], ids=str)
+def test_scalar_is_strict_after_two_conversions(field):
+    """scalar and strict agree on every value strict accepts and refuse
+    every scalar of another field; only scalar reads strings and maps
+    Fractions into F_p, and a value of no field gets strict's message."""
+    p = field.p
+    both = (field.scalar, field.strict)
+    for x in _LADDER_VALUES:
+        if x is None or isinstance(x, float):
+            for coerce in both:
+                with pytest.raises(FieldMismatch, match="does not live in"):
+                    coerce(x)
+        elif isinstance(x, Fp) and x.p != p:
+            for coerce in both:
+                with pytest.raises(FieldMismatch, match="field mismatch"):
+                    coerce(x)
+        elif isinstance(x, str) or (p and isinstance(x, Fraction)):
+            with pytest.raises(FieldMismatch, match="does not live in"):
+                field.strict(x)
+            q = Fraction(x)
+            if p and q.denominator % p == 0:
+                with pytest.raises(FieldMismatch, match="divisible by %d" % p):
+                    field.scalar(x)
+            else:
+                got = field.scalar(x)
+                assert got == (Fp(q.numerator * pow(q.denominator, -1, p), p)
+                               if p else q)
+                assert type(got) is (Fp if p else Fraction)
+        else:
+            got = field.strict(x)
+            assert type(got) is (Fp if p else Fraction)
+            assert got == (x if isinstance(x, Fp) else
+                           Fp(int(x), p) if p else Fraction(x))
+            assert field.scalar(x) == got and type(field.scalar(x)) is type(got)
+    for text in ("x", "1/0"):
+        with pytest.raises(ValueError) as err:
+            field.scalar(text)
+        assert not isinstance(err.value, FieldMismatch)
+        with pytest.raises(FieldMismatch, match="does not live in"):
+            field.strict(text)
+
+
 def test_parse_field():
     assert parse_field("Q") == QQ
     assert parse_field("Fp:11").p == 11

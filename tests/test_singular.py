@@ -643,7 +643,7 @@ def test_projective_points_budget_guard(monkeypatch):
 
 def test_characteristic_refusal():
     X = Hypersurface(mono(F5, 4, (0, 0, 0, 5)))
-    with pytest.raises(CharacteristicRefused):
+    with pytest.raises(CharacteristicRefused, match=r"\(pass force=True to proceed\)$"):
         conjecture_check(X, budget=10 ** 6)
 
 
