@@ -1,0 +1,5 @@
+"""python -m fanosing: the `fanosing` command (fanosing.cli.main)."""
+from .cli import main
+
+if __name__ == "__main__":
+    raise SystemExit(main())

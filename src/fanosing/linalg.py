@@ -11,12 +11,13 @@ scale (the row divided by its scale) and an echelon row's scale is its
 pivot entry.  Scalars enter through `_ints`, the one checked int entry
 (every entry is checked once; the form code uses it too), and leave
 through `_scalars`, which builds `Fp` and `Fraction` only for what is
-returned.  Between them there is one echelon kernel (`_echelon`) and one
-int helper for each subspace operation: `_reduce` (reduction modulo
-echelon rows), `_meet` (reduce one basis modulo the other and take a left
-kernel of the residues, instead of row reducing a double-width block),
-`_solve` (a combination with the free coefficients 0) and `_complement`
-(the echelon rows extending a subspace).
+returned.  Between them there is one echelon kernel (`_echelon`), run at
+most once by each int helper for a subspace operation: `_null_space` (on
+the reversed columns, so the null vectors come out echelon), `_reduce`
+(reduction modulo echelon rows), `_meet` (reduce one basis modulo the
+other and take a left kernel of the residues, whose combinations are
+echelon as they are), `_solve` (combinations for several targets, free
+coefficients 0) and `_complement` (the echelon rows extending a subspace).
 A `Subspace` carries its echelon int rows (`Subspace.ints`), so only this
 module converts between a subspace's scalars and ints: its int paths build
 subspaces through `Subspace._of`, and `fanosing.pencil`, `fanosing.tangent`
@@ -349,19 +350,25 @@ def _heads(mat, pivots) -> list:
     return [row[c] for row, c in zip(mat, pivots)]
 
 
-def _null_vectors(red, pivots, ncols: int, p: int) -> list:
-    """Integral null vectors of echelon int rows (from _echelon): per free
-    column f, den = lcm(pivot entries) at f and -row[f]*den/row[c] at each
-    pivot column c; reduced mod p over F_p."""
-    den = lcm(*[row[c] for row, c in zip(red, pivots)])
-    out = []
-    for f in [c for c in range(ncols) if c not in pivots]:
+def _null_space(mat, ncols: int, p: int):
+    """Right null space of int row lists of ncols entries as echelon int
+    rows and pivots, from one echelon pass on the reversed columns: there a
+    row's pivot lies left of its other entries, so here right of them, and
+    the null vector of free column f (den = lcm(pivot entries) at f,
+    -row[f]*den/row[c] at each pivot column c; mod p over F_p, den 1) leads
+    at f and is zero at the other free columns: reduced echelon as it is."""
+    last = ncols - 1
+    red, pivots = _echelon([row[::-1] for row in mat], p)
+    den = lcm(*_heads(red, pivots))
+    taken = {last - c for c in pivots}
+    out, free = [], [f for f in range(ncols) if f not in taken]
+    for f in free:
         v = [0] * ncols
         v[f] = den
         for row, c in zip(red, pivots):
-            v[c] = -row[f] * (den // row[c])
+            v[last - c] = -row[last - f] * (den // row[c])
         out.append([x % p for x in v] if p else v)
-    return out
+    return out, free
 
 
 def _reduce(rows, pivots, vectors, p: int) -> list:
@@ -397,48 +404,56 @@ def _meet(xs, rows, pivots, n: int, p: int):
     echelon int rows and pivots: span(xs) meet (span(rows) x K^k) for xs in
     K^(n+k), the plain meet when k = 0.
 
-    xs are independent int rows; rows are echelon int rows in K^n with the
-    given pivot columns.  Each x_i[:n] reduces modulo rows to
-    r_i = s_i*x_i[:n] - y_i with y_i in span(rows).  The left kernel of the
-    r_i at the free columns (where all of r_i lives) gives the coefficients
-    c with sum c_i*r_i = 0, and then sum c_i*s_i*x_i is in the meet; the x_i
-    are independent, so these span it.  One echelon pass makes them
-    canonical.
+    xs and rows are echelon int rows (from _echelon, _meet or a Subspace's
+    ints), rows in K^n with the given pivot columns.  Each x_i[:n] reduces
+    modulo rows to r_i = s_i*x_i[:n] - y_i with y_i in span(rows).  The left
+    kernel of the r_i at the free columns (where all of r_i lives) gives the
+    coefficients c with sum c_i*r_i = 0, and then sum c_i*s_i*x_i is in the
+    meet; the x_i are independent, so these span it.  Each c from
+    _null_space leads at its own f and is zero at the other free indices,
+    so the combinations, primitive over Q, are echelon with x_f's pivots.
     """
     reduced = _reduce(rows, pivots, [x[:n] for x in xs], p)
     taken = set(pivots)
     cols = [[r[j] for r, _ in reduced] for j in range(n) if j not in taken]
-    red, kpiv = _echelon(cols, p)
+    coeffs, _ = _null_space(cols, len(xs), p)
     vecs = []
-    # each left kernel vector, scaled to be integral, gives sum c_i*s_i*x_i
-    for coeffs in _null_vectors(red, kpiv, len(xs), p):
+    for cs in coeffs:
         vec = [0] * len(xs[0])
-        for c, (_, s), x in zip(coeffs, reduced, xs):
+        for c, (_, s), x in zip(cs, reduced, xs):
             if c:
-                cs = c * s
-                vec = [a + cs * b for a, b in zip(vec, x)]
-        vecs.append([a % p for a in vec] if p else vec)
-    return _echelon(vecs, p)
+                c *= s
+                vec = [a + c * b for a, b in zip(vec, x)]
+        if p:
+            vecs.append([a % p for a in vec])
+        else:
+            g = gcd(*vec)
+            vecs.append([a // g for a in vec])
+    return vecs, [next(j for j, a in enumerate(v) if a) for v in vecs]
 
 
-def _solve(rows, target, p: int):
-    """(nums, den) with sum_i nums[i]*rows[i] == den*target on int rows,
-    or None when target is outside their span.
+def _solve(rows, targets, p: int):
+    """(sols, den) with sum_i sol[i]*rows[i] == den*target for each target,
+    on int rows, or None when a target is outside their span.
 
-    Reduces the transposed system augmented with the target; the free
+    Reduces the transposed system augmented with the targets; the free
     coefficients are 0 and den is the lcm of the pivot entries (1 over
     F_p).  Only the first len(target) entries of each row are read.
     """
     k = len(rows)
-    aug = [[row[j] for row in rows] + [t] for j, t in enumerate(target)]
+    aug = [[row[j] for row in rows] + [t[j] for t in targets]
+           for j in range(len(targets[0]))]
     red, pivots = _echelon(aug, p)
-    if pivots and pivots[-1] == k:
+    if pivots and pivots[-1] >= k:
         return None  # inconsistent
     den = lcm(*_heads(red, pivots))
-    nums = [0] * k
-    for row, c in zip(red, pivots):
-        nums[c] = row[k] * (den // row[c])
-    return nums, den
+    sols = []
+    for j in range(k, k + len(targets)):
+        nums = [0] * k
+        for row, c in zip(red, pivots):
+            nums[c] = row[j] * (den // row[c])
+        sols.append(nums)
+    return sols, den
 
 
 def _complement(inner, pivots, p: int) -> list:
@@ -500,10 +515,10 @@ def solve_combination(rows, target, field: Field):
     if len(vec) != len(rows[0]):
         raise ValueError("length mismatch")
     ints, scales = _ints(rows, field)
-    sol = _solve(ints, vec, field.p)
+    sol = _solve(ints, [vec], field.p)
     if sol is None:
         return None
-    nums, den = sol
+    (nums,), den = sol
     return list(_scalars([[y * s for y, s in zip(nums, scales)]],
                          [den * t], field)[0])
 
@@ -614,11 +629,9 @@ class Subspace:
 
 
 def _kernel(mat, ncols: int, field: Field) -> Subspace:
-    """Right null space of int rows of ncols entries (residues mod p over
-    F_p, any ints over Q; consumed): the null vectors of one echelon pass,
-    made canonical by a second."""
-    null = _null_vectors(*_echelon(mat, field.p), ncols, field.p)
-    return Subspace._of(field, ncols, *_echelon(null, field.p))
+    """Right null space of int row lists of ncols entries (residues mod p
+    over F_p, any ints over Q): _null_space, one echelon pass."""
+    return Subspace._of(field, ncols, *_null_space(mat, ncols, field.p))
 
 
 def kernel(rows, field: Field, ncols: int | None = None) -> Subspace:

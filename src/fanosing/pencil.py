@@ -15,11 +15,12 @@ The construction walks the descending filtration
     V[0] = K^m,   V[t] = p_2( R \\cap (V[t-1] x K^m) ),
 
 where R = {(u, v) : alpha^1 (x) u - alpha^2 (x) v in L}.  For valid pencils
-V[t-1]/V[t] counts the blocks of size >= t, and chains are assembled deepest
-slot first by solving for predecessors inside R.  A completed candidate is
-always re-verified; verification failure (or a stalled filtration) proves a
-rank-one element exists over the algebraic closure, so construction plus
-verification decides decomposability exactly.
+V[t-1]/V[t] counts the blocks of size >= t; as V[t] <= V[t-1], each meet
+is taken with the one before instead of R.  Chains are assembled deepest
+slot first, one solve per level giving the predecessors inside R.  A
+completed candidate is always re-verified; verification failure (or a
+stalled filtration) proves a rank-one element exists over the algebraic
+closure, so construction plus verification decides decomposability exactly.
 
 Scalars enter once and leave once.  normal_form reads the pencil's echelon
 int rows (Subspace.ints) and computes on int rows from then on, with
@@ -87,24 +88,6 @@ def _relation_space(rows, m: int, p: int) -> list:
                      for w in rows], p)[0]
 
 
-def _predecessor(meet, v, scale, m: int, p: int):
-    """A u with (u, v/scale) in the meet, as an (int row, scale) pair, or
-    None: the coefficients of v on the meet's second halves (free ones 0,
-    as solve_combination sets them) applied to the first halves."""
-    sol = _solve([w[m:] for w in meet], v, p)
-    if sol is None:
-        return None
-    nums, den = sol
-    u = [0] * m
-    for c, w in zip(nums, meet):
-        if c:
-            u = [a + c * b for a, b in zip(u, w)]
-    if p:
-        return [a % p for a in u], 1
-    g = gcd(*u, den * scale)
-    return [a // g for a in u], den * scale // g
-
-
 def normal_form(pencil: Subspace) -> NormalForm:
     """Chain normal form of a rank-two pencil; NotConstantRankTwo if none.
 
@@ -123,9 +106,8 @@ def normal_form(pencil: Subspace) -> NormalForm:
     levels_dim = []        # dim V[t-1] - dim V[t] for t = 1, 2, ...
     meets = []             # R cap (V[t-1] x K^m), echelon int rows
     chain_spaces = [V]     # (echelon int rows, pivots) of each V[t]
+    M = R                  # R cap (V[0] x K^m)
     while V[0]:
-        # R cap (V x K^m): the right halves are never reduced
-        M, _ = _meet(R, *V, m, p)
         nxt = _echelon([w[m:] for w in M], p)
         if len(nxt[0]) >= len(V[0]):
             raise NotConstantRankTwo(
@@ -134,6 +116,10 @@ def normal_form(pencil: Subspace) -> NormalForm:
         levels_dim.append(len(V[0]) - len(nxt[0]))
         chain_spaces.append(nxt)
         V = nxt
+        if V[0]:
+            # V only shrinks, so R cap (V x K^m) is M cap (V x K^m); the
+            # right halves are never reduced
+            M, _ = _meet(M, *V, m, p)
 
     T = len(levels_dim)
     for a, b in zip(levels_dim, levels_dim[1:]):
@@ -147,11 +133,24 @@ def normal_form(pencil: Subspace) -> NormalForm:
     for t in range(T, 0, -1):
         below, (here, here_piv) = chain_spaces[t][0], chain_spaces[t - 1]
         preds = []
-        for v, scale in level_vecs:
-            pred = _predecessor(meets[t - 1], v, scale, m, p)
-            if pred is None:
+        if level_vecs:
+            # one solve for every v: the u with (u, v/scale) in the meet is
+            # v's combination of its second halves applied to its first halves
+            M = meets[t - 1]
+            sol = _solve([w[m:] for w in M], [v for v, _ in level_vecs], p)
+            if sol is None:
                 raise NotConstantRankTwo("chain predecessor missing")
-            preds.append(pred)
+            sols, den = sol
+            for nums, (_, scale) in zip(sols, level_vecs):
+                u = [0] * m
+                for c, w in zip(nums, M):
+                    if c:
+                        u = [a + c * b for a, b in zip(u, w)]
+                if p:
+                    preds.append(([a % p for a in u], 1))
+                else:
+                    g = gcd(*u, den * scale)
+                    preds.append(([a // g for a in u], den * scale // g))
         # below and the predecessors lie in here: the rank of their join is
         # the number of here's rows the complement does not keep
         keep = _complement(below + [u for u, _ in preds], here_piv, p)
@@ -189,7 +188,9 @@ def verify_normal_form(pencil: Subspace, nf: NormalForm) -> bool:
     m = nf.m
     if pencil.ambient_dim != 2 * m or pencil.field != nf.field:
         return False
-    if nf.r != len(nf.s) or len(nf.adapted_basis) != m:
+    if not nf.r == len(nf.s) == len(nf.chain_offsets):
+        return False
+    if [len(w) for w in nf.adapted_basis] != [m] * m:
         return False
     if any(x < 1 for x in nf.s) or sum(nf.s) != m:
         return False

@@ -1,6 +1,10 @@
 """Command line behavior: exit codes, deterministic JSON, field overrides."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -164,6 +168,21 @@ def test_gen_fermat_parses_back(capsys):
     from fanosing.forms import parse_form
     P = parse_form(out)
     assert P.degree == 3 and P.nvars == 4 and P.field.p == 7
+
+
+def test_python_dash_m_runs_main(capsys):
+    """python -m fanosing runs the same main as the fanosing command, from
+    a checkout with src on the path."""
+    argv = ["gen", "fermat", "--n", "2", "--d", "3", "--field", "Fp:7"]
+    assert main(argv) == 0
+    want = capsys.readouterr().out
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    got = subprocess.run([sys.executable, "-m", "fanosing"] + argv, env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert got.returncode == 0, got.stderr
+    assert got.stdout == want
 
 
 def test_gen_random_with_line_json(tmp_path, capsys):

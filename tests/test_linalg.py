@@ -3,7 +3,7 @@
 import dataclasses
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -11,9 +11,10 @@ import hypothesis.strategies as st
 
 from fanosing.ideal import ideal_degree_piece
 from fanosing.linalg import (QQ, Field, FieldMismatch, Fp, Subspace, _echelon,
-                             _heads, _ints, _meet, _scalars,
-                             echelon_complement, kernel, parse_field, rank,
-                             rref, solve_combination, unit_vectors)
+                             _heads, _ints, _kernel, _meet, _null_space,
+                             _reduce, _scalars, _solve, echelon_complement,
+                             kernel, parse_field, rank, rref,
+                             solve_combination, unit_vectors)
 from fanosing.singular import analyze_line
 from fanosing.tangent import LineFrame
 from helpers import combine, moved, planted
@@ -297,9 +298,10 @@ def _subspace_pair(draw):
 @settings(max_examples=300, deadline=None)
 @given(_subspace_pair())
 def test_meet_and_product_rows_are_canonical(case):
-    """meet returns the rows of its final echelon pass, and the product
-    A x K^n is its (v | 0) and unit rows without a second rref: both must
-    already be the canonical echelon basis.  The meet lies in both inputs
+    """meet returns its left kernel's combinations with no echelon pass
+    after them, and the product A x K^n is its (v | 0) and unit rows
+    without a second rref: both must already be the canonical echelon
+    basis.  The meet lies in both inputs
     with the dimension formula.  _meet of rows of K^(2n) with A's rows is
     the meet with that product, which pencil.normal_form takes without
     building the product."""
@@ -603,3 +605,158 @@ def test_ints_view_matches_the_basis_for_every_constructor():
                 assert inside == A.contains_vectors(B.basis)
                 seen.add((A.field.p, inside))
     assert seen == {(p, b) for p in (0, 2, 7, 10007) for b in (True, False)}
+
+
+def _forward_null_vectors(mat, ncols, p):
+    """Null vectors of a forward _echelon pass, one per free column f: den
+    at f and -row[f]*den/row[c] at each pivot column c.  A basis of the null
+    space, but not echelon."""
+    red, pivots = _echelon([list(row) for row in mat], p)
+    den = lcm(*_heads(red, pivots))
+    out = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [0] * ncols
+        v[f] = den
+        for row, c in zip(red, pivots):
+            v[c] = -row[f] * (den // row[c])
+        out.append([x % p for x in v] if p else v)
+    return out
+
+
+def _two_pass_meet(xs, rows, pivots, n, p):
+    """Reference for _meet: any left kernel of the residues, then one more
+    _echelon pass over the combinations."""
+    reduced = _reduce(rows, pivots, [x[:n] for x in xs], p)
+    cols = [[r[j] for r, _ in reduced] for j in range(n) if j not in pivots]
+    vecs = []
+    for coeffs in _forward_null_vectors(cols, len(xs), p):
+        vec = [0] * len(xs[0])
+        for c, (_, s), x in zip(coeffs, reduced, xs):
+            vec = [a + c * s * b for a, b in zip(vec, x)]
+        vecs.append([a % p for a in vec] if p else vec)
+    return _echelon(vecs, p)
+
+
+_DIFF_FIELDS = (QQ, Field(2), F7, Field(_P61))
+
+
+def _int_entry(p):
+    if p:
+        return st.one_of(st.integers(0, min(p - 1, 3)), st.integers(0, p - 1))
+    return st.one_of(st.integers(-3, 3), st.integers(-2 ** 70, 2 ** 70))
+
+
+@st.composite
+def _int_matrix(draw, p, nrows, ncols):
+    """Int rows for _echelon: residues mod p, or over Q small and huge ints
+    of either sign.  Random, zero, full rank (unit upper triangular), zero
+    kernel (a unit upper triangular square plus more rows) or with rows
+    that are combinations of others."""
+    entry = _int_entry(p)
+    kind = draw(st.sampled_from(
+        ["random", "zero", "full", "zero-kernel", "dependent"]))
+    if kind == "zero":
+        return [[0] * ncols for _ in range(nrows)]
+    if kind in ("full", "zero-kernel"):
+        k = ncols if kind == "zero-kernel" else min(nrows, ncols)
+        mat = [[draw(entry) if j > i else int(i == j) for j in range(ncols)]
+               for i in range(k)]
+        if kind == "zero-kernel":
+            mat += [[draw(entry) for _ in range(ncols)]
+                    for _ in range(max(nrows - k, 0))]
+        return mat
+    mat = [[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+    if kind == "dependent" and nrows:
+        for _ in range(draw(st.integers(1, 3))):
+            a, b = draw(entry), draw(entry)
+            i, j = (draw(st.integers(0, nrows - 1)) for _ in range(2))
+            row = [a * x + b * y for x, y in zip(mat[i], mat[j])]
+            mat.append([x % p for x in row] if p else row)
+    return mat
+
+
+def _same_echelon(got, want, field):
+    """Both (rows, pivots) pairs are echelon with the same pivots and the
+    same rows up to scale (so the same reduced echelon form)."""
+    (rows, piv), (wrows, wpiv) = got, want
+    assert list(piv) == list(wpiv)
+    assert (_scalars(rows, _heads(rows, piv), field)
+            == _scalars(wrows, _heads(wrows, wpiv), field))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_one_pass_kernel_matches_two_passes(data):
+    """_null_space's one pass on reversed columns gives the reduced echelon
+    basis that the forward null vectors and a second _echelon pass give,
+    pivot 1 over F_p, on empty, zero, full-rank and zero-kernel shapes; each
+    vector is a null vector, and _kernel is that subspace."""
+    field = data.draw(st.sampled_from(_DIFF_FIELDS))
+    p = field.p
+    nrows, ncols = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 6))
+    mat = data.draw(_int_matrix(p, nrows, ncols))
+    rows, free = _null_space([list(row) for row in mat], ncols, p)
+    want = _echelon(_forward_null_vectors(mat, ncols, p), p)
+    _same_echelon((rows, free), want, field)
+    for v in rows:
+        assert all(sum(a * b for a, b in zip(row, v)) % (p or 2 ** 200) == 0
+                   for row in mat)
+    if p:
+        assert _heads(rows, free) == [1] * len(rows)
+    K = _kernel([list(row) for row in mat], ncols, field)
+    assert K == Subspace._of(field, ncols, *want)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_meet_rows_match_a_final_echelon_pass(data):
+    """_meet's combinations, on echelon xs from _echelon (not primitive,
+    any pivot sign, over Q), equal the two-pass meet's rows up to scale:
+    already echelon, primitive over Q and with pivot 1 over F_p."""
+    field = data.draw(st.sampled_from(_DIFF_FIELDS))
+    p = field.p
+    n, k = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 3))
+    xs, _ = _echelon(data.draw(_int_matrix(p, data.draw(st.integers(0, 6)),
+                                           n + k)), p)
+    rows, pivots = _echelon(data.draw(_int_matrix(
+        p, data.draw(st.integers(0, 6)), n)), p)
+    got = _meet([list(x) for x in xs], rows, pivots, n, p)
+    _same_echelon(got, _two_pass_meet(xs, rows, pivots, n, p), field)
+    if p:
+        assert _heads(*got) == [1] * len(got[0])
+    else:
+        assert all(gcd(*row) == 1 for row in got[0])
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_solve_for_several_targets_matches_one_at_a_time(data):
+    """One _solve for several targets returns None iff one of them is out of
+    the span, and otherwise each target's solution sol/den equals that of
+    a _solve for it alone."""
+    field = data.draw(st.sampled_from(_DIFF_FIELDS))
+    p = field.p
+    k, n = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))
+    rows = data.draw(_int_matrix(p, k, n))
+    targets = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        if data.draw(st.booleans()) or not rows:
+            t = [data.draw(_int_entry(p)) for _ in range(n)]
+        else:
+            cs = [data.draw(_int_entry(p)) for _ in rows]
+            t = [sum(c * row[j] for c, row in zip(cs, rows)) for j in range(n)]
+            t = [x % p for x in t] if p else t
+        targets.append(t)
+    got = _solve(rows, targets, p)
+    singles = [_solve(rows, [t], p) for t in targets]
+    if any(one is None for one in singles):
+        assert got is None
+        return
+    sols, den = got
+    assert len(sols) == len(targets)
+    for nums, ((want,), wden) in zip(sols, singles):
+        if p:
+            assert den == wden == 1 and nums == want
+        else:
+            assert [Fraction(a, den) for a in nums] \
+                == [Fraction(a, wden) for a in want]

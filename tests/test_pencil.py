@@ -1,13 +1,16 @@
 """Chain normal form for pencils with no decomposable element."""
 
+import dataclasses
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from fanosing.linalg import (QQ, Subspace, echelon_complement,
+from fanosing import linalg, pencil as pencil_mod
+from fanosing.linalg import (QQ, Subspace, echelon_complement, kernel,
                              parse_field, rank, solve_combination, unit_vectors)
 from fanosing.pencil import (NormalForm, NotConstantRankTwo, has_decomposable,
                              normal_form, verify_normal_form)
@@ -181,6 +184,21 @@ def test_verify_rejects_wrong_partition():
     assert not verify_normal_form(L, wrong)
 
 
+def test_verify_returns_false_on_malformed_shapes():
+    """Adapted vectors of length m + 1, a ragged adapted basis and too few
+    chain offsets are answered False, not raised on."""
+    L = Subspace.from_vectors([F(1, 0, 0, 0, -1, 0)], QQ, 6)
+    nf = normal_form(L)
+    basis = nf.adapted_basis
+    for bad in (
+            dataclasses.replace(nf, adapted_basis=tuple(w + F(0)
+                                                        for w in basis)),
+            dataclasses.replace(nf, adapted_basis=basis[:2] + (F(0, 0),)),
+            dataclasses.replace(nf, adapted_basis=basis[:2] + (F(0, 0, 1, 0),)),
+            dataclasses.replace(nf, chain_offsets=(0,))):
+        assert verify_normal_form(L, bad) is False
+
+
 def _reference_normal_form(pencil):
     """The chain normal form on the public scalar Subspace API: the same
     filtration and backward pass as normal_form, with Subspace.meet,
@@ -313,3 +331,118 @@ def test_int_normal_form_matches_scalar_reference(pencil):
     want, want_nf = _outcome(_reference_normal_form, pencil)
     assert got == want
     assert got_nf == want_nf
+
+
+def _partitions(m, largest=None):
+    largest = m if largest is None else largest
+    if not m:
+        return [()]
+    return [(k,) + rest for k in range(min(m, largest), 0, -1)
+            for rest in _partitions(m - k, k)]
+
+
+def _integer_chain_pencil(sizes, rng):
+    """Integer generators (u | -v) of chains with the given block sizes in
+    the basis L U, for random unit lower and upper triangular integer L and
+    U, the dual pair moved by ((1, a), (b, 1 + a b)).  Every matrix has
+    determinant 1, so the planting is invertible over Q and every F_p."""
+    m = sum(sizes)
+    low = [[rng.randint(-9, 9) if j < i else int(i == j) for j in range(m)]
+           for i in range(m)]
+    up = [[rng.randint(-9, 9) if j > i else int(i == j) for j in range(m)]
+          for i in range(m)]
+    basis = [[sum(low[i][k] * up[k][j] for k in range(m)) for j in range(m)]
+             for i in range(m)]
+    vecs, idx = [], 0
+    for k in sizes:
+        blk = basis[idx:idx + k]
+        idx += k
+        vecs.extend(u + [-y for y in v] for u, v in zip(blk, blk[1:]))
+    a, b = rng.randint(-5, 5), rng.randint(-5, 5)
+    return [[x + a * y for x, y in zip(w[:m], w[m:])]
+            + [b * x + (1 + a * b) * y for x, y in zip(w[:m], w[m:])]
+            for w in vecs]
+
+
+def _pencil_over(field, vecs, m):
+    return Subspace.from_vectors(
+        [tuple(field.scalar(x) for x in w) for w in vecs], field, 2 * m)
+
+
+def test_q_and_its_reductions_give_the_same_blocks():
+    """Planted integer chain pencils over Q and reduced mod 7 and mod 101
+    give the planted block sizes in all three fields, for every partition
+    of m <= 6."""
+    rng = random.Random(9)
+    for m in range(7):
+        for sizes in _partitions(m):
+            for _ in range(2):
+                vecs = _integer_chain_pencil(sizes, rng)
+                got = [normal_form(_pencil_over(field, vecs, m)).s
+                       for field in FIELDS]
+                assert got == [sizes] * 3, (sizes, got)
+
+
+@pytest.mark.parametrize("field", [QQ, F7], ids=str)
+def test_eliminations_per_normal_form_are_bounded(field):
+    """One normal_form on a planted pencil with largest block T runs at most
+    4T + 2 echelon passes (R, then per level one for V[t], one meet, one
+    solve and one complement, then the verifying rank), and
+    linalg.kernel runs exactly one."""
+    calls = []
+    real = linalg._echelon
+
+    def counting(mat, p):
+        calls.append(len(mat))
+        return real(mat, p)
+
+    rng = random.Random(13)
+    pencils = [(sizes, _pencil_over(field, _integer_chain_pencil(sizes, rng),
+                                    m))
+               for m in range(1, 7) for sizes in _partitions(m)]
+    with mock.patch.object(linalg, "_echelon", counting), \
+            mock.patch.object(pencil_mod, "_echelon", counting):
+        over = []
+        for sizes, L in pencils:
+            calls.clear()
+            assert normal_form(L).s == sizes
+            if len(calls) > 4 * sizes[0] + 2:
+                over.append((sizes, len(calls)))
+        assert not over
+        for sizes, L in pencils:
+            calls.clear()
+            m = sum(sizes)
+            kernel([row[:m] for row in L.basis], field, m)
+            assert len(calls) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(_planted_case())
+def test_each_incremental_meet_is_the_meet_with_R(pencil):
+    """normal_form meets the previous meet with V[t] x K^m instead of R; on
+    planted pencils, with or without a rank-one element, the t-th such meet
+    is R cap (V[t] x K^m), with R and the levels V[t] = p_2(R cap (V[t-1] x
+    K^m)) from V[1] = p_2(R) on the scalar Subspace API."""
+    field = pencil.field
+    m = pencil.ambient_dim // 2
+    R = Subspace.from_vectors([w[:m] + tuple(-y for y in w[m:])
+                               for w in pencil.basis], field, 2 * m)
+    seen = []
+
+    def recording(xs, rows, pivots, n, p):
+        out = linalg._meet(xs, rows, pivots, n, p)
+        seen.append(Subspace._of(field, 2 * m, *out))
+        return out
+
+    with mock.patch.object(pencil_mod, "_meet", recording):
+        try:
+            normal_form(pencil)
+        except NotConstantRankTwo:
+            pass
+    M = R
+    for got in seen:
+        V = Subspace.from_vectors([w[m:] for w in M.basis], field, m)
+        M = R.meet(Subspace(field, 2 * m, tuple(
+            [v + (field.zero(),) * m for v in V.basis]
+            + unit_vectors(field, 2 * m, range(m, 2 * m)))))
+        assert got == M
