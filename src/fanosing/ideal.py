@@ -61,8 +61,6 @@ class GeneratorSet:
     """All block generators of a line, in descending block-size order."""
 
     field: Field
-    degree: int            # degree d of the defining form
-    m: int
     blocks: tuple
 
     @property
@@ -91,7 +89,7 @@ def extract_generators(X: Hypersurface, nf: NormalForm,
     field, q = X.field, X.field.p
     pi = tangent.pi
     if nf.field != field or pi.field != field:
-        raise ValueError("field mismatch")
+        raise FieldMismatch("normal form or report lies over another field")
     if nf.m != (X.n - 1) - pi.dim:
         raise ValueError("normal form does not match the quotient dimension")
     d = X.d
@@ -125,7 +123,7 @@ def extract_generators(X: Hypersurface, nf: NormalForm,
         inv = field.scalar(ts[0] * scale) / lam
         chain = tuple(tuple(inv * c for c in w) for w in chain)
         blocks.append(BlockGenerator(p=p, size=s, chain=chain))
-    return GeneratorSet(field=field, degree=d, m=nf.m, blocks=tuple(blocks))
+    return GeneratorSet(field=field, blocks=tuple(blocks))
 
 
 @dataclass(frozen=True)

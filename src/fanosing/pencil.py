@@ -17,8 +17,10 @@ The construction walks the descending filtration
 where R = {(u, v) : alpha^1 (x) u - alpha^2 (x) v in L}.  For valid pencils
 V[t-1]/V[t] counts the blocks of size >= t; as V[t] <= V[t-1], each meet
 is taken with the one before instead of R.  Chains are assembled deepest
-slot first, one solve per level giving the predecessors inside R.  A
-completed candidate is always re-verified; verification failure (or a
+slot first, one solve per level giving the predecessors inside R.  The
+chains are the one record of the blocks: s is their lengths, the adapted
+basis their concatenation, and NormalForm derives the block offsets from s.
+A completed candidate is always re-verified; verification failure (or a
 stalled filtration) proves a rank-one element exists over the algebraic
 closure, so construction plus verification decides decomposability exactly.
 
@@ -35,10 +37,11 @@ of that basis.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from math import gcd
 
-from .linalg import (Field, Subspace, _complement, _echelon, _meet, _scalars,
-                     _solve, rank)
+from .linalg import (Field, FieldMismatch, Subspace, _complement, _echelon,
+                     _meet, _scalars, _solve, rank)
 
 
 class NotConstantRankTwo(ValueError):
@@ -49,10 +52,10 @@ class NotConstantRankTwo(ValueError):
 class NormalForm:
     """Adapted basis and block sizes of a rank-two pencil.
 
-    adapted_basis holds the m vectors w_1, ..., w_m grouped block by block;
-    block j occupies indices chain_offsets[j] .. chain_offsets[j] + s[j] - 1.
-    The chains refer to the standard dual pair (alpha^1, alpha^2), which
-    alpha returns as rows, ((1, 0), (0, 1)).
+    adapted_basis holds the m vectors w_1, ..., w_m grouped block by block:
+    block j occupies indices o .. o + s[j] - 1, o = s[0] + ... + s[j - 1]
+    (chain_offsets[j]).  The chains refer to the standard dual pair
+    (alpha^1, alpha^2), which alpha returns as rows, ((1, 0), (0, 1)).
     """
 
     field: Field
@@ -60,7 +63,10 @@ class NormalForm:
     r: int
     s: tuple
     adapted_basis: tuple
-    chain_offsets: tuple
+
+    @property
+    def chain_offsets(self) -> tuple:
+        return tuple(accumulate(self.s, initial=0))[:-1]
 
     @property
     def alpha(self) -> tuple:
@@ -103,7 +109,6 @@ def normal_form(pencil: Subspace) -> NormalForm:
 
     R = _relation_space(pencil.ints[0], m, p)
     V = ([[int(i == j) for j in range(m)] for i in range(m)], list(range(m)))
-    levels_dim = []        # dim V[t-1] - dim V[t] for t = 1, 2, ...
     meets = []             # R cap (V[t-1] x K^m), echelon int rows
     chain_spaces = [V]     # (echelon int rows, pivots) of each V[t]
     M = R                  # R cap (V[0] x K^m)
@@ -113,7 +118,6 @@ def normal_form(pencil: Subspace) -> NormalForm:
             raise NotConstantRankTwo(
                 "chain recursion stalled at dimension %d" % len(nxt[0]))
         meets.append(M)
-        levels_dim.append(len(V[0]) - len(nxt[0]))
         chain_spaces.append(nxt)
         V = nxt
         if V[0]:
@@ -121,63 +125,47 @@ def normal_form(pencil: Subspace) -> NormalForm:
             # right halves are never reduced
             M, _ = _meet(M, *V, m, p)
 
-    T = len(levels_dim)
-    for a, b in zip(levels_dim, levels_dim[1:]):
-        if a < b:
-            raise NotConstantRankTwo(
-                "level sizes are not monotone; no block decomposition")
+    dims = [len(rows) for rows, _ in chain_spaces]
+    if any(a - b < b - c for a, b, c in zip(dims, dims[1:], dims[2:])):
+        raise NotConstantRankTwo(
+            "level sizes are not monotone; no block decomposition")
 
     chains_rev = []        # (int row, scale) of each block, deepest slot first
-    current = []           # chain index of each vector in the current level
-    level_vecs = []
-    for t in range(T, 0, -1):
+    for t in range(len(meets), 0, -1):
         below, (here, here_piv) = chain_spaces[t][0], chain_spaces[t - 1]
-        preds = []
-        if level_vecs:
-            # one solve for every v: the u with (u, v/scale) in the meet is
-            # v's combination of its second halves applied to its first halves
+        if chains_rev:
+            # one solve for every chain's newest v: its predecessor u applies
+            # v's combination of the meet's second halves to the first halves
             M = meets[t - 1]
-            sol = _solve([w[m:] for w in M], [v for v, _ in level_vecs], p)
+            heads = [ch[-1][0] for ch in chains_rev]
+            sol = _solve([w[m:] for w in M], heads, p)
             if sol is None:
                 raise NotConstantRankTwo("chain predecessor missing")
             sols, den = sol
-            for nums, (_, scale) in zip(sols, level_vecs):
+            for nums, ch in zip(sols, chains_rev):
                 u = [0] * m
                 for c, w in zip(nums, M):
                     if c:
                         u = [a + c * b for a, b in zip(u, w)]
                 if p:
-                    preds.append(([a % p for a in u], 1))
+                    ch.append(([a % p for a in u], 1))
                 else:
-                    g = gcd(*u, den * scale)
-                    preds.append(([a // g for a in u], den * scale // g))
+                    g = gcd(*u, den * ch[-1][1])
+                    ch.append(([a // g for a in u], den * ch[-1][1] // g))
         # below and the predecessors lie in here: the rank of their join is
         # the number of here's rows the complement does not keep
-        keep = _complement(below + [u for u, _ in preds], here_piv, p)
+        preds = [ch[-1][0] for ch in chains_rev]
+        keep = _complement(below + preds, here_piv, p)
         if len(here) - len(keep) != len(below) + len(preds):
             raise NotConstantRankTwo(
                 "chain predecessors collapse; no block decomposition")
-        new_heads = [(here[k], here[k][here_piv[k]]) for k in keep]
-        for i, vec in enumerate(preds):
-            chains_rev[current[i]].append(vec)
-        ids = list(current)
-        for vec in new_heads:
-            chains_rev.append([vec])
-            ids.append(len(chains_rev) - 1)
-        level_vecs = preds + new_heads
-        current = ids
+        chains_rev += [[(here[k], here[k][here_piv[k]])] for k in keep]
 
-    blocks = [ch[::-1] for ch in chains_rev]
-    s = tuple(len(b) for b in blocks)
-    offsets, adapted, off = [], [], 0
-    for b in blocks:
-        offsets.append(off)
-        adapted.extend(b)
-        off += len(b)
+    s = tuple(len(ch) for ch in chains_rev)
+    adapted = [vec for ch in chains_rev for vec in reversed(ch)]
     basis = _scalars([u for u, _ in adapted], [c for _, c in adapted], field)
-    nf = NormalForm(field=field, m=m, r=len(blocks), s=s,
-                    adapted_basis=tuple(basis),
-                    chain_offsets=tuple(offsets))
+    nf = NormalForm(field=field, m=m, r=len(s), s=s,
+                    adapted_basis=tuple(basis))
     if not verify_normal_form(pencil, nf):
         raise NotConstantRankTwo("normal form candidate failed verification")
     return nf
@@ -188,19 +176,19 @@ def verify_normal_form(pencil: Subspace, nf: NormalForm) -> bool:
     m = nf.m
     if pencil.ambient_dim != 2 * m or pencil.field != nf.field:
         return False
-    if not nf.r == len(nf.s) == len(nf.chain_offsets):
+    if nf.r != len(nf.s) or any(x < 1 for x in nf.s) or sum(nf.s) != m:
         return False
     if [len(w) for w in nf.adapted_basis] != [m] * m:
-        return False
-    if any(x < 1 for x in nf.s) or sum(nf.s) != m:
         return False
     if any(a < b for a, b in zip(nf.s, nf.s[1:])):
         return False
     if pencil.dim != m - nf.r:
         return False
-    if rank(nf.adapted_basis, nf.field) != m:
+    try:
+        return (rank(nf.adapted_basis, nf.field) == m
+                and pencil.contains_vectors(nf.chain_elements()))
+    except FieldMismatch:       # the basis holds scalars of another field
         return False
-    return pencil.contains_vectors(nf.chain_elements())
 
 
 def has_decomposable(pencil: Subspace) -> bool:

@@ -503,6 +503,12 @@ def test_binary_roots_fp_multiplicity():
     # a square over F_2, whose derivative vanishes, times a rootless quartic
     (parse_field("Fp:2"), [(1, 1, 1), (1, 1, 1), (1, 1, 0, 0, 1)], [],
      [((1, 1, 1), 2), ((1, 1, 0, 0, 1), 1)]),
+    # the two irreducible cubics over F_2, whose product 1 + t + ... + t^6
+    # only the trace splitting separates; then times s t, so roots mix in
+    (parse_field("Fp:2"), [(1, 1, 0, 1), (1, 0, 1, 1)], [],
+     [((1, 0, 1, 1), 1), ((1, 1, 0, 1), 1)]),
+    (parse_field("Fp:2"), [(1, 1, 0, 1), (1, 0), (1, 0, 1, 1), (0, 1)],
+     [((1, 0), 1), ((0, 1), 1)], [((1, 0, 1, 1), 1), ((1, 1, 0, 1), 1)]),
     # two cubics with coefficients above 10^6, rootless mod 11 and mod 23;
     # mod 5 each is a linear times a quadratic factor, so the lifted
     # factors recombine in pairs
@@ -512,7 +518,8 @@ def test_binary_roots_fp_multiplicity():
       ((7000009, 1000081, -5000011, 2000007), 1)]),
 ], ids=["q-root-and-quadratics", "q-square-and-quartic", "f7-quartic",
         "f101-roots-and-quadratic", "f10007-two-quadratics",
-        "f2-square-and-quartic", "q-big-cubics"])
+        "f2-square-and-quartic", "f2-two-cubics", "f2-two-cubics-and-roots",
+        "q-big-cubics"])
 def test_binary_roots_frozen(field, factors, roots, unsolved):
     f = binform(field, 1)
     for c in factors:

@@ -9,7 +9,7 @@ from fanosing.ideal import (DegreeTooSmall, build_filtration,
                             contains_image_sigma, extract_generators,
                             ideal_degree_piece, max_multiplicity_at,
                             pure_power_locus)
-from fanosing.linalg import QQ, parse_field
+from fanosing.linalg import QQ, FieldMismatch, parse_field
 from fanosing.pencil import NormalForm, normal_form
 from fanosing.tangent import Hypersurface, LineFrame, analyze_tangent
 
@@ -134,10 +134,22 @@ def test_degree_guard_on_mismatched_normal_form(quadric_pipeline):
     X, fr, rep, _, _, _ = quadric_pipeline
     fake = NormalForm(field=QQ, m=2, r=1, s=(3,),
                       adapted_basis=((Fr(1), Fr(0)), (Fr(0), Fr(1)),
-                                     (Fr(1), Fr(1))),
-                      chain_offsets=(0,))
+                                     (Fr(1), Fr(1))))
     with pytest.raises(DegreeTooSmall, match="too small"):
         extract_generators(X, fake, rep)
+
+
+def test_generators_refuse_a_normal_form_or_report_over_another_field(
+        quadric_pipeline):
+    """The same quadric over F_11: its normal form or report with the Q
+    hypersurface raises FieldMismatch, a ValueError."""
+    X, _, rep, nf, _, _ = quadric_pipeline
+    X11 = Hypersurface(mono(F11, 4, (1, 0, 0, 1)) - mono(F11, 4, (0, 1, 1, 0)))
+    rep11, nf11, _, _ = _pipeline(X11, LineFrame(F11, (1, 0, 0, 0),
+                                                 (0, 1, 0, 0)))
+    for args in ((X, nf11, rep), (X, nf, rep11), (X11, nf, rep11)):
+        with pytest.raises(FieldMismatch, match="over another field"):
+            extract_generators(*args)
 
 
 def test_piece_below_first_delta_is_zero(cone_pipeline):

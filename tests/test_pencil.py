@@ -1,6 +1,7 @@
 """Chain normal form for pencils with no decomposable element."""
 
 import dataclasses
+import itertools
 import random
 from fractions import Fraction
 from unittest import mock
@@ -179,14 +180,13 @@ def test_decomposable_salting_always_rejected():
 def test_verify_rejects_wrong_partition():
     L = Subspace.from_vectors([F(1, 0, 0, 0, -1, 0)], QQ, 6)
     nf = normal_form(L)
-    import dataclasses
-    wrong = dataclasses.replace(nf, s=(3,), r=1, chain_offsets=(0,))
+    wrong = dataclasses.replace(nf, s=(3,), r=1)
     assert not verify_normal_form(L, wrong)
 
 
 def test_verify_returns_false_on_malformed_shapes():
-    """Adapted vectors of length m + 1, a ragged adapted basis and too few
-    chain offsets are answered False, not raised on."""
+    """Adapted vectors of length m + 1, a ragged adapted basis and an F_7
+    basis with Fraction entries are answered False, not raised on."""
     L = Subspace.from_vectors([F(1, 0, 0, 0, -1, 0)], QQ, 6)
     nf = normal_form(L)
     basis = nf.adapted_basis
@@ -195,8 +195,13 @@ def test_verify_returns_false_on_malformed_shapes():
                                                         for w in basis)),
             dataclasses.replace(nf, adapted_basis=basis[:2] + (F(0, 0),)),
             dataclasses.replace(nf, adapted_basis=basis[:2] + (F(0, 0, 1, 0),)),
-            dataclasses.replace(nf, chain_offsets=(0,))):
+    ):
         assert verify_normal_form(L, bad) is False
+    L7 = Subspace.from_vectors([(1, 0, 0, 0, -1, 0)], F7, 6)
+    nf7 = normal_form(L7)
+    assert nf7.s == (2, 1) and verify_normal_form(L7, nf7)
+    assert verify_normal_form(
+        L7, dataclasses.replace(nf7, adapted_basis=basis)) is False
 
 
 def _reference_normal_form(pencil):
@@ -254,13 +259,9 @@ def _reference_normal_form(pencil):
         level_vecs = preds + list(new_heads)
         current = ids
     blocks = [tuple(reversed(ch)) for ch in chains_rev]
-    offsets, adapted = [], []
-    for b in blocks:
-        offsets.append(len(adapted))
-        adapted.extend(b)
     nf = NormalForm(field=field, m=m, r=len(blocks),
                     s=tuple(len(b) for b in blocks),
-                    adapted_basis=tuple(adapted), chain_offsets=tuple(offsets))
+                    adapted_basis=tuple(v for b in blocks for v in b))
     if not verify_normal_form(pencil, nf):
         raise NotConstantRankTwo("normal form candidate failed verification")
     return nf
@@ -446,3 +447,61 @@ def test_each_incremental_meet_is_the_meet_with_R(pencil):
             [v + (field.zero(),) * m for v in V.basis]
             + unit_vectors(field, 2 * m, range(m, 2 * m)))))
         assert got == M
+
+
+def _rref_subspaces(n, k):
+    """Every k-dimensional subspace of F_2^n exactly once, as its RREF rows:
+    pivot columns, then every filling of the entries right of a pivot that
+    lie in no pivot column."""
+    for pivots in itertools.combinations(range(n), k):
+        free = [(i, j) for i, c in enumerate(pivots) for j in range(c + 1, n)
+                if j not in pivots]
+        for bits in itertools.product((0, 1), repeat=len(free)):
+            rows = [[int(j == c) for j in range(n)] for c in pivots]
+            for (i, j), b in zip(free, bits):
+                rows[i][j] = b
+            yield rows
+
+
+def _f2_rank_one(rows, m):
+    """Whether some nonzero (u | v) in the F_2-span of rows has u and v
+    proportional: u = 0, v = 0 or u = v."""
+    for cs in itertools.product((0, 1), repeat=len(rows)):
+        if any(cs):
+            w = [sum(c * x for c, x in zip(cs, col)) % 2 for col in zip(*rows)]
+            if not any(w[:m]) or not any(w[m:]) or w[:m] == w[m:]:
+                return True
+    return False
+
+
+def test_exhaustive_small_pencils_over_f2():
+    """Every subspace L of F_2^(2m) with m <= 3 and dim L <= m (2,110 for
+    m = 3).  A nonzero (u | v) in L with u, v proportional is a rank-one
+    element, and normal_form must raise on it; a normal form it returns
+    verifies, has chain offsets the prefix sums of s, and equals the
+    scalar reference.  Only the "stalled" and "failed verification" guards
+    fire here; the monotone, missing-predecessor and collapse guards stay
+    as safety checks, unreached by this census, the other tests and the
+    benchmark inputs."""
+    F2 = parse_field("Fp:2")
+    outcomes = {"normal form": 0, "raised": 0}
+    for m in range(1, 4):
+        n = 2 * m
+        subspaces = [rows for k in range(m + 1)
+                     for rows in _rref_subspaces(n, k)]
+        if m == 3:
+            assert len(subspaces) == 2110
+        for rows in subspaces:
+            L = Subspace.from_vectors([tuple(map(F2.scalar, w)) for w in rows],
+                                      F2, n)
+            got, nf = _outcome(normal_form, L)
+            assert got == _outcome(_reference_normal_form, L)[0]
+            if nf is None:
+                outcomes["raised"] += 1
+                continue
+            outcomes["normal form"] += 1
+            assert not _f2_rank_one(rows, m), rows
+            assert verify_normal_form(L, nf)
+            assert nf.chain_offsets == tuple(sum(nf.s[:j])
+                                             for j in range(nf.r))
+    assert min(outcomes.values()) > 100, outcomes

@@ -662,6 +662,23 @@ def test_cone_f7_survey():
     assert rep.certified[0] == (s(0), s(0), s(0), s(1))
 
 
+def test_survey_with_an_entirely_singular_line():
+    """x0 x2^2 + x1 x3^2 over F_7 is singular along the line x2 = x3 = 0:
+    the survey certifies that line's 8 points through its whole-line
+    branch, and they are all the singular points of X."""
+    X = Hypersurface(mono(F7, 4, (1, 0, 2, 0)) + mono(F7, 4, (0, 1, 0, 2)))
+    rep = conjecture_check(X)
+    assert rep.num_lines == 10
+    assert rep.max_tangent_dim == 4
+    assert rep.trigger
+    assert rep.exceptions == ()
+    assert [analyze_line(X, fr).certificate.whole_line
+            for fr in all_lines(X)].count(True) == 1
+    assert len(rep.certified) == 8
+    assert set(rep.certified) == set(singular_points(X))
+    assert all(not pt[2] and not pt[3] for pt in rep.certified)
+
+
 def test_survey_without_lines_does_not_trigger():
     # a plane cubic curve holds no line, so nothing deforms and nothing is
     # forced, even though max_tangent_dim >= n - 2 = 0 and d >= n
