@@ -18,7 +18,7 @@ import json
 import sys
 
 from .corpus import cone, fermat, random_with_line
-from .forms import (BinaryForm, _at, _int_at, format_form, format_scalar,
+from .forms import (BinaryForm, _at, _headed_lines, format_form, format_scalar,
                     parse_form)
 from .linalg import Field, Subspace, parse_field, plain
 from .pencil import NotConstantRankTwo, normal_form
@@ -83,7 +83,7 @@ def _parse_vector(field: Field, text: str):
 def _parse_line_spec(field: Field, text: str):
     halves = text.split(";")
     if len(halves) != 2:
-        raise CliError("line spec must be 'v1;v2' with comma-separated entries")
+        raise ValueError("line spec must be 'v1;v2' with comma-separated entries")
     return _parse_vector(field, halves[0]), _parse_vector(field, halves[1])
 
 
@@ -93,24 +93,20 @@ def _load_surface(path: str, field_opt: str | None):
     P = parse_form(text)
     if field_opt:
         want = parse_field(field_opt)
-        if want == P.field:
-            pass
-        elif P.field.is_rational and not want.is_rational:
+        if P.field.is_rational and not want.is_rational:
             P = P.reduce_mod(want.p)
-        else:
+        elif want != P.field:
             raise CliError("form is over %s; cannot read it over %s"
                            % (P.field, want))
     return Hypersurface(P), text
 
 
 def _emit(args, lines, payload, code):
-    to_stdout = getattr(args, "json", None) == "-"
-    if not to_stdout:
+    if args.json != "-":
         for ln in lines:
             print(ln)
-    if getattr(args, "json", None):
-        payload = dict(payload)
-        payload["exit"] = code
+    if args.json:
+        payload = dict(payload, exit=code)
         blob = json.dumps(payload, sort_keys=True, indent=2) + "\n"
         if args.json == "-":
             sys.stdout.write(blob)
@@ -170,14 +166,12 @@ def cmd_analyze(args) -> int:
            "tangent dim: %d   pi dim: %d   m: %d"
            % (la.tangent.tangent_dim, la.tangent.pi.dim, la.tangent.m)]
     payload["degenerate"] = None
-    if la.nf is not None:
-        payload["normal_form"] = _nf_payload(la.nf)
-        out.append("blocks: %s" % (la.nf.s,))
-    else:
-        payload["normal_form"] = None
+    if la.nf is None:
+        payload.update(normal_form=None, generators=None, filtration=None)
         out.append("pencil trivial: whole line moves only through the cone "
                    "directions")
-    if la.gens is not None:
+    else:
+        payload["normal_form"] = _nf_payload(la.nf)
         payload["generators"] = [{"size": b.size, "delta": b.delta,
                                   "p": _binform(b.p)} for b in la.gens.blocks]
         payload["filtration"] = {
@@ -185,9 +179,7 @@ def cmd_analyze(args) -> int:
             "dims": [sp.dim for sp in la.filt.hatM],
             "codims": list(la.filt.quotient_dims),
         }
-    else:
-        payload["generators"] = None
-        payload["filtration"] = None
+        out.append("blocks: %s" % (la.nf.s,))
     payload["certificate"] = _certificate_payload(la.certificate)
     payload["image_contained"] = la.image_contained
     payload["everyp1"] = {
@@ -283,36 +275,19 @@ def cmd_conjecture(args) -> int:
 
 
 def _parse_pencil_file(text: str):
-    field = None
-    m = None
+    field, m, body = _headed_lines(text, "m")
     vecs = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line:
-            continue
-        toks = line.split(None, 1)
-        if len(toks) == 1 and toks[0] in ("field", "m", "element"):
-            raise CliError("line %d: '%s' needs a value" % (lineno, toks[0]))
-        if toks[0] == "field":
-            field = _at("line %d" % lineno, parse_field, toks[1])
-            continue
-        if toks[0] == "m":
-            m = _int_at(lineno, "'m'", toks[1])
-            if m < 0:
-                raise CliError("line %d: 'm' needs a non-negative integer, got %d"
-                               % (lineno, m))
-            continue
-        if toks[0] == "element":
-            if field is None or m is None:
-                raise CliError("element line before 'field'/'m' headers")
-            u, v = _parse_line_spec(field, toks[1])
-            if len(u) != m or len(v) != m:
-                raise CliError("element does not have %d + %d entries" % (m, m))
-            vecs.append(u + v)
-            continue
-        raise CliError("unrecognized pencil line %r" % line)
-    if field is None or m is None:
-        raise CliError("missing 'field' or 'm' header")
+    for lineno, toks in body:
+        where = "line %d" % lineno
+        if toks[0] != "element" or len(toks) == 1:
+            raise CliError("%s: a pencil line needs the form 'element u;v', "
+                           "got %r" % (where, " ".join(toks)))
+        u, v = _at(where, lambda spec: _parse_line_spec(field, spec),
+                   " ".join(toks[1:]))
+        if len(u) != m or len(v) != m:
+            raise CliError("%s: an element needs %d + %d entries, got %d + %d"
+                           % (where, m, m, len(u), len(v)))
+        vecs.append(u + v)
     return Subspace.from_vectors(vecs, field, 2 * m), field, m
 
 
@@ -373,27 +348,21 @@ def cmd_ruled(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    payload = {"command": "gen", "generator": args.generator}
     if args.generator == "fermat":
-        field = parse_field(args.field or "Q")
-        X = fermat(args.n, args.d, field)
-        extra = {}
+        X = fermat(args.n, args.d, parse_field(args.field or "Q"))
     elif args.generator == "cone":
         if args.base is None:
             raise CliError("cone needs --base")
         base, _ = _load_surface(args.base, None)
         X = cone(base, extra=args.extra)
-        extra = {}
     else:
         if args.p is None:
             raise CliError("random-with-line needs --p")
         X, frame = random_with_line(args.n, args.d, args.p, args.seed)
-        extra = {"line": _rows_to_spec((frame.e1, frame.e2))}
-    text = format_form(X.P)
-    payload = {"command": "gen", "generator": args.generator, "form": text}
-    payload.update(extra)
-    if getattr(args, "json", None) != "-":
-        sys.stdout.write(text)
-    return _emit(args, [], payload, EXIT_OK)
+        payload["line"] = _rows_to_spec((frame.e1, frame.e2))
+    payload["form"] = format_form(X.P)
+    return _emit(args, [payload["form"].rstrip("\n")], payload, EXIT_OK)
 
 
 def build_parser() -> _Parser:
@@ -459,10 +428,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except CliError as e:
-        print("error: %s" % e, file=sys.stderr)
-        return EXIT_ERROR
-    except (OSError, ValueError) as e:
+    except (CliError, OSError, ValueError) as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_ERROR
 

@@ -836,12 +836,16 @@ def binary_roots(f: BinaryForm) -> RootReport:
 # text format
 
 
-def _int_at(lineno: int, what: str, value: str) -> int:
+def _natural_at(lineno: int, what: str, value: str) -> int:
+    """int(value) if it is a non-negative integer, else a ValueError that
+    names the line."""
     try:
-        return int(value)
+        if int(value) >= 0:
+            return int(value)
     except ValueError:
-        raise ValueError("line %d: %s needs an integer, got %r"
-                         % (lineno, what, value)) from None
+        pass
+    raise ValueError("line %d: %s needs a non-negative integer, got %r"
+                     % (lineno, what, value))
 
 
 def _at(where: str, parse, value: str):
@@ -852,43 +856,58 @@ def _at(where: str, parse, value: str):
         raise ValueError("%s: %s" % (where, e)) from None
 
 
+def _headed_lines(text: str, count: str):
+    """(field, k, [(lineno, tokens), ...]) of an input file: a 'field'
+    header and a header `count` with the non-negative integer k, each once,
+    in either order, before the body lines.  '#' starts a comment; a
+    header's value is the rest of its line; every error names its line.
+    """
+    heads = {}
+    lines = []
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        toks = raw.split("#", 1)[0].split()
+        if not toks:
+            continue
+        key, value = toks[0], " ".join(toks[1:])
+        if key not in ("field", count):
+            if len(heads) < 2:
+                raise ValueError("line %d: %r comes before the 'field' and "
+                                 "'%s' headers" % (lineno, " ".join(toks), count))
+            lines.append((lineno, toks))
+        elif key in heads:
+            raise ValueError("line %d: repeated '%s' header" % (lineno, key))
+        elif not value:
+            raise ValueError("line %d: '%s' needs a value" % (lineno, key))
+        elif key == "field":
+            heads[key] = _at("line %d" % lineno, parse_field, value)
+        else:
+            heads[key] = _natural_at(lineno, "'%s'" % key, value)
+    if len(heads) < 2:
+        raise ValueError("missing 'field' or '%s' header" % count)
+    return heads["field"], heads[count], lines
+
+
 def parse_form(text: str) -> MultiForm:
     """Parse the exchange format:
 
-        field Q            (or: field Fp 7, field Fp:7)
+        field Q            # or: field Fp 7, field Fp:7
         vars 4
-        1 3 0 0 0          (coefficient, then one exponent per variable)
+        1 3 0 0 0          # coefficient, then one exponent per variable
         -1/2 0 1 1 1
 
-    Lines may appear in any order after the two headers; repeated monomials
-    are summed.
+    Each header appears once, in either order, before the first term line
+    (see _headed_lines); repeated monomials are summed.
     """
-    field = None
-    nvars = None
+    field, nvars, body = _headed_lines(text, "vars")
     terms = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line:
-            continue
-        toks = line.split()
-        if len(toks) == 1 and toks[0] in ("field", "vars"):
-            raise ValueError("line %d: '%s' needs a value" % (lineno, toks[0]))
-        if toks[0] == "field":
-            field = _at("line %d" % lineno, parse_field, " ".join(toks[1:]))
-            continue
-        if toks[0] == "vars":
-            nvars = _int_at(lineno, "'vars'", toks[1])
-            continue
-        if field is None or nvars is None:
-            raise ValueError("term line before 'field'/'vars' headers")
+    for lineno, toks in body:
         if len(toks) != nvars + 1:
-            raise ValueError("term line %r: expected coefficient + %d exponents"
-                             % (line, nvars))
+            raise ValueError("line %d: a term line needs a coefficient and %d "
+                             "exponents, got %d tokens"
+                             % (lineno, nvars, len(toks)))
         c = _at("line %d: coefficient" % lineno, field.scalar, toks[0])
-        e = tuple(_int_at(lineno, "exponent", t) for t in toks[1:])
+        e = tuple(_natural_at(lineno, "exponent", t) for t in toks[1:])
         terms[e] = terms[e] + c if e in terms else c
-    if field is None or nvars is None:
-        raise ValueError("missing 'field' or 'vars' header")
     if not terms:
         raise ValueError("form has no terms")
     degs = {sum(e) for e in terms}

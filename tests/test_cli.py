@@ -11,7 +11,7 @@ import pytest
 from fanosing import singular
 from fanosing.cli import main
 from fanosing.corpus import cone, fermat
-from fanosing.forms import format_form
+from fanosing.forms import format_form, parse_form
 from fanosing.linalg import QQ, parse_field
 from fanosing.pencil import NotConstantRankTwo
 from fanosing.singular import analyze_line
@@ -113,6 +113,63 @@ def test_conjecture_refuses_small_characteristic(cone_file, capsys):
     assert "--force" in error and "force=True" not in error
 
 
+def test_conjecture_budget_exceeded_reports_estimate(fermat7_file, capsys):
+    assert main(["conjecture", fermat7_file, "--budget", "100"]) == 4
+    (line,) = capsys.readouterr().out.splitlines()
+    assert line.startswith("error: ") and "(budget 100)" in line
+    assert main(["conjecture", fermat7_file, "--budget", "100",
+                 "--json", "-"]) == 4
+    data = json.loads(capsys.readouterr().out)
+    assert data["exit"] == 4 and data["estimate"] > 100
+    assert "report" not in data
+
+
+def test_analyze_entirely_singular_line(tmp_path, capsys):
+    """x0*x2^2 + x1*x3^2 over F_7 is singular along span(e0, e1): the
+    pencil is trivial (m = 0), so there is no normal form, generator set or
+    filtration, and the certificate is the whole line."""
+    path = tmp_path / "whole.form"
+    path.write_text("field Fp 7\nvars 4\n1 1 0 2 0\n1 0 1 0 2\n")
+    argv = ["analyze", str(path), "--line", "1,0,0,0;0,1,0,0"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[1] == "tangent dim: 4   pi dim: 2   m: 0"
+    assert out[2].startswith("pencil trivial")
+    assert out[3] == "singular: entire line (gradient vanishes identically)"
+    assert main(argv + ["--json", "-"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["normal_form"] is data["generators"] is data["filtration"] is None
+    assert data["certificate"]["whole_line"] is True
+
+
+def test_gcd_without_rational_zero(tmp_path, capsys):
+    """The planted line span(e0, e1) of seed 110 has gcd s^2 + 4t^2, which
+    has no zero over F_7: analyze certifies no rational point, and the
+    survey lists it, and one more such line, as exceptions."""
+    assert main(["gen", "random-with-line", "--n", "3", "--d", "3",
+                 "--p", "7", "--seed", "110"]) == 0
+    path = tmp_path / "r110.form"
+    path.write_text(capsys.readouterr().out)
+    assert main(["analyze", str(path), "--line", "1,0,0,0;0,1,0,0"]) == 0
+    out = capsys.readouterr().out
+    assert "singular points: none rational (" in out
+    assert main(["conjecture", str(path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "exceptions: 2" in out
+    exceptions = [ln for ln in out if ln.startswith("  no-rational-point: ")]
+    assert len(exceptions) == 2
+    assert exceptions[0].startswith("  no-rational-point: 1,0,0,0;0,1,0,0 "
+                                    "(gcd 1*s^2 + 4*t^2 has no rational zero")
+
+
+def test_gen_cone_reads_its_base(tmp_path, capsys):
+    base = tmp_path / "base.form"
+    base.write_text(format_form(fermat(2, 3, QQ).P))
+    assert main(["gen", "cone", "--base", str(base), "--extra", "2"]) == 0
+    got = parse_form(capsys.readouterr().out)
+    assert got == cone(fermat(2, 3, QQ), extra=2).P and got.nvars == 5
+
+
 def test_rank_one_line_pencil_propagates(cone_file, monkeypatch, capsys):
     """A line's pencil has no rank-one element, so a NotConstantRankTwo from
     it is a bug: analyze_line lets it propagate, and analyze ends with exit 1
@@ -165,7 +222,6 @@ def test_gen_fermat_parses_back(capsys):
     code = main(["gen", "fermat", "--n", "3", "--d", "3", "--field", "Fp:7"])
     out = capsys.readouterr().out
     assert code == 0
-    from fanosing.forms import parse_form
     P = parse_form(out)
     assert P.degree == 3 and P.nvars == 4 and P.field.p == 7
 
@@ -210,6 +266,11 @@ def test_usage_error_is_exit_one(capsys):
     ("pencil-nf", "field Q\nm two\nelement 1,0;0,1\n", 2),
     ("pencil-nf", "field Q\nm -1\n", 2),
     ("lines", "field Fp:7\nvars 4\n1 3 0 0 0\n1 0 x 0 0\n", 4),
+    ("lines", "field Q\nvars 2 7\n1 2 0\n", 2),
+    ("lines", "field Fp:7\nvars 4\n1 3 0 0\n", 3),
+    ("lines", "field Fp:7\nvars 4\n1 3 0 0 0\n1 4 0 0 -1\n", 4),
+    ("pencil-nf", "field Q\nm 2\nelement 1,0;0,1,0\n", 3),
+    ("pencil-nf", "field Q\nm 2\nelement 1,0;0,1\nvector 1,1;0,1\n", 4),
 ])
 def test_malformed_header_is_one_line_error(tmp_path, capsys, command, text,
                                             lineno):
@@ -221,6 +282,47 @@ def test_malformed_header_is_one_line_error(tmp_path, capsys, command, text,
     assert len(err) == 1 and err[0].startswith("error: ")
     assert "line %d" % lineno in err[0] and "needs" in err[0]
     assert "Traceback" not in captured.err + captured.out
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("lines", "field Q\nvars 2\nfield Q\n1 2 0\n",
+     "line 3: repeated 'field' header"),
+    ("lines", "field Q\nvars 2\n1 2 0\nvars 2\n",
+     "line 4: repeated 'vars' header"),
+    ("lines", "field Q\nvars 2\n1/2 2 0\nfield Fp 7\n1 0 2\n",
+     "line 4: repeated 'field' header"),
+    ("lines", "field Fp 5\nfield Fp 7\nvars 2\n1 2 0\n",
+     "line 2: repeated 'field' header"),
+    ("pencil-nf", "m 2\nfield Q\nfield Q\nelement 1,0;0,1\n",
+     "line 3: repeated 'field' header"),
+    ("pencil-nf", "field Q\nm 2\nelement 1,0;0,1\nm 3\n",
+     "line 4: repeated 'm' header"),
+    ("lines", "1 3 0 0 0\nfield Q\nvars 4\n",
+     "line 1: '1 3 0 0 0' comes before the 'field' and 'vars' headers"),
+    ("lines", "field Q\n1 3 0 0 0\nvars 4\n",
+     "line 2: '1 3 0 0 0' comes before the 'field' and 'vars' headers"),
+    ("pencil-nf", "\nm 2\nelement 1,0;0,1\nfield Q\n",
+     "line 3: 'element 1,0;0,1' comes before the 'field' and 'm' headers"),
+    ("pencil-nf", "field Q\nm 2\nelement 1,0\n",
+     "line 3: line spec must be 'v1;v2'"),
+    ("lines", "field Q\n", "missing 'field' or 'vars' header"),
+    ("pencil-nf", "# element 1,0;0,1\n", "missing 'field' or 'm' header"),
+], ids=["form-field-twice", "form-vars-after-terms", "form-field-switch",
+        "form-fp5-then-fp7", "pencil-field-twice", "pencil-m-after-elements",
+        "form-term-first", "form-term-between-headers", "pencil-element-first",
+        "pencil-element-no-semicolon", "form-no-vars", "pencil-no-headers"])
+def test_misplaced_or_missing_header_is_one_line_error(tmp_path, capsys,
+                                                       command, text, message):
+    """Each header appears once, before the first body line: a repeat (or
+    a body line before both headers) is refused at its line, never read
+    as a switch of field or count."""
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    assert main([command, str(path)]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: " + message)
+    assert captured.out == ""
 
 
 _CUBIC = "field Q\nvars 4\n1 3 0 0 0\n1 0 3 0 0\n"
@@ -266,12 +368,23 @@ _CUBIC = "field Q\nvars 4\n1 3 0 0 0\n1 0 3 0 0\n"
     ("", ["gen", "random-with-line", "--p", "7", "--d", "0"],
      "needs degree d >= 1, got d = 0"),
     ("", ["gen", "cone"], "cone needs --base"),
+    ("", ["gen", "random-with-line"], "random-with-line needs --p"),
+    ("", ["ruled", "--k", "2", "--d1", "1,3", "--d2", "2,5", "--twist-p", "3"],
+     "--twist-p needs --twist-l"),
+    ("", ["ruled", "--k", "2", "--d1", "1,3,0", "--d2", "2,5"],
+     "divisor class must be 'a,b'"),
+    (_CUBIC, ["analyze", "{f}", "--line", "1,0,0,0;0,1,0"],
+     "spanning vectors have different lengths"),
+    (_CUBIC, ["analyze", "{f}", "--line", "0,0,1,0;0,0,3,0"],
+     "line frame needs two independent spanning vectors"),
 ], ids=["line-spec", "form-coefficient", "through-point", "field-option-fp0",
         "form-header-fp0", "gen-p0", "form-coefficient-literal",
         "line-spec-literal", "through-point-literal", "pencil-element-literal",
         "through-zero-point", "through-zero-point-mod-p", "field-option-literal",
         "form-header-literal", "pencil-header-literal", "ruled-class-literal",
-        "twist-class-literal", "gen-d0", "gen-cone-no-base"])
+        "twist-class-literal", "gen-d0", "gen-cone-no-base", "gen-random-no-p",
+        "twist-p-without-l", "ruled-class-shape", "line-spec-ragged",
+        "line-spec-dependent"])
 def test_bad_scalar_or_characteristic_is_one_line_error(tmp_path, capsys, form,
                                                         argv, message):
     path = tmp_path / "in.form"

@@ -663,7 +663,8 @@ def test_parse_form_sums_and_cancels_repeats():
     assert Q.terms == {(2, 0): Fr(1, 2)} and Q.degree == 2
     zero = parse_form("field Q\nvars 2\n1 1 1\n-1 1 1\n")
     assert zero.is_zero() and zero.degree == 2 and zero.nvars == 2
-    with pytest.raises(ValueError, match="bad exponent tuple"):
+    with pytest.raises(ValueError, match="line 4: exponent needs a "
+                       "non-negative integer, got '-1'"):
         parse_form("field Q\nvars 2\n1 2 0\n1 3 -1\n")
 
 

@@ -40,6 +40,19 @@ def test_fp_arithmetic():
         a / Fp(0, 7)
 
 
+def test_fp_reflected_and_refusing_operators():
+    """An int on the left goes through __rsub__/__rtruediv__; a Fraction,
+    a float or None on either side is refused, never converted."""
+    assert 3 - Fp(5, 7) == Fp(5, 7)
+    assert 1 / Fp(3, 7) == Fp(5, 7)
+    with pytest.raises(FieldMismatch):
+        Fraction(1, 2) + Fp(1, 7)
+    with pytest.raises(FieldMismatch):
+        Fp(1, 7) * 0.5
+    with pytest.raises(FieldMismatch):
+        Fp(1, 7) - None
+
+
 def test_field_scalar_coercion():
     assert QQ.scalar("3/4") == Fraction(3, 4)
     assert QQ.scalar(2) == Fraction(2)

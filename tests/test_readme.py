@@ -1,18 +1,23 @@
 """The README's library example runs and gives the values its comments
-name, and its exit-code table matches the command line."""
+name, its format blocks parse as written, and its exit-code table matches
+the command line."""
 
 import re
 from pathlib import Path
 
 from fanosing import cli
+from fanosing.forms import parse_form
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
+def _block(heading, lang=""):
+    section = README.read_text().split(heading, 1)[1]
+    return re.search(r"```%s\n(.*?)```" % lang, section, re.S).group(1)
+
+
 def _example_block():
-    text = README.read_text()
-    section = text.split("## Library in one example", 1)[1]
-    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    return _block("## Library in one example", "python")
 
 
 def test_library_example_matches_its_comments():
@@ -23,6 +28,17 @@ def test_library_example_matches_its_comments():
     (point,) = la.certificate.points
     assert point.ambient == (0, 0, 0, 1) and point.multiplicity == 2
     assert la.everyp1.applies
+
+
+def test_format_blocks_parse_as_written(tmp_path, capsys):
+    """The '#' comments of the README's form and pencil blocks are read as
+    comments: the blocks are valid input files as they stand."""
+    P = parse_form(_block("### Form files"))
+    assert (P.degree, P.nvars, str(P.field), len(P.terms)) == (3, 4, "Q", 2)
+    path = tmp_path / "pencil.txt"
+    path.write_text(_block("### Pencil files"))
+    assert cli.main(["pencil-nf", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "block sizes: (2, 1)"
 
 
 def test_exit_code_table_matches_cli():
