@@ -413,19 +413,16 @@ def _substitute(P: MultiForm, vectors, cols=()):
     """[P, d_{c1} P, ...] (c in cols) evaluated on sum_k y_k * vectors[k], as
     forms in the y's: _expand on the int terms of P and the int vectors.
 
-    No independence requirement.  linalg._ints checks the vectors once:
-    residues mod p, or over Q m_k vectors[k], m_k the lcm of its
-    denominators.  With P read as den*P, the int y^f coefficient is
+    No independence requirement.  linalg._ints checks the vectors once,
+    entries and lengths: residues mod p, or over Q m_k vectors[k], m_k the
+    lcm of its denominators.  With P read as den*P, the int y^f coefficient is
     den prod_k m_k^(f_k) times the true one, in P and every partial, so
     over Q a Fraction is built only for each returned coefficient.
     """
     field = P.field
     p = field.p
+    vectors, scales = _ints(vectors, field, P.nvars)
     r = len(vectors)
-    vectors, scales = _ints(vectors, field)
-    for v in vectors:
-        if len(v) != P.nvars:
-            raise ValueError("vector length does not match variable count")
     if cols and P.degree == 0:
         raise ValueError("cannot differentiate a degree-0 form")
     terms, den = _plain_terms(P)
@@ -836,16 +833,16 @@ def binary_roots(f: BinaryForm) -> RootReport:
 # text format
 
 
-def _natural_at(lineno: int, what: str, value: str) -> int:
-    """int(value) if it is a non-negative integer, else a ValueError that
-    names the line."""
+def _natural_at(lineno: int, what: str, value: str, least: int = 0) -> int:
+    """int(value) if it is an integer >= least (0 or 1), else a ValueError
+    that names the line."""
     try:
-        if int(value) >= 0:
+        if int(value) >= least:
             return int(value)
     except ValueError:
         pass
-    raise ValueError("line %d: %s needs a non-negative integer, got %r"
-                     % (lineno, what, value))
+    raise ValueError("line %d: %s needs a %s integer, got %r" % (
+        lineno, what, "positive" if least else "non-negative", value))
 
 
 def _at(where: str, parse, value: str):
@@ -856,9 +853,9 @@ def _at(where: str, parse, value: str):
         raise ValueError("%s: %s" % (where, e)) from None
 
 
-def _headed_lines(text: str, count: str):
+def _headed_lines(text: str, count: str, least: int = 0):
     """(field, k, [(lineno, tokens), ...]) of an input file: a 'field'
-    header and a header `count` with the non-negative integer k, each once,
+    header and a header `count` with an integer k >= least, each once,
     in either order, before the body lines.  '#' starts a comment; a
     header's value is the rest of its line; every error names its line.
     """
@@ -881,7 +878,7 @@ def _headed_lines(text: str, count: str):
         elif key == "field":
             heads[key] = _at("line %d" % lineno, parse_field, value)
         else:
-            heads[key] = _natural_at(lineno, "'%s'" % key, value)
+            heads[key] = _natural_at(lineno, "'%s'" % key, value, least)
     if len(heads) < 2:
         raise ValueError("missing 'field' or '%s' header" % count)
     return heads["field"], heads[count], lines
@@ -898,7 +895,7 @@ def parse_form(text: str) -> MultiForm:
     Each header appears once, in either order, before the first term line
     (see _headed_lines); repeated monomials are summed.
     """
-    field, nvars, body = _headed_lines(text, "vars")
+    field, nvars, body = _headed_lines(text, "vars", 1)
     terms = {}
     for lineno, toks in body:
         if len(toks) != nvars + 1:

@@ -9,7 +9,8 @@ Everything below the scalar layer computes on plain ints: residues mod
 p, or integer rows over Q, where a vector is an int row with a nonzero
 scale (the row divided by its scale) and an echelon row's scale is its
 pivot entry.  Scalars enter through `_ints`, the one checked int entry
-(every entry is checked once; the form code uses it too), and leave
+(every entry is checked once, and every row's length when the caller
+names a width; the form code uses it too), and leave
 through `_scalars`, which builds `Fp` and `Fraction` only for what is
 returned.  Between them there is one echelon kernel (`_echelon`), run at
 most once by each int helper for a subspace operation: `_null_space` (on
@@ -266,13 +267,18 @@ def unit_vectors(field: Field, n: int, cols) -> list:
     return [tuple(one if j == c else zero for j in range(n)) for c in cols]
 
 
-def _ints(rows, field: Field) -> tuple:
+def _ints(rows, field: Field, width: int | None = None) -> tuple:
     """(int rows, scales): the rows of field scalars or ints as lists of
     ints, every entry checked, and the nonzero int each row was scaled by.
     Over F_p the residues in [0, p), each scale 1; over Q each row times
     its scale, the lcm of its denominators.  Anything but an Fp of this
     field (a Fraction over Q) goes through field.strict, which converts ints
-    and raises FieldMismatch for values of another field."""
+    and raises FieldMismatch for values of another field.  With width given
+    every row must have width entries, else ValueError 'ragged matrix'."""
+    if width is not None:
+        rows = list(rows)
+        if any(len(row) != width for row in rows):
+            raise ValueError("ragged matrix: vector length is not %d" % width)
     p = field.p
     if p:
         out = [[x.v if type(x) is Fp and x.p == p else field.strict(x).v
@@ -472,11 +478,10 @@ def _complement(inner, pivots, p: int) -> list:
     return [k for k in range(len(cols)) if k not in skip]
 
 
-def _checked_echelon(rows, field: Field):
-    """_echelon of the _ints rows, after the ragged-matrix check."""
-    mat, _ = _ints(rows, field)
-    if any(len(row) != len(mat[0]) for row in mat):
-        raise ValueError("ragged matrix")
+def _checked_echelon(rows, field: Field, width: int | None = None):
+    """_echelon of the _ints rows, all width (or the first row's) long."""
+    rows = list(rows)
+    mat, _ = _ints(rows, field, len(rows[0]) if width is None and rows else width)
     return _echelon(mat, field.p)
 
 
@@ -509,12 +514,9 @@ def solve_combination(rows, target, field: Field):
     sum y_i*s_i*rows[i] == t*target, so x_i = y_i*s_i/t.
     """
     (vec,), (t,) = _ints([target], field)
-    rows = list(rows)
-    if not rows:
+    ints, scales = _ints(rows, field, len(vec))
+    if not ints:
         return [] if not any(vec) else None
-    if len(vec) != len(rows[0]):
-        raise ValueError("length mismatch")
-    ints, scales = _ints(rows, field)
     sol = _solve(ints, [vec], field.p)
     if sol is None:
         return None
@@ -568,10 +570,8 @@ class Subspace:
             if not vectors:
                 raise ValueError("ambient_dim required for an empty generating set")
             ambient_dim = len(vectors[0])
-        for v in vectors:
-            if len(v) != ambient_dim:
-                raise ValueError("vector length %d != ambient dim %d" % (len(v), ambient_dim))
-        return cls._of(field, ambient_dim, *_checked_echelon(vectors, field))
+        return cls._of(field, ambient_dim,
+                       *_checked_echelon(vectors, field, ambient_dim))
 
     @classmethod
     def zero(cls, field: Field, ambient_dim: int):
@@ -591,11 +591,7 @@ class Subspace:
 
     def contains_vectors(self, vectors) -> bool:
         """Whether every vector lies here; one _reduce pass for them all."""
-        vectors, _ = _ints(vectors, self.field)
-        for v in vectors:
-            if len(v) != self.ambient_dim:
-                raise ValueError("vector length %d != ambient dim %d"
-                                 % (len(v), self.ambient_dim))
+        vectors, _ = _ints(vectors, self.field, self.ambient_dim)
         reduced = _reduce(*self.ints, vectors, self.field.p)
         return not any(any(r) for r, _ in reduced)
 
@@ -638,13 +634,10 @@ def kernel(rows, field: Field, ncols: int | None = None) -> Subspace:
     """Right null space {v : M v = 0} as a canonical Subspace: _kernel of
     the checked int rows."""
     rows = list(rows)
-    if rows:
-        ncols = len(rows[0])
-    elif ncols is None:
+    ncols = len(rows[0]) if ncols is None and rows else ncols
+    if ncols is None:
         raise ValueError("ncols required for a matrix with no rows")
-    mat, _ = _ints(rows, field)
-    if any(len(row) != ncols for row in mat):
-        raise ValueError("ragged matrix")
+    mat, _ = _ints(rows, field, ncols)
     return _kernel(mat, ncols, field)
 
 

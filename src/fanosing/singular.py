@@ -13,7 +13,7 @@ P's terms, (c, ((i, k), ...)) on ints: residues mod p, or over Q the terms
 of D*P at a point scaled to ints, good only for zero tests.  The terms are
 read once per hypersurface (Hypersurface.plain_form).  The scans run
 on residue tuples mod p, and certified points on the frame's int rows
-(LineFrame.ints); each builds scalars only for what it returns.  A scan
+(tangent._frame_ints); each builds scalars only for what it returns.  A scan
 evaluates P at a point once (_value) and takes its gradient only on X.
 """
 
@@ -27,10 +27,10 @@ from .forms import (BinaryForm, _expand, binary_gcd, binary_roots,
                     projective_normalize)
 from .ideal import (GeneratorSet, IdealFiltration, build_filtration,
                     contains_image_sigma, extract_generators)
-from .linalg import Field, FieldMismatch, _ints, plain
+from .linalg import Field, _ints, plain
 from .pencil import NormalForm, normal_form
 from .tangent import (Hypersurface, LineFrame, PlaneNotContained, TangentReport,
-                      analyze_tangent)
+                      _frame_ints, analyze_tangent)
 
 
 # largest point or candidate list a scan builds unless a caller passes its own
@@ -131,20 +131,10 @@ def is_singular_at(X: Hypersurface, point) -> bool:
     return grad is not None and not any(grad)
 
 
-def _line_rows(X: Hypersurface, frame: LineFrame):
-    """The frame's int rows, once its field and length match X's."""
-    if frame.field != X.field:
-        raise FieldMismatch("field mismatch: %s vs %s" % (frame.field, X.field))
-    if frame.ambient_dim != X.n + 1:
-        raise ValueError("point has %d coordinates, form has %d variables"
-                         % (frame.ambient_dim, X.n + 1))
-    return frame.ints[0]
-
-
 def singular_on_line(X: Hypersurface, frame: LineFrame,
                      filt: IdealFiltration) -> SingularCertificate:
     """Certified singular points at the common zeros of the generators."""
-    r1, r2 = _line_rows(X, frame)
+    (r1, r2), _ = _frame_ints(X, frame)
     gcd = binary_gcd(filt.gens.forms())
     if gcd.degree == 0:
         return SingularCertificate(points=(), whole_line=False, gcd_form=gcd,
@@ -177,7 +167,7 @@ def certify_entire_line(X: Hypersurface, frame: LineFrame,
     the gradient vanishes on E exactly when every (w_j -| P)|_E does, i.e.
     when sigma is zero.  Raises if the line is not entirely singular.
     """
-    r1, r2 = _line_rows(X, frame)
+    (r1, r2), _ = _frame_ints(X, frame)
     if any(any(row) for row in tangent.sigma_ints[0]):
         raise ValueError("line is not entirely singular")
     for x in (r1, r2, [u + v for u, v in zip(r1, r2)]):

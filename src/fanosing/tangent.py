@@ -185,6 +185,16 @@ class TangentReport:
         return tuple(_scalars(rows, [scale] * len(rows), self.pi.field))
 
 
+def _frame_ints(X: Hypersurface, frame: LineFrame) -> tuple:
+    """frame.ints, once the frame's field and length match X's: the one
+    check of a frame against its hypersurface."""
+    if frame.field != X.field:
+        raise FieldMismatch("field mismatch: %s vs %s" % (frame.field, X.field))
+    if frame.ambient_dim != X.n + 1:
+        raise ValueError("vector length does not match variable count")
+    return frame.ints
+
+
 def restricted_contractions(X: Hypersurface, frame: LineFrame):
     """((w_j -| P)|_E for the frame's complement w_1, ..., w_{n-1}, scale):
     each form as the int coefficients of s^(d-1), s^(d-2) t, ..., t^(d-1),
@@ -193,12 +203,8 @@ def restricted_contractions(X: Hypersurface, frame: LineFrame):
     and e2 are scaled by one common lcm m of their denominators, so
     scale = den * m^(d-1); over F_p it is 1.
     """
-    if X.field != frame.field:
-        raise FieldMismatch("field mismatch between hypersurface and frame")
+    rows, m = _frame_ints(X, frame)
     terms, p, den = X.plain_form
-    rows, m = frame.ints
-    if len(rows[0]) != X.n + 1:
-        raise ValueError("vector length does not match variable count")
     on_line, *fs = _expand(terms, rows, frame.cols, X.d, p)
     if on_line:
         raise PlaneNotContained("plane not contained in hypersurface")

@@ -267,6 +267,7 @@ def test_usage_error_is_exit_one(capsys):
     ("pencil-nf", "field Q\nm -1\n", 2),
     ("lines", "field Fp:7\nvars 4\n1 3 0 0 0\n1 0 x 0 0\n", 4),
     ("lines", "field Q\nvars 2 7\n1 2 0\n", 2),
+    ("lines", "field Q\nvars 0\n1\n", 2),
     ("lines", "field Fp:7\nvars 4\n1 3 0 0\n", 3),
     ("lines", "field Fp:7\nvars 4\n1 3 0 0 0\n1 4 0 0 -1\n", 4),
     ("pencil-nf", "field Q\nm 2\nelement 1,0;0,1,0\n", 3),

@@ -118,6 +118,10 @@ def test_restrict_to_three_vectors_gives_multiform():
     assert isinstance(R, MultiForm)
     assert R.nvars == 3
     assert R == mono(QQ, 3, (2, 0, 1))
+    # a short vector, first among longer ones or with all of them short
+    for basis in ([(1, 0, 0, 0), (0, 1, 0)], [(1, 0, 0), (0, 1, 0), (0, 0, 1)]):
+        with pytest.raises(ValueError, match="ragged matrix"):
+            restrict_to_plane(P, basis)
 
 
 def _expand_on_span(P, basis):

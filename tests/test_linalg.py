@@ -216,6 +216,17 @@ def test_rref_rejects_foreign_and_ragged():
         rref([F(1, 2), F(1)], QQ)
     with pytest.raises(ValueError, match="ragged matrix"):
         rref([(F7.one(),), (F7.one(), F7.zero())], F7)
+    # a short or long row in the other entry points' systems
+    for rows, target in (([(1, 0), (0, 1, 5)], (1, 1)),
+                         ([(1, 0, 0), (0, 1)], (1, 1, 0))):
+        with pytest.raises(ValueError, match="ragged matrix"):
+            solve_combination(rows, target, QQ)
+    with pytest.raises(ValueError, match="ragged matrix"):
+        Subspace.from_vectors([F(1, 0, 0), F(0, 1)], QQ)
+    with pytest.raises(ValueError, match="ragged matrix"):
+        Subspace.from_vectors([F(1, 0)], QQ, 3)
+    with pytest.raises(ValueError, match="ragged matrix"):
+        Subspace.full(F7, 3).contains_vectors([(1, 0, 0), (1, 0)])
 
 
 def test_kernel_frozen():
@@ -255,6 +266,8 @@ def test_kernel_matches_scalar_null_space(case):
 def test_kernel_rejects_ragged_and_missing_ncols():
     with pytest.raises(ValueError, match="ragged matrix"):
         kernel([F(1, 2), F(1)], QQ)
+    with pytest.raises(ValueError, match="ragged matrix"):
+        kernel([F(1, 2)], QQ, ncols=3)
     with pytest.raises(ValueError, match="ncols required"):
         kernel([], QQ)
     with pytest.raises(FieldMismatch):

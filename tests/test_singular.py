@@ -5,6 +5,7 @@ import random
 import time
 from fractions import Fraction as Fr
 from itertools import product
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -25,7 +26,7 @@ from fanosing.singular import (BudgetExceeded, CharacteristicRefused,
                                lines_through, projective_points,
                                singular_on_line, singular_points)
 from fanosing.tangent import Hypersurface, LineFrame, analyze_tangent
-from helpers import combine
+from helpers import combine, moved, planted
 
 F3 = parse_field("Fp:3")
 F5 = parse_field("Fp:5")
@@ -119,8 +120,8 @@ def test_foreign_frame_raises_field_mismatch():
     with pytest.raises(FieldMismatch, match="field mismatch: Fp:7 vs Fp:13"):
         certify_entire_line(X, LineFrame(F7, *line), la.tangent)
     for field in (F7, QQ):
-        with pytest.raises(FieldMismatch, match="^field mismatch between "
-                                                "hypersurface and frame$"):
+        with pytest.raises(FieldMismatch,
+                           match="^field mismatch: %s vs Fp:13$" % field):
             analyze_tangent(X, LineFrame(field, *line))
     rep7 = analyze_tangent(cone(fermat(2, 3, F7)), LineFrame(F7, *line))
     with pytest.raises(FieldMismatch, match="^field mismatch between "
@@ -515,6 +516,63 @@ def test_change_of_coordinates_oracle():
             assert _certified(la_a, field, cols) == want_pts, (X.P, cols)
             points += len(want_pts)
     assert points >= 100
+
+
+def _reduced_point(x, F):
+    """The Q point x mod p, normalized: from its primitive int multiple,
+    which is nonzero mod every p."""
+    ints = [c * lcm(*(c.denominator for c in x)) for c in x]
+    g = gcd(*(c.numerator for c in ints))
+    return projective_normalize([F.scalar(c.numerator // g) for c in ints], F)
+
+
+def test_q_certified_points_reduce_into_fp_certificates():
+    """A Q-certified point is a singular point of X on E, so its reduction
+    mod a good p is a singular point of X mod p on E mod p, and the F_p
+    certificate, whose points are all the rational common zeros of the
+    contractions (w_j -| P)|_E, lists it.  Inclusion, not equality: mod p
+    the gcd can split further.  Lines: the cone over the Fermat cubic and
+    planted forms over Q whose generators share a root, on the planted line
+    and moved; a prime dividing a denominator or moving the frame's pivot
+    columns is skipped."""
+    rng = random.Random(28)
+
+    def q():
+        return Fr(rng.randint(-9, 9), rng.choice((1, 2, 3, 7, 11, 13)))
+
+    def nz():
+        return next(x for x in iter(q, None) if x)
+
+    cases = [(cone(fermat(2, 3, QQ)), LineFrame(QQ, (1, -1, 0, 0), (0, 0, 0, 1)))]
+    while len(cases) < 48:
+        n, d = rng.randint(2, 5), rng.randint(2, 4)
+        P = planted(QQ, n, d, rng, q, nz, double=False)
+        if P.is_zero():
+            continue
+        X, fr = moved(P, rng, q) if rng.random() < 0.5 else (
+            Hypersurface(P), LineFrame(QQ, *[[int(i == j) for i in range(n + 1)]
+                                             for j in (0, 1)]))
+        if not X.P.is_zero() and analyze_line(X, fr).certificate.points:
+            cases.append((X, fr))
+    compared = 0
+    for X, fr in cases:
+        points = analyze_line(X, fr).certificate.points
+        dens = [c.denominator for c in (*X.P.terms.values(), *fr.e1, *fr.e2)]
+        for p in (11, 13, 101):
+            F = parse_field("Fp:%d" % p)
+            if any(den % p == 0 for den in dens):
+                continue
+            e1, e2 = (tuple(map(F.scalar, e)) for e in (fr.e1, fr.e2))
+            if rank([e1, e2], F) < 2 or LineFrame(F, e1, e2).cols != fr.cols:
+                continue
+            cert = analyze_line(Hypersurface(X.P.reduce_mod(p)),
+                                LineFrame(F, e1, e2)).certificate
+            listed = {sp.ambient for sp in cert.points}
+            for sp in points:
+                assert cert.whole_line or _reduced_point(sp.ambient, F) in listed, \
+                    (X.P, fr, p, sp)
+                compared += 1
+    assert compared >= 50
 
 
 def _gradient_oracle(X, x):

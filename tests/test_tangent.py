@@ -11,6 +11,8 @@ from fanosing import tangent
 from fanosing.corpus import cone, fermat, random_with_line
 from fanosing.forms import BinaryForm, MultiForm, contract, restrict_to_plane
 from fanosing.linalg import QQ, Subspace, kernel, parse_field, unit_vectors
+from fanosing.singular import (analyze_line, certify_entire_line,
+                               singular_on_line)
 from fanosing.tangent import (Hypersurface, LineFrame, PlaneNotContained,
                               TangentReport, analyze_tangent, compute_pi,
                               restricted_contractions, sigma,
@@ -91,14 +93,20 @@ def test_fermat_line_is_rigid(fermat_cubic):
 
 def test_plane_not_contained(fermat_cubic):
     """A line off X, and a frame of the wrong length, keep their messages
-    now that sigma reads the frame's cached int rows."""
-    X, _ = fermat_cubic
+    now that sigma reads the frame's cached int rows; both certificates
+    check the frame as restricted_contractions does."""
+    X, fr = fermat_cubic
     with pytest.raises(PlaneNotContained,
                        match="^plane not contained in hypersurface$"):
         sigma(X, LineFrame(QQ, (1, 0, 0, 0), (0, 1, 0, 0)))
-    with pytest.raises(ValueError,
-                       match="^vector length does not match variable count$"):
-        restricted_contractions(X, LineFrame(QQ, (1, -1, 0), (0, 0, 1)))
+    la = analyze_line(X, fr)
+    short = LineFrame(QQ, (1, -1, 0), (0, 0, 1))
+    for check in (lambda: restricted_contractions(X, short),
+                  lambda: singular_on_line(X, short, la.filt),
+                  lambda: certify_entire_line(X, short, la.tangent)):
+        with pytest.raises(ValueError, match="^vector length does not match "
+                                             "variable count$"):
+            check()
 
 
 def _interp_linear_term(P, e1, e2, w1, w2):
