@@ -45,6 +45,17 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
+def _budget(text: str) -> int:
+    """--budget's value: an integer >= 0 (0 reports the estimate)."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
+    if n < 0:
+        raise argparse.ArgumentTypeError("needs a non-negative integer, got %d" % n)
+    return n
+
+
 def _scal(c):
     """A JSON scalar: an int, or an 'a/b' string for a non-integral rational."""
     c = plain(c)
@@ -382,14 +393,14 @@ def build_parser() -> _Parser:
     pl = sub.add_parser("lines", help="enumerate lines on X over F_p")
     pl.add_argument("form")
     pl.add_argument("--through", help="a point, e.g. '[1:0:0:0]' or '1,0,0,0'")
-    pl.add_argument("--budget", type=int, default=_BUDGET)
+    pl.add_argument("--budget", type=_budget, default=_BUDGET)
     pl.add_argument("--field")
     pl.add_argument("--json")
     pl.set_defaults(func=cmd_lines)
 
     pc = sub.add_parser("conjecture", help="survey all lines on X over F_p")
     pc.add_argument("form")
-    pc.add_argument("--budget", type=int, default=_BUDGET)
+    pc.add_argument("--budget", type=_budget, default=_BUDGET)
     pc.add_argument("--force", action="store_true",
                     help="proceed even when the characteristic <= degree")
     pc.add_argument("--field")

@@ -2,12 +2,14 @@
 
 MultiForm is a sparse homogeneous polynomial in n+1 ambient variables;
 BinaryForm is a dense homogeneous form on a line, written in the dual
-coordinates (s, t) of a chosen basis of the line.  Binary-form product,
-division, gcd and factoring share one dense univariate kernel on plain
-values: ints mod p (mod p^k while lifting) or Fractions.  binary_roots
-factors a form into irreducibles in time polynomial in log p and in the
-coefficient size: over F_p by distinct- and equal-degree splitting, over Q
-by Hensel-lifting a factorization mod a small prime.
+coordinates (s, t) of a chosen basis of the line.  Both take -, *, **, ==,
+evaluate and repr from one private base, _Form, which reads each class's
+storage through a few hooks.  Binary-form product, division, gcd and
+factoring share one dense univariate kernel on plain values: ints mod p
+(mod p^k while lifting) or Fractions.  binary_roots factors a form into
+irreducibles in time polynomial in log p and in the coefficient size: over
+F_p by distinct- and equal-degree splitting, over Q by Hensel-lifting a
+factorization mod a small prime.
 
 Contraction convention: contract(v, P) is the directional derivative D_v P,
 *not* divided by the degree.  All identities downstream (restricted
@@ -50,7 +52,76 @@ class CharacteristicTooSmall(ValueError):
     """Polarization denominators vanish: characteristic <= degree."""
 
 
-class MultiForm:
+class _Form:
+    """The ring API of both form classes.  A subclass supplies field, nvars,
+    degree, is_zero, + and scale, sorted_terms() (the (exponents, nonzero
+    coefficient) pairs, exponents descending), _one(), _times(other) (the
+    product of two forms of its class), _names() and _zero_repr()."""
+
+    __slots__ = ()
+
+    def _check(self, other, same_degree=True):
+        if self.field != other.field:
+            raise FieldMismatch("field mismatch: %s vs %s" % (self.field, other.field))
+        if self.nvars != other.nvars:
+            raise ValueError("variable counts differ")
+        if same_degree and self.degree != other.degree:
+            raise ValueError("degrees differ: %d vs %d" % (self.degree, other.degree))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def __mul__(self, other):
+        if not isinstance(other, type(self)):
+            return self.scale(other)
+        self._check(other, same_degree=False)
+        return self._times(other)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k: int):
+        if k < 0:
+            raise ValueError("negative power")
+        result, base = self._one(), self
+        while k:
+            if k & 1:
+                result = result * base
+            base = base * base if k > 1 else base
+            k >>= 1
+        return result
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.field == other.field and self.nvars == other.nvars
+                and self.degree == other.degree
+                and self.sorted_terms() == other.sorted_terms())
+
+    def evaluate(self, point):
+        """The form at point as one field scalar; the point is checked
+        against the field first."""
+        point = self.field.vector(point)
+        if len(point) != self.nvars:
+            raise ValueError("point has %d coordinates, form has %d variables"
+                             % (len(point), self.nvars))
+        return sum((c * math.prod(x**k for x, k in zip(point, e) if k)
+                    for e, c in self.sorted_terms()), self.field.zero())
+
+    def __repr__(self):
+        if self.is_zero():
+            return self._zero_repr()
+        bits, names = [], self._names()
+        for e, c in self.sorted_terms():
+            mono = "*".join("%s^%d" % (v, k) if k > 1 else v
+                            for v, k in zip(names, e) if k)
+            bits.append("%s*%s" % (c, mono) if mono else str(c))
+        return " + ".join(bits)
+
+
+class MultiForm(_Form):
     """Sparse homogeneous form: exponent tuple -> nonzero coefficient.
 
     Immutable by convention; arithmetic returns new instances.  The zero
@@ -92,14 +163,6 @@ class MultiForm:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def _check(self, other: "MultiForm", same_degree=True):
-        if self.field != other.field:
-            raise FieldMismatch("field mismatch: %s vs %s" % (self.field, other.field))
-        if self.nvars != other.nvars:
-            raise ValueError("variable counts differ")
-        if same_degree and self.degree != other.degree:
-            raise ValueError("degrees differ: %d vs %d" % (self.degree, other.degree))
-
     def __add__(self, other):
         self._check(other)
         terms = dict(self.terms)
@@ -107,22 +170,15 @@ class MultiForm:
             terms[e] = terms.get(e, self.field.zero()) + c
         return MultiForm(self.field, self.nvars, self.degree, terms)
 
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return MultiForm(self.field, self.nvars, self.degree,
-                         {e: -c for e, c in self.terms.items()})
-
     def scale(self, c):
         c = self.field.scalar(c)
         return MultiForm(self.field, self.nvars, self.degree,
                          {e: c * v for e, v in self.terms.items()})
 
-    def __mul__(self, other):
-        if not isinstance(other, MultiForm):
-            return self.scale(other)
-        self._check(other, same_degree=False)
+    def _one(self):
+        return MultiForm(self.field, self.nvars, 0, {(0,) * self.nvars: 1})
+
+    def _times(self, other):
         terms = {}
         zero = self.field.zero()
         for e1, c1 in self.terms.items():
@@ -130,26 +186,6 @@ class MultiForm:
                 e = tuple(a + b for a, b in zip(e1, e2))
                 terms[e] = terms.get(e, zero) + c1 * c2
         return MultiForm(self.field, self.nvars, self.degree + other.degree, terms)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative power")
-        result = MultiForm(self.field, self.nvars, 0, {(0,) * self.nvars: 1})
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
-
-    def __eq__(self, other):
-        if not isinstance(other, MultiForm):
-            return NotImplemented
-        return (self.field == other.field and self.nvars == other.nvars
-                and self.degree == other.degree and self.terms == other.terms)
 
     def partial(self, i: int) -> "MultiForm":
         """Partial derivative with respect to variable i (degree drops by 1)."""
@@ -164,42 +200,27 @@ class MultiForm:
             terms[ne] = terms.get(ne, zero) + c * e[i]
         return MultiForm(self.field, self.nvars, self.degree - 1, terms)
 
-    def evaluate(self, point):
-        """P(point) as one field scalar; the point is checked against the
-        field first."""
-        point = self.field.vector(point)
-        if len(point) != self.nvars:
-            raise ValueError("point has %d coordinates, form has %d variables"
-                             % (len(point), self.nvars))
-        return sum((c * math.prod(x**k for x, k in zip(point, e) if k)
-                    for e, c in self.terms.items()), self.field.zero())
-
     def reduce_mod(self, p: int) -> "MultiForm":
         """Reduce a rational form modulo a prime (denominators must be units)."""
         if not self.field.is_rational:
             raise ValueError("reduce_mod applies to rational forms")
-        fp = Field(p)
-        return MultiForm(fp, self.nvars, self.degree,
-                         {e: fp.scalar(c) for e, c in self.terms.items()})
+        return MultiForm(Field(p), self.nvars, self.degree, self.terms)
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
 
-    def __repr__(self):
-        if self.is_zero():
-            return "MultiForm(0; deg %d, %d vars, %s)" % (self.degree, self.nvars, self.field)
-        bits = []
-        for e, c in self.sorted_terms():
-            mono = "*".join("x%d^%d" % (i, k) if k > 1 else "x%d" % i
-                            for i, k in enumerate(e) if k)
-            bits.append("%s*%s" % (c, mono) if mono else str(c))
-        return " + ".join(bits)
+    def _names(self):
+        return ["x%d" % i for i in range(self.nvars)]
+
+    def _zero_repr(self):
+        return "MultiForm(0; deg %d, %d vars, %s)" % (self.degree, self.nvars, self.field)
 
 
-class BinaryForm:
+class BinaryForm(_Form):
     """Dense homogeneous form on a line: coeffs[i] multiplies s^(d-i) t^i."""
 
     __slots__ = ("field", "coeffs")
+    nvars = 2
 
     def __init__(self, field: Field, coeffs):
         coeffs = tuple(field.scalar(c) for c in coeffs)
@@ -224,56 +245,23 @@ class BinaryForm:
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
-    def _check(self, other: "BinaryForm", same_degree=True):
-        if self.field != other.field:
-            raise FieldMismatch("field mismatch: %s vs %s" % (self.field, other.field))
-        if same_degree and self.degree != other.degree:
-            raise ValueError("degrees differ: %d vs %d" % (self.degree, other.degree))
-
     def __add__(self, other):
         self._check(other)
         return BinaryForm(self.field, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return BinaryForm(self.field, tuple(-c for c in self.coeffs))
 
     def scale(self, c):
         c = self.field.scalar(c)
         return BinaryForm(self.field, tuple(c * v for v in self.coeffs))
 
-    def __mul__(self, other):
-        if not isinstance(other, BinaryForm):
-            return self.scale(other)
-        self._check(other, same_degree=False)
+    def _one(self):
+        return BinaryForm(self.field, (1,))
+
+    def _times(self, other):
         a, m = _plain_coeffs(self)
         return BinaryForm(self.field, _umul(a, _plain_coeffs(other)[0], m))
 
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative power")
-        result = BinaryForm(self.field, (self.field.one(),))
-        for _ in range(k):
-            result = result * self
-        return result
-
-    def __eq__(self, other):
-        if not isinstance(other, BinaryForm):
-            return NotImplemented
-        return (self.field == other.field and self.coeffs == other.coeffs)
-
     def evaluate(self, a, b):
-        a, b = self.field.scalar(a), self.field.scalar(b)
-        d = self.degree
-        total = self.field.zero()
-        for i, c in enumerate(self.coeffs):
-            if c:
-                total = total + c * a**(d - i) * b**i
-        return total
+        return super().evaluate((self.field.scalar(a), self.field.scalar(b)))
 
     def monic(self):
         """Scale so the earliest nonzero coefficient is 1."""
@@ -295,21 +283,15 @@ class BinaryForm:
                 return self.degree - i
         raise ValueError("zero form")
 
-    def __repr__(self):
-        if self.is_zero():
-            return "BinaryForm(0; deg %d, %s)" % (self.degree, self.field)
+    def sorted_terms(self):
         d = self.degree
-        bits = []
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            mono = []
-            if d - i:
-                mono.append("s^%d" % (d - i) if d - i > 1 else "s")
-            if i:
-                mono.append("t^%d" % i if i > 1 else "t")
-            bits.append("%s*%s" % (c, "*".join(mono)) if mono else str(c))
-        return " + ".join(bits)
+        return [((d - i, i), c) for i, c in enumerate(self.coeffs) if c]
+
+    def _names(self):
+        return ("s", "t")
+
+    def _zero_repr(self):
+        return "BinaryForm(0; deg %d, %s)" % (self.degree, self.field)
 
 
 # ---------------------------------------------------------------------------
@@ -719,30 +701,24 @@ def _factor_q(core):
 # binary form division, gcd, roots
 
 
-def _binary_divmod(f: BinaryForm, g: BinaryForm):
-    """(q, r) with f = q*g + r in the chart s=1, re-homogenized; q may be None
-    when no homogeneous quotient of degree deg f - deg g exists."""
+def binary_divide(f: BinaryForm, g: BinaryForm) -> BinaryForm:
+    """Exact quotient f/g of binary forms, divided in the chart s=1 and
+    re-homogenized; NotDivisible carries the remainder, or f itself when
+    no homogeneous quotient of degree deg f - deg g exists."""
     f._check(g, same_degree=False)
     if g.is_zero():
         raise ZeroDivisionError("division by the zero form")
     df, dg = f.degree, g.degree
-    if df < dg:
-        return None, f
-    a, m = _plain_coeffs(f)
-    uq, r = _udivmod(a, _trim(_plain_coeffs(g)[0]), m)
-    # t-degree of the quotient may not exceed df - dg (s-power obstruction)
-    if any(uq[df - dg + 1:]):
-        return None, f
-    return (BinaryForm(f.field, uq[:df - dg + 1]),
-            BinaryForm(f.field, r + [0] * (df + 1 - len(r))))
-
-
-def binary_divide(f: BinaryForm, g: BinaryForm) -> BinaryForm:
-    """Exact quotient f/g of binary forms; NotDivisible carries the remainder."""
-    q, r = _binary_divmod(f, g)
-    if q is None or not r.is_zero():
-        raise NotDivisible("binary form is not divisible", remainder=r)
-    return q
+    rem = f
+    if df >= dg:
+        a, m = _plain_coeffs(f)
+        uq, r = _udivmod(a, _trim(_plain_coeffs(g)[0]), m)
+        # t-degree of the quotient may not exceed df - dg (s-power obstruction)
+        if not any(uq[df - dg + 1:]):
+            if not r:
+                return BinaryForm(f.field, uq[:df - dg + 1])
+            rem = BinaryForm(f.field, r + [0] * (df + 1 - len(r)))
+    raise NotDivisible("binary form is not divisible", remainder=rem)
 
 
 def binary_gcd(forms) -> BinaryForm:

@@ -8,13 +8,13 @@ gradient), enumerates lines over small finite fields by echelon position,
 and packages a replay-friendly survey of a whole hypersurface.  Candidate
 lines start at a point of X and run over the kernel of its first polar.
 
-The gradient re-check and the point and line scans share one pass over
-P's terms, (c, ((i, k), ...)) on ints: residues mod p, or over Q the terms
-of D*P at a point scaled to ints, good only for zero tests.  The terms are
-read once per hypersurface (Hypersurface.plain_form).  The scans run
-on residue tuples mod p, and certified points on the frame's int rows
-(tangent._frame_ints); each builds scalars only for what it returns.  A scan
-evaluates P at a point once (_value) and takes its gradient only on X.
+The gradient re-checks and the point and line scans read P's terms,
+(c, ((i, k), ...)) on ints, once per hypersurface (Hypersurface.plain_form):
+residues mod p, or over Q the terms of D*P at a point scaled to ints, good
+only for zero tests.  Every point test evaluates P once (_value) and takes
+the gradient (_polar) only on X; _singular_at is the two together.  The
+scans run on residue tuples mod p, and certified points on the frame's int
+rows (tangent._frame_ints); each builds scalars only for what it returns.
 """
 
 from __future__ import annotations
@@ -81,30 +81,41 @@ class SingularCertificate:
 
 
 def _polar(form, x):
-    """The gradient g of P at the int point x, or None when P(x) != 0.
+    """The gradient g of P at the int point x.
 
-    One pass over P's terms on ints: a term c x^e adds c x^e to P(x) and
-    e_i c x^(e - unit_i) to d_i P(x).  sum g_i w_i is the s^(d-1) t
-    coefficient of P(s x + t w), so it vanishes in every characteristic when
-    span(x, w) is on X.  Over Q, with form D*P and x = m x', g is
-    D m^(d-1) times the gradient at x': right only about which entries vanish.
+    One pass over P's terms on ints: a term c x^e adds e_i c x^(e - unit_i)
+    to d_i P(x).  sum g_i w_i is the s^(d-1) t coefficient of P(s x + t w),
+    so it vanishes in every characteristic when span(x, w) is on X.  Over Q,
+    with form D*P and x = m x', g is D m^(d-1) times the gradient at x':
+    right only about which entries vanish.
     """
     terms, p, _ = form
-    value, grad = 0, [0] * len(x)
+    grad = [0] * len(x)
     for c, e in terms:
-        term = c
-        for i, k in e:
-            term *= x[i] ** k
-        value += term
         for i, k in e:
             part = c * k * x[i] ** (k - 1)
             for i2, k2 in e:
                 if i2 != i:
                     part *= x[i2] ** k2
             grad[i] += part
-    if p:
-        return None if value % p else [g % p for g in grad]
-    return None if value else grad
+    return [g % p for g in grad] if p else grad
+
+
+def _value(form, x) -> int:
+    """P(x) at an int point: mod p over F_p; over Q D m^d P(x') for
+    x = m x', right only about whether it vanishes."""
+    terms, p, _ = form
+    total = 0
+    for c, e in terms:
+        for i, k in e:
+            c *= x[i] ** k
+        total += c
+    return total % p if p else total
+
+
+def _singular_at(form, x) -> bool:
+    """Whether P and its gradient vanish at the int point x."""
+    return not _value(form, x) and not any(_polar(form, x))
 
 
 def _checked_point(X: Hypersurface, point) -> tuple:
@@ -121,14 +132,13 @@ def _checked_point(X: Hypersurface, point) -> tuple:
 def is_singular_at(X: Hypersurface, point) -> bool:
     """Gradient test: P and all its partials vanish at the point.
 
-    One pass over X.plain_form on ints, the _polar the line scans use; over Q
+    _singular_at on X.plain_form, the point test the scans use; over Q
     on D*P at the point times the lcm of its denominators, nonzero scalings
     that keep every zero.  It uses neither the restriction code nor
     MultiForm.partial, so it stays an independent check of both.
     """
     (x,), _ = _ints([_checked_point(X, point)], X.field)
-    grad = _polar(X.plain_form, x)
-    return grad is not None and not any(grad)
+    return _singular_at(X.plain_form, x)
 
 
 def singular_on_line(X: Hypersurface, frame: LineFrame,
@@ -145,8 +155,7 @@ def singular_on_line(X: Hypersurface, frame: LineFrame,
     for (a, b), mult in report.roots:
         ((i, j),), _ = _ints([(a, b)], X.field)     # a multiple of [a:b]
         x = [i * u + j * v for u, v in zip(r1, r2)]
-        grad = _polar(X.plain_form, x)
-        if grad is None or any(grad):
+        if not _singular_at(X.plain_form, x):
             raise ArithmeticError(
                 "certified point fails the gradient re-check")
         points.append(SingularPoint(ambient=projective_normalize(x, X.field),
@@ -170,10 +179,9 @@ def certify_entire_line(X: Hypersurface, frame: LineFrame,
     (r1, r2), _ = _frame_ints(X, frame)
     if any(any(row) for row in tangent.sigma_ints[0]):
         raise ValueError("line is not entirely singular")
-    for x in (r1, r2, [u + v for u, v in zip(r1, r2)]):
-        grad = _polar(X.plain_form, x)
-        if grad is None or any(grad):
-            raise ArithmeticError("sample point fails the gradient re-check")
+    if not all(_singular_at(X.plain_form, x)
+               for x in (r1, r2, [u + v for u, v in zip(r1, r2)])):
+        raise ArithmeticError("sample point fails the gradient re-check")
     return SingularCertificate(points=(), whole_line=True, gcd_form=None,
                                unsolved=(),
                                note="gradient vanishes identically on the line")
@@ -292,17 +300,6 @@ def _residue_points(p: int, ncoords: int):
             for tail in product(range(p), repeat=ncoords - 1 - lead))
 
 
-def _value(form, x) -> int:
-    """P(x) mod p at a residue point."""
-    terms, p, _ = form
-    total = 0
-    for c, e in terms:
-        for i, k in e:
-            c *= x[i] ** k
-        total += c
-    return total % p
-
-
 def _line_on(form, d: int, e1, e2) -> bool:
     """Exact containment test for the line span(e1, e2) of residue vectors
     on X (form is X.plain_form, d the degree), given P(e1) = P(e2) = 0 and
@@ -362,10 +359,10 @@ def lines_through(X: Hypersurface, point, budget: int = _BUDGET) -> list:
     x = _checked_point(X, point)
     xs = tuple(plain(c) for c in x)
     form = X.plain_form
-    g = _polar(form, xs)
-    if g is None:
+    if _value(form, xs):
         raise PlaneNotContained("point is not on the hypersurface")
     _check_budget("lines through a point", _projective_size(p, X.n), budget)
+    g = _polar(form, xs)
     piv = next(i for i, c in enumerate(xs) if c)
     g = g[:piv] + g[piv + 1:]
     frames = []
@@ -442,7 +439,7 @@ def singular_points(X: Hypersurface) -> tuple:
                   _BUDGET)
     form = X.plain_form
     return tuple(X.field.vector(x) for x in _residue_points(X.field.p, X.n + 1)
-                 if not _value(form, x) and not any(_polar(form, x)))
+                 if _singular_at(form, x))
 
 
 # ---------------------------------------------------------------------------

@@ -79,6 +79,12 @@ def test_lines_budget_exceeded(fermat7_file, capsys):
     assert "2850" in capsys.readouterr().out
 
 
+def test_budget_zero_reports_the_estimate(fermat7_file, capsys):
+    for command in ("lines", "conjecture"):
+        assert main([command, fermat7_file, "--budget", "0"]) == 4
+        assert "2850 candidates (budget 0)" in capsys.readouterr().out
+
+
 def test_lines_through_budget_exceeded(fermat7_file, tmp_path, capsys):
     j = tmp_path / "t.json"
     assert main(["lines", fermat7_file, "--through", "1,6,0,0",
@@ -378,6 +384,10 @@ _CUBIC = "field Q\nvars 4\n1 3 0 0 0\n1 0 3 0 0\n"
      "spanning vectors have different lengths"),
     (_CUBIC, ["analyze", "{f}", "--line", "0,0,1,0;0,0,3,0"],
      "line frame needs two independent spanning vectors"),
+    (_CUBIC, ["lines", "{f}", "--field", "Fp:7", "--budget", "-1"],
+     "argument --budget: needs a non-negative integer, got -1"),
+    (_CUBIC, ["conjecture", "{f}", "--field", "Fp:7", "--budget", "-1"],
+     "argument --budget: needs a non-negative integer, got -1"),
 ], ids=["line-spec", "form-coefficient", "through-point", "field-option-fp0",
         "form-header-fp0", "gen-p0", "form-coefficient-literal",
         "line-spec-literal", "through-point-literal", "pencil-element-literal",
@@ -385,7 +395,8 @@ _CUBIC = "field Q\nvars 4\n1 3 0 0 0\n1 0 3 0 0\n"
         "form-header-literal", "pencil-header-literal", "ruled-class-literal",
         "twist-class-literal", "gen-d0", "gen-cone-no-base", "gen-random-no-p",
         "twist-p-without-l", "ruled-class-shape", "line-spec-ragged",
-        "line-spec-dependent"])
+        "line-spec-dependent", "lines-budget-negative",
+        "conjecture-budget-negative"])
 def test_bad_scalar_or_characteristic_is_one_line_error(tmp_path, capsys, form,
                                                         argv, message):
     path = tmp_path / "in.form"

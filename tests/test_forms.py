@@ -374,6 +374,45 @@ def binform(field, *coeffs):
     return BinaryForm(field, tuple(field.scalar(c) for c in coeffs))
 
 
+@pytest.mark.parametrize("field, reprs", [
+    (QQ, ["MultiForm(0; deg 2, 3 vars, Q)", "BinaryForm(0; deg 2, Q)",
+          "1*x0^2 + 2/3*x0*x2 + -1*x1*x2", "1*s^2 + 4*t^2",
+          "1/2*s*t + -1*t^2", "5", "5"]),
+    (F7, ["MultiForm(0; deg 2, 3 vars, Fp:7)", "BinaryForm(0; deg 2, Fp:7)",
+          "1*x0^2 + 3*x0*x2 + 6*x1*x2", "1*s^2 + 4*t^2", "4*s*t + 6*t^2",
+          "5", "5"]),
+], ids=["Q", "F7"])
+def test_shared_ring_api(field, reprs):
+    """-, scalar *, **, ==, evaluate and repr, written once for both form
+    classes, agree with +, scale and the product of each."""
+    rng = random.Random(29)
+    for f, g, one in (
+            (rand_form(rng, field, 3, 2, 4), rand_form(rng, field, 3, 2, 4),
+             mono(field, 3, (0, 0, 0))),
+            (binform(field, 1, -2, 0, 3), binform(field, 0, 4, 5, -1),
+             binform(field, 1))):
+        assert f - g == f + (-g)
+        assert -f == f.scale(-1)
+        assert 3 * f == f * 3 == f.scale(3)
+        power = one
+        for k in range(6):
+            assert f ** k == power
+            power = power * f
+        with pytest.raises(TypeError):
+            hash(f)
+    for b in (binform(field, 1, -2, 0, 3), binform(field, 0, 4, 5, -1)):
+        m = MultiForm(field, 2, b.degree, dict(b.sorted_terms()))
+        assert not b == m and b != m and not m == b
+        for x, y in itertools.product(range(-2, 3), repeat=2):
+            assert b.evaluate(x, y) == m.evaluate((x, y))
+    assert [repr(f) for f in (
+        MultiForm.zero(field, 3, 2), BinaryForm.zero(field, 2),
+        MultiForm(field, 3, 2, {(2, 0, 0): 1, (0, 1, 1): -1,
+                                (1, 0, 1): Fr(2, 3)}),
+        binform(field, 1, 0, 4), binform(field, 0, Fr(1, 2), -1),
+        mono(field, 2, (0, 0), 5), binform(field, 5))] == reprs
+
+
 def test_binary_divide_exact():
     f = binform(QQ, 1, 0, -1)       # s^2 - t^2
     g = binform(QQ, 1, -1)          # s - t

@@ -1,6 +1,8 @@
 """Binary-form generators of the deformation ideal and its degree filtration."""
 
+import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
@@ -9,9 +11,11 @@ from fanosing.ideal import (DegreeTooSmall, build_filtration,
                             contains_image_sigma, extract_generators,
                             ideal_degree_piece, max_multiplicity_at,
                             pure_power_locus)
-from fanosing.linalg import QQ, FieldMismatch, parse_field
+from fanosing.linalg import QQ, FieldMismatch, Subspace, parse_field, rank
 from fanosing.pencil import NormalForm, normal_form
+from fanosing.singular import analyze_line
 from fanosing.tangent import Hypersurface, LineFrame, analyze_tangent
+from helpers import moved, planted
 
 Fr = Fraction
 F11 = parse_field("Fp:11")
@@ -158,3 +162,66 @@ def test_piece_below_first_delta_is_zero(cone_pipeline):
     assert max_multiplicity_at(filt, 1, (0, 1)) is None
 
 
+
+
+def _primitive_mod(coeffs, F):
+    """Rational coefficients scaled to a primitive int vector, then reduced
+    into F: a monic Q generator can have a denominator divisible by p."""
+    den = lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in coeffs]
+    g = gcd(*ints)
+    return [F.scalar(i // g) for i in ints]
+
+
+def test_q_generators_reduce_to_fp_generators():
+    """Over a good prime p, the Q generators of each degree delta, reduced
+    mod p, span the F_p generators of degree delta.  Generators are
+    canonical only as a span per degree: blocks of one size can mix.  Lines:
+    planted forms over Q, half of them moved; a prime is skipped when it
+    divides a denominator of the form or the frame, moves the frame's pivot
+    columns, or changes the block sizes.  The filtration levels hatM are not
+    compared: a reduced Q level can be larger than the F_p level (it is the
+    saturation), which is bad reduction."""
+    rng = random.Random(29)
+
+    def q():
+        return Fr(rng.randint(-9, 9), rng.choice((1, 2, 3, 5, 7)))
+
+    def nz():
+        return next(x for x in iter(q, None) if x)
+
+    lines = compared = 0
+    while lines < 150:
+        n, d = rng.randint(2, 5), rng.randint(2, 4)
+        P = planted(QQ, n, d, rng, q, nz, double=False)
+        if P.is_zero():
+            continue
+        X, fr = moved(P, rng, q) if rng.random() < 0.5 else (
+            Hypersurface(P), LineFrame(QQ, *[[int(i == j) for i in range(n + 1)]
+                                             for j in (0, 1)]))
+        gens = analyze_line(X, fr).gens
+        if gens is None:
+            continue
+        lines += 1
+        sizes = [b.size for b in gens.blocks]
+        dens = [c.denominator for c in (*X.P.terms.values(), *fr.e1, *fr.e2)]
+        for p in (11, 13, 101):
+            F = parse_field("Fp:%d" % p)
+            if any(den % p == 0 for den in dens):
+                continue
+            e1, e2 = (tuple(map(F.scalar, e)) for e in (fr.e1, fr.e2))
+            if rank([e1, e2], F) < 2 or LineFrame(F, e1, e2).cols != fr.cols:
+                continue
+            fp = analyze_line(Hypersurface(X.P.reduce_mod(p)),
+                              LineFrame(F, e1, e2)).gens
+            if fp is None or [b.size for b in fp.blocks] != sizes:
+                continue
+            for delta in set(gens.deltas()):
+                want = [_primitive_mod(b.p.coeffs, F) for b in gens.blocks
+                        if b.delta == delta]
+                got = [b.p.coeffs for b in fp.blocks if b.delta == delta]
+                assert (Subspace.from_vectors(want, F, delta + 1)
+                        == Subspace.from_vectors(got, F, delta + 1)), \
+                    (X.P, fr, p, delta)
+                compared += 1
+    assert compared >= 200
