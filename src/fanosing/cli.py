@@ -35,6 +35,10 @@ EXIT_DEGENERATE = 3
 EXIT_BUDGET = 4
 EXIT_REFUSED = 5
 
+# the exit code of a command that an exception of each type stopped
+_STOPPED = {PlaneNotContained: EXIT_OFF_SURFACE, BudgetExceeded: EXIT_BUDGET,
+            CharacteristicRefused: EXIT_REFUSED}
+
 
 class CliError(Exception):
     pass
@@ -127,6 +131,21 @@ def _emit(args, lines, payload, code):
     return code
 
 
+def _stopped(args, payload, e) -> int:
+    """The exit of a command that e stopped: its message in payload["error"]
+    and on stdout (a refusal with its --force hint), a budget's estimate,
+    and the code _STOPPED gives e's type."""
+    if isinstance(e, CharacteristicRefused):
+        payload["error"] = "%s (pass --force to proceed)" % e.reason
+        line = "refused: " + payload["error"]
+    else:
+        payload["error"] = str(e)
+        line = "error: %s" % e
+    if isinstance(e, BudgetExceeded):
+        payload["estimate"] = e.estimate
+    return _emit(args, [line], payload, _STOPPED[type(e)])
+
+
 def _tangent_payload(rep):
     return {
         "sigma": _mat(rep.sigma_matrix),
@@ -169,9 +188,8 @@ def cmd_analyze(args) -> int:
     }
     try:
         la = analyze_line(X, frame)
-    except PlaneNotContained as e:
-        payload["error"] = str(e)
-        return _emit(args, ["error: %s" % e], payload, EXIT_OFF_SURFACE)
+    except tuple(_STOPPED) as e:
+        return _stopped(args, payload, e)
     payload["tangent"] = _tangent_payload(la.tangent)
     out = ["field: %s   n: %d   d: %d" % (X.field, X.n, X.d),
            "tangent dim: %d   pi dim: %d   m: %d"
@@ -233,13 +251,8 @@ def cmd_lines(args) -> int:
             frames = lines_through(X, pt, budget=args.budget)
         else:
             frames = all_lines(X, budget=args.budget)
-    except PlaneNotContained as e:
-        payload["error"] = str(e)
-        return _emit(args, ["error: %s" % e], payload, EXIT_OFF_SURFACE)
-    except BudgetExceeded as e:
-        payload["error"] = str(e)
-        payload["estimate"] = e.estimate
-        return _emit(args, ["error: %s" % e], payload, EXIT_BUDGET)
+    except tuple(_STOPPED) as e:
+        return _stopped(args, payload, e)
     specs = [_rows_to_spec(fr.canonical_rows()) for fr in frames]
     payload["count"] = len(specs)
     payload["lines"] = specs
@@ -254,13 +267,8 @@ def cmd_conjecture(args) -> int:
                          "budget": args.budget, "force": args.force}}
     try:
         rep = conjecture_check(X, budget=args.budget, force=args.force)
-    except CharacteristicRefused as e:
-        payload["error"] = "%s (pass --force to proceed)" % e.reason
-        return _emit(args, ["refused: " + payload["error"]], payload, EXIT_REFUSED)
-    except BudgetExceeded as e:
-        payload["error"] = str(e)
-        payload["estimate"] = e.estimate
-        return _emit(args, ["error: %s" % e], payload, EXIT_BUDGET)
+    except tuple(_STOPPED) as e:
+        return _stopped(args, payload, e)
     payload["report"] = {
         "p": rep.p, "n": rep.n, "d": rep.d,
         "num_lines": rep.num_lines,

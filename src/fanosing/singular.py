@@ -30,7 +30,7 @@ from .ideal import (GeneratorSet, IdealFiltration, build_filtration,
 from .linalg import Field, _ints, plain
 from .pencil import NormalForm, normal_form
 from .tangent import (Hypersurface, LineFrame, PlaneNotContained, TangentReport,
-                      _frame_ints, analyze_tangent)
+                      _frame_ints, _report, _sigma_rows, analyze_tangent)
 
 
 # largest point or candidate list a scan builds unless a caller passes its own
@@ -144,13 +144,25 @@ def is_singular_at(X: Hypersurface, point) -> bool:
 def singular_on_line(X: Hypersurface, frame: LineFrame,
                      filt: IdealFiltration) -> SingularCertificate:
     """Certified singular points at the common zeros of the generators."""
-    (r1, r2), _ = _frame_ints(X, frame)
+    return _certificate(X, frame, *_gcd_roots(filt))
+
+
+def _gcd_roots(filt: IdealFiltration):
+    """(gcd of the generators, its binary_roots report or None when the gcd
+    is constant): a function of the filtration alone."""
     gcd = binary_gcd(filt.gens.forms())
-    if gcd.degree == 0:
+    return gcd, (binary_roots(gcd) if gcd.degree else None)
+
+
+def _certificate(X: Hypersurface, frame: LineFrame, gcd: BinaryForm,
+                 report) -> SingularCertificate:
+    """The certificate of singular_on_line from its gcd and roots: each root
+    [a:b] mapped through the frame's int rows and re-checked on X."""
+    (r1, r2), _ = _frame_ints(X, frame)
+    if report is None:
         return SingularCertificate(points=(), whole_line=False, gcd_form=gcd,
                                    unsolved=(),
                                    note="generators share no zero on the line")
-    report = binary_roots(gcd)
     points = []
     for (a, b), mult in report.roots:
         ((i, j),), _ = _ints([(a, b)], X.field)     # a multiple of [a:b]
@@ -248,7 +260,9 @@ class LineAnalysis:
 
 
 def analyze_line(X: Hypersurface, frame: LineFrame) -> LineAnalysis:
-    """Run the whole pipeline on one line, recording each stage.
+    """Run the whole pipeline on one line, recording each stage: sigma and
+    its report (analyze_tangent), the sigma-determined core (_core), then
+    the stages that read the frame (_tail).
 
     A line's pencil has no rank-one element: for (lam v | mu v) in it,
     (lam s + mu t) sum_k v_k f_(free_k) = 0, binary forms have no zero
@@ -257,20 +271,35 @@ def analyze_line(X: Hypersurface, frame: LineFrame) -> LineAnalysis:
     propagates.
     """
     rep = analyze_tangent(X, frame)
+    return _tail(X, frame, rep, _core(X, rep))
+
+
+def _core(X: Hypersurface, rep: TangentReport):
+    """The stages after the report, a function of its sigma and X's field,
+    n and d: (nf, gens, filt, gcd, roots, image_contained), or None when the
+    pencil is trivial (rep.m == 0)."""
     if rep.m == 0:
-        cert = certify_entire_line(X, frame, rep)
-        ep1 = check_everyp1(X, rep, None, cert)
-        return LineAnalysis(frame=frame, tangent=rep, nf=None, gens=None,
-                            filt=None, certificate=cert, everyp1=ep1,
-                            image_contained=None)
+        return None
     nf = normal_form(rep.pencil)
     gens = extract_generators(X, nf, rep)
     filt = build_filtration(gens)
-    cert = singular_on_line(X, frame, filt)
-    ep1 = check_everyp1(X, rep, nf, cert)
-    image_ok = contains_image_sigma(filt, rep)
+    return (nf, gens, filt, *_gcd_roots(filt),
+            contains_image_sigma(filt, rep))
+
+
+def _tail(X: Hypersurface, frame: LineFrame, rep: TangentReport,
+          core) -> LineAnalysis:
+    """The line's record from its report and core: the stages that read
+    the frame, each of which re-checks its points on X."""
+    if core is None:
+        nf = gens = filt = image_ok = None
+        cert = certify_entire_line(X, frame, rep)
+    else:
+        nf, gens, filt, gcd, roots, image_ok = core
+        cert = _certificate(X, frame, gcd, roots)
     return LineAnalysis(frame=frame, tangent=rep, nf=nf, gens=gens, filt=filt,
-                        certificate=cert, everyp1=ep1,
+                        certificate=cert,
+                        everyp1=check_everyp1(X, rep, nf, cert),
                         image_contained=image_ok)
 
 
@@ -481,7 +510,12 @@ def conjecture_check(X: Hypersurface, budget: int = _BUDGET,
                      force: bool = False) -> ConjectureReport:
     """Survey every F_p-line of X: analyse each one, and count the points
     the lines cover on residue tuples read off their echelon rows.  Fp
-    points are built only for whole-line certificates."""
+    points are built only for whole-line certificates.
+
+    Lines with one sigma share one report and one core (analyze_line's
+    stages up to the gcd's roots), built on the first of them and kept for
+    this call only; each line still runs _sigma_rows and its own tail,
+    which re-checks every certified point on X."""
     _require_prime_field(X.field)
     field, p = X.field, X.field.p
     if p <= X.d and not force:
@@ -493,8 +527,13 @@ def conjecture_check(X: Hypersurface, budget: int = _BUDGET,
     certified = []
     exceptions = []
     max_dim = 0
+    cores = {}      # sigma_ints -> (report, core)
     for fr in frames:
-        la = analyze_line(X, fr)
+        sig = _sigma_rows(X, fr)
+        if sig not in cores:
+            rep = _report(X, fr, sig)
+            cores[sig] = rep, _core(X, rep)
+        la = _tail(X, fr, *cores[sig])
         max_dim = max(max_dim, la.tangent.tangent_dim)
         # all_lines builds each frame from its echelon rows, and they give
         # the line's points normalised: e2, and e1 + a e2 (e2 is zero at

@@ -22,6 +22,11 @@ linalg._kernel on those rows.  The report holds sigma once (sigma_ints, in
 canonical form), and later stages read sigma and Pi from it.  Fp or Fraction
 entries are built only for the values the pipeline returns.
 
+Everything in the report is a function of sigma_ints and X's field, n and
+d, and so is every later stage up to the gcd's roots.  analyze_tangent is
+_sigma_rows, then _report; a survey (singular.conjecture_check) runs _report
+and those stages once per distinct sigma and shares them among its lines.
+
 Pi <= W/E is the subspace of directions w with (w -| P)|_E = 0: deformations
 that move the line trivially to first order in every pencil direction.
 sigma vanishes on E^* (x) Pi, so it induces a map on E^* (x) (W/E)/Pi whose
@@ -274,7 +279,14 @@ def quotient_section(c, pi: Subspace):
 def analyze_tangent(X: Hypersurface, frame: LineFrame) -> TangentReport:
     """sigma, its kernel, Pi, and the pencil: the kernel of sigma's rows at
     Pi's free columns, alpha^1 block then alpha^2 block."""
-    rows, scale = _sigma_rows(X, frame)
+    return _report(X, frame, _sigma_rows(X, frame))
+
+
+def _report(X: Hypersurface, frame: LineFrame, sigma_ints) -> TangentReport:
+    """The report of the line whose _sigma_rows are sigma_ints: a function
+    of sigma_ints and X's field, n and d.  The kernel and Pi are computed
+    from the frame (tangent_space, compute_pi), whose sigma is sigma_ints."""
+    rows, scale = sigma_ints
     tang = tangent_space(X, frame)
     pi = compute_pi(X, frame)
     nm1 = X.n - 1

@@ -4,7 +4,7 @@ whole-surface survey."""
 import random
 import time
 from fractions import Fraction as Fr
-from itertools import product
+from itertools import combinations_with_replacement, product
 from math import gcd, lcm
 
 import pytest
@@ -31,6 +31,7 @@ from helpers import combine, moved, planted
 F3 = parse_field("Fp:3")
 F5 = parse_field("Fp:5")
 F7 = parse_field("Fp:7")
+F13 = parse_field("Fp:13")
 
 
 def mono(field, nvars, exps, c=1):
@@ -753,6 +754,120 @@ def test_survey_note_counts_extension_field_lines():
     assert [e.kind for e in rep.exceptions] == ["no-rational-point"] * 5
     assert rep.note.endswith("; 5 line(s) have singular points only over an "
                              "extension field")
+
+
+def _diagonal_cubic(field, coeffs):
+    """sum c_i x_i^3 for cubes c_i: a Fermat cubic in other coordinates."""
+    n1 = len(coeffs)
+    return Hypersurface(sum((mono(field, n1, [3 * (j == i) for j in range(n1)],
+                                  c) for i, c in enumerate(coeffs)),
+                            MultiForm.zero(field, n1, 3)))
+
+
+def _generic_cubic_threefold():
+    """A cubic in P^4 over F_7, every coefficient uniform (seed 12345): its
+    93 lines have 93 distinct sigma."""
+    rng = random.Random(12345)
+    terms = {}
+    for mon in combinations_with_replacement(range(5), 3):
+        terms[tuple(mon.count(i) for i in range(5))] = rng.randrange(7)
+    return Hypersurface(MultiForm(F7, 5, 3, terms))
+
+
+def _cayley_cubic():
+    """The four-nodal Cayley cubic over F_7: lines with one sigma run
+    through different nodes."""
+    return Hypersurface(sum((mono(F7, 4, [int(i != j) for i in range(4)])
+                             for j in range(4)), MultiForm.zero(F7, 4, 3)))
+
+
+# the benchmark's seed-1 survey inputs, the Fermat cubic surface, a cone
+# with a vertex line and the Cayley cubic, whose lines with one sigma
+# certify different points
+_SHARED_SIGMA = [(lambda: cone(_diagonal_cubic(F7, (6, 1, 1))), 9, 6),
+                 (lambda: _diagonal_cubic(F13, (5, 8, 8, 8)), 27, 18),
+                 (lambda: _diagonal_cubic(F7, (6, 6, 6, 1, 6)), 135, 63),
+                 (lambda: fermat(3, 3, F13), 27, 18),
+                 (lambda: cone(fermat(2, 3, F7), extra=2), 505, 7),
+                 (_cayley_cubic, 9, 3)]
+
+
+@pytest.mark.parametrize("make,lines,sigmas", _SHARED_SIGMA,
+                         ids=["cone-f7", "p3-f13", "p4-f7", "fermat-p3-f13",
+                              "double-cone", "cayley"])
+def test_sigma_determines_the_core(make, lines, sigmas):
+    """Lines with one sigma get one report, normal form, generators,
+    filtration, gcd and image check; each line's certified points lie on
+    that line and are singular on X."""
+    X = make()
+    first = {}
+    frames = all_lines(X)
+    for fr in frames:
+        la = analyze_line(X, fr)
+        other = first.setdefault(la.tangent.sigma_ints, la)
+        assert (la.tangent, la.nf, la.gens, la.filt, la.certificate.gcd_form,
+                la.image_contained) == (
+            other.tangent, other.nf, other.gens, other.filt,
+            other.certificate.gcd_form, other.image_contained)
+        for sp in la.certificate.points:
+            assert sp.ambient == projective_normalize(fr.point(*sp.line_point),
+                                                      X.field)
+            assert is_singular_at(X, sp.ambient)
+    assert (len(frames), len(first)) == (lines, sigmas)
+
+
+def _reference_survey(X):
+    """conjecture_check's fields but the note, as a plain loop over
+    analyze_line."""
+    F, p = X.field, X.field.p
+    frames = all_lines(X)
+    covered, certified, exceptions, max_dim = set(), set(), [], 0
+    for fr in frames:
+        la = analyze_line(X, fr)
+        max_dim = max(max_dim, la.tangent.tangent_dim)
+        points = {projective_normalize(fr.point(a, b), F)
+                  for a, b in [(0, 1)] + [(1, k) for k in range(p)]}
+        covered |= points
+        cert = la.certificate
+        certified |= points if cert.whole_line else {
+            sp.ambient for sp in cert.points}
+        if la.everyp1.applies and not cert.points:
+            exceptions.append(singular.ExceptionRecord(
+                line=fr.canonical_rows(), kind="no-rational-point",
+                detail="gcd %r has no rational zero; singular points exist "
+                       "over an extension" % (cert.gcd_form,)))
+    return (len(frames), max_dim,
+            bool(frames) and max_dim >= X.n - 2 and X.d >= X.n, len(covered),
+            tuple(sorted(certified, key=lambda pt: tuple(map(plain, pt)))),
+            tuple(exceptions))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: cone(fermat(2, 3, F7)), lambda: cone(fermat(2, 3, F7), extra=2),
+    lambda: fermat(3, 3, F7), _cayley_cubic,
+    lambda: _diagonal_cubic(F7, (6, 6, 6, 1, 6)),
+    lambda: Hypersurface(mono(F7, 4, (1, 0, 2, 0)) + mono(F7, 4, (0, 1, 0, 2))),
+    lambda: random_with_line(3, 4, 5, 5)[0], _generic_cubic_threefold],
+    ids=["cone-f7", "double-cone", "fermat-p3-f7", "cayley", "p4-f7",
+         "singular-line", "exceptions", "generic"])
+def test_survey_builds_one_core_per_sigma(make, monkeypatch):
+    """conjecture_check runs normal_form once per distinct sigma with m > 0,
+    and equals the survey that analyzes every line."""
+    X = make()
+    reports = [analyze_tangent(X, fr) for fr in all_lines(X)]
+    calls = []
+    normal_form = singular.normal_form
+
+    def counted(pencil):
+        calls.append(pencil)
+        return normal_form(pencil)
+
+    monkeypatch.setattr(singular, "normal_form", counted)
+    rep = conjecture_check(X)
+    assert len(calls) == len({r.sigma_ints for r in reports if r.m})
+    assert (rep.num_lines, rep.max_tangent_dim, rep.trigger,
+            rep.covered_points, rep.certified, rep.exceptions) == \
+        _reference_survey(X)
 
 
 def test_random_with_line_is_deterministic():
