@@ -13,8 +13,9 @@ The gradient re-checks and the point and line scans read P's terms,
 residues mod p, or over Q the terms of D*P at a point scaled to ints, good
 only for zero tests.  Every point test evaluates P once (_value) and takes
 the gradient (_polar) only on X; _singular_at is the two together.  The
-scans run on residue tuples mod p, and certified points on the frame's int
-rows (tangent._frame_ints); each builds scalars only for what it returns.
+scans run on residue tuples mod p, and certified points on a line's int
+rows (a frame's, tangent._frame_ints, or a scan's echelon pair); each
+builds scalars only for what it returns.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .forms import (BinaryForm, _expand, binary_gcd, binary_roots,
                     projective_normalize)
 from .ideal import (GeneratorSet, IdealFiltration, build_filtration,
                     contains_image_sigma, extract_generators)
-from .linalg import Field, _ints, plain
+from .linalg import Field, _echelon, _ints, plain
 from .pencil import NormalForm, normal_form
 from .tangent import (Hypersurface, LineFrame, PlaneNotContained, TangentReport,
                       _frame_ints, _report, _sigma_rows, analyze_tangent)
@@ -144,7 +145,8 @@ def is_singular_at(X: Hypersurface, point) -> bool:
 def singular_on_line(X: Hypersurface, frame: LineFrame,
                      filt: IdealFiltration) -> SingularCertificate:
     """Certified singular points at the common zeros of the generators."""
-    return _certificate(X, frame, *_gcd_roots(filt))
+    rows, _ = _frame_ints(X, frame)
+    return _certificate(X, rows, *_gcd_roots(filt))
 
 
 def _gcd_roots(filt: IdealFiltration):
@@ -154,11 +156,21 @@ def _gcd_roots(filt: IdealFiltration):
     return gcd, (binary_roots(gcd) if gcd.degree else None)
 
 
-def _certificate(X: Hypersurface, frame: LineFrame, gcd: BinaryForm,
+def _certificate(X: Hypersurface, rows, gcd: BinaryForm | None,
                  report) -> SingularCertificate:
-    """The certificate of singular_on_line from its gcd and roots: each root
-    [a:b] mapped through the frame's int rows and re-checked on X."""
-    (r1, r2), _ = _frame_ints(X, frame)
+    """The certificate of the line with int rows (r1, r2) (a frame's ints,
+    or a scan's echelon pair) from its gcd and roots: each root [a:b] mapped
+    to a r1 + b r2 and re-checked on X.  gcd None means a trivial pencil,
+    so sigma is zero and the gradient vanishes on the whole line: re-checked
+    at r1, r2 and r1 + r2."""
+    r1, r2 = rows
+    if gcd is None:
+        if not all(_singular_at(X.plain_form, x)
+                   for x in (r1, r2, [u + v for u, v in zip(r1, r2)])):
+            raise ArithmeticError("sample point fails the gradient re-check")
+        return SingularCertificate(
+            points=(), whole_line=True, gcd_form=None, unsolved=(),
+            note="gradient vanishes identically on the line")
     if report is None:
         return SingularCertificate(points=(), whole_line=False, gcd_form=gcd,
                                    unsolved=(),
@@ -188,15 +200,10 @@ def certify_entire_line(X: Hypersurface, frame: LineFrame,
     the gradient vanishes on E exactly when every (w_j -| P)|_E does, i.e.
     when sigma is zero.  Raises if the line is not entirely singular.
     """
-    (r1, r2), _ = _frame_ints(X, frame)
+    rows, _ = _frame_ints(X, frame)
     if any(any(row) for row in tangent.sigma_ints[0]):
         raise ValueError("line is not entirely singular")
-    if not all(_singular_at(X.plain_form, x)
-               for x in (r1, r2, [u + v for u, v in zip(r1, r2)])):
-        raise ArithmeticError("sample point fails the gradient re-check")
-    return SingularCertificate(points=(), whole_line=True, gcd_form=None,
-                               unsolved=(),
-                               note="gradient vanishes identically on the line")
+    return _certificate(X, rows, None, None)
 
 
 @dataclass(frozen=True)
@@ -227,7 +234,7 @@ def check_everyp1(X: Hypersurface, report: TangentReport, nf: NormalForm | None,
                              points=certificate.points,
                              note="pencil is trivial; the whole line is singular")
     s1 = nf.s[0]
-    applies = (s1 == report.m) and (X.d >= s1 + 1)
+    applies = _single_chain(X, report, nf)
     if applies:
         if certificate.points:
             note = "single full chain and spare degree force the listed points"
@@ -241,6 +248,13 @@ def check_everyp1(X: Hypersurface, report: TangentReport, nf: NormalForm | None,
     return EveryP1Report(applies=applies, s1=s1,
                          dim_cx_tangent=report.pi.dim,
                          points=certificate.points, note=note)
+
+
+def _single_chain(X: Hypersurface, report: TangentReport,
+                  nf: NormalForm) -> bool:
+    """check_everyp1's verdict on a nontrivial pencil: one chain of the full
+    length m, and degree d > m."""
+    return nf.s[0] == report.m and X.d > report.m
 
 
 @dataclass(frozen=True)
@@ -290,13 +304,14 @@ def _core(X: Hypersurface, rep: TangentReport):
 def _tail(X: Hypersurface, frame: LineFrame, rep: TangentReport,
           core) -> LineAnalysis:
     """The line's record from its report and core: the stages that read
-    the frame, each of which re-checks its points on X."""
+    the frame's int rows, whose certificate re-checks its points on X."""
+    rows, _ = _frame_ints(X, frame)
     if core is None:
         nf = gens = filt = image_ok = None
-        cert = certify_entire_line(X, frame, rep)
+        cert = _certificate(X, rows, None, None)
     else:
         nf, gens, filt, gcd, roots, image_ok = core
-        cert = _certificate(X, frame, gcd, roots)
+        cert = _certificate(X, rows, gcd, roots)
     return LineAnalysis(frame=frame, tangent=rep, nf=nf, gens=gens, filt=filt,
                         certificate=cert,
                         everyp1=check_everyp1(X, rep, nf, cert),
@@ -408,55 +423,69 @@ def grassmannian_size(p: int, n: int) -> int:
     return ((p ** (n + 1) - 1) * (p ** n - 1)) // ((p ** 2 - 1) * (p - 1))
 
 
+class _Polars(dict):
+    """Residue point -> the polar of P there (_polar), or None off X: each
+    point is tested once, P(x) first and the polar only on X.  One memo
+    serves a whole line scan and the sigma its survey reads off it."""
+
+    def __init__(self, form):
+        super().__init__()
+        self.form = form
+
+    def __missing__(self, x):
+        g = self[x] = None if _value(self.form, x) else _polar(self.form, x)
+        return g
+
+
 def all_lines(X: Hypersurface, budget: int = _BUDGET) -> list:
-    """Every line on X over F_p, one frame per line, echelon representatives.
+    """Every line on X over F_p, one frame per line, echelon representatives:
+    the pairs of _echelon_pairs in its order, each frame built from its
+    echelon pair (LineFrame._from_echelon), with Fp only for what it
+    returns."""
+    field = X.field
+    return [LineFrame._from_echelon(field, r1, r2)
+            for r1, r2 in _echelon_pairs(X, _Polars(X.plain_form), budget)]
+
+
+def _echelon_pairs(X: Hypersurface, polars: _Polars, budget: int):
+    """Yield each line on X over F_p once, as its reduced echelon pair
+    (r1, r2) of residue tuples; polars is a memo (_Polars) of X's form.
 
     Echelon pairs have pivots j1 < j2: row 2 is 1 at j2, then free entries;
     row 1 is 1 at j1, then free entries with a 0 at column j2.  Free entries
     run lexicographically, the first free column slowest.  Row 1 must be a
     point of X and row 2 a point of X in the kernel of row 1's polar g, so
-    each point is tested once (P(x) first, the polar only on X) in one memo
-    that rows 1 and rows 2 share, and the points of X in chart j2 are listed
-    once, lexicographically.  Row 1's rows 2 are the listed points with
-    g . r2 = 0, in the order _polar_rows(g, j2, p) gives: it runs the other
-    free entries lexicographically and solves for the last live column c,
-    whose entry depends only on the entries before it, so inserting it keeps
-    the order lexicographic.  Since P(r1) = P(r2) = g . r2 = 0, the line test
-    (_line_on) checks only the other coefficients.  The scan runs on
-    residues; each frame is built from its echelon pair
-    (LineFrame._from_echelon), with Fp only for what it returns.
+    each point is tested once in the memo that rows 1 and rows 2 share, and
+    the points of X in chart j2 are listed once, lexicographically.  Row
+    1's rows 2 are the listed points with g . r2 = 0, in the order
+    _polar_rows(g, j2, p) gives: it runs the other free entries
+    lexicographically and solves for the last live column c, whose entry
+    depends only on the entries before it, so inserting it keeps the order
+    lexicographic.  Since P(r1) = P(r2) = g . r2 = 0, the line test
+    (_line_on) checks only the other coefficients.
     """
     _require_prime_field(X.field)
-    field, p, d = X.field, X.field.p, X.d
+    p, d = X.field.p, X.d
     n1 = X.n + 1
     _check_budget("line enumeration", grassmannian_size(p, X.n), budget)
     form = X.plain_form
-    polars = {}     # point -> its polar, or None off X
-
-    def polar(x):
-        if x not in polars:
-            polars[x] = None if _value(form, x) else _polar(form, x)
-        return polars[x]
-
-    frames = []
     for j2 in range(1, n1):
         head = (0,) * j2 + (1,)
         # rows 2 as (row, its entries after j2)
         rows2 = [(r2, t) for t in product(range(p), repeat=n1 - 1 - j2)
-                 if polar(r2 := head + t) is not None]
+                 if polars[r2 := head + t] is not None]
         for j1 in range(j2):
             cut = j2 - j1 - 1
             for t in product(range(p), repeat=n1 - 2 - j1):
                 r1 = (0,) * j1 + (1,) + t[:cut] + (0,) + t[cut:]
-                g = polar(r1)
+                g = polars[r1]
                 if g is None:
                     continue
                 g0, gt = g[j2], g[j2 + 1:]
                 for r2, tail in rows2:
                     if (not sum(map(mul, gt, tail), g0) % p
                             and _line_on(form, d, r1, r2)):
-                        frames.append(LineFrame._from_echelon(field, r1, r2))
-    return frames
+                        yield r1, r2
 
 
 def singular_points(X: Hypersurface) -> tuple:
@@ -506,56 +535,115 @@ class ConjectureReport:
     note: str
 
 
+def _gradient_sigma(X: Hypersurface, polars: _Polars):
+    """The sigma of a line on X from its echelon pair (r1, r2), equal to
+    _sigma_rows of its frame, read off P's gradients in polars; needs
+    p >= d - 1.
+
+    Row c_j's contraction f_j = (d_(c_j) P)|_E has degree d - 1: its values
+    at s = 1, t = k (k = 0..d-2) are d_(c_j) P(r1 + k r2) and its t^(d-1)
+    coefficient is d_(c_j) P(r2).  Taking k^(d-1) times the latter off each
+    value leaves a polynomial of degree d - 2 in k, which one fixed inverse
+    Vandermonde matrix mod p solves for on the d - 1 distinct nodes.
+    r1 + k r2 is 1 at r1's pivot and zero before it, a normalised point of
+    X, so it keys the same memo as the scan."""
+    p, d = X.field.p, X.d
+    nodes = range(d - 1)
+    # [V | I] reduces to [I | V^-1] for V = (k^i) on the nodes
+    vinv = [row[d - 1:] for row in _echelon(
+        [[pow(k, i, p) for i in nodes] + [int(k == j) for j in nodes]
+         for k in nodes], p)[0]]
+    lead = [pow(k, d - 1, p) for k in nodes]
+
+    def sigma(r1, r2):
+        pivots = (r1.index(1), r2.index(1))
+        grads = [polars[r1]] + [
+            polars[tuple((u + k * v) % p for u, v in zip(r1, r2))]
+            for k in range(1, d - 1)]
+        fs = []
+        for c, top in enumerate(polars[r2]):
+            if c not in pivots:
+                vals = [g[c] - top * w for g, w in zip(grads, lead)]
+                fs.append((*(sum(map(mul, row, vals)) % p for row in vinv),
+                           top))
+        return tuple([(*f, 0) for f in fs] + [(0, *f) for f in fs]), 1
+
+    return sigma
+
+
+def _sigma_summary(X: Hypersurface, frame: LineFrame, sigma_ints) -> tuple:
+    """What a survey reads of every line whose sigma is sigma_ints, built
+    from _report and _core on frame, one of those lines: (tangent_dim, the
+    single-chain verdict, the gcd, its roots), the gcd None when the pencil
+    is trivial.  A core whose image check fails raises ArithmeticError."""
+    rep = _report(X, frame, sigma_ints)
+    core = _core(X, rep)
+    if core is None:
+        return rep.tangent_dim, False, None, None
+    nf, _, _, gcd, roots, image_ok = core
+    if not image_ok:
+        raise ArithmeticError("sigma's image leaves the generator ideal")
+    return rep.tangent_dim, _single_chain(X, rep, nf), gcd, roots
+
+
 def conjecture_check(X: Hypersurface, budget: int = _BUDGET,
                      force: bool = False) -> ConjectureReport:
-    """Survey every F_p-line of X: analyse each one, and count the points
-    the lines cover on residue tuples read off their echelon rows.  Fp
-    points are built only for whole-line certificates.
+    """Survey every F_p-line of X as the scan yields its echelon pair
+    (_echelon_pairs), without keeping frames, and count the points the lines
+    cover on residue tuples read off those rows.
 
-    Lines with one sigma share one report and one core (analyze_line's
-    stages up to the gcd's roots), built on the first of them and kept for
-    this call only; each line still runs _sigma_rows and its own tail,
-    which re-checks every certified point on X."""
+    A line's sigma comes from the gradients in the scan's memo when
+    p >= d - 1 (_gradient_sigma), else from its frame (_sigma_rows).  Per
+    distinct sigma the survey keeps only what it reads (_sigma_summary),
+    built once on the first of its lines, for this call only.  Each line's
+    certificate (_certificate) comes from its echelon rows and re-checks
+    every certified point on X; Fp points are built only for what it
+    returns."""
     _require_prime_field(X.field)
-    field, p = X.field, X.field.p
-    if p <= X.d and not force:
+    field, p, d = X.field, X.field.p, X.d
+    if p <= d and not force:
         raise CharacteristicRefused(
             "characteristic %d is at most the degree %d; results would be "
-            "unreliable" % (p, X.d))
-    frames = all_lines(X, budget)
+            "unreliable" % (p, d))
+    polars = _Polars(X.plain_form)
+    if p >= d - 1:
+        sigma_of = _gradient_sigma(X, polars)
+    else:
+        def sigma_of(r1, r2):
+            return _sigma_rows(X, LineFrame._from_echelon(field, r1, r2))
+    num_lines = 0
     covered = set()
     certified = []
     exceptions = []
     max_dim = 0
-    cores = {}      # sigma_ints -> (report, core)
-    for fr in frames:
-        sig = _sigma_rows(X, fr)
-        if sig not in cores:
-            rep = _report(X, fr, sig)
-            cores[sig] = rep, _core(X, rep)
-        la = _tail(X, fr, *cores[sig])
-        max_dim = max(max_dim, la.tangent.tangent_dim)
-        # all_lines builds each frame from its echelon rows, and they give
-        # the line's points normalised: e2, and e1 + a e2 (e2 is zero at
-        # e1's pivot)
-        (r1, r2), _ = fr.ints
-        points = [tuple(r2)] + [tuple((u + a * v) % p for u, v in zip(r1, r2))
-                                for a in range(p)]
+    summaries = {}      # sigma_ints -> _sigma_summary
+    for r1, r2 in _echelon_pairs(X, polars, budget):
+        num_lines += 1
+        sig = sigma_of(r1, r2)
+        if sig not in summaries:
+            summaries[sig] = _sigma_summary(
+                X, LineFrame._from_echelon(field, r1, r2), sig)
+        dim, applies, gcd, roots = summaries[sig]
+        max_dim = max(max_dim, dim)
+        # the line's points normalised: r2, and r1 + a r2 (r2 is zero at
+        # r1's pivot)
+        points = [r2] + [tuple((u + a * v) % p for u, v in zip(r1, r2))
+                         for a in range(p)]
         covered.update(points)
-        cert = la.certificate
+        cert = _certificate(X, (r1, r2), gcd, roots)
         if cert.whole_line:
             certified.extend(map(field.vector, points))
         else:
             certified.extend(sp.ambient for sp in cert.points)
-        if la.everyp1.applies and not cert.points:
-            gcd = cert.gcd_form
+        if applies and not cert.points:
             exceptions.append(ExceptionRecord(
-                line=fr.canonical_rows(), kind="no-rational-point",
+                line=(field.vector(r1), field.vector(r2)),
+                kind="no-rational-point",
                 detail="gcd %r has no rational zero; singular points exist "
                        "over an extension" % (gcd,)))
     certified = tuple(sorted(set(certified),
                              key=lambda pt: tuple(map(plain, pt))))
-    trigger = bool(frames) and max_dim >= X.n - 2 and X.d >= X.n
+    trigger = bool(num_lines) and max_dim >= X.n - 2 and d >= X.n
     if trigger:
         note = ("overloaded regime: a line deforms in dimension >= %d "
                 "with d >= n" % (X.n - 2))
@@ -564,7 +652,7 @@ def conjecture_check(X: Hypersurface, budget: int = _BUDGET,
     if exceptions:
         note += ("; %d line(s) have singular points only over an extension "
                  "field" % len(exceptions))
-    return ConjectureReport(p=p, n=X.n, d=X.d, num_lines=len(frames),
+    return ConjectureReport(p=p, n=X.n, d=d, num_lines=num_lines,
                             max_tangent_dim=max_dim, trigger=trigger,
                             covered_points=len(covered),
                             certified=certified, exceptions=tuple(exceptions),

@@ -24,8 +24,10 @@ entries are built only for the values the pipeline returns.
 
 Everything in the report is a function of sigma_ints and X's field, n and
 d, and so is every later stage up to the gcd's roots.  analyze_tangent is
-_sigma_rows, then _report; a survey (singular.conjecture_check) runs _report
-and those stages once per distinct sigma and shares them among its lines.
+_sigma_rows, then _report; a survey (singular.conjecture_check) reads each
+line's sigma off the gradients its line scan takes when p >= d - 1 (else
+from _sigma_rows), and runs _report and those stages once per distinct
+sigma on one frame, keeping of them only what it reads.
 
 Pi <= W/E is the subspace of directions w with (w -| P)|_E = 0: deformations
 that move the line trivially to first order in every pencil direction.

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
-from fanosing import singular
+from fanosing import singular, tangent
 from fanosing.corpus import cone, fermat, random_with_line
 from fanosing.ideal import contains_image_sigma
 from fanosing.forms import (MultiForm, projective_normalize, restrict_partials,
@@ -25,7 +25,8 @@ from fanosing.singular import (BudgetExceeded, CharacteristicRefused,
                                grassmannian_size, is_singular_at,
                                lines_through, projective_points,
                                singular_on_line, singular_points)
-from fanosing.tangent import Hypersurface, LineFrame, analyze_tangent
+from fanosing.tangent import (Hypersurface, LineFrame, _sigma_rows,
+                              analyze_tangent)
 from helpers import combine, moved, planted
 
 F3 = parse_field("Fp:3")
@@ -842,17 +843,26 @@ def _reference_survey(X):
             tuple(exceptions))
 
 
-@pytest.mark.parametrize("make", [
-    lambda: cone(fermat(2, 3, F7)), lambda: cone(fermat(2, 3, F7), extra=2),
-    lambda: fermat(3, 3, F7), _cayley_cubic,
-    lambda: _diagonal_cubic(F7, (6, 6, 6, 1, 6)),
-    lambda: Hypersurface(mono(F7, 4, (1, 0, 2, 0)) + mono(F7, 4, (0, 1, 0, 2))),
-    lambda: random_with_line(3, 4, 5, 5)[0], _generic_cubic_threefold],
+@pytest.mark.parametrize("make,force", [
+    (lambda: cone(fermat(2, 3, F7)), False),
+    (lambda: cone(fermat(2, 3, F7), extra=2), False),
+    (lambda: fermat(3, 3, F7), False), (_cayley_cubic, False),
+    (lambda: _diagonal_cubic(F7, (6, 6, 6, 1, 6)), False),
+    (lambda: Hypersurface(mono(F7, 4, (1, 0, 2, 0)) + mono(F7, 4, (0, 1, 0, 2))),
+     False),
+    (lambda: random_with_line(3, 4, 5, 5)[0], False),
+    (_generic_cubic_threefold, False),
+    (lambda: random_with_line(3, 5, 3, 1)[0], True),
+    (lambda: random_with_line(3, 3, 2, 3)[0], True),
+    (lambda: random_with_line(3, 4, 3, 6)[0], True)],
     ids=["cone-f7", "double-cone", "fermat-p3-f7", "cayley", "p4-f7",
-         "singular-line", "exceptions", "generic"])
-def test_survey_builds_one_core_per_sigma(make, monkeypatch):
+         "singular-line", "exceptions", "generic", "forced-frame-sigma",
+         "forced-p2-d3", "forced-p3-d4"])
+def test_survey_builds_one_core_per_sigma(make, force, monkeypatch):
     """conjecture_check runs normal_form once per distinct sigma with m > 0,
-    and equals the survey that analyzes every line."""
+    and equals the survey that analyzes every line.  The forced surveys
+    read sigma off each line's frame (p < d - 1) or interpolate it on the
+    fewest nodes (p = d - 1)."""
     X = make()
     reports = [analyze_tangent(X, fr) for fr in all_lines(X)]
     calls = []
@@ -863,11 +873,72 @@ def test_survey_builds_one_core_per_sigma(make, monkeypatch):
         return normal_form(pencil)
 
     monkeypatch.setattr(singular, "normal_form", counted)
-    rep = conjecture_check(X)
+    rep = conjecture_check(X, force=force)
     assert len(calls) == len({r.sigma_ints for r in reports if r.m})
     assert (rep.num_lines, rep.max_tangent_dim, rep.trigger,
             rep.covered_points, rep.certified, rep.exceptions) == \
         _reference_survey(X)
+
+
+@pytest.mark.parametrize("make,lines", [
+    (lambda: cone(_diagonal_cubic(F7, (6, 1, 1))), 9),
+    (lambda: _diagonal_cubic(F13, (5, 8, 8, 8)), 27),
+    (lambda: _diagonal_cubic(F7, (6, 6, 6, 1, 6)), 135),
+    (lambda: cone(fermat(3, 3, F7)), 1422),
+    (_generic_cubic_threefold, 93),
+    (lambda: random_with_line(3, 3, 2, 3)[0], 10),
+    (lambda: random_with_line(3, 4, 3, 6)[0], 5)],
+    ids=["cone-f7", "p3-f13", "p4-f7", "cone-fermat-surface", "generic",
+         "p2-d3", "p3-d4"])
+def test_gradient_sigma_matches_sigma_rows(make, lines):
+    """The sigma the survey interpolates from the scan's gradients equals
+    _sigma_rows of a frame built from scratch on every line: the benchmark's
+    seed-1 survey inputs, the cone over the Fermat cubic surface, a cubic
+    threefold whose lines all have distinct sigma, and p = d - 1, the
+    fewest nodes the interpolation can run on."""
+    X = make()
+    polars = singular._Polars(X.plain_form)
+    sigma = singular._gradient_sigma(X, polars)
+    pairs = list(singular._echelon_pairs(X, polars, 10 ** 7))
+    assert len(pairs) == lines
+    for r1, r2 in pairs:
+        assert sigma(r1, r2) == _sigma_rows(X, LineFrame(X.field, r1, r2))
+
+
+@pytest.mark.parametrize("make,force", [
+    (lambda: _diagonal_cubic(F7, (6, 6, 6, 1, 6)), False),
+    (lambda: cone(fermat(2, 3, F7), extra=2), False),
+    (lambda: random_with_line(3, 3, 2, 3)[0], True)],
+    ids=["p4-f7", "double-cone", "p2-d3"])
+def test_survey_work_is_per_sigma_not_per_line(make, force, monkeypatch):
+    """With p >= d - 1 the survey reads each line's sigma off the scan's
+    gradients: no restricted_contractions call and no frame per line, only
+    a bounded number per distinct sigma."""
+    X = make()
+    sigmas = {analyze_tangent(X, fr).sigma_ints for fr in all_lines(X)}
+    contractions, frames = [], []
+    restricted = tangent.restricted_contractions
+    from_echelon, init = LineFrame._from_echelon, LineFrame.__init__
+    monkeypatch.setattr(tangent, "restricted_contractions",
+                        lambda *a: contractions.append(a) or restricted(*a))
+    monkeypatch.setattr(LineFrame, "_from_echelon", classmethod(
+        lambda cls, *a: frames.append(a) or from_echelon(*a)))
+    monkeypatch.setattr(LineFrame, "__init__",
+                        lambda self, *a: frames.append(a) or init(self, *a))
+    rep = conjecture_check(X, force=force)
+    assert rep.num_lines > len(sigmas)
+    assert len(contractions) <= 2 * len(sigmas)
+    assert len(frames) <= len(sigmas)
+
+
+def test_survey_refuses_a_failed_image_check(monkeypatch):
+    """The survey keeps the image check of each distinct sigma: a False
+    there raises instead of being dropped."""
+    X = fermat(3, 3, F13)
+    assert conjecture_check(X).num_lines == 27
+    monkeypatch.setattr(singular, "contains_image_sigma", lambda *a: False)
+    with pytest.raises(ArithmeticError, match="image"):
+        conjecture_check(X)
 
 
 def test_random_with_line_is_deterministic():
