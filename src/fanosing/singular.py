@@ -31,7 +31,8 @@ from .ideal import (GeneratorSet, IdealFiltration, build_filtration,
 from .linalg import Field, _echelon, _ints, plain
 from .pencil import NormalForm, normal_form
 from .tangent import (Hypersurface, LineFrame, PlaneNotContained, TangentReport,
-                      _frame_ints, _report, _sigma_rows, analyze_tangent)
+                      _frame_ints, _left_kernel, _report, _sigma_rows,
+                      analyze_tangent)
 
 
 # largest point or candidate list a scan builds unless a caller passes its own
@@ -571,12 +572,15 @@ def _gradient_sigma(X: Hypersurface, polars: _Polars):
     return sigma
 
 
-def _sigma_summary(X: Hypersurface, frame: LineFrame, sigma_ints) -> tuple:
-    """What a survey reads of every line whose sigma is sigma_ints, built
-    from _report and _core on frame, one of those lines: (tangent_dim, the
-    single-chain verdict, the gcd, its roots), the gcd None when the pencil
-    is trivial.  A core whose image check fails raises ArithmeticError."""
-    rep = _report(X, frame, sigma_ints)
+def _sigma_summary(X: Hypersurface, sigma_ints) -> tuple:
+    """What a survey reads of every line whose sigma is sigma_ints, from its
+    rows alone: _report on their left kernel and Pi's (the alpha^1 rows on
+    their first d columns), then _core: (tangent_dim, the single-chain
+    verdict, the gcd, its roots), the gcd None when the pencil is trivial.
+    A core whose image check fails raises ArithmeticError."""
+    rows = sigma_ints[0]
+    rep = _report(X, sigma_ints, _left_kernel(rows, X.field, X.d + 1),
+                  _left_kernel(rows[:X.n - 1], X.field, X.d))
     core = _core(X, rep)
     if core is None:
         return rep.tangent_dim, False, None, None
@@ -595,10 +599,10 @@ def conjecture_check(X: Hypersurface, budget: int = _BUDGET,
     A line's sigma comes from the gradients in the scan's memo when
     p >= d - 1 (_gradient_sigma), else from its frame (_sigma_rows).  Per
     distinct sigma the survey keeps only what it reads (_sigma_summary),
-    built once on the first of its lines, for this call only.  Each line's
-    certificate (_certificate) comes from its echelon rows and re-checks
-    every certified point on X; Fp points are built only for what it
-    returns."""
+    built once from sigma's rows alone, for this call only: with p >= d - 1
+    it builds no frame and expands P on no line.  Each line's certificate
+    (_certificate) comes from its echelon rows and re-checks every
+    certified point on X; Fp points are built only for what it returns."""
     _require_prime_field(X.field)
     field, p, d = X.field, X.field.p, X.d
     if p <= d and not force:
@@ -621,8 +625,7 @@ def conjecture_check(X: Hypersurface, budget: int = _BUDGET,
         num_lines += 1
         sig = sigma_of(r1, r2)
         if sig not in summaries:
-            summaries[sig] = _sigma_summary(
-                X, LineFrame._from_echelon(field, r1, r2), sig)
+            summaries[sig] = _sigma_summary(X, sig)
         dim, applies, gcd, roots = summaries[sig]
         max_dim = max(max_dim, dim)
         # the line's points normalised: r2, and r1 + a r2 (r2 is zero at

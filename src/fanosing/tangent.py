@@ -23,11 +23,12 @@ canonical form), and later stages read sigma and Pi from it.  Fp or Fraction
 entries are built only for the values the pipeline returns.
 
 Everything in the report is a function of sigma_ints and X's field, n and
-d, and so is every later stage up to the gcd's roots.  analyze_tangent is
-_sigma_rows, then _report; a survey (singular.conjecture_check) reads each
-line's sigma off the gradients its line scan takes when p >= d - 1 (else
-from _sigma_rows), and runs _report and those stages once per distinct
-sigma on one frame, keeping of them only what it reads.
+d, and so is every later stage up to the gcd's roots.  analyze_tangent runs
+_report on _sigma_rows and the frame's kernel and Pi (tangent_space,
+compute_pi); a survey (singular.conjecture_check) reads each line's sigma
+off the gradients its line scan takes when p >= d - 1 (else _sigma_rows),
+and once per distinct sigma runs _report on the kernel and Pi of sigma's
+rows alone, then those stages, keeping of them only what it reads.
 
 Pi <= W/E is the subspace of directions w with (w -| P)|_E = 0: deformations
 that move the line trivially to first order in every pencil direction.
@@ -280,17 +281,19 @@ def quotient_section(c, pi: Subspace):
 
 def analyze_tangent(X: Hypersurface, frame: LineFrame) -> TangentReport:
     """sigma, its kernel, Pi, and the pencil: the kernel of sigma's rows at
-    Pi's free columns, alpha^1 block then alpha^2 block."""
-    return _report(X, frame, _sigma_rows(X, frame))
+    Pi's free columns, alpha^1 block then alpha^2 block.  The kernel and Pi
+    come from the frame (tangent_space, compute_pi)."""
+    return _report(X, _sigma_rows(X, frame), tangent_space(X, frame),
+                   compute_pi(X, frame))
 
 
-def _report(X: Hypersurface, frame: LineFrame, sigma_ints) -> TangentReport:
-    """The report of the line whose _sigma_rows are sigma_ints: a function
-    of sigma_ints and X's field, n and d.  The kernel and Pi are computed
-    from the frame (tangent_space, compute_pi), whose sigma is sigma_ints."""
+def _report(X: Hypersurface, sigma_ints, tang: Subspace,
+            pi: Subspace) -> TangentReport:
+    """The report of the line whose _sigma_rows are sigma_ints, given
+    sigma's kernel tang and Pi: a function of sigma_ints and X's field, n
+    and d, since tang is the left kernel of the rows and Pi that of the
+    alpha^1 rows without their last column, whoever computes them."""
     rows, scale = sigma_ints
-    tang = tangent_space(X, frame)
-    pi = compute_pi(X, frame)
     nm1 = X.n - 1
     free = _free_columns(pi)
     pencil = [rows[c] for c in free] + [rows[nm1 + c] for c in free]

@@ -905,15 +905,19 @@ def test_gradient_sigma_matches_sigma_rows(make, lines):
         assert sigma(r1, r2) == _sigma_rows(X, LineFrame(X.field, r1, r2))
 
 
-@pytest.mark.parametrize("make,force", [
-    (lambda: _diagonal_cubic(F7, (6, 6, 6, 1, 6)), False),
-    (lambda: cone(fermat(2, 3, F7), extra=2), False),
-    (lambda: random_with_line(3, 3, 2, 3)[0], True)],
-    ids=["p4-f7", "double-cone", "p2-d3"])
-def test_survey_work_is_per_sigma_not_per_line(make, force, monkeypatch):
+@pytest.mark.parametrize("make,force,per_line", [
+    (lambda: _diagonal_cubic(F7, (6, 6, 6, 1, 6)), False, 0),
+    (lambda: cone(fermat(2, 3, F7), extra=2), False, 0),
+    (lambda: random_with_line(3, 3, 2, 3)[0], True, 0),
+    (lambda: random_with_line(3, 5, 3, 1)[0], True, 1)],
+    ids=["p4-f7", "double-cone", "p2-d3", "p3-d5"])
+def test_survey_work_is_per_sigma_not_per_line(make, force, per_line,
+                                               monkeypatch):
     """With p >= d - 1 the survey reads each line's sigma off the scan's
-    gradients: no restricted_contractions call and no frame per line, only
-    a bounded number per distinct sigma."""
+    gradients and each distinct sigma's summary off its rows: no
+    restricted_contractions call and no frame at all.  Under force with
+    p < d - 1 each line costs one of each, in _sigma_rows, and a distinct
+    sigma none."""
     X = make()
     sigmas = {analyze_tangent(X, fr).sigma_ints for fr in all_lines(X)}
     contractions, frames = [], []
@@ -927,8 +931,7 @@ def test_survey_work_is_per_sigma_not_per_line(make, force, monkeypatch):
                         lambda self, *a: frames.append(a) or init(self, *a))
     rep = conjecture_check(X, force=force)
     assert rep.num_lines > len(sigmas)
-    assert len(contractions) <= 2 * len(sigmas)
-    assert len(frames) <= len(sigmas)
+    assert len(contractions) == len(frames) == per_line * rep.num_lines
 
 
 def test_survey_refuses_a_failed_image_check(monkeypatch):

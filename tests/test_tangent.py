@@ -253,6 +253,41 @@ def test_pencil_is_the_projected_kernel():
     assert {(False, True, True), (True, True, True), (True, False, False)} <= seen
 
 
+def test_kernel_is_assembled_from_pi_and_the_pencil():
+    """ker sigma = (Pi x 0) + (0 x Pi) + the pencil's vectors placed at Pi's
+    free columns, so tangent_dim = 2 dim Pi + dim pencil; and the kernel
+    and Pi are the left kernels of sigma's rows and of its alpha^1 rows on
+    their first d columns, as a survey reads them off sigma alone.  On the
+    pencil cases (random_with_line lines over F_11, planted lines over Q,
+    cone-vertex lines over Q, a singular line) and cone-vertex lines over
+    F_11."""
+    cases = _pencil_cases()
+    for seed in range(8):
+        X, fr = random_with_line(3 + seed % 3, 2 + seed % 4, 11, seed)
+        Y = cone(X, extra=1 + seed % 2)
+        cases.append((Y, LineFrame(X.field, fr.point(1, 0) + (0,) * (Y.n - X.n),
+                                   unit_vectors(X.field, Y.n + 1, (Y.n,))[0])))
+    wide = 0
+    for X, fr in cases:
+        rep = analyze_tangent(X, fr)
+        rows, field, nm1 = rep.sigma_ints[0], X.field, X.n - 1
+        assert rep.kernel == tangent._left_kernel(rows, field, X.d + 1)
+        assert rep.pi == tangent._left_kernel(rows[:nm1], field, X.d)
+        assert rep.tangent_dim == 2 * rep.pi.dim + rep.pencil.dim
+        zero = (field.zero(),) * nm1
+        vecs = [v + zero for v in rep.pi.basis]
+        vecs += [zero + v for v in rep.pi.basis]
+        free = tangent._free_columns(rep.pi)
+        for v in rep.pencil.basis:
+            out = [field.zero()] * (2 * nm1)
+            for k, c in enumerate(free):
+                out[c], out[nm1 + c] = v[k], v[rep.m + k]
+            vecs.append(tuple(out))
+        assert rep.kernel == Subspace.from_vectors(vecs, field, 2 * nm1)
+        wide += rep.pi.dim > 0
+    assert wide >= 10, wide
+
+
 def _form_on_line(rng, field, e1, e2, d, q):
     """A random form of degree d vanishing on span(e1, e2): sum_j l_j G_j,
     the l_j a basis of the linear forms vanishing on the line and the G_j
