@@ -14,11 +14,15 @@ are rescaled along with it so the identities stay exact).  It all runs on
 the int sigma of the line's TangentReport, as does the image check, with
 scalars built only for p and the rescaled chain.
 
-The generators of degrees delta_j = d - s_j build an ascending filtration of
-ideal pieces inside the spaces of binary forms on the line.  Points where
-every piece vanishes are forced singular points of the hypersurface; the
-degree-k piece also bounds how fast its elements can vanish at a point of
-the line (order <= k-1 away from an explicit finite locus).
+The generators of degrees delta_j = d - s_j span an ideal of binary forms
+on the line.  Its degree-k piece is built in one place (_piece): one echelon
+pass over the k-shifts of every generator of degree <= k, on int rows each
+generator converts once.  The filtration's levels are the pieces at the
+generator degrees, and ideal_degree_piece, the image check and the
+multiplicity bounds read the same function.  Points where every piece
+vanishes are forced singular points of the hypersurface; the degree-k piece
+also bounds how fast its elements can vanish at a point of the line (order
+<= k-1 away from an explicit finite locus).
 """
 
 from __future__ import annotations
@@ -58,10 +62,19 @@ class BlockGenerator:
 
 @dataclass(frozen=True)
 class GeneratorSet:
-    """All block generators of a line, in descending block-size order."""
+    """All block generators of a line: extract_generators gives them in
+    descending block-size order, and the filtration reads them in any
+    order."""
 
     field: Field
     blocks: tuple
+
+    def __post_init__(self):
+        # (delta, int coefficient row) per generator, converted once for
+        # every degree piece (_piece) to read
+        rows, _ = _ints([b.p.coeffs for b in self.blocks], self.field)
+        object.__setattr__(self, "_rows",
+                           tuple(zip([len(row) - 1 for row in rows], rows)))
 
     @property
     def r(self) -> int:
@@ -130,14 +143,14 @@ def extract_generators(X: Hypersurface, nf: NormalForm,
 class IdealFiltration:
     """Ascending pieces hatM_j of the ideal the generators span on the line.
 
-    Level j lives in degree deltas[j] and contains every lower level times
-    the forms of the degree gap, so the top level determines every higher
-    degree piece.
+    Level j is the degree-deltas[j] piece (_piece), so it contains every
+    lower level times the forms of the degree gap, and the top level
+    determines every higher degree piece.
     """
 
     gens: GeneratorSet
     deltas: tuple          # distinct generator degrees, ascending
-    counts: tuple          # generators entering at each level
+    counts: tuple          # generators of each degree
     hatM: tuple            # Subspace of K^(delta+1) per level
     quotient_dims: tuple   # codimension of each level in its degree
 
@@ -147,49 +160,34 @@ def _shift_up(coeffs, gap: int) -> list:
     return [[0] * b + list(coeffs) + [0] * (gap - b) for b in range(gap + 1)]
 
 
-def build_filtration(gens: GeneratorSet) -> IdealFiltration:
-    if not gens.blocks:
-        raise ValueError("no generators to build a filtration from")
-    field = gens.field
-    levels = []
-    for b in gens.blocks:       # deltas ascend with block order
-        if levels and levels[-1][0] == b.delta:
-            levels[-1][1].append(b.p)
-        else:
-            levels.append([b.delta, [b.p]])
-    deltas, counts, spaces, codims = [], [], [], []
-    prev = None
-    for delta, ps in levels:
-        rows, _ = _ints([p.coeffs for p in ps], field)
-        if prev is not None:
-            gap = delta - deltas[-1]
-            rows += [v for row in prev.ints[0] for v in _shift_up(row, gap)]
-        space = Subspace._of(field, delta + 1, *_echelon(rows, field.p))
-        deltas.append(delta)
-        counts.append(len(ps))
-        spaces.append(space)
-        codims.append(delta + 1 - space.dim)
-        prev = space
-    return IdealFiltration(gens=gens, deltas=tuple(deltas),
-                           counts=tuple(counts), hatM=tuple(spaces),
-                           quotient_dims=tuple(codims))
-
-
-def _piece_rows(filt: IdealFiltration, k: int):
-    """ideal_degree_piece as echelon int rows and their pivot columns."""
+def _piece(gens: GeneratorSet, k: int):
+    """The degree-k piece of the ideal gens span on the line, as echelon int
+    rows and their pivot columns: one _echelon pass over the k-shifts of
+    every generator of degree <= k (GeneratorSet._rows)."""
     if k < 0:
         raise ValueError("negative degree")
-    if k < filt.deltas[0]:
-        return [], []
-    j = max(i for i, delta in enumerate(filt.deltas) if delta <= k)
-    gap = k - filt.deltas[j]
-    return _echelon([v for row in filt.hatM[j].ints[0]
-                     for v in _shift_up(row, gap)], filt.gens.field.p)
+    return _echelon([v for delta, row in gens._rows if delta <= k
+                     for v in _shift_up(row, k - delta)], gens.field.p)
+
+
+def build_filtration(gens: GeneratorSet) -> IdealFiltration:
+    """The filtration whose levels are the pieces (_piece) at the distinct
+    generator degrees; the blocks may come in any order."""
+    if not gens.blocks:
+        raise ValueError("no generators to build a filtration from")
+    found = [delta for delta, _ in gens._rows]
+    deltas = sorted(set(found))
+    hatM = [Subspace._of(gens.field, k + 1, *_piece(gens, k)) for k in deltas]
+    return IdealFiltration(gens=gens, deltas=tuple(deltas),
+                           counts=tuple([found.count(k) for k in deltas]),
+                           hatM=tuple(hatM),
+                           quotient_dims=tuple([k + 1 - space.dim for k, space
+                                                in zip(deltas, hatM)]))
 
 
 def ideal_degree_piece(filt: IdealFiltration, k: int) -> Subspace:
     """Degree-k piece of the ideal on the line, as coefficient vectors."""
-    return Subspace._of(filt.gens.field, k + 1, *_piece_rows(filt, k))
+    return Subspace._of(filt.gens.field, k + 1, *_piece(filt.gens, k))
 
 
 def contains_image_sigma(filt: IdealFiltration, report: TangentReport) -> bool:
@@ -199,7 +197,7 @@ def contains_image_sigma(filt: IdealFiltration, report: TangentReport) -> bool:
     rows = report.sigma_ints[0]
     if not rows:
         return True
-    reduced = _reduce(*_piece_rows(filt, len(rows[0]) - 1), rows,
+    reduced = _reduce(*_piece(filt.gens, len(rows[0]) - 1), rows,
                       filt.gens.field.p)
     return not any(any(r) for r, _ in reduced)
 
@@ -252,8 +250,7 @@ def pure_power_locus(filt: IdealFiltration, k: int) -> PurePowerLocus:
     of their gcd.
     """
     field = filt.gens.field
-    piece = ideal_degree_piece(filt, k)
-    ann = _kernel([list(row) for row in piece.ints[0]], k + 1, field)
+    ann = _kernel(_piece(filt.gens, k)[0], k + 1, field)
     forms = []
     for lam in ann.basis:
         coeffs = [field.zero()] * (k + 1)

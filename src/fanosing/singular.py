@@ -289,12 +289,13 @@ def analyze_line(X: Hypersurface, frame: LineFrame) -> LineAnalysis:
     return _tail(X, frame, rep, _core(X, rep))
 
 
-def _core(X: Hypersurface, rep: TangentReport):
+def _core(X: Hypersurface, rep: TangentReport) -> tuple:
     """The stages after the report, a function of its sigma and X's field,
-    n and d: (nf, gens, filt, gcd, roots, image_contained), or None when the
-    pencil is trivial (rep.m == 0)."""
+    n and d: (nf, gens, filt, gcd, roots, image_contained), every field
+    None when the pencil is trivial (rep.m == 0), where gcd and roots None
+    make _certificate's whole-line case."""
     if rep.m == 0:
-        return None
+        return (None,) * 6
     nf = normal_form(rep.pencil)
     gens = extract_generators(X, nf, rep)
     filt = build_filtration(gens)
@@ -303,16 +304,12 @@ def _core(X: Hypersurface, rep: TangentReport):
 
 
 def _tail(X: Hypersurface, frame: LineFrame, rep: TangentReport,
-          core) -> LineAnalysis:
+          core: tuple) -> LineAnalysis:
     """The line's record from its report and core: the stages that read
     the frame's int rows, whose certificate re-checks its points on X."""
     rows, _ = _frame_ints(X, frame)
-    if core is None:
-        nf = gens = filt = image_ok = None
-        cert = _certificate(X, rows, None, None)
-    else:
-        nf, gens, filt, gcd, roots, image_ok = core
-        cert = _certificate(X, rows, gcd, roots)
+    nf, gens, filt, gcd, roots, image_ok = core
+    cert = _certificate(X, rows, gcd, roots)
     return LineAnalysis(frame=frame, tangent=rep, nf=nf, gens=gens, filt=filt,
                         certificate=cert,
                         everyp1=check_everyp1(X, rep, nf, cert),
@@ -576,18 +573,17 @@ def _sigma_summary(X: Hypersurface, sigma_ints) -> tuple:
     """What a survey reads of every line whose sigma is sigma_ints, from its
     rows alone: _report on their left kernel and Pi's (the alpha^1 rows on
     their first d columns), then _core: (tangent_dim, the single-chain
-    verdict, the gcd, its roots), the gcd None when the pencil is trivial.
-    A core whose image check fails raises ArithmeticError."""
+    verdict, the gcd, its roots), all but tangent_dim falsy or None when
+    the pencil is trivial.  A core whose image check fails raises
+    ArithmeticError."""
     rows = sigma_ints[0]
     rep = _report(X, sigma_ints, _left_kernel(rows, X.field, X.d + 1),
                   _left_kernel(rows[:X.n - 1], X.field, X.d))
-    core = _core(X, rep)
-    if core is None:
-        return rep.tangent_dim, False, None, None
-    nf, _, _, gcd, roots, image_ok = core
-    if not image_ok:
+    nf, _, _, gcd, roots, image_ok = _core(X, rep)
+    if image_ok is False:
         raise ArithmeticError("sigma's image leaves the generator ideal")
-    return rep.tangent_dim, _single_chain(X, rep, nf), gcd, roots
+    return (rep.tangent_dim, rep.m > 0 and _single_chain(X, rep, nf), gcd,
+            roots)
 
 
 def conjecture_check(X: Hypersurface, budget: int = _BUDGET,

@@ -107,9 +107,7 @@ class LineFrame:
         self.e1 = field.vector(e1)
         self.e2 = field.vector(e2)
         n1 = len(self.e1)
-        if len(self.e2) != n1:
-            raise ValueError("spanning vectors have different lengths")
-        (r1, r2), (m1, m2) = _ints([self.e1, self.e2], field)
+        (r1, r2), (m1, m2) = _ints([self.e1, self.e2], field, n1)
         m = lcm(m1, m2)
         self.ints = ([x * (m // m1) for x in r1], [x * (m // m2) for x in r2]), m
         red, pivots = _echelon([r1, r2], field.p)

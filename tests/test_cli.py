@@ -381,13 +381,20 @@ _CUBIC = "field Q\nvars 4\n1 3 0 0 0\n1 0 3 0 0\n"
     ("", ["ruled", "--k", "2", "--d1", "1,3,0", "--d2", "2,5"],
      "divisor class must be 'a,b'"),
     (_CUBIC, ["analyze", "{f}", "--line", "1,0,0,0;0,1,0"],
-     "spanning vectors have different lengths"),
+     "ragged matrix: vector length is not 4"),
     (_CUBIC, ["analyze", "{f}", "--line", "0,0,1,0;0,0,3,0"],
      "line frame needs two independent spanning vectors"),
     (_CUBIC, ["lines", "{f}", "--field", "Fp:7", "--budget", "-1"],
      "argument --budget: needs a non-negative integer, got -1"),
     (_CUBIC, ["conjecture", "{f}", "--field", "Fp:7", "--budget", "-1"],
      "argument --budget: needs a non-negative integer, got -1"),
+    (_CUBIC, ["gen", "cone", "--base", "{f}", "--extra", "0"],
+     "need at least one new variable"),
+    ("", ["gen", "random-with-line", "--n", "1", "--p", "7"],
+     "need n >= 2 for a complement direction"),
+    ("", ["gen", "fermat", "--n", "0"],
+     "need an ambient projective space of dimension >= 1"),
+    ("", ["gen", "fermat", "--d", "0"], "defining form must have degree >= 1"),
 ], ids=["line-spec", "form-coefficient", "through-point", "field-option-fp0",
         "form-header-fp0", "gen-p0", "form-coefficient-literal",
         "line-spec-literal", "through-point-literal", "pencil-element-literal",
@@ -396,7 +403,8 @@ _CUBIC = "field Q\nvars 4\n1 3 0 0 0\n1 0 3 0 0\n"
         "twist-class-literal", "gen-d0", "gen-cone-no-base", "gen-random-no-p",
         "twist-p-without-l", "ruled-class-shape", "line-spec-ragged",
         "line-spec-dependent", "lines-budget-negative",
-        "conjecture-budget-negative"])
+        "conjecture-budget-negative", "gen-cone-extra0", "gen-random-n1",
+        "gen-fermat-n0", "gen-fermat-d0"])
 def test_bad_scalar_or_characteristic_is_one_line_error(tmp_path, capsys, form,
                                                         argv, message):
     path = tmp_path / "in.form"

@@ -7,10 +7,10 @@ from math import gcd, lcm
 import pytest
 
 from fanosing.forms import BinaryForm, MultiForm
-from fanosing.ideal import (DegreeTooSmall, build_filtration,
-                            contains_image_sigma, extract_generators,
-                            ideal_degree_piece, max_multiplicity_at,
-                            pure_power_locus)
+from fanosing.ideal import (BlockGenerator, DegreeTooSmall, GeneratorSet,
+                            build_filtration, contains_image_sigma,
+                            extract_generators, ideal_degree_piece,
+                            max_multiplicity_at, pure_power_locus)
 from fanosing.linalg import QQ, FieldMismatch, Subspace, parse_field, rank
 from fanosing.pencil import NormalForm, normal_form
 from fanosing.singular import analyze_line
@@ -162,6 +162,84 @@ def test_piece_below_first_delta_is_zero(cone_pipeline):
     assert max_multiplicity_at(filt, 1, (0, 1)) is None
 
 
+def _span_of_shifts(gens, k):
+    """The degree-k piece as a scalar span: every generator of degree <= k
+    times every monomial of the degree gap."""
+    field, zero = gens.field, gens.field.zero()
+    vecs = [(zero,) * b + tuple(p.coeffs) + (zero,) * (k - p.degree - b)
+            for p in gens.forms() if p.degree <= k
+            for b in range(k - p.degree + 1)]
+    return Subspace.from_vectors(vecs, field, k + 1)
+
+
+def _shape(filt):
+    return filt.deltas, filt.counts, filt.hatM, filt.quotient_dims
+
+
+def test_filtration_in_any_block_order():
+    """F_7 generators s + 2t (block size 2) and s^2 (block size 1) of a
+    cubic's line, in either order: levels in degrees 1 and 2 of dims 1 and
+    3, and pieces 0..4 of dims 0, 1, 3, 4, 5."""
+    F7 = parse_field("Fp:7")
+    lin = BlockGenerator(p=BinaryForm(F7, (F7.scalar(1), F7.scalar(2))),
+                         size=2, chain=())
+    sq = BlockGenerator(p=BinaryForm(F7, tuple(map(F7.scalar, (1, 0, 0)))),
+                        size=1, chain=())
+    for blocks in ((lin, sq), (sq, lin)):
+        filt = build_filtration(GeneratorSet(field=F7, blocks=blocks))
+        assert filt.deltas == (1, 2) and filt.counts == (1, 1)
+        assert [sp.dim for sp in filt.hatM] == [1, 3]
+        assert filt.quotient_dims == (1, 0)
+        assert [ideal_degree_piece(filt, k).dim for k in range(5)] == [
+            0, 1, 3, 4, 5]
+
+
+@pytest.mark.parametrize("field", [QQ, F11, parse_field("Fp:13")],
+                         ids=["Q", "F11", "F13"])
+def test_pieces_are_spans_of_shifted_generators(field):
+    """On planted lines, half of them moved, with the generator blocks
+    shuffled: the filtration does not depend on block order, each level is
+    the piece at its degree, and every piece up to degree d + 2 is the span
+    of the shifts of the generators of degree <= k."""
+    rng = random.Random(33)
+
+    def q():
+        if field.p:
+            return field.scalar(rng.randrange(field.p))
+        return Fr(rng.randint(-9, 9), rng.choice((1, 2, 3, 5)))
+
+    def nz():
+        return next(x for x in iter(q, None) if x)
+
+    lines = mixed = 0
+    for _ in range(300):
+        if lines >= 40 and mixed >= 4:
+            break
+        n, d = rng.randint(3, 6), rng.randint(2, 5)
+        P = planted(field, n, d, rng, q, nz, double=False)
+        if P.is_zero():
+            continue
+        X, fr = moved(P, rng, q) if rng.random() < 0.5 else (
+            Hypersurface(P), LineFrame(field, *[[int(i == j)
+                                                 for i in range(n + 1)]
+                                                for j in (0, 1)]))
+        la = analyze_line(X, fr)
+        if la.gens is None:
+            continue
+        lines += 1
+        mixed += len(la.filt.deltas) > 1
+        blocks = list(la.gens.blocks)
+        rng.shuffle(blocks)
+        shuffled = GeneratorSet(field=field, blocks=tuple(blocks))
+        filt = build_filtration(shuffled)
+        assert _shape(filt) == _shape(la.filt)
+        assert sum(filt.counts) == la.gens.r
+        for delta, space in zip(filt.deltas, filt.hatM):
+            assert space == _span_of_shifts(shuffled, delta)
+        for k in range(d + 3):
+            assert ideal_degree_piece(filt, k) == _span_of_shifts(
+                shuffled, k) == ideal_degree_piece(la.filt, k), (X.P, fr, k)
+    assert lines >= 40 and mixed >= 4
 
 
 def _primitive_mod(coeffs, F):

@@ -452,6 +452,9 @@ def test_solve_combination():
     x = solve_combination(rows, F(3, 2), QQ)
     assert list(x) == [Fraction(1), Fraction(2)]
     assert solve_combination([F(1, 0, 0)], F(0, 1, 0), QQ) is None
+    # no rows: only the zero target is a (empty) combination
+    assert solve_combination([], (0, 0), QQ) == []
+    assert solve_combination([], (1, 0), QQ) is None
 
 
 @st.composite
