@@ -20,9 +20,10 @@ is taken with the one before instead of R.  Chains are assembled deepest
 slot first, one solve per level giving the predecessors inside R.  The
 chains are the one record of the blocks: s is their lengths, the adapted
 basis their concatenation, and NormalForm derives the block offsets from s.
-A completed candidate is always re-verified; verification failure (or a
-stalled filtration) proves a rank-one element exists over the algebraic
-closure, so construction plus verification decides decomposability exactly.
+A rank-one pencil ends in exactly two ways: the filtration stalls, or the
+completed candidate, always re-verified, fails verification; either proves a
+rank-one element over the algebraic closure, so construction plus
+verification decides decomposability exactly.  No other step fails on any L.
 
 Scalars enter once and leave once.  normal_form reads the pencil's echelon
 int rows (Subspace.ints) and computes on int rows from then on, with
@@ -100,7 +101,8 @@ def normal_form(pencil: Subspace) -> NormalForm:
     pencil lives in K^{2m} with the (u | v) encoding in the standard dual
     pair (alpha^1, alpha^2), which a line's frame fixes; the chains refer to
     that pair.  R, the levels V[t], the meets and the chains are int rows
-    (see the module docstring).
+    (see the module docstring).  It raises only when the filtration stalls
+    or the candidate fails verify_normal_form.
     """
     field, p = pencil.field, pencil.field.p
     if pencil.ambient_dim % 2:
@@ -125,11 +127,7 @@ def normal_form(pencil: Subspace) -> NormalForm:
             # right halves are never reduced
             M, _ = _meet(M, *V, m, p)
 
-    dims = [len(rows) for rows, _ in chain_spaces]
-    if any(a - b < b - c for a, b, c in zip(dims, dims[1:], dims[2:])):
-        raise NotConstantRankTwo(
-            "level sizes are not monotone; no block decomposition")
-
+    # the level sizes dim V[t-1] - dim V[t] never grow with t
     chains_rev = []        # (int row, scale) of each block, deepest slot first
     for t in range(len(meets), 0, -1):
         below, (here, here_piv) = chain_spaces[t][0], chain_spaces[t - 1]
@@ -137,11 +135,8 @@ def normal_form(pencil: Subspace) -> NormalForm:
             # one solve for every chain's newest v: its predecessor u applies
             # v's combination of the meet's second halves to the first halves
             M = meets[t - 1]
-            heads = [ch[-1][0] for ch in chains_rev]
-            sol = _solve([w[m:] for w in M], heads, p)
-            if sol is None:
-                raise NotConstantRankTwo("chain predecessor missing")
-            sols, den = sol
+            heads = [ch[-1][0] for ch in chains_rev]   # in V[t]: solvable
+            sols, den = _solve([w[m:] for w in M], heads, p)
             for nums, ch in zip(sols, chains_rev):
                 u = [0] * m
                 for c, w in zip(nums, M):
@@ -152,13 +147,9 @@ def normal_form(pencil: Subspace) -> NormalForm:
                 else:
                     g = gcd(*u, den * ch[-1][1])
                     ch.append(([a // g for a in u], den * ch[-1][1] // g))
-        # below and the predecessors lie in here: the rank of their join is
-        # the number of here's rows the complement does not keep
-        preds = [ch[-1][0] for ch in chains_rev]
-        keep = _complement(below + preds, here_piv, p)
-        if len(here) - len(keep) != len(below) + len(preds):
-            raise NotConstantRankTwo(
-                "chain predecessors collapse; no block decomposition")
+        # below + predecessors is independent; keep extends it to here's basis
+        keep = _complement(below + [ch[-1][0] for ch in chains_rev],
+                           here_piv, p)
         chains_rev += [[(here[k], here[k][here_piv[k]])] for k in keep]
 
     s = tuple(len(ch) for ch in chains_rev)
@@ -195,8 +186,8 @@ def has_decomposable(pencil: Subspace) -> bool:
     """Whether the pencil has a rank-one element over the algebraic closure.
 
     Decided exactly by attempting the chain normal form: a verified normal
-    form rules out rank-one elements over every extension, and every failure
-    mode certifies one.
+    form rules out rank-one elements over every extension, and a pencil with
+    one ends in a stalled filtration or a failed verification.
     """
     try:
         normal_form(pencil)

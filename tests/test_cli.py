@@ -388,6 +388,8 @@ _CUBIC = "field Q\nvars 4\n1 3 0 0 0\n1 0 3 0 0\n"
      "argument --budget: needs a non-negative integer, got -1"),
     (_CUBIC, ["conjecture", "{f}", "--field", "Fp:7", "--budget", "-1"],
      "argument --budget: needs a non-negative integer, got -1"),
+    (_CUBIC, ["lines", "{f}", "--field", "Fp:7", "--budget", "abc"],
+     "argument --budget: invalid int value: 'abc'"),
     (_CUBIC, ["gen", "cone", "--base", "{f}", "--extra", "0"],
      "need at least one new variable"),
     ("", ["gen", "random-with-line", "--n", "1", "--p", "7"],
@@ -403,8 +405,8 @@ _CUBIC = "field Q\nvars 4\n1 3 0 0 0\n1 0 3 0 0\n"
         "twist-class-literal", "gen-d0", "gen-cone-no-base", "gen-random-no-p",
         "twist-p-without-l", "ruled-class-shape", "line-spec-ragged",
         "line-spec-dependent", "lines-budget-negative",
-        "conjecture-budget-negative", "gen-cone-extra0", "gen-random-n1",
-        "gen-fermat-n0", "gen-fermat-d0"])
+        "conjecture-budget-negative", "lines-budget-literal",
+        "gen-cone-extra0", "gen-random-n1", "gen-fermat-n0", "gen-fermat-d0"])
 def test_bad_scalar_or_characteristic_is_one_line_error(tmp_path, capsys, form,
                                                         argv, message):
     path = tmp_path / "in.form"

@@ -62,6 +62,10 @@ def test_field_scalar_coercion():
         QQ.strict(Fp(1, 7))
     with pytest.raises(FieldMismatch):
         F7.strict(Fraction(1, 2))
+    with pytest.raises(FieldMismatch, match="Fp:7 vs Fp:11"):
+        Fp(1, 7) == Fp(1, 11)
+    with pytest.raises(FieldMismatch, match="Fp:7 vs Fp:11"):
+        Fp(1, 7) + Fp(1, 11)
 
 
 _P61 = 2**61 - 1
@@ -123,6 +127,13 @@ def test_parse_field():
     for spec in ("Fp:0", "Fp 0", "Fp:1", "Fp:-7"):
         with pytest.raises(ValueError, match="needs a prime characteristic"):
             parse_field(spec)
+    # 1763 = 41 * 43 has no factor <= 37: only Miller-Rabin refuses it
+    for make in (lambda: Field(1763), lambda: parse_field("Fp:1763")):
+        with pytest.raises(ValueError,
+                           match="characteristic must be 0 or a prime"):
+            make()
+    with pytest.raises(ValueError, match=r"characteristic must be <= 2\*\*61"):
+        Field(2**61 + 1)
 
 
 def test_rref_canonical():

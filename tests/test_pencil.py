@@ -272,7 +272,8 @@ def _planted_case(draw):
     """A chain pencil with a drawn partition of m <= 8 over Q (fractional
     entries), F_2, F_3, F_7 or F_101, in a random basis L U, its dual pair
     moved by GL_2; optionally salted with a rank-one element or a random
-    vector."""
+    vector.  Or, with no planting, the span of up to m + 1 random vectors
+    of K^(2m)."""
     field = draw(st.sampled_from([QQ] + [parse_field("Fp:%d" % p)
                                          for p in (2, 3, 7, 101)]))
     if field.p:
@@ -283,6 +284,10 @@ def _planted_case(draw):
                           st.sampled_from([1, 2, 3, 4, 7]))
         unit = entry.filter(bool)
     m = draw(st.integers(0, 8))
+    if draw(st.booleans()):
+        return Subspace.from_vectors(
+            [tuple(draw(entry) for _ in range(2 * m))
+             for _ in range(draw(st.integers(0, m + 1)))], field, 2 * m)
     sizes, left = [], m
     while left:
         sizes.append(draw(st.integers(1, left)))
@@ -327,7 +332,10 @@ def _outcome(fn, pencil):
 @given(_planted_case())
 def test_int_normal_form_matches_scalar_reference(pencil):
     """normal_form on int rows gives the same NormalForm as the scalar
-    reference, or raises NotConstantRankTwo with the same message."""
+    reference, or raises NotConstantRankTwo with the same message.  The
+    reference keeps the monotone, missing-predecessor and collapse guards
+    that normal_form lacks: an input reaching one would show here as a
+    message mismatch."""
     got, got_nf = _outcome(normal_form, pencil)
     want, want_nf = _outcome(_reference_normal_form, pencil)
     assert got == want
@@ -421,9 +429,11 @@ def test_eliminations_per_normal_form_are_bounded(field):
 @given(_planted_case())
 def test_each_incremental_meet_is_the_meet_with_R(pencil):
     """normal_form meets the previous meet with V[t] x K^m instead of R; on
-    planted pencils, with or without a rank-one element, the t-th such meet
-    is R cap (V[t] x K^m), with R and the levels V[t] = p_2(R cap (V[t-1] x
-    K^m)) from V[1] = p_2(R) on the scalar Subspace API."""
+    planted pencils, with or without a rank-one element, and on arbitrary
+    subspaces, the t-th such meet is R cap (V[t] x K^m), with R and the
+    levels V[t] = p_2(R cap (V[t-1] x K^m)) from V[1] = p_2(R) on the scalar
+    Subspace API.  The level sizes dim V[t-1] - dim V[t] never grow with t,
+    up to and including a stall."""
     field = pencil.field
     m = pencil.ambient_dim // 2
     R = Subspace.from_vectors([w[:m] + tuple(-y for y in w[m:])
@@ -440,13 +450,19 @@ def test_each_incremental_meet_is_the_meet_with_R(pencil):
             normal_form(pencil)
         except NotConstantRankTwo:
             pass
-    M = R
-    for got in seen:
+    M, dims, meets = R, [m], []
+    while True:
         V = Subspace.from_vectors([w[m:] for w in M.basis], field, m)
+        dims.append(V.dim)
+        if not V.dim or V.dim >= dims[-2]:      # done, or stalled
+            break
         M = R.meet(Subspace(field, 2 * m, tuple(
             [v + (field.zero(),) * m for v in V.basis]
             + unit_vectors(field, 2 * m, range(m, 2 * m)))))
-        assert got == M
+        meets.append(M)
+    assert seen == meets
+    sizes = [a - b for a, b in zip(dims, dims[1:])]
+    assert all(a >= b for a, b in zip(sizes, sizes[1:])), dims
 
 
 def _rref_subspaces(n, k):
@@ -479,10 +495,10 @@ def test_exhaustive_small_pencils_over_f2():
     m = 3).  A nonzero (u | v) in L with u, v proportional is a rank-one
     element, and normal_form must raise on it; a normal form it returns
     verifies, has chain offsets the prefix sums of s, and equals the
-    scalar reference.  Only the "stalled" and "failed verification" guards
-    fire here; the monotone, missing-predecessor and collapse guards stay
-    as safety checks, unreached by this census, the other tests and the
-    benchmark inputs."""
+    scalar reference.  normal_form raises only when the filtration stalls
+    or the candidate fails verification; the reference's three further
+    guards (monotone level sizes, a missing predecessor, collapsing
+    predecessors) are unreachable, so every message agrees."""
     F2 = parse_field("Fp:2")
     outcomes = {"normal form": 0, "raised": 0}
     for m in range(1, 4):
