@@ -574,8 +574,9 @@ def _sigma_summary(X: Hypersurface, sigma_ints) -> tuple:
     rows alone: _report on their left kernel and Pi's (the alpha^1 rows on
     their first d columns), then _core: (tangent_dim, the single-chain
     verdict, the gcd, its roots), all but tangent_dim falsy or None when
-    the pencil is trivial.  A core whose image check fails raises
-    ArithmeticError."""
+    the pencil is trivial.  It depends only on the span of the alpha^1 rows,
+    so the survey runs it once per span, on _span_sigma.  A core whose
+    image check fails raises ArithmeticError."""
     rows = sigma_ints[0]
     rep = _report(X, sigma_ints, _left_kernel(rows, X.field, X.d + 1),
                   _left_kernel(rows[:X.n - 1], X.field, X.d))
@@ -586,6 +587,22 @@ def _sigma_summary(X: Hypersurface, sigma_ints) -> tuple:
             roots)
 
 
+def _span_sigma(X: Hypersurface, sigma_ints) -> tuple:
+    """The sigma of the span U of a line's contractions f_j (sigma's alpha^1
+    rows without their last column) over F_p: U's echelon basis padded with
+    zero rows to n - 1, as alpha^1 rows (*f, 0) and alpha^2 rows (0, *f).
+
+    _sigma_summary is a function of U, so lines with one span share it:
+    tangent_dim = 2(n - 1) - dim(s U + t U) and m = dim U; a change of
+    basis of (W/E)/Pi moves the pencil by one GL(m) acting on both halves,
+    which keeps its block sizes; the generators' monic gcd is gcd(U); and
+    image sigma = s U + t U for every sigma of the span."""
+    nm1 = X.n - 1
+    fs, _ = _echelon([list(r[:-1]) for r in sigma_ints[0][:nm1]], X.field.p)
+    fs += [[0] * X.d] * (nm1 - len(fs))
+    return tuple([(*f, 0) for f in fs] + [(0, *f) for f in fs]), 1
+
+
 def conjecture_check(X: Hypersurface, budget: int = _BUDGET,
                      force: bool = False) -> ConjectureReport:
     """Survey every F_p-line of X as the scan yields its echelon pair
@@ -594,11 +611,12 @@ def conjecture_check(X: Hypersurface, budget: int = _BUDGET,
 
     A line's sigma comes from the gradients in the scan's memo when
     p >= d - 1 (_gradient_sigma), else from its frame (_sigma_rows).  Per
-    distinct sigma the survey keeps only what it reads (_sigma_summary),
-    built once from sigma's rows alone, for this call only: with p >= d - 1
-    it builds no frame and expands P on no line.  Each line's certificate
-    (_certificate) comes from its echelon rows and re-checks every
-    certified point on X; Fp points are built only for what it returns."""
+    distinct span of the contractions the survey keeps only what it reads
+    (_sigma_summary), built once from the span's sigma (_span_sigma), for
+    this call only: with p >= d - 1 it builds no frame and expands P on no
+    line.  Each line's certificate (_certificate) comes from its echelon
+    rows and re-checks every certified point on X; Fp points are built only
+    for what it returns."""
     _require_prime_field(X.field)
     field, p, d = X.field, X.field.p, X.d
     if p <= d and not force:
@@ -616,13 +634,13 @@ def conjecture_check(X: Hypersurface, budget: int = _BUDGET,
     certified = []
     exceptions = []
     max_dim = 0
-    summaries = {}      # sigma_ints -> _sigma_summary
+    summaries = {}      # the span's sigma -> _sigma_summary
     for r1, r2 in _echelon_pairs(X, polars, budget):
         num_lines += 1
-        sig = sigma_of(r1, r2)
-        if sig not in summaries:
-            summaries[sig] = _sigma_summary(X, sig)
-        dim, applies, gcd, roots = summaries[sig]
+        key = _span_sigma(X, sigma_of(r1, r2))
+        if key not in summaries:
+            summaries[key] = _sigma_summary(X, key)
+        dim, applies, gcd, roots = summaries[key]
         max_dim = max(max_dim, dim)
         # the line's points normalised: r2, and r1 + a r2 (r2 is zero at
         # r1's pivot)

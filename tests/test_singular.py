@@ -16,8 +16,8 @@ from fanosing.corpus import cone, fermat, random_with_line
 from fanosing.ideal import contains_image_sigma
 from fanosing.forms import (MultiForm, projective_normalize, restrict_partials,
                             restrict_to_plane)
-from fanosing.linalg import (QQ, Field, FieldMismatch, Fp, parse_field,
-                             plain, rank, solve_combination)
+from fanosing.linalg import (QQ, Field, FieldMismatch, Fp, Subspace,
+                             parse_field, plain, rank, solve_combination)
 from fanosing.pencil import has_decomposable
 from fanosing.singular import (BudgetExceeded, CharacteristicRefused,
                                SingularPoint, all_lines, analyze_line,
@@ -767,7 +767,8 @@ def _diagonal_cubic(field, coeffs):
 
 def _generic_cubic_threefold():
     """A cubic in P^4 over F_7, every coefficient uniform (seed 12345): its
-    93 lines have 93 distinct sigma."""
+    93 lines have 93 distinct sigma, whose contractions span 19 distinct
+    subspaces."""
     rng = random.Random(12345)
     terms = {}
     for mon in combinations_with_replacement(range(5), 3):
@@ -791,11 +792,18 @@ _SHARED_SIGMA = [(lambda: cone(_diagonal_cubic(F7, (6, 1, 1))), 9, 6),
                  (lambda: fermat(3, 3, F13), 27, 18),
                  (lambda: cone(fermat(2, 3, F7), extra=2), 505, 7),
                  (_cayley_cubic, 9, 3)]
+_SHARED_IDS = ["cone-f7", "p3-f13", "p4-f7", "fermat-p3-f13", "double-cone",
+               "cayley"]
 
 
-@pytest.mark.parametrize("make,lines,sigmas", _SHARED_SIGMA,
-                         ids=["cone-f7", "p3-f13", "p4-f7", "fermat-p3-f13",
-                              "double-cone", "cayley"])
+def _span(X, sigma_ints):
+    """The span of a sigma's contractions, its alpha^1 rows without their
+    last column, as a Subspace of the binary forms of degree d - 1."""
+    return Subspace.from_vectors([row[:-1] for row in sigma_ints[0][:X.n - 1]],
+                                 X.field, X.d)
+
+
+@pytest.mark.parametrize("make,lines,sigmas", _SHARED_SIGMA, ids=_SHARED_IDS)
 def test_sigma_determines_the_core(make, lines, sigmas):
     """Lines with one sigma get one report, normal form, generators,
     filtration, gcd and image check; each line's certified points lie on
@@ -859,10 +867,11 @@ def _reference_survey(X):
          "singular-line", "exceptions", "generic", "forced-frame-sigma",
          "forced-p2-d3", "forced-p3-d4"])
 def test_survey_builds_one_core_per_sigma(make, force, monkeypatch):
-    """conjecture_check runs normal_form once per distinct sigma with m > 0,
-    and equals the survey that analyzes every line.  The forced surveys
-    read sigma off each line's frame (p < d - 1) or interpolate it on the
-    fewest nodes (p = d - 1)."""
+    """conjecture_check runs normal_form once per distinct span of the
+    contractions with m > 0, so at most once per distinct sigma, and equals
+    the survey that analyzes every line.  The forced surveys read sigma off
+    each line's frame (p < d - 1) or interpolate it on the fewest nodes
+    (p = d - 1)."""
     X = make()
     reports = [analyze_tangent(X, fr) for fr in all_lines(X)]
     calls = []
@@ -874,7 +883,7 @@ def test_survey_builds_one_core_per_sigma(make, force, monkeypatch):
 
     monkeypatch.setattr(singular, "normal_form", counted)
     rep = conjecture_check(X, force=force)
-    assert len(calls) == len({r.sigma_ints for r in reports if r.m})
+    assert len(calls) == len({_span(X, r.sigma_ints) for r in reports if r.m})
     assert (rep.num_lines, rep.max_tangent_dim, rep.trigger,
             rep.covered_points, rep.certified, rep.exceptions) == \
         _reference_survey(X)
@@ -914,10 +923,10 @@ def test_gradient_sigma_matches_sigma_rows(make, lines):
 def test_survey_work_is_per_sigma_not_per_line(make, force, per_line,
                                                monkeypatch):
     """With p >= d - 1 the survey reads each line's sigma off the scan's
-    gradients and each distinct sigma's summary off its rows: no
-    restricted_contractions call and no frame at all.  Under force with
-    p < d - 1 each line costs one of each, in _sigma_rows, and a distinct
-    sigma none."""
+    gradients and each distinct span's summary off the rows of its sigma
+    (_span_sigma): no restricted_contractions call and no frame at all.
+    Under force with p < d - 1 each line costs one of each, in _sigma_rows,
+    and a distinct span none."""
     X = make()
     sigmas = {analyze_tangent(X, fr).sigma_ints for fr in all_lines(X)}
     contractions, frames = [], []
@@ -934,8 +943,41 @@ def test_survey_work_is_per_sigma_not_per_line(make, force, per_line,
     assert len(contractions) == len(frames) == per_line * rep.num_lines
 
 
+@pytest.mark.parametrize("make,spans", [
+    (make, spans) for (make, _, _), spans in zip(_SHARED_SIGMA,
+                                                 [1, 1, 1, 1, 2, 2])]
+    + [(_generic_cubic_threefold, 19)], ids=_SHARED_IDS + ["generic"])
+def test_span_determines_the_summary(make, spans):
+    """On every line, the survey's summary of sigma equals that of its
+    span's sigma (_span_sigma) and that of sigma with its contractions
+    moved by a random invertible matrix mod p; the lines have as many
+    spans as pinned."""
+    X = make()
+    F, p, nm1 = X.field, X.field.p, X.n - 1
+    rng = random.Random(7)
+    keys = set()
+    for fr in all_lines(X):
+        sig = _sigma_rows(X, fr)
+        key = singular._span_sigma(X, sig)
+        keys.add(key)
+        assert _span(X, key) == _span(X, sig)
+        while True:
+            A = [[rng.randrange(p) for _ in range(nm1)] for _ in range(nm1)]
+            if rank(A, F) == nm1:
+                break
+        fs = [row[:-1] for row in sig[0][:nm1]]
+        moved_fs = [[sum(a * f[i] for a, f in zip(row, fs)) % p
+                     for i in range(X.d)] for row in A]
+        moved_sig = tuple([(*f, 0) for f in moved_fs]
+                          + [(0, *f) for f in moved_fs]), 1
+        summary = singular._sigma_summary(X, sig)
+        assert singular._sigma_summary(X, key) == summary
+        assert singular._sigma_summary(X, moved_sig) == summary
+    assert len(keys) == spans
+
+
 def test_survey_refuses_a_failed_image_check(monkeypatch):
-    """The survey keeps the image check of each distinct sigma: a False
+    """The survey keeps the image check of each distinct span: a False
     there raises instead of being dropped."""
     X = fermat(3, 3, F13)
     assert conjecture_check(X).num_lines == 27
