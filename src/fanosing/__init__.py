@@ -8,10 +8,10 @@ line enumeration, and intersection numbers on ruled surfaces.
 """
 
 from .linalg import Field, Fp, QQ, Subspace, FieldMismatch, kernel, parse_field
-from .forms import (MultiForm, BinaryForm, NotDivisible, CharacteristicTooSmall,
-                    contract, restrict_to_plane, multilinear_eval, binary_divide,
-                    binary_gcd, binary_roots, parse_form, format_form,
-                    format_scalar, projective_normalize, RootReport)
+from .forms import (MultiForm, BinaryForm, NotDivisible, contract,
+                    restrict_to_plane, binary_divide, binary_gcd, binary_roots,
+                    parse_form, format_form, format_scalar,
+                    projective_normalize, RootReport)
 from .tangent import (Hypersurface, LineFrame, TangentReport, PlaneNotContained,
                       sigma, tangent_space, compute_pi, analyze_tangent,
                       tangent_cone_lines, quotient_section)

@@ -14,19 +14,16 @@ factorization mod a small prime.
 Contraction convention: contract(v, P) is the directional derivative D_v P,
 *not* divided by the degree.  All identities downstream (restricted
 contractions, chain relations, extracted generators) use this normalization.
-restrict_partials restricts P and its partials d_c P = contract(e_c, P) to a
-span from one substitution of P.
 
 Forms store field scalars.  Only fanosing.linalg knows how a scalar is
 stored: the int paths here read scalars through its _ints.  Substitution
 on a span has one int kernel, _expand: it reads P as sparse int terms
 (c, ((i, k), ...)) (_plain_terms, the layout of Hypersurface.plain_form)
 and the spanning vectors as int rows, residues mod p or over Q integers
-after clearing denominators once.  _substitute wraps it for
-restrict_partials, restrict_to_plane and multilinear_eval and hands the
-MultiForm constructor residues over F_p and Fractions over Q for the
+after clearing denominators once.  restrict_to_plane is its one public
+entry point, with residues over F_p and Fractions over Q for the
 coefficients it returns; fanosing.tangent calls _expand directly for a
-line's deformation matrix.
+line's deformation matrix and fanosing.singular for its line scans.
 """
 
 from __future__ import annotations
@@ -46,10 +43,6 @@ class NotDivisible(ValueError):
     def __init__(self, message, remainder=None):
         super().__init__(message)
         self.remainder = remainder
-
-
-class CharacteristicTooSmall(ValueError):
-    """Polarization denominators vanish: characteristic <= degree."""
 
 
 class _Form:
@@ -189,6 +182,9 @@ class MultiForm(_Form):
 
     def partial(self, i: int) -> "MultiForm":
         """Partial derivative with respect to variable i (degree drops by 1)."""
+        if not 0 <= i < self.nvars:
+            raise ValueError("variable index %d is outside 0..%d"
+                             % (i, self.nvars - 1))
         if self.degree == 0:
             raise ValueError("cannot differentiate a degree-0 form")
         terms = {}
@@ -295,7 +291,7 @@ class BinaryForm(_Form):
 
 
 # ---------------------------------------------------------------------------
-# contraction / restriction / polarization
+# contraction / restriction
 
 
 def contract(v, P: MultiForm) -> MultiForm:
@@ -391,81 +387,36 @@ def _expand(terms, rows, cols, degree: int, p: int) -> list:
     return [_nonzero(acc, p) for acc in outs]
 
 
-def _substitute(P: MultiForm, vectors, cols=()):
-    """[P, d_{c1} P, ...] (c in cols) evaluated on sum_k y_k * vectors[k], as
-    forms in the y's: _expand on the int terms of P and the int vectors.
-
-    No independence requirement.  linalg._ints checks the vectors once,
-    entries and lengths: residues mod p, or over Q m_k vectors[k], m_k the
-    lcm of its denominators.  With P read as den*P, the int y^f coefficient is
-    den prod_k m_k^(f_k) times the true one, in P and every partial, so
-    over Q a Fraction is built only for each returned coefficient.
-    """
-    field = P.field
-    p = field.p
-    vectors, scales = _ints(vectors, field, P.nvars)
-    r = len(vectors)
-    if cols and P.degree == 0:
-        raise ValueError("cannot differentiate a degree-0 form")
-    terms, den = _plain_terms(P)
-    base = P.degree + 1
-    forms = []
-    for n, acc in enumerate(_expand(terms, vectors, cols, P.degree, p)):
-        terms = {}
-        for key, v in acc.items():
-            f = []
-            for _ in range(r):
-                key, k = divmod(key, base)
-                f.append(k)
-            terms[tuple(f)] = v if p else Fraction(
-                v, den * math.prod(map(pow, scales, f)))
-        forms.append(MultiForm(field, r, P.degree - (n > 0), terms))
-    return forms
-
-
-def restrict_partials(P: MultiForm, basis, cols):
-    """[P, d_{c1} P, ...] restricted to the span of basis, in the dual
-    coordinates of basis, from one substitution; d_c P is contract(e_c, P).
-
-    basis must be linearly independent.  For a 2-dimensional span (a line)
-    each result is a BinaryForm in (s, t); otherwise a MultiForm in k+1
-    variables.
-    """
-    basis = [P.field.vector(v) for v in basis]
-    if rank(basis, P.field) != len(basis):
-        raise ValueError("basis of the plane is linearly dependent")
-    forms = _substitute(P, basis, cols)
-    if len(basis) != 2:
-        return forms
-    return [BinaryForm(P.field, [Q.terms.get((Q.degree - i, i), 0)
-                                 for i in range(Q.degree + 1)]) for Q in forms]
-
-
 def restrict_to_plane(P: MultiForm, basis):
-    """P restricted to the span of basis, as restrict_partials gives it."""
-    return restrict_partials(P, basis, ())[0]
+    """P restricted to the span of basis, in the dual coordinates y of basis:
+    a BinaryForm in (s, t) on a line (two vectors), otherwise a MultiForm in
+    len(basis) variables.  basis must be nonempty and linearly independent.
 
-
-def multilinear_eval(P: MultiForm, args):
-    """Full polarization of P evaluated on vectors with multiplicities.
-
-    args is a sequence of (vector, multiplicity) with multiplicities summing
-    to deg P.  Needs characteristic 0 or p > deg P; the multinomial
-    denominators are units exactly in that case.
+    One _expand on the int terms of P and the int vectors.  linalg._ints
+    checks the vectors once, entries and lengths: residues mod p, or over Q
+    m_k basis[k], m_k the lcm of its denominators.  With P read as den*P the
+    int y^f coefficient is den prod_k m_k^(f_k) times the true one, so over
+    Q a Fraction is built once for each returned coefficient.
     """
-    d = P.degree
-    mults = [int(m) for _, m in args]
-    if any(m < 0 for m in mults) or sum(mults) != d:
-        raise ValueError("multiplicities must be nonnegative and sum to the degree")
-    if not P.field.is_rational and P.field.p <= d:
-        raise CharacteristicTooSmall(
-            "characteristic <= degree: polarization needs char 0 or p > %d" % d)
-    Q = _substitute(P, [v for v, _ in args])[0]
-    c = Q.terms.get(tuple(mults), P.field.zero())
-    multinom = math.factorial(d)
-    for m in mults:
-        multinom //= math.factorial(m)
-    return c / P.field.scalar(multinom)
+    field, d = P.field, P.degree
+    basis = [field.vector(v) for v in basis]
+    if not basis:
+        raise ValueError("basis of the plane is empty")
+    if rank(basis, field) != len(basis):
+        raise ValueError("basis of the plane is linearly dependent")
+    rows, scales = _ints(basis, field, P.nvars)
+    terms, den = _plain_terms(P)
+    r, out = len(rows), {}
+    for key, v in _expand(terms, rows, (), d, field.p)[0].items():
+        f = []
+        for _ in range(r):
+            key, k = divmod(key, d + 1)
+            f.append(k)
+        out[tuple(f)] = v if field.p else Fraction(
+            v, den * math.prod(map(pow, scales, f)))
+    if r != 2:
+        return MultiForm(field, r, d, out)
+    return BinaryForm(field, [out.get((d - i, i), 0) for i in range(d + 1)])
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Scalar helpers shared by the tests, outside the package."""
 
-from fanosing.forms import MultiForm, restrict_to_plane
+from fanosing.forms import MultiForm
 from fanosing.linalg import rank, solve_combination
 from fanosing.tangent import Hypersurface, LineFrame
+from reference import restrict
 
 
 def combine(field, n: int, coeffs, vectors) -> tuple:
@@ -68,4 +69,4 @@ def moved(P, rng, q):
             break
     f1 = [x + a * y for x, y in zip(e1, e2)]
     f2 = [b * x + c * y for x, y in zip(e1, e2)]
-    return Hypersurface(restrict_to_plane(P, cols)), LineFrame(field, f1, f2)
+    return Hypersurface(restrict(P, cols)[0]), LineFrame(field, f1, f2)

@@ -13,7 +13,7 @@ from fractions import Fraction as Fr
 import pytest
 
 from fanosing.corpus import cone, fermat, random_with_line
-from fanosing.forms import BinaryForm, MultiForm, contract, restrict_to_plane
+from fanosing.forms import BinaryForm, MultiForm, contract
 from fanosing.ideal import (build_filtration, contains_image_sigma,
                             extract_generators, ideal_degree_piece,
                             max_multiplicity_at, pure_power_locus)
@@ -26,6 +26,7 @@ from fanosing.singular import (all_lines, analyze_line, conjecture_check,
 from fanosing.tangent import (Hypersurface, LineFrame, analyze_tangent,
                               quotient_section)
 from helpers import combine
+from reference import restrict
 
 F5 = parse_field("Fp:5")
 F7 = parse_field("Fp:7")
@@ -255,7 +256,7 @@ def _recheck_block_identities(X, fr, la):
         for i, w in enumerate(blk.chain):
             lift = combine(fr.field, fr.ambient_dim,
                            quotient_section(w, la.tangent.pi), fr.complement)
-            f = restrict_to_plane(contract(lift, X.P), [fr.e1, fr.e2])
+            f = restrict(contract(lift, X.P), [fr.e1, fr.e2])[0]
             assert f == (beta1 ** i) * (beta2 ** (s - 1 - i)) * blk.p
 
 

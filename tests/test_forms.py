@@ -11,12 +11,12 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from fanosing.forms import (BinaryForm, CharacteristicTooSmall, MultiForm,
-                            NotDivisible, binary_divide, binary_gcd,
+from fanosing.forms import (BinaryForm, MultiForm, NotDivisible, _expand,
+                            _plain_terms, binary_divide, binary_gcd,
                             binary_roots, contract, format_form, format_scalar,
-                            multilinear_eval, parse_form, projective_normalize,
-                            restrict_partials, restrict_to_plane)
-from fanosing.linalg import QQ, FieldMismatch, Fp, parse_field, rank
+                            parse_form, projective_normalize, restrict_to_plane)
+from fanosing.linalg import QQ, FieldMismatch, Fp, _ints, parse_field, rank
+from reference import restrict
 
 F7 = parse_field("Fp:7")
 Fr = Fraction
@@ -49,6 +49,16 @@ def test_partial_and_evaluate():
     assert P.partial(0) == mono(QQ, 2, (1, 1), 2)
     assert P.partial(1) == mono(QQ, 2, (2, 0))
     assert P.evaluate((3, 5)) == Fr(45)
+
+
+def test_partial_rejects_index_outside_variables():
+    P = mono(QQ, 3, (2, 0, 1))
+    assert P.partial(2) == mono(QQ, 3, (2, 0, 0))
+    for i, msg in ((3, "variable index 3 is outside 0..2"),
+                   (5, "variable index 5 is outside 0..2"),
+                   (-1, "variable index -1 is outside 0..2")):
+        with pytest.raises(ValueError, match=msg):
+            P.partial(i)
 
 
 def test_euler_identity():
@@ -124,30 +134,20 @@ def test_restrict_to_three_vectors_gives_multiform():
             restrict_to_plane(P, basis)
 
 
-def _expand_on_span(P, basis):
-    """P on sum_k y_k basis[k] by plain MultiForm arithmetic, one power of a
-    linear form per factor of each term; a BinaryForm on a line."""
-    field, r = P.field, len(basis)
-    lin = [MultiForm(field, r, 1, {tuple(int(k == j) for k in range(r)): v[i]
-                                   for j, v in enumerate(basis)})
-           for i in range(P.nvars)]
-    Q = MultiForm.zero(field, r, P.degree)
-    for e, c in P.terms.items():
-        term = MultiForm(field, r, 0, {(0,) * r: c})
-        for form, k in zip(lin, e):
-            term = term * form ** k
-        Q = Q + term
-    if r != 2:
-        return Q
-    return BinaryForm(field, [Q.terms.get((P.degree - i, i), 0)
-                              for i in range(P.degree + 1)])
+def test_restrict_to_empty_basis_is_refused():
+    P = mono(F7, 3, (1, 1, 0))
+    for basis in ([], ()):
+        with pytest.raises(ValueError, match="basis of the plane is empty"):
+            restrict_to_plane(P, basis)
+    with pytest.raises(ValueError, match="linearly dependent"):
+        restrict_to_plane(P, [(1, 2, 0), (2, 4, 0)])
 
 
-def test_restrict_partials_match_contraction_oracle():
-    """One substitution gives P|_L and every (d_c P)|_L.  Each partial equals
-    restrict_to_plane(contract(e_c, P), basis) and P|_L equals a plain
-    term-by-term expansion, for lines and 2- and 3-planes with non-unit
-    bases, including characteristic p <= d where some e_c vanish mod p."""
+def test_reference_partials_match_contraction():
+    """restrict_to_plane(P, basis) equals the reference's P|_L, and each
+    partial the reference restricts equals restrict_to_plane(contract(e_c,
+    P), basis), for lines and 2- and 3-planes with non-unit bases, including
+    characteristic p <= d where some e_c vanish mod p."""
     rng = random.Random(29)
     checked = 0
     for field in (QQ, parse_field("Fp:2"), parse_field("Fp:3"),
@@ -163,66 +163,19 @@ def test_restrict_partials_match_contraction_oracle():
                             any(sum(1 for x in v if x) >= 2 for v in basis):
                         break
                 cols = list(range(nvars))
-                got = restrict_partials(P, basis, cols)
+                got = restrict(P, basis, cols)
                 assert len(got) == nvars + 1
                 assert all(isinstance(f, BinaryForm if k == 1 else MultiForm)
                            for f in got)
-                assert got[0] == _expand_on_span(P, basis)
                 assert got[0] == restrict_to_plane(P, basis)
                 for c in cols:
                     e_c = [0] * nvars
                     e_c[c] = 1
                     assert got[c + 1] == restrict_to_plane(contract(e_c, P),
                                                            basis)
-                assert restrict_partials(P, basis, cols[::-1])[1:] == got[:0:-1]
+                assert restrict(P, basis, cols[::-1])[1:] == got[:0:-1]
                 checked += 1
     assert checked == 60
-
-
-def test_restrict_partials_repeated_unordered_cols():
-    """cols is a list, not a set: one output per entry, in the given order,
-    repeats included, also when the span has x_2 = 0 (a zero linear form,
-    where only the terms linear in x_2 reach d_2 P)."""
-    for field in (QQ, F7):
-        P = (mono(field, 3, (2, 0, 1), 3) + mono(field, 3, (0, 1, 2), -2)
-             + mono(field, 3, (1, 1, 1)))
-        for basis in ([(1, 2, 0), (0, 1, 3)], [(1, 2, 0), (0, 1, 0)]):
-            got = restrict_partials(P, basis, [2, 0, 2])
-            assert len(got) == 4
-            assert got[0] == restrict_to_plane(P, basis)
-            d2 = restrict_to_plane(contract((0, 0, 1), P), basis)
-            assert got[1] == got[3] == d2 and not d2.is_zero()
-            assert got[2] == restrict_to_plane(contract((1, 0, 0), P), basis)
-            assert got[1] != got[2]
-
-
-def _termwise_on_span(P, basis, cols):
-    """{exponents: scalar} of P and of each d_c P on sum_k y_k basis[k],
-    expanded one linear factor at a time on the field's own scalars; d_c P
-    takes e_c c x^(e - unit_c) from each term c x^e."""
-    field, r = P.field, len(basis)
-    zero = field.zero()
-    jobs = [[(c, e) for e, c in P.terms.items()]]
-    for j in cols:
-        jobs.append([(c * e[j], e[:j] + (e[j] - 1,) + e[j + 1:])
-                     for e, c in P.terms.items() if e[j]])
-    outs = []
-    for terms in jobs:
-        total = {}
-        for c, e in terms:
-            poly = {(0,) * r: c}
-            for i, k in enumerate(e):
-                for _ in range(k):
-                    nxt = {}
-                    for f, a in poly.items():
-                        for y, v in enumerate(basis):
-                            g = f[:y] + (f[y] + 1,) + f[y + 1:]
-                            nxt[g] = nxt.get(g, zero) + a * v[i]
-                    poly = nxt
-            for f, a in poly.items():
-                total[f] = total.get(f, zero) + a
-        outs.append({f: a for f, a in total.items() if a})
-    return outs
 
 
 def _termwise_value(P, point):
@@ -236,8 +189,8 @@ def _termwise_value(P, point):
 
 
 def test_restriction_and_evaluation_match_termwise_oracle():
-    """restrict_partials, restrict_to_plane and evaluate against a plain
-    expansion on Fp/Fraction scalars, over F_2, F_3, F_11 and F_(2^61 - 1)
+    """restrict_to_plane and evaluate against a plain expansion on
+    Fp/Fraction scalars (the reference), over F_2, F_3, F_11 and F_(2^61 - 1)
     with entries near p, and over Q with fractional entries.  Half the forms
     carry a factor x0 + x1 that vanishes on the span only mod p, so a
     coefficient that is a nonzero multiple of p would show.  Every stored
@@ -276,25 +229,16 @@ def test_restriction_and_evaluation_match_termwise_oracle():
                     if planted:
                         P = P * (mono(field, nvars, (1, 0) + (0,) * (nvars - 2))
                                  + mono(field, nvars, (0, 1) + (0,) * (nvars - 2)))
-                    cols = list(range(nvars))
-                    want = _termwise_on_span(P, basis, cols)
+                    want = restrict(P, basis)[0]
                     if planted:
-                        assert not want[0]
-                    got = restrict_partials(P, basis, cols)
-                    assert restrict_to_plane(P, basis) == got[0]
-                    for form, expected in zip(got, want):
-                        if k == 1:
-                            deg = form.degree
-                            assert all(isinstance(c, kind) for c in form.coeffs)
-                            assert form.coeffs == tuple(
-                                expected.get((deg - i, i), field.zero())
-                                for i in range(deg + 1))
-                            continue
-                        assert all(isinstance(c, kind) and c
-                                   for c in form.terms.values())
-                        if p:
-                            assert all(c.p == p for c in form.terms.values())
-                        assert form.terms == expected
+                        assert want.is_zero()
+                    form = restrict_to_plane(P, basis)
+                    stored = form.coeffs if k == 1 else form.terms.values()
+                    assert all(isinstance(c, kind) and (k == 1 or c)
+                               for c in stored)
+                    if p:
+                        assert all(c.p == p for c in stored)
+                    assert form == want
                     for _ in range(3):
                         pt = tuple(entry() for _ in range(nvars))
                         val = P.evaluate(pt)
@@ -317,27 +261,13 @@ def _q_entry():
                      st.integers(-40, 40), st.integers(1, 30), st.booleans())
 
 
-def _polarization(P, vectors):
-    """The full polarization M(x_1, ..., x_d) = (1/d!) sum over subsets S of
-    (-1)^(d - |S|) P(sum_{i in S} x_i), from MultiForm.evaluate alone."""
-    d, total = len(vectors), Fr(0)
-    for mask in itertools.product((0, 1), repeat=d):
-        point = [Fr(0)] * P.nvars
-        for bit, v in zip(mask, vectors):
-            if bit:
-                point = [a + b for a, b in zip(point, v)]
-        total += (-1) ** (d - sum(mask)) * P.evaluate(point)
-    return total / math.factorial(d)
-
-
 @settings(max_examples=120, deadline=None)
 @given(st.data())
 def test_q_restriction_with_large_denominators(data):
     """Over Q, with a prime above 10^6 in the denominators of P's
-    coefficients and of 1-3 spanning vectors: every form restrict_partials
-    returns, at a random y, equals MultiForm.evaluate of P or of
-    P.partial(c) at sum_k y_k v_k, and multilinear_eval equals the
-    polarization formula on evaluate."""
+    coefficients and of 1-3 spanning vectors: restrict_to_plane of P and of
+    each P.partial(c), at a random y, equals MultiForm.evaluate of that form
+    at sum_k y_k v_k."""
     nvars, d = data.draw(st.integers(2, 5)), data.draw(st.integers(1, 4))
     exps = st.lists(st.integers(0, nvars - 1), min_size=d, max_size=d).map(
         lambda ix: tuple(ix.count(i) for i in range(nvars)))
@@ -353,9 +283,8 @@ def test_q_restriction_with_large_denominators(data):
     vectors[0] = tuple(x / _BIG for x in vectors[0])
     cols = data.draw(st.lists(st.integers(0, nvars - 1), max_size=nvars))
     if rank(vectors, QQ) == r:
-        forms = restrict_partials(P, vectors, cols)
         oracles = [P] + [P.partial(c) for c in cols]
-        assert len(forms) == len(oracles)
+        forms = [restrict_to_plane(Q, vectors) for Q in oracles]
         for _ in range(2):
             y = data.draw(st.lists(_q_entry(), min_size=r, max_size=r))
             point = [sum((a * v[i] for a, v in zip(y, vectors)), Fr(0))
@@ -363,11 +292,89 @@ def test_q_restriction_with_large_denominators(data):
             for form, Q in zip(forms, oracles):
                 got = form.evaluate(*y) if r == 2 else form.evaluate(y)
                 assert got == Q.evaluate(point)
-    slots = data.draw(st.lists(st.integers(0, r - 1), min_size=d, max_size=d))
-    mults = [slots.count(k) for k in range(r)]
-    repeated = [v for v, m in zip(vectors, mults) for _ in range(m)]
-    assert multilinear_eval(P, list(zip(vectors, mults))) == \
-        _polarization(P, repeated)
+
+
+def _expanded(P, basis, cols):
+    """forms._expand's outputs on P and basis, read back as forms in the
+    dual coordinates of basis (a BinaryForm on a line): each packed key
+    unpacked into its exponents, each int divided by its scale.  Every int
+    must already be reduced and nonzero."""
+    field, d, r, p = P.field, P.degree, len(basis), P.field.p
+    rows, scales = _ints(basis, field, P.nvars)
+    terms, den = _plain_terms(P)
+    outs = []
+    for n, acc in enumerate(_expand(terms, rows, cols, d, p)):
+        assert all(0 < v < p if p else v for v in acc.values())
+        deg, coeffs = d - (n > 0), {}
+        for key, v in acc.items():
+            f = []
+            for _ in range(r):
+                key, k = divmod(key, d + 1)
+                f.append(k)
+            coeffs[tuple(f)] = field.scalar(
+                Fr(v, den * math.prod(map(pow, scales, f))))
+        Q = MultiForm(field, r, deg, coeffs)
+        outs.append(Q if r != 2 else BinaryForm(
+            field, [Q.terms.get((deg - i, i), 0) for i in range(deg + 1)]))
+    return outs
+
+
+def test_expand_matches_reference():
+    """The first oracle for forms._expand that does not run it: P and its
+    partials at cols (repeats and any order) on spans of 1-4 vectors,
+    dependent ones included, against tests/reference.py, over Q (a prime
+    above 10^6 in the denominators), F_2, F_3 and F_(2^61 - 1).  Half the
+    spans have an all-zero coordinate column z with z in cols, where only the
+    terms linear in x_z reach d_z P (_expand's zero-linear-form branch)."""
+    rng = random.Random(36)
+    checked = reached = 0
+    for p in (0, 2, 3, 2 ** 61 - 1):
+        field = parse_field("Fp:%d" % p if p else "Q")
+
+        def entry():
+            if p:
+                return field.scalar(rng.choice((0, 1, 2, p - 1, p // 2)))
+            return Fr(rng.randint(-9, 9),
+                      rng.randint(1, 7) * rng.choice((1, _BIG)))
+
+        for d in range(1, 6):
+            for r in (1, 2, 3, 4):
+                for zeroed in (False, True):
+                    nvars = rng.randint(max(r, 2), r + 2)
+                    terms = {}
+                    for _ in range(rng.randint(1, 8)):
+                        e = [0] * nvars
+                        for _ in range(d):
+                            e[rng.randint(0, nvars - 1)] += 1
+                        terms[tuple(e)] = entry() or field.one()
+                    P = MultiForm(field, nvars, d, terms)
+                    basis = [[entry() for _ in range(nvars)] for _ in range(r)]
+                    cols = [rng.randrange(nvars)
+                            for _ in range(rng.randint(0, nvars + 2))]
+                    if zeroed:
+                        z = rng.randrange(nvars)
+                        for v in basis:
+                            v[z] = field.zero()
+                        at = rng.randint(0, len(cols))
+                        cols[at:at] = [z, z]
+                    want = restrict(P, basis, cols)
+                    assert _expanded(P, basis, cols) == want
+                    if zeroed:
+                        reached += not want[cols.index(z) + 1].is_zero()
+                    checked += 1
+    assert checked == 160 and reached >= 30, reached
+    # x_2 = 0 on the second span: only the terms linear in x_2 reach d_2 P
+    for field in (QQ, F7):
+        P = (mono(field, 3, (2, 0, 1), 3) + mono(field, 3, (0, 1, 2), -2)
+             + mono(field, 3, (1, 1, 1)))
+        for basis in ([(1, 2, 0), (0, 1, 3)], [(1, 2, 0), (0, 1, 0)]):
+            got = _expanded(P, basis, [2, 0, 2])
+            assert got == restrict(P, basis, [2, 0, 2])
+            assert got[0] == restrict_to_plane(P, basis)
+            d2 = restrict_to_plane(contract((0, 0, 1), P), basis)
+            assert got[1] == got[3] == d2 and not d2.is_zero()
+            assert got[2] == restrict_to_plane(contract((1, 0, 0), P), basis)
+            assert got[1] != got[2]
 
 
 def binform(field, *coeffs):
@@ -663,17 +670,6 @@ def test_projective_normalize():
     assert projective_normalize((s(0), s(3), s(5)), F7) == (s(0), s(1), s(4))
     with pytest.raises(ValueError):
         projective_normalize((0, 0), QQ)
-
-
-def test_multilinear_eval():
-    P = mono(QQ, 2, (1, 1))  # x0 x1, full polarization B(u, v) = (u0 v1 + u1 v0)/2
-    val = multilinear_eval(P, [((1, 0), 1), ((0, 1), 1)])
-    assert val == Fr(1, 2)
-    assert multilinear_eval(P, [((1, 1), 2)]) == Fr(1)
-    F2 = parse_field("Fp:2")
-    P2 = mono(F2, 2, (1, 1))
-    with pytest.raises(CharacteristicTooSmall):
-        multilinear_eval(P2, [((1, 0), 1), ((0, 1), 1)])
 
 
 def test_parse_format_round_trip():

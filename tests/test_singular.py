@@ -14,8 +14,7 @@ import hypothesis.strategies as st
 from fanosing import singular, tangent
 from fanosing.corpus import cone, fermat, random_with_line
 from fanosing.ideal import contains_image_sigma
-from fanosing.forms import (MultiForm, projective_normalize, restrict_partials,
-                            restrict_to_plane)
+from fanosing.forms import MultiForm, projective_normalize, restrict_to_plane
 from fanosing.linalg import (QQ, Field, FieldMismatch, Fp, Subspace,
                              parse_field, plain, rank, solve_combination)
 from fanosing.pencil import has_decomposable
@@ -28,6 +27,7 @@ from fanosing.singular import (BudgetExceeded, CharacteristicRefused,
 from fanosing.tangent import (Hypersurface, LineFrame, _sigma_rows,
                               analyze_tangent)
 from helpers import combine, moved, planted
+from reference import restrict
 
 F3 = parse_field("Fp:3")
 F5 = parse_field("Fp:5")
@@ -199,7 +199,7 @@ def test_whole_line_lemma_matches_restricted_gradient():
     for X, line in _whole_line_corpus():
         fr = LineFrame(X.field, *line)
         rep = analyze_tangent(X, fr)
-        _, *grad = restrict_partials(X.P, line, range(X.n + 1))
+        _, *grad = restrict(X.P, line, range(X.n + 1))
         whole = all(f.is_zero() for f in grad)
         assert (rep.m == 0) == whole, (X.P, line)
         seen[whole] += 1

@@ -18,6 +18,7 @@ from fanosing.tangent import (Hypersurface, LineFrame, PlaneNotContained,
                               restricted_contractions, sigma,
                               tangent_cone_lines, tangent_space)
 from helpers import combine
+from reference import restrict
 
 F11 = parse_field("Fp:11")
 
@@ -429,7 +430,7 @@ def test_int_sigma_matches_restricted_contractions():
         assert mat == sigma(X, fr)
         assert len(mat) == 2 * nm1
         for j, w in enumerate(fr.complement):
-            f = restrict_to_plane(contract(w, P), [fr.e1, fr.e2]).coeffs
+            f = restrict(contract(w, P), [fr.e1, fr.e2])[0].coeffs
             assert mat[j] == f + (zero,)
             assert mat[nm1 + j] == (zero,) + f
         assert rep.kernel == tangent_space(X, fr) == \
