@@ -24,10 +24,9 @@ from .ideal import (BlockGenerator, GeneratorSet, IdealFiltration,
 from .singular import (SingularPoint, SingularCertificate, EveryP1Report,
                        LineAnalysis, ExceptionRecord, ConjectureReport,
                        BudgetExceeded, CharacteristicRefused, is_singular_at,
-                       singular_on_line, certify_entire_line, check_everyp1,
-                       analyze_line, projective_points, lines_through,
-                       all_lines, grassmannian_size, singular_points,
-                       conjecture_check)
+                       singular_on_line, check_everyp1, analyze_line,
+                       projective_points, lines_through, all_lines,
+                       grassmannian_size, singular_points, conjecture_check)
 from .corpus import fermat, cone, random_with_line
 from .ruled import (RuledSurface, DivisorClass, FIBER, ItconeReport,
                     CurveCaseReport, intersect, itcone_check, c1_twist,

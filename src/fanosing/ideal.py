@@ -207,8 +207,10 @@ def max_multiplicity_at(filt: IdealFiltration, k: int, point):
 
     Returns None when the piece is zero (every order is vacuous); k itself
     is attained exactly when the k-th power of the point's linear form lies
-    in the piece.
+    in the piece.  point is (a, b), the line point a e1 + b e2.
     """
+    if len(point) != 2:
+        raise ValueError("line point has %d coordinates, not 2" % len(point))
     field = filt.gens.field
     piece = ideal_degree_piece(filt, k)
     if piece.dim == 0:

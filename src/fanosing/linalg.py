@@ -488,7 +488,7 @@ def _checked_echelon(rows, field: Field, width: int | None = None):
 def rref(rows, field: Field):
     """Reduced row echelon form.
 
-    Returns (rows, pivot_columns) with zero rows dropped, pivots scaled to 1
+    Returns (rows, pivots) with zero rows dropped, pivots scaled to 1
     and cleared above and below.  The result is the canonical representative
     of the row space: pivot columns are the lexicographically earliest
     possible.
@@ -586,17 +586,11 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def pivot_columns(self):
-        return list(self.ints[1])
-
     def contains_vectors(self, vectors) -> bool:
         """Whether every vector lies here; one _reduce pass for them all."""
         vectors, _ = _ints(vectors, self.field, self.ambient_dim)
         reduced = _reduce(*self.ints, vectors, self.field.p)
         return not any(any(r) for r, _ in reduced)
-
-    def contains_vector(self, v) -> bool:
-        return self.contains_vectors([v])
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._check_compatible(other)

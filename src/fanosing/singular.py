@@ -30,9 +30,9 @@ from .ideal import (GeneratorSet, IdealFiltration, build_filtration,
                     contains_image_sigma, extract_generators)
 from .linalg import Field, _echelon, _ints, plain
 from .pencil import NormalForm, normal_form
+from . import tangent
 from .tangent import (Hypersurface, LineFrame, PlaneNotContained, TangentReport,
-                      _frame_ints, _left_kernel, _report, _sigma_rows,
-                      analyze_tangent)
+                      _frame_ints, _left_kernel, _report, analyze_tangent)
 
 
 # largest point or candidate list a scan builds unless a caller passes its own
@@ -191,20 +191,6 @@ def _certificate(X: Hypersurface, rows, gcd: BinaryForm | None,
     return SingularCertificate(points=tuple(points), whole_line=False,
                                gcd_form=gcd, unsolved=report.unsolved,
                                note=note)
-
-
-def certify_entire_line(X: Hypersurface, frame: LineFrame,
-                        tangent: TangentReport) -> SingularCertificate:
-    """Certificate that the gradient vanishes identically on the line.
-
-    Exact, from the line's sigma: P|_E = 0 kills the derivatives along E, so
-    the gradient vanishes on E exactly when every (w_j -| P)|_E does, i.e.
-    when sigma is zero.  Raises if the line is not entirely singular.
-    """
-    rows, _ = _frame_ints(X, frame)
-    if any(any(row) for row in tangent.sigma_ints[0]):
-        raise ValueError("line is not entirely singular")
-    return _certificate(X, rows, None, None)
 
 
 @dataclass(frozen=True)
@@ -533,10 +519,10 @@ class ConjectureReport:
     note: str
 
 
-def _gradient_sigma(X: Hypersurface, polars: _Polars):
-    """The sigma of a line on X from its echelon pair (r1, r2), equal to
-    _sigma_rows of its frame, read off P's gradients in polars; needs
-    p >= d - 1.
+def _gradient_contractions(X: Hypersurface, polars: _Polars):
+    """The contractions of a line on X from its echelon pair (r1, r2),
+    equal to restricted_contractions of its frame (scale 1 over F_p), read
+    off P's gradients in polars; needs p >= d - 1.
 
     Row c_j's contraction f_j = (d_(c_j) P)|_E has degree d - 1: its values
     at s = 1, t = k (k = 0..d-2) are d_(c_j) P(r1 + k r2) and its t^(d-1)
@@ -553,7 +539,7 @@ def _gradient_sigma(X: Hypersurface, polars: _Polars):
          for k in nodes], p)[0]]
     lead = [pow(k, d - 1, p) for k in nodes]
 
-    def sigma(r1, r2):
+    def contractions(r1, r2):
         pivots = (r1.index(1), r2.index(1))
         grads = [polars[r1]] + [
             polars[tuple((u + k * v) % p for u, v in zip(r1, r2))]
@@ -562,45 +548,37 @@ def _gradient_sigma(X: Hypersurface, polars: _Polars):
         for c, top in enumerate(polars[r2]):
             if c not in pivots:
                 vals = [g[c] - top * w for g, w in zip(grads, lead)]
-                fs.append((*(sum(map(mul, row, vals)) % p for row in vinv),
-                           top))
-        return tuple([(*f, 0) for f in fs] + [(0, *f) for f in fs]), 1
+                fs.append([*(sum(map(mul, row, vals)) % p for row in vinv),
+                           top])
+        return fs
 
-    return sigma
+    return contractions
 
 
-def _sigma_summary(X: Hypersurface, sigma_ints) -> tuple:
-    """What a survey reads of every line whose sigma is sigma_ints, from its
-    rows alone: _report on their left kernel and Pi's (the alpha^1 rows on
-    their first d columns), then _core: (tangent_dim, the single-chain
-    verdict, the gcd, its roots), all but tangent_dim falsy or None when
-    the pencil is trivial.  It depends only on the span of the alpha^1 rows,
-    so the survey runs it once per span, on _span_sigma.  A core whose
-    image check fails raises ArithmeticError."""
-    rows = sigma_ints[0]
-    rep = _report(X, sigma_ints, _left_kernel(rows, X.field, X.d + 1),
-                  _left_kernel(rows[:X.n - 1], X.field, X.d))
+def _sigma_summary(X: Hypersurface, fs) -> tuple:
+    """What a survey reads of every line whose contractions f_j span the
+    same U as the rows fs over F_p (at most n - 1 of them; a line's own
+    contractions, or U's echelon basis): fs padded with zero rows to n - 1
+    give sigma's alpha^1 rows (*f, 0) and alpha^2 rows (0, *f), then
+    _report on their left kernel and Pi's (that of fs), then _core:
+    (tangent_dim, the single-chain verdict, the gcd, its roots), all but
+    tangent_dim falsy or None when the pencil is trivial.  A core whose
+    image check fails raises ArithmeticError.
+
+    It is a function of U, so lines with one span share it:
+    tangent_dim = 2(n - 1) - dim(s U + t U) and m = dim U; a change of
+    basis of (W/E)/Pi moves the pencil by one GL(m) acting on both halves,
+    which keeps its block sizes; the generators' monic gcd is gcd(U); and
+    image sigma = s U + t U for every sigma of the span."""
+    fs = [*fs] + [(0,) * X.d] * (X.n - 1 - len(fs))
+    rows = tuple([(*f, 0) for f in fs] + [(0, *f) for f in fs])
+    rep = _report(X, (rows, 1), _left_kernel(rows, X.field, X.d + 1),
+                  _left_kernel(fs, X.field, X.d))
     nf, _, _, gcd, roots, image_ok = _core(X, rep)
     if image_ok is False:
         raise ArithmeticError("sigma's image leaves the generator ideal")
     return (rep.tangent_dim, rep.m > 0 and _single_chain(X, rep, nf), gcd,
             roots)
-
-
-def _span_sigma(X: Hypersurface, sigma_ints) -> tuple:
-    """The sigma of the span U of a line's contractions f_j (sigma's alpha^1
-    rows without their last column) over F_p: U's echelon basis padded with
-    zero rows to n - 1, as alpha^1 rows (*f, 0) and alpha^2 rows (0, *f).
-
-    _sigma_summary is a function of U, so lines with one span share it:
-    tangent_dim = 2(n - 1) - dim(s U + t U) and m = dim U; a change of
-    basis of (W/E)/Pi moves the pencil by one GL(m) acting on both halves,
-    which keeps its block sizes; the generators' monic gcd is gcd(U); and
-    image sigma = s U + t U for every sigma of the span."""
-    nm1 = X.n - 1
-    fs, _ = _echelon([list(r[:-1]) for r in sigma_ints[0][:nm1]], X.field.p)
-    fs += [[0] * X.d] * (nm1 - len(fs))
-    return tuple([(*f, 0) for f in fs] + [(0, *f) for f in fs]), 1
 
 
 def conjecture_check(X: Hypersurface, budget: int = _BUDGET,
@@ -609,14 +587,14 @@ def conjecture_check(X: Hypersurface, budget: int = _BUDGET,
     (_echelon_pairs), without keeping frames, and count the points the lines
     cover on residue tuples read off those rows.
 
-    A line's sigma comes from the gradients in the scan's memo when
-    p >= d - 1 (_gradient_sigma), else from its frame (_sigma_rows).  Per
-    distinct span of the contractions the survey keeps only what it reads
-    (_sigma_summary), built once from the span's sigma (_span_sigma), for
-    this call only: with p >= d - 1 it builds no frame and expands P on no
-    line.  Each line's certificate (_certificate) comes from its echelon
-    rows and re-checks every certified point on X; Fp points are built only
-    for what it returns."""
+    A line's contractions come from the gradients in the scan's memo when
+    p >= d - 1 (_gradient_contractions), else from its frame
+    (restricted_contractions), and one echelon pass keys their span U.  Per
+    distinct U the survey builds sigma once and keeps only what it reads
+    (_sigma_summary), for this call only: with p >= d - 1 it builds no frame
+    and expands P on no line.  Each line's certificate (_certificate) comes
+    from its echelon rows and re-checks every certified point on X; Fp
+    points are built only for what it returns."""
     _require_prime_field(X.field)
     field, p, d = X.field, X.field.p, X.d
     if p <= d and not force:
@@ -625,19 +603,20 @@ def conjecture_check(X: Hypersurface, budget: int = _BUDGET,
             "unreliable" % (p, d))
     polars = _Polars(X.plain_form)
     if p >= d - 1:
-        sigma_of = _gradient_sigma(X, polars)
+        contractions = _gradient_contractions(X, polars)
     else:
-        def sigma_of(r1, r2):
-            return _sigma_rows(X, LineFrame._from_echelon(field, r1, r2))
+        def contractions(r1, r2):
+            return tangent.restricted_contractions(
+                X, LineFrame._from_echelon(field, r1, r2))[0]
     num_lines = 0
     covered = set()
     certified = []
     exceptions = []
     max_dim = 0
-    summaries = {}      # the span's sigma -> _sigma_summary
+    summaries = {}      # U's echelon rows -> _sigma_summary
     for r1, r2 in _echelon_pairs(X, polars, budget):
         num_lines += 1
-        key = _span_sigma(X, sigma_of(r1, r2))
+        key = tuple(map(tuple, _echelon(contractions(r1, r2), p)[0]))
         if key not in summaries:
             summaries[key] = _sigma_summary(X, key)
         dim, applies, gcd, roots = summaries[key]

@@ -184,8 +184,8 @@ def test_acceptance_05_kernel_bound_and_pi(random_corpus):
             for pvec in rep.pi.basis:
                 lifted = quotient_section(pvec, rep.pi) \
                     if len(pvec) != n - 1 else pvec
-                assert rep.kernel.contains_vector(tuple(lifted) + zero)
-                assert rep.kernel.contains_vector(zero + tuple(lifted))
+                assert rep.kernel.contains_vectors([tuple(lifted) + zero])
+                assert rep.kernel.contains_vectors([zero + tuple(lifted)])
             if rep.m == 0:
                 assert la.nf is None
             else:

@@ -156,6 +156,23 @@ def test_generators_refuse_a_normal_form_or_report_over_another_field(
             extract_generators(*args)
 
 
+def test_multiplicity_refuses_a_point_off_the_line_coordinates():
+    """max_multiplicity_at reads a line point (a, b): on the F_7 cone's
+    generator s^2, (0, 1, 5) is not read as the vertex (0, 1) and (0,)
+    raises no bare IndexError; both are refused with their length."""
+    F7 = parse_field("Fp:7")
+    X = Hypersurface(mono(F7, 4, (3, 0, 0, 0)) + mono(F7, 4, (0, 3, 0, 0))
+                     + mono(F7, 4, (0, 0, 3, 0)))
+    filt = analyze_line(X, LineFrame(F7, (1, -1, 0, 0), (0, 0, 0, 1))).filt
+    assert filt.gens.blocks[0].p == BinaryForm(F7, tuple(map(F7.scalar,
+                                                             (1, 0, 0))))
+    assert max_multiplicity_at(filt, 2, (0, 1)) == 2
+    for point in ((0, 1, 5), (0,)):
+        with pytest.raises(ValueError, match="^line point has %d coordinates,"
+                                             " not 2$" % len(point)):
+            max_multiplicity_at(filt, 2, point)
+
+
 def test_piece_below_first_delta_is_zero(cone_pipeline):
     _, _, _, _, _, filt = cone_pipeline
     assert ideal_degree_piece(filt, 1).dim == 0

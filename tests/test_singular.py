@@ -20,12 +20,11 @@ from fanosing.linalg import (QQ, Field, FieldMismatch, Fp, Subspace,
 from fanosing.pencil import has_decomposable
 from fanosing.singular import (BudgetExceeded, CharacteristicRefused,
                                SingularPoint, all_lines, analyze_line,
-                               certify_entire_line, conjecture_check,
-                               grassmannian_size, is_singular_at,
-                               lines_through, projective_points,
-                               singular_on_line, singular_points)
-from fanosing.tangent import (Hypersurface, LineFrame, _sigma_rows,
-                              analyze_tangent)
+                               conjecture_check, grassmannian_size,
+                               is_singular_at, lines_through,
+                               projective_points, singular_on_line,
+                               singular_points)
+from fanosing.tangent import Hypersurface, LineFrame, analyze_tangent
 from helpers import combine, moved, planted
 from reference import restrict
 
@@ -91,19 +90,14 @@ def test_entirely_singular_line():
     assert la.tangent.m == 0
     assert la.certificate.whole_line
     assert la.nf is None and la.gens is None
-    cert = certify_entire_line(X, fr, la.tangent)
-    assert cert.whole_line
-    # a line that is NOT entirely singular is refused
-    Xs = Hypersurface(mono(QQ, 4, (1, 0, 0, 1)) - mono(QQ, 4, (0, 1, 1, 0)))
-    with pytest.raises(ValueError, match="not entirely singular"):
-        certify_entire_line(Xs, fr, analyze_tangent(Xs, fr))
 
 
 def test_foreign_frame_raises_field_mismatch():
     """An F_7 (or Q) frame with an F_13 hypersurface: its residues mean
-    nothing mod 13, so analyze_tangent and both certificates refuse it with
-    FieldMismatch, certify_entire_line before it reads the report's sigma.
-    The image check refuses an F_7 report with an F_13 filtration."""
+    nothing mod 13, so analyze_tangent, analyze_line and singular_on_line
+    refuse it with FieldMismatch, on a whole singular line and on the
+    cone's.  The image check refuses an F_7 report with an F_13
+    filtration."""
     F13 = parse_field("Fp:13")
     # x0^2 x2 + x1^2 x3 is singular all along x0 = x1 = 0
     X = Hypersurface(mono(F13, 4, (2, 0, 1, 0)) + mono(F13, 4, (0, 2, 0, 1)))
@@ -111,7 +105,7 @@ def test_foreign_frame_raises_field_mismatch():
     rep = analyze_tangent(X, LineFrame(F13, *line))
     assert rep.m == 0
     with pytest.raises(FieldMismatch, match="field mismatch: Fp:7 vs Fp:13"):
-        certify_entire_line(X, LineFrame(F7, *line), rep)
+        analyze_line(X, LineFrame(F7, *line))
     # the README cone's line through the vertex, which it certifies
     X = cone(fermat(2, 3, F13))
     line = ((1, -1, 0, 0), (0, 0, 0, 1))
@@ -120,7 +114,7 @@ def test_foreign_frame_raises_field_mismatch():
     with pytest.raises(FieldMismatch, match="field mismatch: Fp:7 vs Fp:13"):
         singular_on_line(X, LineFrame(F7, *line), la.filt)
     with pytest.raises(FieldMismatch, match="field mismatch: Fp:7 vs Fp:13"):
-        certify_entire_line(X, LineFrame(F7, *line), la.tangent)
+        analyze_line(X, LineFrame(F7, *line))
     for field in (F7, QQ):
         with pytest.raises(FieldMismatch,
                            match="^field mismatch: %s vs Fp:13$" % field):
@@ -193,8 +187,7 @@ def _whole_line_corpus():
 
 def test_whole_line_lemma_matches_restricted_gradient():
     """m == 0 exactly when every partial of P restricts to zero on the line,
-    the derivation certify_entire_line used before it read sigma; and the
-    certificate refuses every line with m > 0."""
+    and exactly then analyze_line certifies the whole line."""
     seen = {True: 0, False: 0}
     for X, line in _whole_line_corpus():
         fr = LineFrame(X.field, *line)
@@ -203,11 +196,7 @@ def test_whole_line_lemma_matches_restricted_gradient():
         whole = all(f.is_zero() for f in grad)
         assert (rep.m == 0) == whole, (X.P, line)
         seen[whole] += 1
-        if whole:
-            assert certify_entire_line(X, fr, rep).whole_line
-        else:
-            with pytest.raises(ValueError, match="not entirely singular"):
-                certify_entire_line(X, fr, rep)
+        assert analyze_line(X, fr).certificate.whole_line == whole
     assert seen[True] >= 20 and seen[False] >= 60, seen
 
 
@@ -900,18 +889,20 @@ def test_survey_builds_one_core_per_sigma(make, force, monkeypatch):
     ids=["cone-f7", "p3-f13", "p4-f7", "cone-fermat-surface", "generic",
          "p2-d3", "p3-d4"])
 def test_gradient_sigma_matches_sigma_rows(make, lines):
-    """The sigma the survey interpolates from the scan's gradients equals
-    _sigma_rows of a frame built from scratch on every line: the benchmark's
+    """The contractions the survey interpolates from the scan's gradients
+    equal restricted_contractions, the one substitution kernel, of a frame
+    built from scratch on every line, whose scale is 1: the benchmark's
     seed-1 survey inputs, the cone over the Fermat cubic surface, a cubic
     threefold whose lines all have distinct sigma, and p = d - 1, the
     fewest nodes the interpolation can run on."""
     X = make()
     polars = singular._Polars(X.plain_form)
-    sigma = singular._gradient_sigma(X, polars)
+    contractions = singular._gradient_contractions(X, polars)
     pairs = list(singular._echelon_pairs(X, polars, 10 ** 7))
     assert len(pairs) == lines
     for r1, r2 in pairs:
-        assert sigma(r1, r2) == _sigma_rows(X, LineFrame(X.field, r1, r2))
+        assert (contractions(r1, r2), 1) == tangent.restricted_contractions(
+            X, LineFrame(X.field, r1, r2))
 
 
 @pytest.mark.parametrize("make,force,per_line", [
@@ -922,11 +913,11 @@ def test_gradient_sigma_matches_sigma_rows(make, lines):
     ids=["p4-f7", "double-cone", "p2-d3", "p3-d5"])
 def test_survey_work_is_per_sigma_not_per_line(make, force, per_line,
                                                monkeypatch):
-    """With p >= d - 1 the survey reads each line's sigma off the scan's
-    gradients and each distinct span's summary off the rows of its sigma
-    (_span_sigma): no restricted_contractions call and no frame at all.
-    Under force with p < d - 1 each line costs one of each, in _sigma_rows,
-    and a distinct span none."""
+    """With p >= d - 1 the survey reads each line's contractions off the
+    scan's gradients and each distinct span's summary off its echelon rows
+    (_sigma_summary): no restricted_contractions call and no frame at all.
+    Under force with p < d - 1 each line costs one of each, and a distinct
+    span none."""
     X = make()
     sigmas = {analyze_tangent(X, fr).sigma_ints for fr in all_lines(X)}
     contractions, frames = [], []
@@ -948,31 +939,27 @@ def test_survey_work_is_per_sigma_not_per_line(make, force, per_line,
                                                  [1, 1, 1, 1, 2, 2])]
     + [(_generic_cubic_threefold, 19)], ids=_SHARED_IDS + ["generic"])
 def test_span_determines_the_summary(make, spans):
-    """On every line, the survey's summary of sigma equals that of its
-    span's sigma (_span_sigma) and that of sigma with its contractions
-    moved by a random invertible matrix mod p; the lines have as many
-    spans as pinned."""
+    """On every line, the survey's summary of the line's contractions
+    equals that of their span's echelon rows (the survey's key) and that of
+    the contractions moved by a random invertible matrix mod p; the lines
+    have as many spans as pinned."""
     X = make()
     F, p, nm1 = X.field, X.field.p, X.n - 1
     rng = random.Random(7)
     keys = set()
     for fr in all_lines(X):
-        sig = _sigma_rows(X, fr)
-        key = singular._span_sigma(X, sig)
+        fs, _ = tangent.restricted_contractions(X, fr)
+        key = Subspace.from_vectors(fs, F, X.d).ints[0]
         keys.add(key)
-        assert _span(X, key) == _span(X, sig)
         while True:
             A = [[rng.randrange(p) for _ in range(nm1)] for _ in range(nm1)]
             if rank(A, F) == nm1:
                 break
-        fs = [row[:-1] for row in sig[0][:nm1]]
         moved_fs = [[sum(a * f[i] for a, f in zip(row, fs)) % p
                      for i in range(X.d)] for row in A]
-        moved_sig = tuple([(*f, 0) for f in moved_fs]
-                          + [(0, *f) for f in moved_fs]), 1
-        summary = singular._sigma_summary(X, sig)
+        summary = singular._sigma_summary(X, fs)
         assert singular._sigma_summary(X, key) == summary
-        assert singular._sigma_summary(X, moved_sig) == summary
+        assert singular._sigma_summary(X, moved_fs) == summary
     assert len(keys) == spans
 
 

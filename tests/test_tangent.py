@@ -11,8 +11,7 @@ from fanosing import tangent
 from fanosing.corpus import cone, fermat, random_with_line
 from fanosing.forms import BinaryForm, MultiForm, contract, restrict_to_plane
 from fanosing.linalg import QQ, Subspace, kernel, parse_field, unit_vectors
-from fanosing.singular import (analyze_line, certify_entire_line,
-                               singular_on_line)
+from fanosing.singular import analyze_line, singular_on_line
 from fanosing.tangent import (Hypersurface, LineFrame, PlaneNotContained,
                               TangentReport, analyze_tangent, compute_pi,
                               restricted_contractions, sigma,
@@ -94,8 +93,8 @@ def test_fermat_line_is_rigid(fermat_cubic):
 
 def test_plane_not_contained(fermat_cubic):
     """A line off X, and a frame of the wrong length, keep their messages
-    now that sigma reads the frame's cached int rows; both certificates
-    check the frame as restricted_contractions does."""
+    now that sigma reads the frame's cached int rows; singular_on_line
+    and analyze_line check the frame as restricted_contractions does."""
     X, fr = fermat_cubic
     with pytest.raises(PlaneNotContained,
                        match="^plane not contained in hypersurface$"):
@@ -104,7 +103,7 @@ def test_plane_not_contained(fermat_cubic):
     short = LineFrame(QQ, (1, -1, 0), (0, 0, 1))
     for check in (lambda: restricted_contractions(X, short),
                   lambda: singular_on_line(X, short, la.filt),
-                  lambda: certify_entire_line(X, short, la.tangent)):
+                  lambda: analyze_line(X, short)):
         with pytest.raises(ValueError, match="^vector length does not match "
                                              "variable count$"):
             check()
@@ -192,7 +191,7 @@ def _projected_kernel(X, fr):
     sigma basis vector mod Pi, keep Pi's free coordinates, re-echelon."""
     nm1 = X.n - 1
     tang, pi = tangent_space(X, fr), compute_pi(X, fr)
-    pivots = pi.pivot_columns()
+    pivots = pi.ints[1]
     free = [i for i in range(nm1) if i not in pivots]
 
     def project(v):
@@ -437,7 +436,7 @@ def test_int_sigma_matches_restricted_contractions():
             _left_kernel_oracle(mat, d + 1, field)
         pi = _left_kernel_oracle([r[:-1] for r in mat[:nm1]], d, field)
         assert rep.pi == compute_pi(X, fr) == pi
-        free = [c for c in range(nm1) if c not in pi.pivot_columns()]
+        free = [c for c in range(nm1) if c not in pi.ints[1]]
         rows = [mat[c] for c in free] + [mat[nm1 + c] for c in free]
         assert rep.pencil == _left_kernel_oracle(rows, d + 1, field)
         assert rep.m == len(free) and rep.tangent_dim == rep.kernel.dim
