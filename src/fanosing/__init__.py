@@ -8,12 +8,11 @@ line enumeration, and intersection numbers on ruled surfaces.
 """
 
 from .linalg import Field, Fp, QQ, Subspace, FieldMismatch, kernel, parse_field
-from .forms import (MultiForm, BinaryForm, NotDivisible, contract,
-                    restrict_to_plane, binary_divide, binary_gcd, binary_roots,
-                    parse_form, format_form, format_scalar,
-                    projective_normalize, RootReport)
+from .forms import (MultiForm, BinaryForm, contract, restrict_to_plane,
+                    binary_gcd, binary_roots, parse_form, format_form,
+                    format_scalar, projective_normalize, RootReport)
 from .tangent import (Hypersurface, LineFrame, TangentReport, PlaneNotContained,
-                      sigma, tangent_space, compute_pi, analyze_tangent,
+                      tangent_space, compute_pi, analyze_tangent,
                       tangent_cone_lines, quotient_section)
 from .pencil import (NormalForm, NotConstantRankTwo, normal_form,
                      verify_normal_form, has_decomposable)
@@ -29,7 +28,6 @@ from .singular import (SingularPoint, SingularCertificate, EveryP1Report,
                        grassmannian_size, singular_points, conjecture_check)
 from .corpus import fermat, cone, random_with_line
 from .ruled import (RuledSurface, DivisorClass, FIBER, ItconeReport,
-                    CurveCaseReport, intersect, itcone_check, c1_twist,
-                    stareqn_curve_case)
+                    intersect, itcone_check, c1_twist)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -356,9 +356,11 @@ def cmd_ruled(args) -> int:
     out = ["D1.D2 = %d" % val,
            "cone bound: %d (hypotheses %s)"
            % (rep.lower_bound, "hold" if rep.hypotheses_ok else "fail")]
-    if args.twist_p is not None:
+    if args.twist_p is not None or args.twist_l is not None:
         if args.twist_l is None:
             raise CliError("--twist-p needs --twist-l")
+        if args.twist_p is None:
+            raise CliError("--twist-l needs --twist-p")
         L = _parse_class(args.twist_l)
         tw = c1_twist(S, L, args.twist_p, D1)
         payload["twist"] = {"a": tw.a, "b": tw.b}

@@ -4,8 +4,8 @@ MultiForm is a sparse homogeneous polynomial in n+1 ambient variables;
 BinaryForm is a dense homogeneous form on a line, written in the dual
 coordinates (s, t) of a chosen basis of the line.  Both take -, *, **, ==,
 evaluate and repr from one private base, _Form, which reads each class's
-storage through a few hooks.  Binary-form product, division, gcd and
-factoring share one dense univariate kernel on plain values: ints mod p
+storage through a few hooks.  Binary-form product, gcd and factoring
+share one dense univariate kernel on plain values: ints mod p
 (mod p^k while lifting) or Fractions.  binary_roots factors a form into
 irreducibles in time polynomial in log p and in the coefficient size: over
 F_p by distinct- and equal-degree splitting, over Q by Hensel-lifting a
@@ -35,14 +35,6 @@ from fractions import Fraction
 
 from .linalg import (Field, FieldMismatch, _ints, _is_prime, parse_field, plain,
                      rank)
-
-
-class NotDivisible(ValueError):
-    """Exact division failed; .remainder carries the obstruction."""
-
-    def __init__(self, message, remainder=None):
-        super().__init__(message)
-        self.remainder = remainder
 
 
 class _Form:
@@ -649,27 +641,7 @@ def _factor_q(core):
 
 
 # ---------------------------------------------------------------------------
-# binary form division, gcd, roots
-
-
-def binary_divide(f: BinaryForm, g: BinaryForm) -> BinaryForm:
-    """Exact quotient f/g of binary forms, divided in the chart s=1 and
-    re-homogenized; NotDivisible carries the remainder, or f itself when
-    no homogeneous quotient of degree deg f - deg g exists."""
-    f._check(g, same_degree=False)
-    if g.is_zero():
-        raise ZeroDivisionError("division by the zero form")
-    df, dg = f.degree, g.degree
-    rem = f
-    if df >= dg:
-        a, m = _plain_coeffs(f)
-        uq, r = _udivmod(a, _trim(_plain_coeffs(g)[0]), m)
-        # t-degree of the quotient may not exceed df - dg (s-power obstruction)
-        if not any(uq[df - dg + 1:]):
-            if not r:
-                return BinaryForm(f.field, uq[:df - dg + 1])
-            rem = BinaryForm(f.field, r + [0] * (df + 1 - len(r)))
-    raise NotDivisible("binary form is not divisible", remainder=rem)
+# binary form gcd, roots
 
 
 def binary_gcd(forms) -> BinaryForm:

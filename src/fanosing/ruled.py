@@ -91,29 +91,3 @@ def c1_twist(S: RuledSurface, L_class: DivisorClass, p: int,
     if intersect(S, result, FIBER) != p:
         raise ValueError("twist does not meet the fiber %d times" % p)
     return result
-
-
-@dataclass(frozen=True)
-class CurveCaseReport:
-    """Intersection bookkeeping for one or two classes on the surface."""
-
-    num_classes: int
-    product_dim_ok: bool
-    value: int | None
-    nonzero: bool
-
-
-def stareqn_curve_case(S: RuledSurface, classes) -> CurveCaseReport:
-    """Intersect up to two divisor classes; more would land in negative
-    dimension on a surface."""
-    classes = tuple(classes)
-    if len(classes) > 2:
-        raise ValueError("codimension exceeds the surface dimension")
-    if not classes:
-        raise ValueError("need at least one class")
-    if len(classes) == 1:
-        return CurveCaseReport(num_classes=1, product_dim_ok=True, value=None,
-                               nonzero=bool(classes[0]))
-    value = intersect(S, classes[0], classes[1])
-    return CurveCaseReport(num_classes=2, product_dim_ok=True, value=value,
-                           nonzero=bool(value))

@@ -233,15 +233,6 @@ def _sigma_rows(X: Hypersurface, frame: LineFrame):
     return tuple([(*f, 0) for f in fs] + [(0, *f) for f in fs]), scale
 
 
-def sigma(X: Hypersurface, frame: LineFrame):
-    """Matrix of the first-order deformation map of the line.  Rows:
-    alpha^1 (x) w_1 .. alpha^1 (x) w_{n-1}, then the alpha^2 row block.
-    Columns: coefficients of s^d, ..., t^d.
-    """
-    rows, scale = _sigma_rows(X, frame)
-    return tuple(_scalars(rows, [scale] * len(rows), X.field))
-
-
 def _left_kernel(rows, field: Field, ncols: int) -> Subspace:
     """The c with sum_r c_r * rows[r] = 0, for int rows of ncols entries."""
     return _kernel([[row[i] for row in rows] for i in range(ncols)],

@@ -175,25 +175,31 @@ def test_acceptance_05_kernel_bound_and_pi(random_corpus):
     with criterion(5, "200 random planted lines: kernel bound, dual-times-Pi "
                       "inside the kernel, a verified normal form or m = 0",
                    limit=120.0, extra=build):
-        verified = 0
+        verified = lifted = 0
         for X, fr, la in corpus:
             n, d = X.n, X.d
             rep = la.tangent
             assert rep.kernel.dim >= 2 * (n - 1) - (d + 1), (n, d, rep.kernel.dim)
             zero = (X.field.zero(),) * (n - 1)
             for pvec in rep.pi.basis:
-                lifted = quotient_section(pvec, rep.pi) \
-                    if len(pvec) != n - 1 else pvec
-                assert rep.kernel.contains_vectors([tuple(lifted) + zero])
-                assert rep.kernel.contains_vectors([zero + tuple(lifted)])
+                assert rep.kernel.contains_vectors([pvec + zero])
+                assert rep.kernel.contains_vectors([zero + pvec])
+            # each pencil vector (u | v) lifts from (W/E)/Pi into the kernel
+            for vec in rep.pencil.basis:
+                u, v = vec[:rep.m], vec[rep.m:]
+                assert rep.kernel.contains_vectors(
+                    [quotient_section(u, rep.pi) + quotient_section(v, rep.pi)])
+                lifted += 1
+            assert rep.kernel.dim == 2 * rep.pi.dim + rep.pencil.dim
             if rep.m == 0:
                 assert la.nf is None
             else:
                 assert verify_normal_form(rep.pencil, la.nf)
                 verified += 1
-        assert len(corpus) == 200
-        print("  kernel-bound corpus: %d verified normal forms, %d with m = 0"
-              % (verified, len(corpus) - verified))
+        assert len(corpus) == 200 and lifted > 0
+        print("  kernel-bound corpus: %d verified normal forms, %d with m = 0, "
+              "%d lifted pencil vectors"
+              % (verified, len(corpus) - verified, lifted))
 
 
 def _random_invertible(field, m, rng):

@@ -378,6 +378,8 @@ _CUBIC = "field Q\nvars 4\n1 3 0 0 0\n1 0 3 0 0\n"
     ("", ["gen", "random-with-line"], "random-with-line needs --p"),
     ("", ["ruled", "--k", "2", "--d1", "1,3", "--d2", "2,5", "--twist-p", "3"],
      "--twist-p needs --twist-l"),
+    ("", ["ruled", "--k", "2", "--d1", "1,3", "--d2", "2,5", "--twist-l", "0,2"],
+     "--twist-l needs --twist-p"),
     ("", ["ruled", "--k", "2", "--d1", "1,3,0", "--d2", "2,5"],
      "divisor class must be 'a,b'"),
     (_CUBIC, ["analyze", "{f}", "--line", "1,0,0,0;0,1,0"],
@@ -403,8 +405,8 @@ _CUBIC = "field Q\nvars 4\n1 3 0 0 0\n1 0 3 0 0\n"
         "through-zero-point", "through-zero-point-mod-p", "field-option-literal",
         "form-header-literal", "pencil-header-literal", "ruled-class-literal",
         "twist-class-literal", "gen-d0", "gen-cone-no-base", "gen-random-no-p",
-        "twist-p-without-l", "ruled-class-shape", "line-spec-ragged",
-        "line-spec-dependent", "lines-budget-negative",
+        "twist-p-without-l", "twist-l-without-p", "ruled-class-shape",
+        "line-spec-ragged", "line-spec-dependent", "lines-budget-negative",
         "conjecture-budget-negative", "lines-budget-literal",
         "gen-cone-extra0", "gen-random-n1", "gen-fermat-n0", "gen-fermat-d0"])
 def test_bad_scalar_or_characteristic_is_one_line_error(tmp_path, capsys, form,

@@ -1,5 +1,5 @@
 """Polynomial layer: sparse forms, contraction, restriction, binary-form
-division, gcd, and projective root finding."""
+gcd, and projective root finding."""
 
 import itertools
 import math
@@ -11,10 +11,10 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from fanosing.forms import (BinaryForm, MultiForm, NotDivisible, _expand,
-                            _plain_terms, binary_divide, binary_gcd,
-                            binary_roots, contract, format_form, format_scalar,
-                            parse_form, projective_normalize, restrict_to_plane)
+from fanosing.forms import (BinaryForm, MultiForm, _expand, _plain_terms,
+                            binary_gcd, binary_roots, contract, format_form,
+                            format_scalar, parse_form, projective_normalize,
+                            restrict_to_plane)
 from fanosing.linalg import QQ, FieldMismatch, Fp, _ints, parse_field, rank
 from reference import restrict
 
@@ -420,27 +420,6 @@ def test_shared_ring_api(field, reprs):
         mono(field, 2, (0, 0), 5), binform(field, 5))] == reprs
 
 
-def test_binary_divide_exact():
-    f = binform(QQ, 1, 0, -1)       # s^2 - t^2
-    g = binform(QQ, 1, -1)          # s - t
-    assert binary_divide(f, g) == binform(QQ, 1, 1)
-    # s-power obstruction: t^2 not divisible by s
-    with pytest.raises(NotDivisible):
-        binary_divide(binform(QQ, 0, 0, 1), binform(QQ, 1, 0))
-
-
-def test_binary_divide_remainder():
-    f = binform(QQ, 1, 0, 1)        # s^2 + t^2
-    g = binform(QQ, 1, -1)          # s - t
-    with pytest.raises(NotDivisible) as exc:
-        binary_divide(f, g)
-    # division identity f = q*g + r holds with r = 2 s^2
-    r = exc.value.remainder
-    assert r == binform(QQ, 2, 0, 0)
-    q = binform(QQ, -1, -1)
-    assert q * g + r == f
-
-
 def test_binary_gcd_frozen():
     a = binform(QQ, 1, 0, -1)       # (s - t)(s + t)
     b = binform(QQ, 1, 2, 1)        # (s + t)^2
@@ -592,11 +571,8 @@ def _small_monic_divisor(f):
     for e in range(1, f.degree // 2 + 1):
         for tail in itertools.product(range(field.p), repeat=e):
             cand = BinaryForm(field, tail + (1,))
-            try:
-                binary_divide(f, cand)
-            except NotDivisible:
-                continue
-            return cand
+            if binary_gcd([f, cand]).degree == cand.degree:
+                return cand
     return None
 
 

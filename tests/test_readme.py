@@ -1,8 +1,9 @@
 """The README's library example runs and gives the values its comments
-name, its format blocks parse as written, and its exit-code table matches
-the command line."""
+name, its command-line block runs, its format blocks parse as written, and
+its exit-code table matches the command line."""
 
 import re
+import shlex
 from pathlib import Path
 
 from fanosing import cli
@@ -28,6 +29,28 @@ def test_library_example_matches_its_comments():
     (point,) = la.certificate.points
     assert point.ambient == (0, 0, 0, 1) and point.multiplicity == 2
     assert la.everyp1.applies
+
+
+def test_command_line_block_runs(tmp_path, monkeypatch, capsys):
+    """Every command of the README's command-line block exits 0, run on the
+    library example's cone, the Fermat-type surface x1^3 + x2^3 + x3^3 over
+    F_7 (which contains [1:0:0:0]) and the README's pencil block."""
+    cone = re.search(r'parse_form\("""(.*?)"""\)', _example_block(), re.S)
+    (tmp_path / "cone.form").write_text(cone.group(1))
+    (tmp_path / "surface.form").write_text(
+        "field Fp 7\nvars 4\n1 0 3 0 0\n1 0 0 3 0\n1 0 0 0 3\n")
+    (tmp_path / "pencil.txt").write_text(_block("### Pencil files"))
+    monkeypatch.chdir(tmp_path)
+    commands = _block("## Command line", "sh").splitlines()
+    assert len(commands) == 6
+    for line in commands:
+        argv = shlex.split(line)
+        assert argv[0] == "fanosing"
+        if ">" in argv:
+            argv = argv[:argv.index(">")]
+        assert cli.main(argv[1:]) == 0, line
+    capsys.readouterr()
+    assert (tmp_path / "report.json").is_file()
 
 
 def test_format_blocks_parse_as_written(tmp_path, capsys):

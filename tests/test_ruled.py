@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from fanosing.ruled import (FIBER, CurveCaseReport, DivisorClass, RuledSurface,
-                            c1_twist, intersect, itcone_check,
-                            stareqn_curve_case)
+from fanosing.ruled import (FIBER, DivisorClass, RuledSurface, c1_twist,
+                            intersect, itcone_check)
 
 
 def test_lattice_frozen_values():
@@ -77,20 +76,6 @@ def test_c1_twist():
     assert intersect(S, tw, FIBER) == 3
     with pytest.raises(ValueError, match="fiber"):
         c1_twist(S, DivisorClass(1, 1), 3, o1)
-
-
-def test_stareqn_curve_case():
-    S = RuledSurface(1)
-    rep = stareqn_curve_case(S, [DivisorClass(1, 2), DivisorClass(1, 1)])
-    assert isinstance(rep, CurveCaseReport)
-    assert rep.num_classes == 2 and rep.product_dim_ok
-    assert rep.value == intersect(S, DivisorClass(1, 2), DivisorClass(1, 1))
-    one = stareqn_curve_case(S, [DivisorClass(2, 3)])
-    assert one.value is None and one.nonzero
-    with pytest.raises(ValueError, match="codimension exceeds"):
-        stareqn_curve_case(S, [DivisorClass(1, 0)] * 3)
-    with pytest.raises(ValueError, match="at least one"):
-        stareqn_curve_case(S, [])
 
 
 def test_divisor_class_algebra():

@@ -14,8 +14,8 @@ from fanosing.linalg import QQ, Subspace, kernel, parse_field, unit_vectors
 from fanosing.singular import analyze_line, singular_on_line
 from fanosing.tangent import (Hypersurface, LineFrame, PlaneNotContained,
                               TangentReport, analyze_tangent, compute_pi,
-                              restricted_contractions, sigma,
-                              tangent_cone_lines, tangent_space)
+                              restricted_contractions, tangent_cone_lines,
+                              tangent_space)
 from helpers import combine
 from reference import restrict
 
@@ -57,7 +57,7 @@ def test_default_complement(quadric):
 
 def test_quadric_deformation_matrix(quadric):
     X, fr = quadric
-    mat = sigma(X, fr)
+    mat = analyze_tangent(X, fr).sigma_matrix
     assert mat == (F(0, -1, 0), F(1, 0, 0), F(0, 0, -1), F(0, 1, 0))
     T = tangent_space(X, fr)
     assert T.basis == (F(1, 0, 0, 1),)
@@ -98,7 +98,8 @@ def test_plane_not_contained(fermat_cubic):
     X, fr = fermat_cubic
     with pytest.raises(PlaneNotContained,
                        match="^plane not contained in hypersurface$"):
-        sigma(X, LineFrame(QQ, (1, 0, 0, 0), (0, 1, 0, 0)))
+        analyze_tangent(X, LineFrame(QQ, (1, 0, 0, 0),
+                                     (0, 1, 0, 0))).sigma_matrix
     la = analyze_line(X, fr)
     short = LineFrame(QQ, (1, -1, 0), (0, 0, 1))
     for check in (lambda: restricted_contractions(X, short),
@@ -174,7 +175,7 @@ def test_deformation_matches_interpolation_oracle():
         e1 = tuple(field.scalar(1 if i == 0 else 0) for i in range(n + 1))
         e2 = tuple(field.scalar(1 if i == 1 else 0) for i in range(n + 1))
         fr = LineFrame(field, e1, e2)
-        mat = sigma(X, fr)
+        mat = analyze_tangent(X, fr).sigma_matrix
         v = [field.scalar(rng.randint(0, 10)) for _ in range(2 * (n - 1))]
         w1 = combine(fr.field, fr.ambient_dim, v[:n - 1], fr.complement)
         w2 = combine(fr.field, fr.ambient_dim, v[n - 1:], fr.complement)
@@ -331,7 +332,7 @@ def test_sigma_commutes_with_reduction_mod_p():
         if P.is_zero():
             continue
         frame = LineFrame(QQ, e1, e2)
-        mat = sigma(Hypersurface(P), frame)
+        mat = analyze_tangent(Hypersurface(P), frame).sigma_matrix
         dens = [c.denominator for c in (*P.terms.values(), *e1, *e2)]
         primes = [p for p in (11, 13, 101, 10007, 1000003)
                   if all(den % p for den in dens)]
@@ -346,7 +347,8 @@ def test_sigma_commutes_with_reduction_mod_p():
             if frame_p.complement != tuple(tuple(map(Fp_.scalar, w))
                                            for w in frame.complement):
                 continue
-            assert sigma(Hypersurface(Pp), frame_p) == \
+            rep_p = analyze_tangent(Hypersurface(Pp), frame_p)
+            assert rep_p.sigma_matrix == \
                 tuple(tuple(map(Fp_.scalar, row)) for row in mat)
             compared += 1
     assert compared >= 80
@@ -426,7 +428,7 @@ def test_int_sigma_matches_restricted_contractions():
         X = Hypersurface(P)
         rep = analyze_tangent(X, fr)
         mat, nm1, zero = rep.sigma_matrix, X.n - 1, field.zero()
-        assert mat == sigma(X, fr)
+        assert mat == analyze_tangent(X, fr).sigma_matrix
         assert len(mat) == 2 * nm1
         for j, w in enumerate(fr.complement):
             f = restrict(contract(w, P), [fr.e1, fr.e2])[0].coeffs
@@ -447,7 +449,7 @@ def test_int_sigma_matches_restricted_contractions():
             if len(Subspace.from_vectors([fr.e1, w], field).basis) == 2 \
                     and not restrict_to_plane(P, [fr.e1, w]).is_zero():
                 off = LineFrame(field, fr.e1, w)
-                for fn in (sigma, tangent_space, compute_pi, analyze_tangent):
+                for fn in (tangent_space, compute_pi, analyze_tangent):
                     with pytest.raises(PlaneNotContained):
                         fn(X, off)
                 raised.add(field.is_rational)
