@@ -6,7 +6,9 @@ generators on E, so the whole gradient vanishes there.  This module turns
 that into certificates (each claimed point is re-checked against the
 gradient), enumerates lines over small finite fields by echelon position,
 and packages a replay-friendly survey of a whole hypersurface.  Candidate
-lines start at a point of X and run over the kernel of its first polar.
+lines start at a point of X and run over the kernel of its first polar,
+which the line scan finds by one lookup per fibre of the last coordinate;
+the line test reads the second point's polar before P on the line.
 
 The gradient re-checks and the point and line scans read P's terms,
 (c, ((i, k), ...)) on ints, once per hypersurface (Hypersurface.plain_form):
@@ -328,18 +330,21 @@ def _residue_points(p: int, ncoords: int):
             for tail in product(range(p), repeat=ncoords - 1 - lead))
 
 
-def _line_on(form, d: int, e1, e2) -> bool:
+def _line_on(form, d: int, e1, e2, g2) -> bool:
     """Exact containment test for the line span(e1, e2) of residue vectors
-    on X (form is X.plain_form, d the degree), given P(e1) = P(e2) = 0 and
-    g . e2 = 0 for the polar g of e1: every caller has checked them.  They
-    are the s^d, t^d and s^(d-1) t coefficients of P(s e1 + t e2), so when
-    d <= p the line test only evaluates P(e1 + k e2) for k = 1..d-2: that is
-    k^2 times a polynomial of degree d-3 in k, and vanishes at d-2 distinct
-    nonzero k only if it is zero."""
+    on X (form is X.plain_form, d the degree, g2 the polar of e2), given
+    P(e1) = P(e2) = 0 and g . e2 = 0 for the polar g of e1: every caller
+    has checked them.  They are the s^d, t^d and s^(d-1) t coefficients of
+    P(s e1 + t e2); g2 . e1 is the s t^(d-1) one, tested first.  Then when
+    d <= p the test only evaluates P(e1 + k e2) for k = 1..d-3: that is
+    k^2 times a polynomial of degree d-4 in k, and vanishes at d-3 distinct
+    nonzero k only if it is zero.  Cubics need no evaluation."""
     p = form[1]
+    if sum(map(mul, g2, e1)) % p:
+        return False
     if d <= p:
         return not any(_value(form, [a + k * b for a, b in zip(e1, e2)])
-                       for k in range(1, d - 1))
+                       for k in range(1, d - 2))
     # too few points on the line: expand P on it with the one int kernel
     return not _expand(form[0], [e1, e2], (), d, p)[0]
 
@@ -397,7 +402,8 @@ def lines_through(X: Hypersurface, point, budget: int = _BUDGET) -> list:
     for j in range(X.n):
         for w in _polar_rows(g, j, p):
             w = w[:piv] + (0,) + w[piv:]
-            if not _value(form, w) and _line_on(form, X.d, xs, w):
+            if not _value(form, w) and _line_on(form, X.d, xs, w,
+                                                 _polar(form, w)):
                 frames.append(LineFrame(field, x, w))
     return frames
 
@@ -439,14 +445,16 @@ def _echelon_pairs(X: Hypersurface, polars: _Polars, budget: int):
     row 1 is 1 at j1, then free entries with a 0 at column j2.  Free entries
     run lexicographically, the first free column slowest.  Row 1 must be a
     point of X and row 2 a point of X in the kernel of row 1's polar g, so
-    each point is tested once in the memo that rows 1 and rows 2 share, and
-    the points of X in chart j2 are listed once, lexicographically.  Row
-    1's rows 2 are the listed points with g . r2 = 0, in the order
-    _polar_rows(g, j2, p) gives: it runs the other free entries
-    lexicographically and solves for the last live column c, whose entry
-    depends only on the entries before it, so inserting it keeps the order
-    lexicographic.  Since P(r1) = P(r2) = g . r2 = 0, the line test
-    (_line_on) checks only the other coefficients.
+    each point is tested once in the memo that rows 1 and rows 2 share.
+    The points of X in chart j2 are grouped by fibre: the prefix u of row
+    2's tail (its entries after j2 but the last), in lexicographic order,
+    maps to {last entry: row 2}.  On a fibre g . r2 = 0 reads
+    g_(j2) + g_u . u + g_l last = 0, g_l g's last entry: for g_l != 0 one
+    dict lookup finds its one solution, for g_l = 0 the whole fibre passes
+    or none of it.  The last chart's lone point has an empty tail, one
+    fibre with g_l = 0.  So rows 2 keep their lexicographic order, and as
+    P(r1) = P(r2) = g . r2 = 0 the line test (_line_on) checks only the
+    other coefficients, starting with row 2's polar, a memo hit.
     """
     _require_prime_field(X.field)
     p, d = X.field.p, X.d
@@ -455,9 +463,10 @@ def _echelon_pairs(X: Hypersurface, polars: _Polars, budget: int):
     form = X.plain_form
     for j2 in range(1, n1):
         head = (0,) * j2 + (1,)
-        # rows 2 as (row, its entries after j2)
-        rows2 = [(r2, t) for t in product(range(p), repeat=n1 - 1 - j2)
-                 if polars[r2 := head + t] is not None]
+        fibres = {}
+        for t in product(range(p), repeat=n1 - 1 - j2):
+            if polars[r2 := head + t] is not None:
+                fibres.setdefault(t[:-1], {})[t[-1] if t else 0] = r2
         for j1 in range(j2):
             cut = j2 - j1 - 1
             for t in product(range(p), repeat=n1 - 2 - j1):
@@ -465,11 +474,19 @@ def _echelon_pairs(X: Hypersurface, polars: _Polars, budget: int):
                 g = polars[r1]
                 if g is None:
                     continue
-                g0, gt = g[j2], g[j2 + 1:]
-                for r2, tail in rows2:
-                    if (not sum(map(mul, gt, tail), g0) % p
-                            and _line_on(form, d, r1, r2)):
-                        yield r1, r2
+                g0, gu = g[j2], g[j2 + 1:-1]
+                if j2 < n1 - 1 and g[-1]:
+                    solve = -pow(g[-1], -1, p)
+                    for u, fibre in fibres.items():
+                        r2 = fibre.get(sum(map(mul, gu, u), g0) * solve % p)
+                        if r2 and _line_on(form, d, r1, r2, polars[r2]):
+                            yield r1, r2
+                else:
+                    for u, fibre in fibres.items():
+                        if not sum(map(mul, gu, u), g0) % p:
+                            for r2 in fibre.values():
+                                if _line_on(form, d, r1, r2, polars[r2]):
+                                    yield r1, r2
 
 
 def singular_points(X: Hypersurface) -> tuple:

@@ -3,9 +3,11 @@ whole-surface survey."""
 
 import random
 import time
+from collections import Counter
 from fractions import Fraction as Fr
 from itertools import combinations_with_replacement, product
 from math import gcd, lcm
+from operator import mul
 
 import pytest
 from hypothesis import assume, given, settings
@@ -366,6 +368,126 @@ def test_all_lines_takes_each_polar_once(monkeypatch):
     # every point of X in the charts of rows 2 is listed, as row 2 or row 1
     assert {x for x in singular._residue_points(7, 5) if x[0] == 0
             and not X.P.evaluate(F7.vector(x))} <= set(seen)
+
+
+def _dual_forms(field, nvars, e1, e2):
+    """Linear forms l1, l2 with l1(e1) = l2(e2) = 1 and l1(e2) = l2(e1) = 0,
+    on two columns where the independent residue vectors e1, e2 are."""
+    p = field.p
+    a, b = next((a, b) for a in range(nvars) for b in range(a + 1, nvars)
+                if (e1[a] * e2[b] - e1[b] * e2[a]) % p)
+    inv = pow(e1[a] * e2[b] - e1[b] * e2[a], -1, p)
+
+    def lin(ca, cb):
+        return MultiForm(field, nvars, 1, {
+            tuple(int(i == a) for i in range(nvars)): ca * inv,
+            tuple(int(i == b) for i in range(nvars)): cb * inv})
+
+    return lin(e2[b], -e2[a]), lin(-e1[b], e1[a])
+
+
+def test_line_on_matches_reference_restriction():
+    """The line test agrees with the reference restriction on seeded random
+    forms and residue pairs (e1, e2) that meet its preconditions: P(e1),
+    P(e2) and the s^(d-1) t coefficient of P(s e1 + t e2) vanish.  They
+    are made to by taking those coefficients, and a random subset of the
+    others, off P along l1^(d-i) l2^i for linear forms l1, l2 dual to e1,
+    e2.  p < d runs the _expand branch; lines and non-lines occur on both
+    branches, and for every d >= 3 a non-line."""
+    rng = random.Random(39)
+    counts = Counter()
+    for _ in range(500):
+        p, d, nvars = rng.choice((2, 3, 5, 7, 13)), rng.randint(1, 5), \
+            rng.randint(2, 5)
+        F = parse_field("Fp:%d" % p)
+        while True:
+            e1, e2 = (tuple(rng.randrange(p) for _ in range(nvars))
+                      for _ in range(2))
+            if rank([e1, e2], F) == 2:
+                break
+        terms = {}
+        for _ in range(rng.randint(1, 8)):
+            e = [0] * nvars
+            for _ in range(d):
+                e[rng.randrange(nvars)] += 1
+            terms[tuple(e)] = rng.randrange(p)
+        P = MultiForm(F, nvars, d, terms)
+        line = [F.vector(e1), F.vector(e2)]
+        coeffs = restrict(P, line)[0].coeffs
+        l1, l2 = _dual_forms(F, nvars, e1, e2)
+        kill = {0, 1, d} | {i for i in range(2, d) if rng.random() < 0.6}
+        for i in kill:
+            P = P - (l1 ** (d - i) * l2 ** i).scale(coeffs[i])
+        on = restrict(P, line)[0]
+        assert not any(on.coeffs[i] for i in (0, 1, d))
+        if P.is_zero():
+            continue
+        form = Hypersurface(P).plain_form
+        got = singular._line_on(form, d, e1, e2, singular._polar(form, e2))
+        assert got == on.is_zero()
+        counts["expand" if p < d else "values", got] += 1
+        counts[d, got] += 1
+    assert all(counts[branch, got] for branch in ("expand", "values")
+               for got in (True, False)), counts
+    assert all(counts[d, False] for d in (3, 4, 5)), counts
+
+
+def _flat_echelon_pairs(X, cases):
+    """The line scan before its rows 2 were grouped by fibre: every row 1
+    on X against every row 2 on X of its chart, in the same order, kept when
+    g . r2 = 0 for row 1's polar g and the reference restriction of P to the
+    line is zero.  cases counts the lines by how the fibred scan finds row
+    2: the last chart's empty tail, or g's last entry zero or not."""
+    p, n1 = X.field.p, X.n + 1
+    polars = singular._Polars(X.plain_form)
+    for j2 in range(1, n1):
+        head = (0,) * j2 + (1,)
+        rows2 = [(r2, t) for t in product(range(p), repeat=n1 - 1 - j2)
+                 if polars[r2 := head + t] is not None]
+        for j1 in range(j2):
+            cut = j2 - j1 - 1
+            for t in product(range(p), repeat=n1 - 2 - j1):
+                r1 = (0,) * j1 + (1,) + t[:cut] + (0,) + t[cut:]
+                g = polars[r1]
+                if g is None:
+                    continue
+                case = ("empty tail" if j2 == n1 - 1
+                        else "g_l != 0" if g[-1] else "g_l = 0")
+                for r2, tail in rows2:
+                    if (not sum(map(mul, g[j2 + 1:], tail), g[j2]) % p
+                            and restrict(X.P, [X.field.vector(r1),
+                                               X.field.vector(r2)])[0]
+                            .is_zero()):
+                        cases[case] += 1
+                        yield r1, r2
+
+
+def _dense_form(field, nvars, d, rng):
+    """A seeded random coefficient on every monomial of degree d."""
+    return MultiForm(field, nvars, d, {
+        tuple(mono.count(i) for i in range(nvars)): rng.randrange(field.p)
+        for mono in combinations_with_replacement(range(nvars), d)})
+
+
+def test_fibred_scan_matches_flat_scan():
+    """_echelon_pairs yields the pairs of the flat scan, in its order, on
+    seeded dense forms in P^2 to P^4 of degree 1 to 4 over F_2 to F_13,
+    and each way the fibred scan finds a row 2 finds lines."""
+    rng = random.Random(39)
+    cases = Counter()
+    for n in (2, 3, 4):
+        for d in (1, 2, 3, 4):
+            for p in (2, 3, 5, 7, 11, 13):
+                if grassmannian_size(p, n) > 35000:     # to P^4/F_5, P^3/F_13
+                    continue
+                P = _dense_form(Field(p), n + 1, d, rng)
+                if P.is_zero():
+                    continue
+                X = Hypersurface(P)
+                assert list(singular._echelon_pairs(
+                    X, singular._Polars(X.plain_form), 10 ** 7)) == \
+                    list(_flat_echelon_pairs(X, cases))
+    assert all(cases[c] for c in ("empty tail", "g_l != 0", "g_l = 0")), cases
 
 
 @pytest.mark.parametrize("X", _bruteforce_cases())
