@@ -5,24 +5,28 @@ point of X: every directional derivative of P is a combination of shifted
 generators on E, so the whole gradient vanishes there.  This module turns
 that into certificates (each claimed point is re-checked against the
 gradient), enumerates lines over small finite fields by echelon position,
-and packages a replay-friendly survey of a whole hypersurface.  Candidate
-lines start at a point of X and run over the kernel of its first polar,
-which the line scan finds by one lookup per fibre of the last coordinate;
-the line test reads the second point's polar before P on the line.
+and packages a replay-friendly survey of a whole hypersurface.  The points
+of X over F_p are listed chart by chart and fibre by fibre of the last
+coordinate, from the roots of P on each fibre (_chart_points), so the
+singular point scan and the line scan test no point off X for membership.
+Candidate lines start at a point of X and run over the kernel of its first
+polar, which the line scan finds by one lookup per fibre; the line test
+reads the second point's polar before P on the line.
 
 The gradient re-checks and the point and line scans read P's terms,
 (c, ((i, k), ...)) on ints, once per hypersurface (Hypersurface.plain_form):
 residues mod p, or over Q the terms of D*P at a point scaled to ints, good
-only for zero tests.  Every point test evaluates P once (_value) and takes
-the gradient (_polar) only on X; _singular_at is the two together.  The
-scans run on residue tuples mod p, and certified points on a line's int
-rows (a frame's, tangent._frame_ints, or a scan's echelon pair); each
-builds scalars only for what it returns.
+only for zero tests.  A point test evaluates P once (_value) and takes the
+gradient (_polar) only on X; _singular_at is the two together.  The scans
+run on residue tuples mod p, and certified points on a line's int rows (a
+frame's, tangent._frame_ints, or a scan's echelon pair); each builds
+scalars only for what it returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 from operator import mul
 
@@ -414,17 +418,57 @@ def grassmannian_size(p: int, n: int) -> int:
 
 
 class _Polars(dict):
-    """Residue point -> the polar of P there (_polar), or None off X: each
-    point is tested once, P(x) first and the polar only on X.  One memo
-    serves a whole line scan and the sigma its survey reads off it."""
+    """Residue point of X -> the polar of P there (_polar), taken once per
+    point.  Its keys are points of X only (_chart_points lists them), so P
+    is never evaluated here.  One memo serves a whole line scan and the
+    contractions its survey reads off it."""
 
     def __init__(self, form):
         super().__init__()
         self.form = form
 
     def __missing__(self, x):
-        g = self[x] = None if _value(self.form, x) else _polar(self.form, x)
+        g = self[x] = _polar(self.form, x)
         return g
+
+
+def _chart_points(form, d: int, n1: int, j: int) -> list:
+    """Chart j's points of X = Z(P) over F_p, (0, ..., 0, 1 at j, tail), as
+    residue tuples in lexicographic order of the tail (projective_points'
+    order); form is X.plain_form, d the degree, n1 the number of variables.
+
+    On a fibre, the prefix u of the tail (every entry but the last) fixed,
+    P is a univariate of degree <= d in the last coordinate z: one pass
+    over P's terms without a variable before j gives its coefficients, and
+    its roots are read off its values at the p residues, from one table of
+    powers.  Roots are kept per coefficient tuple, which diagonal forms
+    repeat; an identically zero fibre keeps all p points, and d >= p needs
+    no care, as every residue is tested.  The last chart's lone point has
+    an empty tail: it is on X when P's x_j^d coefficient is 0."""
+    p, last = form[1], n1 - 1
+    head = (0,) * j + (1,)
+    # (c, power of z, ((position in u, power), ...)) per surviving term
+    rows = [(c, sum(k for i, k in e if i == last),
+             tuple((i - j - 1, k) for i, k in e if j < i < last))
+            for c, e in form[0] if all(i >= j for i, _ in e)]
+    if j == last:
+        return [] if sum(c for c, _, _ in rows) % p else [head]
+    pw = [[pow(z, k, p) for k in range(d + 1)] for z in range(p)]
+    roots = {}
+    points = []
+    for u in product(range(p), repeat=last - j - 1):
+        f = [0] * (d + 1)
+        for c, k, e in rows:
+            for i, m in e:
+                c *= pw[u[i]][m]
+            f[k] += c
+        f = tuple(c % p for c in f)
+        zs = roots.get(f)
+        if zs is None:
+            zs = roots[f] = [z for z in range(p)
+                             if not sum(map(mul, f, pw[z])) % p]
+        points.extend(head + u + (z,) for z in zs)
+    return points
 
 
 def all_lines(X: Hypersurface, budget: int = _BUDGET) -> list:
@@ -444,36 +488,38 @@ def _echelon_pairs(X: Hypersurface, polars: _Polars, budget: int):
     Echelon pairs have pivots j1 < j2: row 2 is 1 at j2, then free entries;
     row 1 is 1 at j1, then free entries with a 0 at column j2.  Free entries
     run lexicographically, the first free column slowest.  Row 1 must be a
-    point of X and row 2 a point of X in the kernel of row 1's polar g, so
-    each point is tested once in the memo that rows 1 and rows 2 share.
-    The points of X in chart j2 are grouped by fibre: the prefix u of row
-    2's tail (its entries after j2 but the last), in lexicographic order,
-    maps to {last entry: row 2}.  On a fibre g . r2 = 0 reads
-    g_(j2) + g_u . u + g_l last = 0, g_l g's last entry: for g_l != 0 one
-    dict lookup finds its one solution, for g_l = 0 the whole fibre passes
-    or none of it.  The last chart's lone point has an empty tail, one
-    fibre with g_l = 0.  So rows 2 keep their lexicographic order, and as
-    P(r1) = P(r2) = g . r2 = 0 the line test (_line_on) checks only the
-    other coefficients, starting with row 2's polar, a memo hit.
+    point of X and row 2 a point of X in the kernel of row 1's polar g.
+    Each chart's points of X are listed once, fibre by fibre
+    (_chart_points), so no point off X is tested.  Rows 1 are the points of
+    chart j1's list that are 0 at j2, which keeps their order; the polar
+    memo takes each point's polar once, eagerly for rows 2 and on first use
+    for rows 1.  The points of X in chart j2 are grouped by fibre: the
+    prefix u of row 2's tail (its entries after j2 but the last), in
+    lexicographic order, maps to {last entry: row 2}.  On a fibre
+    g . r2 = 0 reads g_(j2) + g_u . u + g_l last = 0, g_l g's last entry:
+    for g_l != 0 one dict lookup finds its one solution, for g_l = 0 the
+    whole fibre passes or none of it.  The last chart's lone point has an
+    empty tail: one fibre, taken as for g_l = 0.  So rows 2 keep their
+    lexicographic order, and as P(r1) = P(r2) = g . r2 = 0 the line test
+    (_line_on) checks only the other coefficients, starting with row 2's
+    polar, a memo hit.
     """
     _require_prime_field(X.field)
     p, d = X.field.p, X.d
     n1 = X.n + 1
     _check_budget("line enumeration", grassmannian_size(p, X.n), budget)
     form = X.plain_form
+    charts = [_chart_points(form, d, n1, j) for j in range(n1)]
     for j2 in range(1, n1):
-        head = (0,) * j2 + (1,)
         fibres = {}
-        for t in product(range(p), repeat=n1 - 1 - j2):
-            if polars[r2 := head + t] is not None:
-                fibres.setdefault(t[:-1], {})[t[-1] if t else 0] = r2
+        for r2 in charts[j2]:
+            polars[r2]      # taken eagerly
+            fibres.setdefault(r2[j2 + 1:-1], {})[r2[-1]] = r2
         for j1 in range(j2):
-            cut = j2 - j1 - 1
-            for t in product(range(p), repeat=n1 - 2 - j1):
-                r1 = (0,) * j1 + (1,) + t[:cut] + (0,) + t[cut:]
-                g = polars[r1]
-                if g is None:
+            for r1 in charts[j1]:
+                if r1[j2]:
                     continue
+                g = polars[r1]
                 g0, gu = g[j2], g[j2 + 1:-1]
                 if j2 < n1 - 1 and g[-1]:
                     solve = -pow(g[-1], -1, p)
@@ -491,14 +537,15 @@ def _echelon_pairs(X: Hypersurface, polars: _Polars, budget: int):
 
 def singular_points(X: Hypersurface) -> tuple:
     """Exhaustive scan of P^n(F_p) for singular points of X, in
-    projective_points order, on residue tuples with P read once: P(x)
-    first, the gradient only at points of X."""
+    projective_points order, on residue tuples: X's points chart by chart
+    (_chart_points), and the gradient only there."""
     _require_prime_field(X.field)
-    _check_budget("singular point scan", _projective_size(X.field.p, X.n + 1),
-                  _BUDGET)
+    p, n1 = X.field.p, X.n + 1
+    _check_budget("singular point scan", _projective_size(p, n1), _BUDGET)
     form = X.plain_form
-    return tuple(X.field.vector(x) for x in _residue_points(X.field.p, X.n + 1)
-                 if _singular_at(form, x))
+    return tuple(X.field.vector(x) for j in range(n1)
+                 for x in _chart_points(form, X.d, n1, j)
+                 if not any(_polar(form, x)))
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +594,9 @@ def _gradient_contractions(X: Hypersurface, polars: _Polars):
     value leaves a polynomial of degree d - 2 in k, which one fixed inverse
     Vandermonde matrix mod p solves for on the d - 1 distinct nodes.
     r1 + k r2 is 1 at r1's pivot and zero before it, a normalised point of
-    X, so it keys the same memo as the scan."""
+    X, so it keys the same memo as the scan.  points, when given, lists the
+    line's points r1 + k r2 for k = 0, 1, ... (the survey's, built once per
+    line); only the first d - 1 are read."""
     p, d = X.field.p, X.d
     nodes = range(d - 1)
     # [V | I] reduces to [I | V^-1] for V = (k^i) on the nodes
@@ -556,11 +605,12 @@ def _gradient_contractions(X: Hypersurface, polars: _Polars):
          for k in nodes], p)[0]]
     lead = [pow(k, d - 1, p) for k in nodes]
 
-    def contractions(r1, r2):
+    def contractions(r1, r2, points=None):
         pivots = (r1.index(1), r2.index(1))
-        grads = [polars[r1]] + [
-            polars[tuple((u + k * v) % p for u, v in zip(r1, r2))]
-            for k in range(1, d - 1)]
+        if points is None:
+            points = [tuple((u + k * v) % p for u, v in zip(r1, r2))
+                      for k in nodes]
+        grads = [polars[x] for x in points[:d - 1]]
         fs = []
         for c, top in enumerate(polars[r2]):
             if c not in pivots:
@@ -609,9 +659,12 @@ def conjecture_check(X: Hypersurface, budget: int = _BUDGET,
     (restricted_contractions), and one echelon pass keys their span U.  Per
     distinct U the survey builds sigma once and keeps only what it reads
     (_sigma_summary), for this call only: with p >= d - 1 it builds no frame
-    and expands P on no line.  Each line's certificate (_certificate) comes
-    from its echelon rows and re-checks every certified point on X; Fp
-    points are built only for what it returns."""
+    and expands P on no line.  A line's points r1 + a r2 are built once, by
+    columns (u + a v) % p memoised per entry pair (u, v) for this call, and
+    serve both the covered points and the contractions' nodes.  Each
+    line's certificate (_certificate) comes from its echelon rows and
+    re-checks every certified point on X; Fp points are built only for
+    what it returns."""
     _require_prime_field(X.field)
     field, p, d = X.field, X.field.p, X.d
     if p <= d and not force:
@@ -622,9 +675,14 @@ def conjecture_check(X: Hypersurface, budget: int = _BUDGET,
     if p >= d - 1:
         contractions = _gradient_contractions(X, polars)
     else:
-        def contractions(r1, r2):
+        def contractions(r1, r2, points):
             return tangent.restricted_contractions(
                 X, LineFrame._from_echelon(field, r1, r2))[0]
+
+    @cache
+    def seq(u, v):
+        return tuple((u + a * v) % p for a in range(p))
+
     num_lines = 0
     covered = set()
     certified = []
@@ -633,19 +691,19 @@ def conjecture_check(X: Hypersurface, budget: int = _BUDGET,
     summaries = {}      # U's echelon rows -> _sigma_summary
     for r1, r2 in _echelon_pairs(X, polars, budget):
         num_lines += 1
-        key = tuple(map(tuple, _echelon(contractions(r1, r2), p)[0]))
+        # the line's points normalised: r1 + a r2 (r2 is zero at r1's
+        # pivot), and r2
+        points = list(zip(*map(seq, r1, r2)))
+        key = tuple(map(tuple, _echelon(contractions(r1, r2, points), p)[0]))
         if key not in summaries:
             summaries[key] = _sigma_summary(X, key)
         dim, applies, gcd, roots = summaries[key]
         max_dim = max(max_dim, dim)
-        # the line's points normalised: r2, and r1 + a r2 (r2 is zero at
-        # r1's pivot)
-        points = [r2] + [tuple((u + a * v) % p for u, v in zip(r1, r2))
-                         for a in range(p)]
         covered.update(points)
+        covered.add(r2)
         cert = _certificate(X, (r1, r2), gcd, roots)
         if cert.whole_line:
-            certified.extend(map(field.vector, points))
+            certified.extend(map(field.vector, [r2, *points]))
         else:
             certified.extend(sp.ambient for sp in cert.points)
         if applies and not cert.points:

@@ -354,9 +354,9 @@ def test_all_lines_vs_bruteforce(X):
 
 def test_all_lines_takes_each_polar_once(monkeypatch):
     """A row 1 recurs for every later pivot j2 it is zero at, and a point of
-    chart j1 > 0 is also a row 2 of chart j1; all_lines evaluates P at each
-    point once, its polar only at points of X and each of them once, and
-    finds the same lines."""
+    chart j1 > 0 is also a row 2 of chart j1; all_lines lists X's points
+    fibre by fibre, takes the polar only at points of X and each of them
+    once, and finds the same lines."""
     X = fermat(4, 3, F7)
     seen = []
     polar = singular._polar
@@ -437,20 +437,22 @@ def _flat_echelon_pairs(X, cases):
     on X against every row 2 on X of its chart, in the same order, kept when
     g . r2 = 0 for row 1's polar g and the reference restriction of P to the
     line is zero.  cases counts the lines by how the fibred scan finds row
-    2: the last chart's empty tail, or g's last entry zero or not."""
+    2: the last chart's empty tail, or g's last entry zero or not.  Points
+    are tested on X by evaluating P at each candidate."""
     p, n1 = X.field.p, X.n + 1
-    polars = singular._Polars(X.plain_form)
+    form = X.plain_form
+    polars = singular._Polars(form)
     for j2 in range(1, n1):
         head = (0,) * j2 + (1,)
         rows2 = [(r2, t) for t in product(range(p), repeat=n1 - 1 - j2)
-                 if polars[r2 := head + t] is not None]
+                 if not singular._value(form, r2 := head + t)]
         for j1 in range(j2):
             cut = j2 - j1 - 1
             for t in product(range(p), repeat=n1 - 2 - j1):
                 r1 = (0,) * j1 + (1,) + t[:cut] + (0,) + t[cut:]
-                g = polars[r1]
-                if g is None:
+                if singular._value(form, r1):
                     continue
+                g = polars[r1]
                 case = ("empty tail" if j2 == n1 - 1
                         else "g_l != 0" if g[-1] else "g_l = 0")
                 for r2, tail in rows2:
@@ -488,6 +490,76 @@ def test_fibred_scan_matches_flat_scan():
                     X, singular._Polars(X.plain_form), 10 ** 7)) == \
                     list(_flat_echelon_pairs(X, cases))
     assert all(cases[c] for c in ("empty tail", "g_l != 0", "g_l = 0")), cases
+
+
+def _sparse_form(field, nvars, d, rng):
+    """A seeded random form of degree d with one to eight terms."""
+    terms = {}
+    for _ in range(rng.randint(1, 8)):
+        e = [0] * nvars
+        for _ in range(d):
+            e[rng.randrange(nvars)] += 1
+        terms[tuple(e)] = rng.randrange(field.p)
+    return MultiForm(field, nvars, d, terms)
+
+
+def test_chart_points_match_bruteforce():
+    """_chart_points lists each chart's points of X in the order of the
+    scan that evaluates P at every point of P^n, on seeded dense and sparse
+    forms and cones (P free of the last coordinate, so every fibre is
+    constant) in P^1 to P^4 of degree 1 to 6 over F_2 to F_13.  Cones, a
+    fibre wholly on X with d < p (an identically zero fibre), d >= p and
+    the last chart's lone point on X and off it all occur."""
+    rng = random.Random(40)
+    cases = Counter()
+    for n in (1, 2, 3, 4):
+        for d in range(1, 7):
+            for p in (2, 3, 5, 7, 13):
+                if singular._projective_size(p, n + 1) > 3000:   # to P^4/F_7
+                    continue
+                F = Field(p)
+                for kind in ("dense", "sparse", "cone"):
+                    if kind == "cone":
+                        base = _dense_form(F, n, d, rng)
+                        P = MultiForm(F, n + 1, d, {
+                            e + (0,): c for e, c in base.terms.items()})
+                    else:
+                        P = (_dense_form if kind == "dense"
+                             else _sparse_form)(F, n + 1, d, rng)
+                    if P.is_zero():
+                        continue
+                    form = Hypersurface(P).plain_form
+                    on_x = [x for x in singular._residue_points(p, n + 1)
+                            if not singular._value(form, x)]
+                    charts = [singular._chart_points(form, d, n + 1, j)
+                              for j in range(n + 1)]
+                    assert charts == [[x for x in on_x if x.index(1) == j]
+                                      for j in range(n + 1)]
+                    fibres = Counter(x[:-1] for x in on_x if x.index(1) < n)
+                    cases["cone"] += kind == "cone" and any(charts[:-1])
+                    cases["zero fibre"] += d < p and p in fibres.values()
+                    cases["d >= p"] += d >= p and any(charts)
+                    cases["last chart", bool(charts[-1])] += 1
+    assert all(cases[c] for c in ("cone", "zero fibre", "d >= p",
+                                  ("last chart", True),
+                                  ("last chart", False))), cases
+
+
+@pytest.mark.parametrize("make,lines", [
+    (lambda: fermat(4, 3, F7), 135), (lambda: cone(fermat(2, 3, F7)), 9)],
+    ids=["fermat-p4-f7", "cone-f7"])
+def test_survey_evaluates_p_on_x_only(make, lines, monkeypatch):
+    """The survey finds X's points fibre by fibre (_chart_points) and takes
+    their polars without evaluating P, so every evaluation of P it makes
+    (the certificates' re-checks, the line test's) is at a point of X."""
+    X = make()
+    values = []
+    value = singular._value
+    monkeypatch.setattr(singular, "_value",
+                        lambda form, x: values.append(value(form, x))
+                        or values[-1])
+    assert conjecture_check(X).num_lines == lines
+    assert not any(values)
 
 
 @pytest.mark.parametrize("X", _bruteforce_cases())
