@@ -11,7 +11,9 @@ coordinate, from the roots of P on each fibre (_chart_points), so the
 singular point scan and the line scan test no point off X for membership.
 Candidate lines start at a point of X and run over the kernel of its first
 polar, which the line scan finds by one lookup per fibre; the line test
-reads the second point's polar before P on the line.
+reads the second point's polar before P on the line.  The line scan takes
+its first points from X's sections by coordinate hyperplanes, so it never
+lists chart 0, the largest.
 
 The gradient re-checks and the point and line scans read P's terms,
 (c, ((i, k), ...)) on ints, once per hypersurface (Hypersurface.plain_form):
@@ -471,6 +473,17 @@ def _chart_points(form, d: int, n1: int, j: int) -> list:
     return points
 
 
+def _section_points(form, d: int, n1: int, j: int, j2: int) -> list:
+    """Chart j's points of X with x_(j2) = 0, for j < j2, in _chart_points'
+    order: chart j of X's section by x_(j2) = 0 (P's terms free of x_(j2),
+    later variables shifted down), with a 0 put back at j2."""
+    terms, p, den = form
+    section = ([(c, tuple((i - (i > j2), k) for i, k in e))
+                for c, e in terms if all(i != j2 for i, _ in e)], p, den)
+    return [x[:j2] + (0,) + x[j2:]
+            for x in _chart_points(section, d, n1 - 1, j)]
+
+
 def all_lines(X: Hypersurface, budget: int = _BUDGET) -> list:
     """Every line on X over F_p, one frame per line, echelon representatives:
     the pairs of _echelon_pairs in its order, each frame built from its
@@ -489,13 +502,15 @@ def _echelon_pairs(X: Hypersurface, polars: _Polars, budget: int):
     row 1 is 1 at j1, then free entries with a 0 at column j2.  Free entries
     run lexicographically, the first free column slowest.  Row 1 must be a
     point of X and row 2 a point of X in the kernel of row 1's polar g.
-    Each chart's points of X are listed once, fibre by fibre
-    (_chart_points), so no point off X is tested.  Rows 1 are the points of
-    chart j1's list that are 0 at j2, which keeps their order; the polar
-    memo takes each point's polar once, eagerly for rows 2 and on first use
-    for rows 1.  The points of X in chart j2 are grouped by fibre: the
-    prefix u of row 2's tail (its entries after j2 but the last), in
-    lexicographic order, maps to {last entry: row 2}.  On a fibre
+    X's points are listed fibre by fibre (_chart_points), so no point off X
+    is tested.  Rows 2 are chart j2's points, for j2 = 1..n.  Rows 1 are
+    chart j1 of X's section by x_(j2) = 0 with a 0 put back at j2
+    (_section_points): chart j1's points that are 0 at j2, in its order, so
+    chart 0 is never listed and rows 1 cost about n p^(n-2) fibres.  The
+    polar memo takes each point's polar once, eagerly for rows 2 and on
+    first use for rows 1.  The points of X in chart j2 are grouped by
+    fibre: the prefix u of row 2's tail (its entries after j2 but the
+    last), in lexicographic order, maps to {last entry: row 2}.  On a fibre
     g . r2 = 0 reads g_(j2) + g_u . u + g_l last = 0, g_l g's last entry:
     for g_l != 0 one dict lookup finds its one solution, for g_l = 0 the
     whole fibre passes or none of it.  The last chart's lone point has an
@@ -509,16 +524,13 @@ def _echelon_pairs(X: Hypersurface, polars: _Polars, budget: int):
     n1 = X.n + 1
     _check_budget("line enumeration", grassmannian_size(p, X.n), budget)
     form = X.plain_form
-    charts = [_chart_points(form, d, n1, j) for j in range(n1)]
     for j2 in range(1, n1):
         fibres = {}
-        for r2 in charts[j2]:
+        for r2 in _chart_points(form, d, n1, j2):
             polars[r2]      # taken eagerly
             fibres.setdefault(r2[j2 + 1:-1], {})[r2[-1]] = r2
         for j1 in range(j2):
-            for r1 in charts[j1]:
-                if r1[j2]:
-                    continue
+            for r1 in _section_points(form, d, n1, j1, j2):
                 g = polars[r1]
                 g0, gu = g[j2], g[j2 + 1:-1]
                 if j2 < n1 - 1 and g[-1]:
@@ -583,20 +595,20 @@ class ConjectureReport:
     note: str
 
 
-def _gradient_contractions(X: Hypersurface, polars: _Polars):
-    """The contractions of a line on X from its echelon pair (r1, r2),
-    equal to restricted_contractions of its frame (scale 1 over F_p), read
-    off P's gradients in polars; needs p >= d - 1.
+def _gradient_rows(X: Hypersurface, polars: _Polars):
+    """(raw, solve) for lines on X, read off P's gradients in polars; needs
+    p >= d - 1.  raw(r1, r2, points) gives the raw rows of the line with
+    echelon pair (r1, r2), one per column c off its pivots:
+    d_c P(r1 + k r2) for k = 0..d-2, then d_c P(r2), where points lists
+    r1 + k r2 for k = 0, 1, ...  Each is 1 at r1's pivot and zero before
+    it, a normalised point of X, a key of the scan's memo.  solve, a fixed
+    invertible linear map of F_p^d, takes raw rows to contraction rows.
 
     Row c_j's contraction f_j = (d_(c_j) P)|_E has degree d - 1: its values
     at s = 1, t = k (k = 0..d-2) are d_(c_j) P(r1 + k r2) and its t^(d-1)
     coefficient is d_(c_j) P(r2).  Taking k^(d-1) times the latter off each
     value leaves a polynomial of degree d - 2 in k, which one fixed inverse
-    Vandermonde matrix mod p solves for on the d - 1 distinct nodes.
-    r1 + k r2 is 1 at r1's pivot and zero before it, a normalised point of
-    X, so it keys the same memo as the scan.  points, when given, lists the
-    line's points r1 + k r2 for k = 0, 1, ... (the survey's, built once per
-    line); only the first d - 1 are read."""
+    Vandermonde matrix mod p solves for on the d - 1 distinct nodes."""
     p, d = X.field.p, X.d
     nodes = range(d - 1)
     # [V | I] reduces to [I | V^-1] for V = (k^i) on the nodes
@@ -605,21 +617,30 @@ def _gradient_contractions(X: Hypersurface, polars: _Polars):
          for k in nodes], p)[0]]
     lead = [pow(k, d - 1, p) for k in nodes]
 
-    def contractions(r1, r2, points=None):
+    def raw(r1, r2, points):
         pivots = (r1.index(1), r2.index(1))
-        if points is None:
-            points = [tuple((u + k * v) % p for u, v in zip(r1, r2))
-                      for k in nodes]
-        grads = [polars[x] for x in points[:d - 1]]
+        grads = [polars[x] for x in points[:d - 1]] + [polars[r2]]
+        return [list(col) for c, col in enumerate(zip(*grads))
+                if c not in pivots]
+
+    def solve(rows):
         fs = []
-        for c, top in enumerate(polars[r2]):
-            if c not in pivots:
-                vals = [g[c] - top * w for g, w in zip(grads, lead)]
-                fs.append([*(sum(map(mul, row, vals)) % p for row in vinv),
-                           top])
+        for *vals, top in rows:
+            vals = [v - top * w for v, w in zip(vals, lead)]
+            fs.append([*(sum(map(mul, row, vals)) % p for row in vinv), top])
         return fs
 
-    return contractions
+    return raw, solve
+
+
+def _gradient_contractions(X: Hypersurface, polars: _Polars):
+    """A line's contractions from its echelon pair (r1, r2), solve after raw
+    (_gradient_rows): restricted_contractions of its frame, at scale 1."""
+    raw, solve = _gradient_rows(X, polars)
+    p = X.field.p
+    return lambda r1, r2: solve(raw(r1, r2, [
+        tuple((u + k * v) % p for u, v in zip(r1, r2))
+        for k in range(X.d - 1)]))
 
 
 def _sigma_summary(X: Hypersurface, fs) -> tuple:
@@ -654,17 +675,20 @@ def conjecture_check(X: Hypersurface, budget: int = _BUDGET,
     (_echelon_pairs), without keeping frames, and count the points the lines
     cover on residue tuples read off those rows.
 
-    A line's contractions come from the gradients in the scan's memo when
-    p >= d - 1 (_gradient_contractions), else from its frame
-    (restricted_contractions), and one echelon pass keys their span U.  Per
-    distinct U the survey builds sigma once and keeps only what it reads
+    When p >= d - 1 the echelon of a line's raw gradient rows (the memo's
+    gradients at r1 + k r2, k < d - 1, and at r2: _gradient_rows) keys its
+    span U; one fixed invertible map (solve) takes them to contractions, so
+    the keys split the lines as U does and only a new key's rows are
+    solved.  Else the key is the echelon of the contractions of its frame
+    (restricted_contractions).  Per distinct key the survey builds sigma
+    once, from U's echelon rows, and keeps only what it reads
     (_sigma_summary), for this call only: with p >= d - 1 it builds no frame
     and expands P on no line.  A line's points r1 + a r2 are built once, by
-    columns (u + a v) % p memoised per entry pair (u, v) for this call, and
-    serve both the covered points and the contractions' nodes.  Each
-    line's certificate (_certificate) comes from its echelon rows and
-    re-checks every certified point on X; Fp points are built only for
-    what it returns."""
+    columns (u + a v) % p memoised per entry pair (u, v) for this call, for
+    the covered points and the raw rows.  A line gets a certificate
+    (_certificate: from its echelon rows, every point re-checked on X, Fp
+    only for what it returns) when its span's gcd is None (a singular line)
+    or has a rational zero; a gcd with no zero certifies nothing."""
     _require_prime_field(X.field)
     field, p, d = X.field, X.field.p, X.d
     if p <= d and not force:
@@ -673,11 +697,12 @@ def conjecture_check(X: Hypersurface, budget: int = _BUDGET,
             "unreliable" % (p, d))
     polars = _Polars(X.plain_form)
     if p >= d - 1:
-        contractions = _gradient_contractions(X, polars)
+        raw, solve = _gradient_rows(X, polars)
     else:
-        def contractions(r1, r2, points):
+        def raw(r1, r2, points):
             return tangent.restricted_contractions(
                 X, LineFrame._from_echelon(field, r1, r2))[0]
+        solve = list        # the raw rows are the contractions
 
     @cache
     def seq(u, v):
@@ -688,25 +713,26 @@ def conjecture_check(X: Hypersurface, budget: int = _BUDGET,
     certified = []
     exceptions = []
     max_dim = 0
-    summaries = {}      # U's echelon rows -> _sigma_summary
+    summaries = {}      # raw rows' echelon rows -> _sigma_summary of U
     for r1, r2 in _echelon_pairs(X, polars, budget):
         num_lines += 1
         # the line's points normalised: r1 + a r2 (r2 is zero at r1's
         # pivot), and r2
         points = list(zip(*map(seq, r1, r2)))
-        key = tuple(map(tuple, _echelon(contractions(r1, r2, points), p)[0]))
+        rows = raw(r1, r2, points)
+        key = tuple(map(tuple, _echelon(rows, p)[0]))
         if key not in summaries:
-            summaries[key] = _sigma_summary(X, key)
+            summaries[key] = _sigma_summary(X, _echelon(solve(rows), p)[0])
         dim, applies, gcd, roots = summaries[key]
         max_dim = max(max_dim, dim)
         covered.update(points)
         covered.add(r2)
-        cert = _certificate(X, (r1, r2), gcd, roots)
-        if cert.whole_line:
-            certified.extend(map(field.vector, [r2, *points]))
-        else:
-            certified.extend(sp.ambient for sp in cert.points)
-        if applies and not cert.points:
+        if gcd is None or roots and roots.roots:
+            cert = _certificate(X, (r1, r2), gcd, roots)
+            certified.extend(map(field.vector, [r2, *points])
+                             if cert.whole_line
+                             else (sp.ambient for sp in cert.points))
+        elif applies:
             exceptions.append(ExceptionRecord(
                 line=(field.vector(r1), field.vector(r2)),
                 kind="no-rational-point",

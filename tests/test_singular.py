@@ -503,15 +503,11 @@ def _sparse_form(field, nvars, d, rng):
     return MultiForm(field, nvars, d, terms)
 
 
-def test_chart_points_match_bruteforce():
-    """_chart_points lists each chart's points of X in the order of the
-    scan that evaluates P at every point of P^n, on seeded dense and sparse
-    forms and cones (P free of the last coordinate, so every fibre is
-    constant) in P^1 to P^4 of degree 1 to 6 over F_2 to F_13.  Cones, a
-    fibre wholly on X with d < p (an identically zero fibre), d >= p and
-    the last chart's lone point on X and off it all occur."""
+def _chart_forms():
+    """Seeded dense and sparse forms and cones (P free of the last
+    coordinate, so every fibre is constant) in P^1 to P^4 of degree 1 to 6
+    over F_2 to F_13, as (kind, P)."""
     rng = random.Random(40)
-    cases = Counter()
     for n in (1, 2, 3, 4):
         for d in range(1, 7):
             for p in (2, 3, 5, 7, 13):
@@ -526,23 +522,74 @@ def test_chart_points_match_bruteforce():
                     else:
                         P = (_dense_form if kind == "dense"
                              else _sparse_form)(F, n + 1, d, rng)
-                    if P.is_zero():
-                        continue
-                    form = Hypersurface(P).plain_form
-                    on_x = [x for x in singular._residue_points(p, n + 1)
-                            if not singular._value(form, x)]
-                    charts = [singular._chart_points(form, d, n + 1, j)
-                              for j in range(n + 1)]
-                    assert charts == [[x for x in on_x if x.index(1) == j]
-                                      for j in range(n + 1)]
-                    fibres = Counter(x[:-1] for x in on_x if x.index(1) < n)
-                    cases["cone"] += kind == "cone" and any(charts[:-1])
-                    cases["zero fibre"] += d < p and p in fibres.values()
-                    cases["d >= p"] += d >= p and any(charts)
-                    cases["last chart", bool(charts[-1])] += 1
+                    if not P.is_zero():
+                        yield kind, P
+
+
+def test_chart_points_match_bruteforce():
+    """_chart_points lists each chart's points of X in the order of the
+    scan that evaluates P at every point of P^n, on the seeded forms of
+    _chart_forms.  Cones, a fibre wholly on X with d < p (an identically
+    zero fibre), d >= p and the last chart's lone point on X and off it all
+    occur."""
+    cases = Counter()
+    for kind, P in _chart_forms():
+        n1, d, p = P.nvars, P.degree, P.field.p
+        form = Hypersurface(P).plain_form
+        on_x = [x for x in singular._residue_points(p, n1)
+                if not singular._value(form, x)]
+        charts = [singular._chart_points(form, d, n1, j) for j in range(n1)]
+        assert charts == [[x for x in on_x if x.index(1) == j]
+                          for j in range(n1)]
+        fibres = Counter(x[:-1] for x in on_x if x.index(1) < n1 - 1)
+        cases["cone"] += kind == "cone" and any(charts[:-1])
+        cases["zero fibre"] += d < p and p in fibres.values()
+        cases["d >= p"] += d >= p and any(charts)
+        cases["last chart", bool(charts[-1])] += 1
     assert all(cases[c] for c in ("cone", "zero fibre", "d >= p",
                                   ("last chart", True),
                                   ("last chart", False))), cases
+
+
+def test_section_points_are_chart_points_off_the_pivot():
+    """The line scan's rows 1 for pivots j1 < j2 come from X's section by
+    x_(j2) = 0 (_section_points): on the seeded forms of _chart_forms they
+    are chart j1's points of X with x_(j2) = 0, in the chart's order, and
+    an empty section (P a multiple of x_(j2)) keeps them all."""
+    multiples = 0
+    for _, P in _chart_forms():
+        n1, d = P.nvars, P.degree
+        form = Hypersurface(P).plain_form
+        charts = [singular._chart_points(form, d, n1, j) for j in range(n1)]
+        for j2 in range(1, n1):
+            multiples += all(j2 in dict(e) for _, e in form[0])
+            for j1 in range(j2):
+                assert singular._section_points(form, d, n1, j1, j2) == \
+                    [x for x in charts[j1] if not x[j2]]
+    assert multiples
+
+
+@pytest.mark.parametrize("make,lines", [
+    (lambda: fermat(4, 3, F7), 135),
+    (lambda: cone(fermat(2, 3, F7), extra=2), 505),
+    (lambda: _generic_cubic_threefold(), 93),
+    (lambda: random_with_line(3, 5, 3, 1)[0], 21)],
+    ids=["fermat-p4-f7", "double-cone", "generic", "p3-d5"])
+def test_line_scan_never_lists_chart_0(make, lines, monkeypatch):
+    """all_lines and conjecture_check list X's charts 1..n (rows 2) and
+    the sections' charts (rows 1), never chart 0 of X itself, the largest
+    chart, and still find every line."""
+    X = make()
+    listed = []
+    chart_points = singular._chart_points
+    monkeypatch.setattr(singular, "_chart_points",
+                        lambda form, d, n1, j: listed.append((n1, j))
+                        or chart_points(form, d, n1, j))
+    assert len(all_lines(X)) == lines
+    assert conjecture_check(X, force=True).num_lines == lines
+    assert (X.n + 1, 0) not in listed
+    assert {(X.n + 1, j) for j in range(1, X.n + 1)} | {
+        (X.n, j) for j in range(X.n)} == set(listed)
 
 
 @pytest.mark.parametrize("make,lines", [
@@ -1132,19 +1179,34 @@ def test_survey_work_is_per_sigma_not_per_line(make, force, per_line,
     (make, spans) for (make, _, _), spans in zip(_SHARED_SIGMA,
                                                  [1, 1, 1, 1, 2, 2])]
     + [(_generic_cubic_threefold, 19)], ids=_SHARED_IDS + ["generic"])
-def test_span_determines_the_summary(make, spans):
+def test_span_determines_the_summary(make, spans, monkeypatch):
     """On every line, the survey's summary of the line's contractions
-    equals that of their span's echelon rows (the survey's key) and that of
-    the contractions moved by a random invertible matrix mod p; the lines
-    have as many spans as pinned."""
+    equals that of their span's echelon rows and that of the contractions
+    moved by a random invertible matrix mod p; the lines have as many spans
+    as pinned.  The survey keys a span on the echelon rows of the line's
+    raw gradient rows (_gradient_rows): those split the lines into the same
+    classes, and solve maps each raw key onto its span.  The survey
+    certifies a line (_certificate) only when its span's gcd is None or has
+    a rational zero."""
     X = make()
     F, p, nm1 = X.field, X.field.p, X.n - 1
     rng = random.Random(7)
     keys = set()
+    raw_keys = {}
+    certify = []
+    polars = singular._Polars(X.plain_form)
+    raw, solve = singular._gradient_rows(X, polars)
     for fr in all_lines(X):
         fs, _ = tangent.restricted_contractions(X, fr)
         key = Subspace.from_vectors(fs, F, X.d).ints[0]
         keys.add(key)
+        r1, r2 = _ints(fr.e1), _ints(fr.e2)
+        raw_key = singular._echelon(raw(r1, r2, [
+            tuple((u + k * v) % p for u, v in zip(r1, r2))
+            for k in range(X.d - 1)]), p)[0]
+        assert raw_keys.setdefault(tuple(map(tuple, raw_key)), key) == key
+        assert tuple(map(tuple, singular._echelon(solve(raw_key), p)[0])) \
+            == key
         while True:
             A = [[rng.randrange(p) for _ in range(nm1)] for _ in range(nm1)]
             if rank(A, F) == nm1:
@@ -1154,7 +1216,17 @@ def test_span_determines_the_summary(make, spans):
         summary = singular._sigma_summary(X, fs)
         assert singular._sigma_summary(X, key) == summary
         assert singular._sigma_summary(X, moved_fs) == summary
-    assert len(keys) == spans
+        _, _, gcd, roots = summary
+        certify.append(gcd is None or bool(roots and roots.roots))
+    assert len(keys) == len(raw_keys) == spans
+    certified = []
+    certificate = singular._certificate
+    monkeypatch.setattr(singular, "_certificate",
+                        lambda X, rows, gcd, roots: certified.append(
+                            gcd is None or bool(roots and roots.roots))
+                        or certificate(X, rows, gcd, roots))
+    conjecture_check(X)
+    assert certified == [True] * sum(certify)
 
 
 def test_survey_refuses_a_failed_image_check(monkeypatch):
