@@ -370,6 +370,10 @@ def cmd_ruled(args) -> int:
 
 def cmd_gen(args) -> int:
     payload = {"command": "gen", "generator": args.generator}
+    for option, reader in (("field", "fermat"), ("base", "cone"),
+                           ("p", "random-with-line")):
+        if getattr(args, option) is not None and args.generator != reader:
+            raise CliError("%s does not read --%s" % (args.generator, option))
     if args.generator == "fermat":
         X = fermat(args.n, args.d, parse_field(args.field or "Q"))
     elif args.generator == "cone":

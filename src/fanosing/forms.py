@@ -23,7 +23,8 @@ and the spanning vectors as int rows, residues mod p or over Q integers
 after clearing denominators once.  restrict_to_plane is its one public
 entry point, with residues over F_p and Fractions over Q for the
 coefficients it returns; fanosing.tangent calls _expand directly for a
-line's deformation matrix and fanosing.singular for its line scans.
+line's deformation matrix and fanosing.singular for its line test and P
+on a polar hyperplane, read back in _plain_terms' layout by _unpacked.
 """
 
 from __future__ import annotations
@@ -379,6 +380,15 @@ def _expand(terms, rows, cols, degree: int, p: int) -> list:
     return [_nonzero(acc, p) for acc in outs]
 
 
+def _unpacked(packed, r: int, degree: int) -> list:
+    """One _expand output, a form in r variables y, in _plain_terms' layout:
+    (c, ((k, f_k), ...)) per monomial y^f, nonzero f_k only."""
+    base = degree + 1
+    return [(c, tuple((k, f) for k in range(r)
+                      if (f := key // base ** k % base)))
+            for key, c in packed.items()]
+
+
 def restrict_to_plane(P: MultiForm, basis):
     """P restricted to the span of basis, in the dual coordinates y of basis:
     a BinaryForm in (s, t) on a line (two vectors), otherwise a MultiForm in
@@ -399,11 +409,8 @@ def restrict_to_plane(P: MultiForm, basis):
     rows, scales = _ints(basis, field, P.nvars)
     terms, den = _plain_terms(P)
     r, out = len(rows), {}
-    for key, v in _expand(terms, rows, (), d, field.p)[0].items():
-        f = []
-        for _ in range(r):
-            key, k = divmod(key, d + 1)
-            f.append(k)
+    for v, e in _unpacked(_expand(terms, rows, (), d, field.p)[0], r, d):
+        f = [dict(e).get(k, 0) for k in range(r)]
         out[tuple(f)] = v if field.p else Fraction(
             v, den * math.prod(map(pow, scales, f)))
     if r != 2:

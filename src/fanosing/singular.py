@@ -9,11 +9,11 @@ and packages a replay-friendly survey of a whole hypersurface.  The points
 of X over F_p are listed chart by chart and fibre by fibre of the last
 coordinate, from the roots of P on each fibre (_chart_points), so the
 singular point scan and the line scan test no point off X for membership.
-Candidate lines start at a point of X and run over the kernel of its first
-polar, which the line scan finds by one lookup per fibre; the line test
-reads the second point's polar before P on the line.  The line scan takes
-its first points from X's sections by coordinate hyperplanes, so it never
-lists chart 0, the largest.
+A line through a point x of X has its second point on X in the kernel of
+x's first polar: the line scan finds it by one lookup per fibre, with first
+points from X's sections by coordinate hyperplanes (never chart 0, the
+largest), and lines_through by the fibre scan of P on x's polar hyperplane.
+The line test reads the second point's polar before P on the line.
 
 The gradient re-checks and the point and line scans read P's terms,
 (c, ((i, k), ...)) on ints, once per hypersurface (Hypersurface.plain_form):
@@ -32,7 +32,7 @@ from functools import cache
 from itertools import product
 from operator import mul
 
-from .forms import (BinaryForm, _expand, binary_gcd, binary_roots,
+from .forms import (BinaryForm, _expand, _unpacked, binary_gcd, binary_roots,
                     projective_normalize)
 from .ideal import (GeneratorSet, IdealFiltration, build_filtration,
                     contains_image_sigma, extract_generators)
@@ -339,12 +339,13 @@ def _residue_points(p: int, ncoords: int):
 def _line_on(form, d: int, e1, e2, g2) -> bool:
     """Exact containment test for the line span(e1, e2) of residue vectors
     on X (form is X.plain_form, d the degree, g2 the polar of e2), given
-    P(e1) = P(e2) = 0 and g . e2 = 0 for the polar g of e1: every caller
-    has checked them.  They are the s^d, t^d and s^(d-1) t coefficients of
-    P(s e1 + t e2); g2 . e1 is the s t^(d-1) one, tested first.  Then when
-    d <= p the test only evaluates P(e1 + k e2) for k = 1..d-3: that is
-    k^2 times a polynomial of degree d-4 in k, and vanishes at d-3 distinct
-    nonzero k only if it is zero.  Cubics need no evaluation."""
+    P(e1) = P(e2) = 0 and g . e2 = 0 for the polar g of e1: both callers
+    take e2 from X's points (_chart_points) in g's kernel.  They are the
+    s^d, t^d and s^(d-1) t coefficients of P(s e1 + t e2); g2 . e1 is the
+    s t^(d-1) one, tested first.  Then when d <= p the test only evaluates
+    P(e1 + k e2) for k = 1..d-3: that is k^2 times a polynomial of degree
+    d-4 in k, and vanishes at d-3 distinct nonzero k only if it is zero.
+    Cubics need no evaluation."""
     p = form[1]
     if sum(map(mul, g2, e1)) % p:
         return False
@@ -353,26 +354,6 @@ def _line_on(form, d: int, e1, e2, g2) -> bool:
                        for k in range(1, d - 2))
     # too few points on the line: expand P on it with the one int kernel
     return not _expand(form[0], [e1, e2], (), d, p)[0]
-
-
-def _polar_rows(g, j, p):
-    """The residue rows e_j + sum_{c > j} t_c e_c with sum g_i r_i = 0 mod p,
-    the t_c running lexicographically over 0, 1, ..., p-1.  The last c with
-    g_c != 0 is solved for; it depends only on earlier entries, so the
-    surviving rows stay in that order."""
-    head = (0,) * j + (1,)
-    live = [c for c in range(j + 1, len(g)) if g[c]]
-    if not live:
-        if not g[j]:
-            yield from (head + t
-                        for t in product(range(p), repeat=len(g) - 1 - j))
-        return
-    c = live[-1]
-    k = c - j - 1
-    before, minus_inv = g[j + 1:c], -pow(g[c], -1, p)
-    for t in product(range(p), repeat=len(g) - 2 - j):
-        rest = sum(map(mul, before, t), g[j])
-        yield head + t[:k] + (rest * minus_inv % p,) + t[k:]
 
 
 def _check_budget(what: str, total: int, budget: int):
@@ -388,13 +369,16 @@ def _projective_size(p: int, ncoords: int) -> int:
 
 
 def lines_through(X: Hypersurface, point, budget: int = _BUDGET) -> list:
-    """All lines on X through a point of X, as frames with e1 = the point.
-    A point off X raises PlaneNotContained.  The second vector w runs over
-    the kernel of the point's first polar on the complement of its pivot;
-    w on X passes to the line test (_line_on).  The scan runs on residues
-    and builds Fp only for the frames it returns."""
+    """All lines on X through a point x of X, as frames with e1 = x, in the
+    projective_points order of e2; a point off X raises PlaneNotContained.
+    e2 runs over X's points w in H = {w_piv = 0, g . w = 0} (piv x's pivot,
+    g its polar), listed by _chart_points on P restricted to H (one
+    _expand).  H's basis is e_i - (g_i/g_c) e_c at each column i but piv
+    and c, the last column != piv with g_c != 0 (none: e_i), so w_c depends
+    only on earlier entries and keeps y's order.  P is evaluated only at x
+    (and in _line_on when d >= 4); Fp is built only for the frames."""
     _require_prime_field(X.field)
-    field, p = X.field, X.field.p
+    field, p, d = X.field, X.field.p, X.d
     x = _checked_point(X, point)
     xs = tuple(plain(c) for c in x)
     form = X.plain_form
@@ -403,13 +387,20 @@ def lines_through(X: Hypersurface, point, budget: int = _BUDGET) -> list:
     _check_budget("lines through a point", _projective_size(p, X.n), budget)
     g = _polar(form, xs)
     piv = next(i for i, c in enumerate(xs) if c)
-    g = g[:piv] + g[piv + 1:]
+    live = [i for i, gi in enumerate(g) if gi and i != piv]
+    c, solve = (live[-1], -pow(g[live[-1]], -1, p)) if live else (piv, 0)
+    basis = [[1 if k == i else g[i] * solve % p if k == c else 0
+              for k in range(X.n + 1)] for i in range(X.n + 1)
+             if i not in (piv, c)]
+    if not basis:
+        return []           # n = 1 and g . w = 0 leaves only w = 0
+    m, cols = len(basis), list(zip(*basis))
+    section = (_unpacked(_expand(form[0], basis, (), d, p)[0], m, d), p, 1)
     frames = []
-    for j in range(X.n):
-        for w in _polar_rows(g, j, p):
-            w = w[:piv] + (0,) + w[piv:]
-            if not _value(form, w) and _line_on(form, X.d, xs, w,
-                                                 _polar(form, w)):
+    for j in range(m):
+        for y in _chart_points(section, d, m, j):
+            w = tuple(sum(map(mul, y, col)) % p for col in cols)
+            if _line_on(form, d, xs, w, _polar(form, w)):
                 frames.append(LineFrame(field, x, w))
     return frames
 

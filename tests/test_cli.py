@@ -399,6 +399,16 @@ _CUBIC = "field Q\nvars 4\n1 3 0 0 0\n1 0 3 0 0\n"
     ("", ["gen", "fermat", "--n", "0"],
      "need an ambient projective space of dimension >= 1"),
     ("", ["gen", "fermat", "--d", "0"], "defining form must have degree >= 1"),
+    ("", ["gen", "random-with-line", "--n", "3", "--d", "3", "--p", "7",
+          "--field", "Fp:5"], "random-with-line does not read --field"),
+    ("", ["gen", "fermat", "--p", "5"], "fermat does not read --p"),
+    ("", ["gen", "fermat", "--base", "{f}"], "fermat does not read --base"),
+    (_CUBIC, ["gen", "cone", "--base", "{f}", "--field", "Fp:7"],
+     "cone does not read --field"),
+    (_CUBIC, ["gen", "cone", "--base", "{f}", "--p", "7"],
+     "cone does not read --p"),
+    ("", ["gen", "random-with-line", "--p", "7", "--base", "{f}"],
+     "random-with-line does not read --base"),
 ], ids=["line-spec", "form-coefficient", "through-point", "field-option-fp0",
         "form-header-fp0", "gen-p0", "form-coefficient-literal",
         "line-spec-literal", "through-point-literal", "pencil-element-literal",
@@ -408,7 +418,9 @@ _CUBIC = "field Q\nvars 4\n1 3 0 0 0\n1 0 3 0 0\n"
         "twist-p-without-l", "twist-l-without-p", "ruled-class-shape",
         "line-spec-ragged", "line-spec-dependent", "lines-budget-negative",
         "conjecture-budget-negative", "lines-budget-literal",
-        "gen-cone-extra0", "gen-random-n1", "gen-fermat-n0", "gen-fermat-d0"])
+        "gen-cone-extra0", "gen-random-n1", "gen-fermat-n0", "gen-fermat-d0",
+        "gen-random-field", "gen-fermat-p", "gen-fermat-base", "gen-cone-field",
+        "gen-cone-p", "gen-random-base"])
 def test_bad_scalar_or_characteristic_is_one_line_error(tmp_path, capsys, form,
                                                         argv, message):
     path = tmp_path / "in.form"

@@ -645,6 +645,58 @@ def test_lines_through_takes_any_representative():
             assert all(isinstance(c, Fp) and c.p == 7 for c in fr.e1 + fr.e2)
 
 
+def test_lines_through_evaluates_p_at_its_point_only(monkeypatch):
+    """lines_through lists X's points on the point's polar hyperplane
+    fibre by fibre (_chart_points on P restricted to it): on the Fermat
+    cubic threefold over F_31 it evaluates P once, at the point (the check
+    that it is on X), and takes polars only at points of X."""
+    X = fermat(4, 3, parse_field("Fp:31"))
+    form = X.plain_form
+    values, polars = [], []
+    value, polar = singular._value, singular._polar
+    monkeypatch.setattr(singular, "_value",
+                        lambda f, x: values.append(x) or value(f, x))
+    monkeypatch.setattr(singular, "_polar",
+                        lambda f, x: polars.append(x) or polar(f, x))
+    assert len(lines_through(X, (1, 30, 0, 0, 0))) == 36
+    assert values == [(1, 30, 0, 0, 0)]
+    assert len(polars) > 1 and not any(value(form, x) for x in polars)
+
+
+def test_lines_through_matches_reference_scan():
+    """lines_through gives, in order, the second vectors of the scan that
+    restricts P to span(x, w) by the reference substitution for every w of
+    P^n with w zero at x's pivot, on the seeded forms of _chart_forms of
+    degree at most 4 in at most 160 points of P^n, at points of X and at
+    their multiples by a unit.  n = 1, a pivot at the last column, a zero
+    polar and p <= d all occur."""
+    rng = random.Random(42)
+    cases = Counter()
+    for _, P in _chart_forms():
+        F, n, d, p = P.field, P.nvars - 1, P.degree, P.field.p
+        if d > 4 or singular._projective_size(p, n + 1) > 160:   # to P^3/F_5
+            continue
+        X = Hypersurface(P)
+        on_x = [x for x in projective_points(F, n + 1) if not P.evaluate(x)]
+        picks = on_x[:1] + on_x[-1:] + rng.sample(on_x, 1) if on_x else []
+        for x in dict.fromkeys(picks):
+            piv = next(i for i, c in enumerate(x) if c)
+            ref = [_ints(w) for w in projective_points(F, n + 1)
+                   if not w[piv] and restrict(P, [x, w])[0].is_zero()]
+            unit = F.scalar(rng.randrange(1, p))
+            for pt in (x, tuple(unit * c for c in x)):
+                frames = lines_through(X, pt)
+                assert all(fr.e1 == pt for fr in frames)
+                assert [_ints(fr.e2) for fr in frames] == ref
+            cases["n = 1"] += n == 1
+            cases["last pivot"] += piv == n
+            cases["zero polar"] += is_singular_at(X, x)
+            cases["p <= d"] += p <= d
+            cases["lines"] += len(ref)
+    assert all(cases[c] for c in ("n = 1", "last pivot", "zero polar",
+                                  "p <= d", "lines")), cases
+
+
 def _fermat_cubic_points(p, k, nvars):
     """#X(F_q), q = p^k with k in (1, 2), for X = Z(sum x_i^3) in
     P^(nvars-1), with F_(p^2) = F_p(sqrt r) for a non-residue r.  Scaling
