@@ -368,22 +368,30 @@ def cmd_ruled(args) -> int:
     return _emit(args, out, payload, EXIT_OK)
 
 
+# the options each generator reads, with their defaults (None: required)
+_GEN_OPTIONS = {"fermat": {"n": 3, "d": 3, "field": "Q"},
+                "cone": {"base": None, "extra": 1},
+                "random-with-line": {"n": 3, "d": 3, "p": None, "seed": 0}}
+
+
 def cmd_gen(args) -> int:
     payload = {"command": "gen", "generator": args.generator}
-    for option, reader in (("field", "fermat"), ("base", "cone"),
-                           ("p", "random-with-line")):
-        if getattr(args, option) is not None and args.generator != reader:
+    reads = _GEN_OPTIONS[args.generator]
+    for option in dict.fromkeys(o for opts in _GEN_OPTIONS.values()
+                                for o in opts):
+        if getattr(args, option) is not None and option not in reads:
             raise CliError("%s does not read --%s" % (args.generator, option))
+    for option, default in reads.items():
+        if getattr(args, option) is None:
+            if default is None:
+                raise CliError("%s needs --%s" % (args.generator, option))
+            setattr(args, option, default)
     if args.generator == "fermat":
-        X = fermat(args.n, args.d, parse_field(args.field or "Q"))
+        X = fermat(args.n, args.d, parse_field(args.field))
     elif args.generator == "cone":
-        if args.base is None:
-            raise CliError("cone needs --base")
         base, _ = _load_surface(args.base, None)
         X = cone(base, extra=args.extra)
     else:
-        if args.p is None:
-            raise CliError("random-with-line needs --p")
         X, frame = random_with_line(args.n, args.d, args.p, args.seed)
         payload["line"] = _rows_to_spec((frame.e1, frame.e2))
     payload["form"] = format_form(X.P)
@@ -437,13 +445,13 @@ def build_parser() -> _Parser:
 
     pg = sub.add_parser("gen", help="emit stock example forms")
     pg.add_argument("generator", choices=["fermat", "cone", "random-with-line"])
-    pg.add_argument("--n", type=int, default=3)
-    pg.add_argument("--d", type=int, default=3)
+    pg.add_argument("--n", type=int)
+    pg.add_argument("--d", type=int)
     pg.add_argument("--field")
     pg.add_argument("--base", help="base form file (cone)")
-    pg.add_argument("--extra", type=int, default=1, help="new variables (cone)")
+    pg.add_argument("--extra", type=int, help="new variables (cone)")
     pg.add_argument("--p", type=int, help="prime (random-with-line)")
-    pg.add_argument("--seed", type=int, default=0)
+    pg.add_argument("--seed", type=int)
     pg.add_argument("--json")
     pg.set_defaults(func=cmd_gen)
     return ap

@@ -342,14 +342,14 @@ def _line_on(form, d: int, e1, e2, g2) -> bool:
     P(e1) = P(e2) = 0 and g . e2 = 0 for the polar g of e1: both callers
     take e2 from X's points (_chart_points) in g's kernel.  They are the
     s^d, t^d and s^(d-1) t coefficients of P(s e1 + t e2); g2 . e1 is the
-    s t^(d-1) one, tested first.  Then when d <= p the test only evaluates
-    P(e1 + k e2) for k = 1..d-3: that is k^2 times a polynomial of degree
-    d-4 in k, and vanishes at d-3 distinct nonzero k only if it is zero.
-    Cubics need no evaluation."""
+    s t^(d-1) one, tested first, in every characteristic.  So when d <= 3
+    that is all; else when d <= p the test only evaluates P(e1 + k e2) for
+    k = 1..d-3: that is k^2 times a polynomial of degree d-4 in k, and
+    vanishes at d-3 distinct nonzero k only if it is zero."""
     p = form[1]
     if sum(map(mul, g2, e1)) % p:
         return False
-    if d <= p:
+    if d <= max(p, 3):
         return not any(_value(form, [a + k * b for a, b in zip(e1, e2)])
                        for k in range(1, d - 2))
     # too few points on the line: expand P on it with the one int kernel
@@ -587,51 +587,25 @@ class ConjectureReport:
 
 
 def _gradient_rows(X: Hypersurface, polars: _Polars):
-    """(raw, solve) for lines on X, read off P's gradients in polars; needs
-    p >= d - 1.  raw(r1, r2, points) gives the raw rows of the line with
-    echelon pair (r1, r2), one per column c off its pivots:
-    d_c P(r1 + k r2) for k = 0..d-2, then d_c P(r2), where points lists
-    r1 + k r2 for k = 0, 1, ...  Each is 1 at r1's pivot and zero before
-    it, a normalised point of X, a key of the scan's memo.  solve, a fixed
-    invertible linear map of F_p^d, takes raw rows to contraction rows.
+    """raw(r1, r2, points): the raw rows of the line with echelon pair
+    (r1, r2), read off P's gradients in polars, one per column c off its
+    pivots: d_c P(r1 + k r2) for k = 0..d-2, then d_c P(r2), where points
+    lists r1 + k r2 for k = 0, 1, ...  Each is 1 at r1's pivot and zero
+    before it, a normalised point of X, a key of the scan's memo.
 
-    Row c_j's contraction f_j = (d_(c_j) P)|_E has degree d - 1: its values
-    at s = 1, t = k (k = 0..d-2) are d_(c_j) P(r1 + k r2) and its t^(d-1)
-    coefficient is d_(c_j) P(r2).  Taking k^(d-1) times the latter off each
-    value leaves a polynomial of degree d - 2 in k, which one fixed inverse
-    Vandermonde matrix mod p solves for on the d - 1 distinct nodes."""
-    p, d = X.field.p, X.d
-    nodes = range(d - 1)
-    # [V | I] reduces to [I | V^-1] for V = (k^i) on the nodes
-    vinv = [row[d - 1:] for row in _echelon(
-        [[pow(k, i, p) for i in nodes] + [int(k == j) for j in nodes]
-         for k in nodes], p)[0]]
-    lead = [pow(k, d - 1, p) for k in nodes]
-
+    For p >= d - 1 they are the line's contraction rows under one fixed
+    invertible linear map of F_p^d, so their echelon keys the span U of
+    the contractions: row c_j's contraction f_j = (d_(c_j) P)|_E has degree
+    d - 1, its values at s = 1, t = k (k = 0..d-2) are d_(c_j) P(r1 + k r2)
+    and its t^(d-1) coefficient is d_(c_j) P(r2); as the d - 1 nodes are
+    distinct mod p, those d numbers determine f_j, linearly."""
     def raw(r1, r2, points):
         pivots = (r1.index(1), r2.index(1))
-        grads = [polars[x] for x in points[:d - 1]] + [polars[r2]]
+        grads = [polars[x] for x in points[:X.d - 1]] + [polars[r2]]
         return [list(col) for c, col in enumerate(zip(*grads))
                 if c not in pivots]
 
-    def solve(rows):
-        fs = []
-        for *vals, top in rows:
-            vals = [v - top * w for v, w in zip(vals, lead)]
-            fs.append([*(sum(map(mul, row, vals)) % p for row in vinv), top])
-        return fs
-
-    return raw, solve
-
-
-def _gradient_contractions(X: Hypersurface, polars: _Polars):
-    """A line's contractions from its echelon pair (r1, r2), solve after raw
-    (_gradient_rows): restricted_contractions of its frame, at scale 1."""
-    raw, solve = _gradient_rows(X, polars)
-    p = X.field.p
-    return lambda r1, r2: solve(raw(r1, r2, [
-        tuple((u + k * v) % p for u, v in zip(r1, r2))
-        for k in range(X.d - 1)]))
+    return raw
 
 
 def _sigma_summary(X: Hypersurface, fs) -> tuple:
@@ -668,18 +642,18 @@ def conjecture_check(X: Hypersurface, budget: int = _BUDGET,
 
     When p >= d - 1 the echelon of a line's raw gradient rows (the memo's
     gradients at r1 + k r2, k < d - 1, and at r2: _gradient_rows) keys its
-    span U; one fixed invertible map (solve) takes them to contractions, so
-    the keys split the lines as U does and only a new key's rows are
-    solved.  Else the key is the echelon of the contractions of its frame
-    (restricted_contractions).  Per distinct key the survey builds sigma
-    once, from U's echelon rows, and keeps only what it reads
-    (_sigma_summary), for this call only: with p >= d - 1 it builds no frame
-    and expands P on no line.  A line's points r1 + a r2 are built once, by
-    columns (u + a v) % p memoised per entry pair (u, v) for this call, for
-    the covered points and the raw rows.  A line gets a certificate
-    (_certificate: from its echelon rows, every point re-checked on X, Fp
-    only for what it returns) when its span's gcd is None (a singular line)
-    or has a rational zero; a gcd with no zero certifies nothing."""
+    span U, as one fixed invertible map takes them to the contractions, so
+    the keys split the lines as U does.  Else the key is the echelon of the
+    line's contractions.  Per distinct key the survey reads the contractions
+    of the key's first line (restricted_contractions of its frame, which
+    re-checks P|_E = 0), builds sigma once, from U's echelon rows, and keeps
+    only what it reads (_sigma_summary), for this call only.  A line's
+    points r1 + a r2 are built once, by columns (u + a v) % p memoised per
+    entry pair (u, v) for this call, for the covered points and the raw
+    rows.  A line gets a certificate (_certificate: from its echelon rows,
+    every point re-checked on X, Fp only for what it returns) when its
+    span's gcd is None (a singular line) or has a rational zero; a gcd with
+    no zero certifies nothing."""
     _require_prime_field(X.field)
     field, p, d = X.field, X.field.p, X.d
     if p <= d and not force:
@@ -687,13 +661,12 @@ def conjecture_check(X: Hypersurface, budget: int = _BUDGET,
             "characteristic %d is at most the degree %d; results would be "
             "unreliable" % (p, d))
     polars = _Polars(X.plain_form)
-    if p >= d - 1:
-        raw, solve = _gradient_rows(X, polars)
-    else:
-        def raw(r1, r2, points):
-            return tangent.restricted_contractions(
-                X, LineFrame._from_echelon(field, r1, r2))[0]
-        solve = list        # the raw rows are the contractions
+
+    def contractions(r1, r2, points=None):
+        return tangent.restricted_contractions(
+            X, LineFrame._from_echelon(field, r1, r2))[0]
+
+    raw = _gradient_rows(X, polars) if p >= d - 1 else contractions
 
     @cache
     def seq(u, v):
@@ -710,10 +683,10 @@ def conjecture_check(X: Hypersurface, budget: int = _BUDGET,
         # the line's points normalised: r1 + a r2 (r2 is zero at r1's
         # pivot), and r2
         points = list(zip(*map(seq, r1, r2)))
-        rows = raw(r1, r2, points)
-        key = tuple(map(tuple, _echelon(rows, p)[0]))
+        key = tuple(map(tuple, _echelon(raw(r1, r2, points), p)[0]))
         if key not in summaries:
-            summaries[key] = _sigma_summary(X, _echelon(solve(rows), p)[0])
+            summaries[key] = _sigma_summary(
+                X, _echelon(contractions(r1, r2), p)[0])
         dim, applies, gcd, roots = summaries[key]
         max_dim = max(max_dim, dim)
         covered.update(points)

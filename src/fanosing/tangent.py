@@ -25,12 +25,12 @@ entries are built only for the values the pipeline returns.
 Everything in the report is a function of sigma_ints and X's field, n and
 d, and so is every later stage up to the gcd's roots.  analyze_tangent runs
 _report on _sigma_rows and the frame's kernel and Pi (tangent_space,
-compute_pi); a survey (singular.conjecture_check) reads each line's
-contractions off the gradients its line scan takes when p >= d - 1 (else
-restricted_contractions).  What it keeps of those stages depends only on
-their span U, so once per distinct U it builds the sigma of U's echelon
-basis and runs _report on its kernel and Pi, then the stages, keeping of
-them only what it reads (singular._sigma_summary).
+compute_pi); a survey (singular.conjecture_check) keys each line on the
+span U of its contractions (by the gradients its scan takes, p >= d - 1)
+and runs restricted_contractions on one line per new U (every line if
+p < d - 1).  Once per distinct U it builds the sigma of U's echelon basis
+and runs _report on its kernel and Pi, then the stages, keeping only what
+it reads (singular._sigma_summary), which depends only on U.
 
 Pi <= W/E is the subspace of directions w with (w -| P)|_E = 0: deformations
 that move the line trivially to first order in every pencil direction.

@@ -409,6 +409,17 @@ _CUBIC = "field Q\nvars 4\n1 3 0 0 0\n1 0 3 0 0\n"
      "cone does not read --p"),
     ("", ["gen", "random-with-line", "--p", "7", "--base", "{f}"],
      "random-with-line does not read --base"),
+    (_CUBIC, ["gen", "cone", "--base", "{f}", "--n", "5", "--seed", "3"],
+     "cone does not read --n"),
+    (_CUBIC, ["gen", "cone", "--base", "{f}", "--d", "4"],
+     "cone does not read --d"),
+    (_CUBIC, ["gen", "cone", "--base", "{f}", "--seed", "3"],
+     "cone does not read --seed"),
+    ("", ["gen", "fermat", "--extra", "4", "--seed", "9"],
+     "fermat does not read --extra"),
+    ("", ["gen", "fermat", "--seed", "9"], "fermat does not read --seed"),
+    ("", ["gen", "random-with-line", "--p", "7", "--extra", "2"],
+     "random-with-line does not read --extra"),
 ], ids=["line-spec", "form-coefficient", "through-point", "field-option-fp0",
         "form-header-fp0", "gen-p0", "form-coefficient-literal",
         "line-spec-literal", "through-point-literal", "pencil-element-literal",
@@ -420,7 +431,9 @@ _CUBIC = "field Q\nvars 4\n1 3 0 0 0\n1 0 3 0 0\n"
         "conjecture-budget-negative", "lines-budget-literal",
         "gen-cone-extra0", "gen-random-n1", "gen-fermat-n0", "gen-fermat-d0",
         "gen-random-field", "gen-fermat-p", "gen-fermat-base", "gen-cone-field",
-        "gen-cone-p", "gen-random-base"])
+        "gen-cone-p", "gen-random-base", "gen-cone-n", "gen-cone-d",
+        "gen-cone-seed", "gen-fermat-extra", "gen-fermat-seed",
+        "gen-random-extra"])
 def test_bad_scalar_or_characteristic_is_one_line_error(tmp_path, capsys, form,
                                                         argv, message):
     path = tmp_path / "in.form"

@@ -370,6 +370,26 @@ def test_all_lines_takes_each_polar_once(monkeypatch):
             and not X.P.evaluate(F7.vector(x))} <= set(seen)
 
 
+@pytest.mark.parametrize("args,lines", [((3, 3, 2, 3), 10),
+                                        ((4, 3, 2, 5), 63)],
+                         ids=["p3-f2", "p4-f2"])
+def test_cubic_line_test_expands_nothing(args, lines, monkeypatch):
+    """Over F_2 a cubic has d > p, yet the line test needs no expansion:
+    P at the rows and the polar dot products g . r2 and g2 . r1 are all
+    four coefficients of P on the line, in every characteristic.  all_lines
+    makes no _expand call and returns the brute-force scan's lines."""
+    X = random_with_line(*args)[0]
+    want = _bruteforce_lines(X)
+    expands = []
+    expand = singular._expand
+    monkeypatch.setattr(singular, "_expand",
+                        lambda *a: expands.append(a) or expand(*a))
+    frames = all_lines(X)
+    assert expands == []
+    assert len(frames) == lines
+    assert [tuple(map(_ints, fr.canonical_rows())) for fr in frames] == want
+
+
 def _dual_forms(field, nvars, e1, e2):
     """Linear forms l1, l2 with l1(e1) = l2(e2) = 1 and l1(e2) = l2(e1) = 0,
     on two columns where the independent residue vectors e1, e2 are."""
@@ -392,8 +412,8 @@ def test_line_on_matches_reference_restriction():
     P(e2) and the s^(d-1) t coefficient of P(s e1 + t e2) vanish.  They
     are made to by taking those coefficients, and a random subset of the
     others, off P along l1^(d-i) l2^i for linear forms l1, l2 dual to e1,
-    e2.  p < d runs the _expand branch; lines and non-lines occur on both
-    branches, and for every d >= 3 a non-line."""
+    e2.  p < d with d >= 4 runs the _expand branch; lines and non-lines
+    occur on both branches, and for every d >= 3 a non-line."""
     rng = random.Random(39)
     counts = Counter()
     for _ in range(500):
@@ -425,7 +445,7 @@ def test_line_on_matches_reference_restriction():
         form = Hypersurface(P).plain_form
         got = singular._line_on(form, d, e1, e2, singular._polar(form, e2))
         assert got == on.is_zero()
-        counts["expand" if p < d else "values", got] += 1
+        counts["expand" if p < d > 3 else "values", got] += 1
         counts[d, got] += 1
     assert all(counts[branch, got] for branch in ("expand", "values")
                for got in (True, False)), counts
@@ -1151,8 +1171,8 @@ def _reference_survey(X):
 def test_survey_builds_one_core_per_sigma(make, force, monkeypatch):
     """conjecture_check runs normal_form once per distinct span of the
     contractions with m > 0, so at most once per distinct sigma, and equals
-    the survey that analyzes every line.  The forced surveys read sigma off
-    each line's frame (p < d - 1) or interpolate it on the fewest nodes
+    the survey that analyzes every line.  The forced surveys key a line on
+    its contractions (p < d - 1) or on its gradients at the fewest nodes
     (p = d - 1)."""
     X = make()
     reports = [analyze_tangent(X, fr) for fr in all_lines(X)]
@@ -1182,20 +1202,28 @@ def test_survey_builds_one_core_per_sigma(make, force, monkeypatch):
     ids=["cone-f7", "p3-f13", "p4-f7", "cone-fermat-surface", "generic",
          "p2-d3", "p3-d4"])
 def test_gradient_sigma_matches_sigma_rows(make, lines):
-    """The contractions the survey interpolates from the scan's gradients
-    equal restricted_contractions, the one substitution kernel, of a frame
-    built from scratch on every line, whose scale is 1: the benchmark's
-    seed-1 survey inputs, the cone over the Fermat cubic surface, a cubic
-    threefold whose lines all have distinct sigma, and p = d - 1, the
-    fewest nodes the interpolation can run on."""
+    """The raw rows the survey keys a span on are the line's contractions
+    under one fixed map: per column off the pivots, restricted_contractions
+    (the one substitution kernel, of a frame built from scratch on every
+    line, whose scale is 1) at s = 1, t = 0..d-2, then its t^(d-1)
+    coefficient.  On the benchmark's seed-1 survey inputs, the cone over
+    the Fermat cubic surface, a cubic threefold whose lines all have
+    distinct sigma, and p = d - 1, the fewest nodes the key can use."""
     X = make()
+    p, d = X.field.p, X.d
     polars = singular._Polars(X.plain_form)
-    contractions = singular._gradient_contractions(X, polars)
+    raw = singular._gradient_rows(X, polars)
     pairs = list(singular._echelon_pairs(X, polars, 10 ** 7))
     assert len(pairs) == lines
     for r1, r2 in pairs:
-        assert (contractions(r1, r2), 1) == tangent.restricted_contractions(
+        fs, scale = tangent.restricted_contractions(
             X, LineFrame(X.field, r1, r2))
+        assert scale == 1
+        points = [tuple((u + k * v) % p for u, v in zip(r1, r2))
+                  for k in range(d - 1)]
+        assert raw(r1, r2, points) == [
+            [sum(c * k ** i for i, c in enumerate(f)) % p
+             for k in range(d - 1)] + [f[-1]] for f in fs]
 
 
 @pytest.mark.parametrize("make,force,per_line", [
@@ -1206,25 +1234,31 @@ def test_gradient_sigma_matches_sigma_rows(make, lines):
     ids=["p4-f7", "double-cone", "p2-d3", "p3-d5"])
 def test_survey_work_is_per_sigma_not_per_line(make, force, per_line,
                                                monkeypatch):
-    """With p >= d - 1 the survey reads each line's contractions off the
-    scan's gradients and each distinct span's summary off its echelon rows
-    (_sigma_summary): no restricted_contractions call and no frame at all.
-    Under force with p < d - 1 each line costs one of each, and a distinct
-    span none."""
+    """With p >= d - 1 the survey keys each line on the scan's gradients
+    and reads contractions (restricted_contractions, of a frame from the
+    echelon pair) only for the first line of each distinct span, whose
+    summary it takes once (_sigma_summary).  Under force with p < d - 1
+    each line costs one of each as well.  No frame is built from scratch
+    (LineFrame.__init__)."""
     X = make()
     sigmas = {analyze_tangent(X, fr).sigma_ints for fr in all_lines(X)}
-    contractions, frames = [], []
+    contractions, frames, inits, spans = [], [], [], []
     restricted = tangent.restricted_contractions
     from_echelon, init = LineFrame._from_echelon, LineFrame.__init__
+    summary = singular._sigma_summary
     monkeypatch.setattr(tangent, "restricted_contractions",
                         lambda *a: contractions.append(a) or restricted(*a))
     monkeypatch.setattr(LineFrame, "_from_echelon", classmethod(
         lambda cls, *a: frames.append(a) or from_echelon(*a)))
     monkeypatch.setattr(LineFrame, "__init__",
-                        lambda self, *a: frames.append(a) or init(self, *a))
+                        lambda self, *a: inits.append(a) or init(self, *a))
+    monkeypatch.setattr(singular, "_sigma_summary",
+                        lambda *a: spans.append(a) or summary(*a))
     rep = conjecture_check(X, force=force)
     assert rep.num_lines > len(sigmas)
-    assert len(contractions) == len(frames) == per_line * rep.num_lines
+    assert len(contractions) == len(frames) == \
+        per_line * rep.num_lines + len(spans)
+    assert inits == []
 
 
 @pytest.mark.parametrize("make,spans", [
@@ -1237,8 +1271,7 @@ def test_span_determines_the_summary(make, spans, monkeypatch):
     moved by a random invertible matrix mod p; the lines have as many spans
     as pinned.  The survey keys a span on the echelon rows of the line's
     raw gradient rows (_gradient_rows): those split the lines into the same
-    classes, and solve maps each raw key onto its span.  The survey
-    certifies a line (_certificate) only when its span's gcd is None or has
+    classes.  The survey certifies a line (_certificate) only when its span's gcd is None or has
     a rational zero."""
     X = make()
     F, p, nm1 = X.field, X.field.p, X.n - 1
@@ -1247,7 +1280,7 @@ def test_span_determines_the_summary(make, spans, monkeypatch):
     raw_keys = {}
     certify = []
     polars = singular._Polars(X.plain_form)
-    raw, solve = singular._gradient_rows(X, polars)
+    raw = singular._gradient_rows(X, polars)
     for fr in all_lines(X):
         fs, _ = tangent.restricted_contractions(X, fr)
         key = Subspace.from_vectors(fs, F, X.d).ints[0]
@@ -1257,8 +1290,6 @@ def test_span_determines_the_summary(make, spans, monkeypatch):
             tuple((u + k * v) % p for u, v in zip(r1, r2))
             for k in range(X.d - 1)]), p)[0]
         assert raw_keys.setdefault(tuple(map(tuple, raw_key)), key) == key
-        assert tuple(map(tuple, singular._echelon(solve(raw_key), p)[0])) \
-            == key
         while True:
             A = [[rng.randrange(p) for _ in range(nm1)] for _ in range(nm1)]
             if rank(A, F) == nm1:
